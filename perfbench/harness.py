@@ -39,7 +39,8 @@ class Exit:
     """How one child process ended."""
 
     code: int
-    wall_s: float
+    start: float
+    end: float
     maxrss_mb: float
 
 
@@ -104,7 +105,13 @@ class Harness:
         start = time.perf_counter()
         proc = self.spawn(argv, **kwargs)
         code, maxrss = self.reap(proc)
-        return Exit(code, time.perf_counter() - start, maxrss)
+        return Exit(code, start, time.perf_counter(), maxrss)
+
+    def probed(self, samples: str, *argv: str) -> list[str]:
+        """``argv`` (arguments to ``python``) run inside the machine-speed
+        probe, which writes its samples to ``samples`` in the run's
+        directory."""
+        return [self.python, str(BENCH_DIR / "speed.py"), str(self.tmp / samples), *argv]
 
     def stop(self, proc: subprocess.Popen) -> tuple[int, float]:
         """Terminate a long-lived child and reap it."""

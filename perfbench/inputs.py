@@ -63,6 +63,7 @@ def serve_live(seed: int, out: Path) -> dict:
     expected final report, the read mix and the append schedule."""
     from repro.crawler.storage import append_delta, save_dataset
     from repro.oracle import EthUsdOracle
+    from repro.serve import DEFAULT_PATHS
     from repro.simulation import ScenarioConfig, stream_scenario
 
     scenario_seed = plan.derive(seed, "serve_live")
@@ -90,7 +91,7 @@ def serve_live(seed: int, out: Path) -> dict:
         "base_cursor": half - 1,
         "final_cursor": plan.STREAM_BATCHES - 1,
         "schedule": plan.delta_schedule(seed, len(pending)),
-        "reads": plan.read_mix(seed, names, unknown, READS),
+        "reads": plan.read_mix(seed, list(DEFAULT_PATHS), names, unknown, READS),
     }
 
 

@@ -1,6 +1,6 @@
 """The repository benchmark: one command, three workloads.
 
-    python3 perfbench/run.py --workload report_cold --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload report_cold --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` runs the
 traced variant and reports the per-layer metrics instead. Metric names

@@ -3,19 +3,21 @@ for every metric, the median, the quartiles and the run-to-run spread
 against the metric's bound::
 
     python3 perfbench/steady.py --runs 10 [--workloads report_cold ...]
-        [--seed-base 1] [--save runs.json] [--compare base.json]
+        [--save runs.json] [--compare base.json]
 
-Each run gets its own seed (``seed-base``, ``seed-base + 1``, ...). The
-spread is the inter-quartile distance as a share of the median, as
-``statistics.quantiles(values, n=4)`` gives the quartiles. Bounds come
-from ``BENCHMARK.json``; metrics it does not list (``latency_p50_ms``,
-``latency_tail_ms``, ``freshness_p50_ms``) use :data:`EXTRA_BOUNDS`. Every end-to-end metric
-whose spread exceeds its bound is listed at the end; the command exits 1
-if one of them is a ``BENCHMARK.json`` metric other than ``setup_s``
-(the spreads the benchmark's contract bounds).
+Run ``i`` (from 1) uses seed ``i`` and lasts ``run_seconds`` from
+``BENCHMARK.json``, so two invocations with the same ``--runs`` measure
+the same inputs for the same time. The spread is the inter-quartile
+distance as a share of the median, as ``statistics.quantiles(values,
+n=4)`` gives the quartiles. Bounds come from ``BENCHMARK.json``; the
+printed metrics it does not list use :data:`EXTRA_BOUNDS` and are shown
+for information. Every metric whose spread exceeds its bound is listed
+at the end; the command exits 1 if one of them is a ``BENCHMARK.json``
+end-to-end metric.
 
 ``--compare`` reads a file written by ``--save`` (the parent commit's
-runs) and classifies each metric: ``unresolved`` when either side
+runs, refused unless it has the same run length and seeds) and
+classifies each metric: ``unresolved`` when either side
 spreads wider than the bound (unless every run of one side beats every
 run of the other), ``worse`` when the median moved the wrong way by
 more than the bound, ``better`` when it moved the right way by more
@@ -33,14 +35,14 @@ from pathlib import Path
 import stats
 from harness import BENCH_DIR, ROOT
 
-#: Bounds for end-to-end metrics that only some workloads report.
-EXTRA_BOUNDS = {"latency_p50_ms": 0.25, "latency_tail_ms": 0.25, "freshness_p50_ms": 0.25}
+#: Bounds shown for the printed metrics ``BENCHMARK.json`` does not list.
+EXTRA_BOUNDS = {
+    "latency_p50_wall_ms": 0.25, "setup_wall_s": 0.25,
+    "latency_tail_ms": 0.25, "freshness_p50_ms": 0.25,
+}
 
 #: ``better`` direction of the metrics outside ``BENCHMARK.json``.
-EXTRA_BETTER = {
-    "latency_p50_ms": "lower", "latency_tail_ms": "lower",
-    "freshness_p50_ms": "lower", "error_ratio": "lower",
-}
+EXTRA_BETTER = {name: "lower" for name in (*EXTRA_BOUNDS, "error_ratio")}
 
 
 def _spec() -> dict:
@@ -106,14 +108,20 @@ def main() -> int:
     names = [workload["name"] for workload in spec["workloads"]]
     parser.add_argument("--workloads", nargs="+", default=names, choices=names)
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seed-base", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--save", metavar="PATH", help="write every run's values here")
     parser.add_argument("--compare", metavar="PATH", help="classify against saved runs")
     args = parser.parse_args()
+    seconds = spec["run_seconds"]
+    seeds = list(range(1, args.runs + 1))
+    base = json.loads(Path(args.compare).read_text()) if args.compare else None
+    if base is not None and (base["run_seconds"], base["seeds"]) != (seconds, seeds):
+        raise SystemExit(
+            f"{args.compare} holds runs of {base['run_seconds']} s on seeds {base['seeds']},"
+            f" these are {seconds} s on seeds {seeds}: not comparable"
+        )
 
     bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
-    gating = set(bounds) - {"setup_s"}
+    gating = set(bounds)
     bounds.update(EXTRA_BOUNDS)
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"] + spec["per_layer"]}
     better.update(EXTRA_BETTER)
@@ -121,13 +129,12 @@ def main() -> int:
     over: list[str] = []
     for workload in args.workloads:
         values: dict[str, list[float]] = {}
-        for offset in range(args.runs):
-            metrics = run_once(workload, args.seed_base + offset, args.seconds)
+        for seed in seeds:
+            metrics = run_once(workload, seed, seconds)
             for name, metric in metrics.items():
                 values.setdefault(name, []).append(metric["value"])
         saved[workload] = values
-        print(f"{workload}: {args.runs} runs of {args.seconds} s"
-              f" (seeds {args.seed_base}..{args.seed_base + args.runs - 1})")
+        print(f"{workload}: {args.runs} runs of {seconds} s (seeds 1..{args.runs})")
         for row in summarize(values, bounds):
             print(row)
         over += [
@@ -135,14 +142,16 @@ def main() -> int:
             if name in bounds and stats.spread(series) > bounds[name]
         ]
     if args.save:
-        Path(args.save).write_text(json.dumps(saved, indent=1))
-    if args.compare:
-        base = json.loads(Path(args.compare).read_text())
+        Path(args.save).write_text(json.dumps(
+            {"run_seconds": seconds, "seeds": seeds, "runs": saved}, indent=1
+        ))
+    if base is not None:
         print("change against", args.compare)
         for workload, values in saved.items():
             for name, series in values.items():
-                if name in base.get(workload, {}) and name in bounds:
-                    verdict = compare(base[workload][name], series, bounds[name], better[name])
+                parent = base["runs"].get(workload, {}).get(name)
+                if parent is not None and name in bounds:
+                    verdict = compare(parent, series, bounds[name], better[name])
                     print(f"  {workload:<12s} {name:<22s} {verdict}")
     print("spread over bound: " + (", ".join(over) or "none"))
     return 1 if any(name.partition("/")[2] in gating for name in over) else 0

@@ -3,11 +3,12 @@
 import plan
 
 NAMES = [f"name{i}.eth" for i in range(200)]
+HOT = ["/report", "/report/summary"]
 
 
 def _mix(seed):
     unknown = plan.unknown_names(seed, set(NAMES))
-    return plan.read_mix(seed, NAMES, unknown, 2000)
+    return plan.read_mix(seed, HOT, NAMES, unknown, 2000)
 
 
 def test_read_mix_is_fixed_by_the_seed():
@@ -24,6 +25,8 @@ def test_read_mix_shape():
     unknown = plan.unknown_names(5, set(NAMES))
     assert not set(unknown) & set(NAMES)
     for read in reads:
+        if read["kind"] == "hot":
+            assert read["target"] in HOT
         if read["kind"] == "unknown":
             assert read["target"].removeprefix("/domain/") in unknown
 

@@ -3,7 +3,7 @@
 import pytest
 
 import stats
-from workloads import Result
+from workloads import Result, Timed
 
 
 def test_nearest_rank_returns_a_sample():
@@ -41,18 +41,31 @@ def test_tail_picks_highest_percentile_with_ten_beyond(count, expected):
 @pytest.mark.parametrize("count", [3, 40, 99])
 def test_no_latency_tail_below_ten_beyond(count):
     result = Result()
-    result.add_latency([0.001] * count, [1.0], 50.0, fastest=False)
+    result.add_latency(
+        [Timed(0.001, 0.001)] * count, [Timed(1.0, 1.0)], 50.0, tail_seconds=[0.001] * count
+    )
     assert "latency_tail_ms" not in result.metrics
     assert result.metrics["latency_p50_ms"].samples == count
 
 
 def test_latency_tail_reported_with_its_sample_count():
     result = Result()
-    result.add_latency([i / 1000 for i in range(1, 1001)], [1.0], 50.0, fastest=False)
+    seconds = [i / 1000 for i in range(1, 1001)]
+    result.add_latency(
+        [Timed(s, s / 2) for s in seconds], [Timed(1.0, 1.0)], 50.0, tail_seconds=seconds
+    )
     tail = result.metrics["latency_tail_ms"]
     assert tail.samples == 1000
     assert tail.value == pytest.approx(990.0)
-    assert tail.note == "p99, 10 beyond"
+    assert tail.note == "p99, 10 beyond, wall-clock"
+    assert result.metrics["latency_p50_ms"].value == pytest.approx(250.25)
+    assert result.metrics["latency_p50_wall_ms"].value == pytest.approx(500.5)
+
+
+def test_no_tail_without_tail_samples():
+    result = Result()
+    result.add_latency([Timed(0.001, 0.001)] * 5000, [Timed(1.0, 1.0)], 50.0)
+    assert "latency_tail_ms" not in result.metrics
 
 
 def test_spread_is_interquartile_over_median():

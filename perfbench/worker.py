@@ -1,14 +1,14 @@
-"""Resident re-analysis worker for the ``reanalyze`` workload::
+"""Resident re-analysis worker for the ``reanalyze`` workload, run inside
+the machine-speed probe (:mod:`speed`)::
 
-    python3 perfbench/worker.py DATASET_DIR
+    python3 perfbench/speed.py SAMPLES perfbench/worker.py DATASET_DIR
 
 Runs one untimed warm-up iteration, prints ``ready``, then answers each
 ``run`` line on stdin with one timed iteration — columnar load,
 validate, report, render, after a ``gc.collect()`` — as a JSON line
-``{"seconds": ..., "reference": ..., "digest": ...}``, where
-``reference`` is the mean of one machine-speed reference pass
-(:mod:`speed`) just before and one just after the iteration. ``quit``
-(or end of input) exits.
+``{"start": ..., "end": ..., "digest": ...}`` whose times are
+``time.perf_counter`` readings, so the benchmark can scale the iteration
+by the probes taken inside it. ``quit`` (or end of input) exits.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sys
 import time
 
 import checks
-import speed
 
 
 def main() -> None:
@@ -30,18 +29,12 @@ def main() -> None:
 
     def iteration() -> dict:
         gc.collect()
-        before = speed.reference_s()
         start = time.perf_counter()
         dataset = load_dataset(directory, store="columnar")
         dataset.validate()
         body = report_json(build_report(dataset, EthUsdOracle()))
-        elapsed = time.perf_counter() - start
-        after = speed.reference_s()
-        return {
-            "seconds": elapsed,
-            "reference": (before + after) / 2,
-            "digest": checks.digest(body.encode("utf-8")),
-        }
+        end = time.perf_counter()
+        return {"start": start, "end": end, "digest": checks.digest(body.encode("utf-8"))}
 
     iteration()
     print("ready", flush=True)

@@ -7,9 +7,15 @@
     a resident worker re-analysing a persisted crawl from the columnar
     store (closed loop, one thread).
 ``serve_live``
-    ``repro serve --watch`` in its own process; one keep-alive client
-    thread reads a seeded mix while the same thread appends deltas on a
-    fixed schedule (reads closed, appends open).
+    ``repro serve --watch`` in its own process; the benchmark's single
+    thread reads a seeded mix on one keep-alive connection and appends
+    deltas on a fixed schedule (reads closed, appends open).
+
+Every process under test runs inside the machine-speed probe
+(:mod:`speed`), and the times the benchmark gates on are scaled by the
+probes that process took while the time passed; ``serve_live`` reads are
+scaled by reads of a reference HTTP server (:mod:`refserver`) instead.
+The wall-clock values are printed beside them (``*_wall_*``).
 
 Each returns a :class:`Result`: attempted and failed operations plus
 named metrics with units and sample counts. ``trace=True`` runs the
@@ -37,11 +43,26 @@ from harness import BENCH_DIR, SRC, BenchError, Harness
 #: Set-ups per run; ``setup_s`` is their median.
 SETUP_REPEATS = {"report_cold": 7, "reanalyze": 5, "serve_live": 5}
 
-#: ``serve_live`` reads between two machine-speed references.
-READS_PER_REFERENCE = 500
+#: ``report_cold`` runs one ``repro report`` per this many seconds of
+#: ``--seconds``: a fixed count for a given run length.
+SECONDS_PER_REPORT = 5
 
 #: Fewest timed iterations per run, however short ``--seconds`` is.
 MIN_SAMPLES = 3
+
+#: ``serve_live`` reads and freshness samples are scaled in blocks of
+#: this many seconds.
+SCALE_BLOCK_S = 1.0
+
+#: Every this many ``serve_live`` reads, the client times a burst of
+#: :data:`REFERENCE_BURST` reads of the reference HTTP server.
+REFERENCE_EVERY = 100
+REFERENCE_BURST = 5
+
+#: A reference read in scaled time: a scaled read of 1 ms took as long as
+#: five reference reads beside it. About what a reference read takes on
+#: the reference machine.
+REFERENCE_READ_S = 0.0002
 
 #: ``repro serve --watch`` poll interval, short against a delta's apply.
 WATCH_INTERVAL = "0.05"
@@ -58,6 +79,14 @@ class Metric:
     unit: str
     samples: int
     note: str = ""
+
+
+@dataclass
+class Timed:
+    """A time as measured and scaled to the reference machine speed."""
+
+    wall: float
+    scaled: float
 
 
 @dataclass
@@ -84,27 +113,34 @@ class Result:
         self.metrics[name] = Metric(value, unit, samples, note)
 
     def add_latency(
-        self, seconds: list[float], setups: list[float], rss_mb: float, fastest: bool
+        self, latencies: list[Timed], setups: list[Timed], rss_mb: float,
+        tail_seconds: list[float] | None = None,
     ) -> None:
-        """The end-to-end metrics every workload reports. ``latency_ms``
-        is the fastest of ``seconds`` when ``fastest``, else their median."""
-        self.add("setup_s", stats.median(setups), "s", len(setups))
+        """The end-to-end metrics every workload reports: the medians of
+        the scaled and of the wall-clock latencies and set-ups, peak RSS,
+        and the wall-clock tail of ``tail_seconds`` where it has one."""
+        self.add("setup_s", stats.median([t.scaled for t in setups]), "s", len(setups), "scaled")
+        self.add("setup_wall_s", stats.median([t.wall for t in setups]), "s", len(setups))
         self.add(
-            "latency_ms", (min(seconds) if fastest else stats.median(seconds)) * 1000,
-            "ms", len(seconds), "fastest" if fastest else "median",
+            "latency_p50_ms", stats.median([t.scaled for t in latencies]) * 1000, "ms",
+            len(latencies), "scaled",
         )
-        self.add("latency_p50_ms", stats.median(seconds) * 1000, "ms", len(seconds))
+        self.add(
+            "latency_p50_wall_ms", stats.median([t.wall for t in latencies]) * 1000, "ms",
+            len(latencies),
+        )
+        seconds = tail_seconds or []
         tail = stats.tail(seconds)
         if tail is None:
             self.info.append(
-                f"latency_tail_ms not reported: {len(seconds)} samples leave"
-                f" fewer than {stats.MIN_BEYOND} beyond any tail percentile"
+                f"latency_tail_ms not reported: {len(seconds) or len(latencies)} samples"
+                f" leave fewer than {stats.MIN_BEYOND} beyond any tail percentile"
             )
         else:
             percentile, value = tail
             self.add(
                 "latency_tail_ms", value * 1000, "ms", len(seconds),
-                f"p{percentile:g}, {stats.beyond(len(seconds), percentile)} beyond",
+                f"p{percentile:g}, {stats.beyond(len(seconds), percentile)} beyond, wall-clock",
             )
         self.add("peak_rss_mb", rss_mb, "MB", 1)
 
@@ -113,22 +149,23 @@ class Result:
         self.add("error_ratio", self.failed / max(1, self.attempted), "ratio", self.attempted)
 
 
-def _cli(h: Harness, *args: str) -> list[str]:
-    return [h.python, "-m", "repro.cli", *args]
+def _probed_time(h: Harness, samples: str, start: float, end: float) -> Timed:
+    """``[start, end]`` of a probed process, as measured and scaled."""
+    return Timed(end - start, speed.scaled(end - start, speed.load(h.tmp / samples), start, end))
 
 
-def _import_setups(h: Harness, count: int) -> list[float]:
-    """Wall times of fresh interpreters that only import ``repro.cli``
+def _import_setups(h: Harness, count: int) -> list[Timed]:
+    """Fresh interpreters that only import ``repro.cli``, spawn to exit
     (after one untimed import that warms bytecode and page caches)."""
-    argv = [h.python, "-c", "import repro.cli"]
-    walls = []
+    setups = []
     for index in range(count + 1):
-        done = h.run(argv)
+        samples = f"import-{index}.probe"
+        done = h.run(h.probed(samples, "-c", "import repro.cli"))
         if done.code != 0:
             raise BenchError(f"import repro.cli failed ({done.code})")
         if index:
-            walls.append(done.wall_s)
-    return walls
+            setups.append(_probed_time(h, samples, done.start, done.end))
+    return setups
 
 
 # -- report_cold ----------------------------------------------------------------
@@ -139,63 +176,76 @@ def report_cold(h: Harness, trace: bool) -> Result:
     inputs, spec = h.generate("report_cold")
     result = Result()
     out = h.tmp / "report.json"
-    argv = _cli(
-        h, "report", "--domains", str(plan.DOMAINS),
-        "--seed", str(spec["scenario_seed"]),
-        "--json-out", str(out), "--no-ledger",
-    )
+    argv = [
+        "-m", "repro.cli", "report", "--domains", str(plan.DOMAINS),
+        "--seed", str(spec["scenario_seed"]), "--json-out", str(out), "--no-ledger",
+    ]
 
-    def one() -> tuple[float, float] | None:
+    def one(index: int) -> tuple[Timed, float] | None:
         out.unlink(missing_ok=True)
+        samples = f"report-{index}.probe"
         with h.log("report.err") as err:
-            done = h.run(argv, stderr=err)
+            done = h.run(h.probed(samples, *argv), stderr=err)
         result.attempted += 1
         if done.code != 0:
             result.fail(f"repro report exited {done.code}: {h.tail('report.err', 3)}")
         elif not checks.report_file_ok(out, spec["digest"]):
             result.fail("report JSON differs from the reference digest for its seed")
         else:
-            return done.wall_s, done.maxrss_mb
+            return _probed_time(h, samples, done.start, done.end), done.maxrss_mb
         return None
 
     if trace:
-        reference = [sample for sample in (one(), one()) if sample]
-        return _traced(h, "report_cold", inputs, result, [wall for wall, _ in reference])
+        reference = [sample for sample in (one(0), one(1)) if sample]
+        return _traced(h, "report_cold", inputs, result, [t.wall for t, _ in reference])
     setups = _import_setups(h, SETUP_REPEATS["report_cold"])
-    walls, peaks = [], []
-    deadline = time.perf_counter() + h.seconds
-    while time.perf_counter() < deadline or len(walls) < MIN_SAMPLES:
-        sample = one()
+    times, peaks = [], []
+    for index in range(max(MIN_SAMPLES, round(h.seconds / SECONDS_PER_REPORT))):
+        sample = one(index)
         if sample:
-            walls.append(sample[0])
+            times.append(sample[0])
             peaks.append(sample[1])
-        if result.failed >= MIN_SAMPLES:
-            break
-    if walls:
-        result.add_latency(walls, setups, max(peaks), fastest=True)
+    if times:
+        result.add_latency(times, setups, max(peaks))
+        result.info.append(speed.describe(speed.load(h.tmp / "report-0.probe")))
     return result
 
 
 # -- reanalyze ------------------------------------------------------------------
 
 
-def _start_worker(h: Harness, directory: Path, index: int) -> tuple[subprocess.Popen, float]:
-    start = time.perf_counter()
-    with h.log(f"worker-{index}.err") as err:
-        proc = h.spawn(
-            [h.python, str(BENCH_DIR / "worker.py"), str(directory)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=err, text=True,
-        )
-    if proc.stdout.readline().strip() != "ready":
-        raise BenchError("reanalyze worker failed to start:\n" + h.tail(f"worker-{index}.err"))
-    return proc, time.perf_counter() - start
+class _Worker:
+    """One probed ``worker.py`` child."""
 
+    def __init__(self, h: Harness, directory: Path, index: int) -> None:
+        self.h = h
+        self.err_name = f"worker-{index}.err"
+        self.samples = f"worker-{index}.probe"
+        start = time.perf_counter()
+        with h.log(self.err_name) as err:
+            self.proc = h.spawn(
+                h.probed(self.samples, str(BENCH_DIR / "worker.py"), str(directory)),
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=err, text=True,
+            )
+        if self.proc.stdout.readline().strip() != "ready":
+            raise BenchError("reanalyze worker failed to start:\n" + h.tail(self.err_name))
+        self.started = (start, time.perf_counter())
 
-def _stop_worker(h: Harness, proc: subprocess.Popen) -> float:
-    proc.stdin.close()
-    _, maxrss = h.reap(proc, timeout=30.0)
-    proc.stdout.close()
-    return maxrss
+    def iteration(self) -> dict | None:
+        self.proc.stdin.write("run\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        return json.loads(line) if line else None
+
+    def stop(self) -> float:
+        """End the worker; return its peak RSS."""
+        self.proc.stdin.close()
+        _, maxrss = self.h.reap(self.proc, timeout=30.0)
+        self.proc.stdout.close()
+        return maxrss
+
+    def setup(self) -> Timed:
+        return _probed_time(self.h, self.samples, *self.started)
 
 
 def reanalyze(h: Harness, trace: bool) -> Result:
@@ -207,30 +257,32 @@ def reanalyze(h: Harness, trace: bool) -> Result:
     directory = inputs / "dataset"
     setups = []
     for index in range(SETUP_REPEATS["reanalyze"]):
-        proc, setup = _start_worker(h, directory, index)
-        setups.append(setup)
+        worker = _Worker(h, directory, index)
         if index < SETUP_REPEATS["reanalyze"] - 1:
-            _stop_worker(h, proc)
-    gauge = speed.Gauge()
-    seconds = []
+            worker.stop()
+            setups.append(worker.setup())
+    windows = []
     deadline = time.perf_counter() + h.seconds
-    while time.perf_counter() < deadline or len(seconds) < MIN_SAMPLES:
-        proc.stdin.write("run\n")
-        proc.stdin.flush()
-        line = proc.stdout.readline()
+    while time.perf_counter() < deadline or len(windows) < MIN_SAMPLES:
+        reply = worker.iteration()
         result.attempted += 1
-        if not line:
-            result.fail("reanalyze worker died:\n" + h.tail(f"worker-{index}.err", 5))
+        if reply is None:
+            result.fail("reanalyze worker died:\n" + h.tail(worker.err_name, 5))
             break
-        reply = json.loads(line)
         if reply["digest"] != spec["digest"]:
             result.fail("columnar report differs from the object-store report")
             continue
-        seconds.append(reply["seconds"] * gauge.beside(reply["reference"]))
-    maxrss = _stop_worker(h, proc)
-    if seconds:
-        result.add_latency(seconds, setups, maxrss, fastest=False)
-        result.info.append(gauge.describe())
+        windows.append((reply["start"], reply["end"]))
+    maxrss = worker.stop()
+    setups.append(worker.setup())
+    samples = speed.load(h.tmp / worker.samples)
+    times = [
+        Timed(end - start, speed.scaled(end - start, samples, start, end))
+        for start, end in windows
+    ]
+    if times:
+        result.add_latency(times, setups, maxrss)
+        result.info.append(speed.describe(samples))
     return result
 
 
@@ -267,17 +319,18 @@ def _cursor(etag: str) -> int:
 
 
 class _Server:
-    """One ``repro serve --watch`` child and a keep-alive connection."""
+    """One probed ``repro serve --watch`` child and a keep-alive connection."""
 
     def __init__(self, h: Harness, directory: Path, index: int) -> None:
         self.h = h
         out = h.tmp / f"serve-{index}.out"
         self.err_name = f"serve-{index}.err"
+        self.samples = f"serve-{index}.probe"
         start = time.perf_counter()
         with out.open("wb") as stdout, h.log(self.err_name) as stderr:
             self.proc = h.spawn(
-                _cli(
-                    h, "serve", str(directory), "--watch",
+                h.probed(
+                    self.samples, "-m", "repro.cli", "serve", str(directory), "--watch",
                     "--watch-interval", WATCH_INTERVAL, "--store", "object",
                     "--host", "127.0.0.1", "--port", "0", "--no-ledger",
                 ),
@@ -296,7 +349,7 @@ class _Server:
                 self.reconnect()
             self._check_alive(start)
             time.sleep(0.002)
-        self.setup_s = time.perf_counter() - start
+        self.started = (start, time.perf_counter())
 
     def _check_alive(self, start: float) -> None:
         if self.proc.poll() is not None:
@@ -317,6 +370,36 @@ class _Server:
         """Close the connection, stop the server; return its peak RSS."""
         self.conn.close()
         return self.h.stop(self.proc)[1]
+
+    def setup(self) -> Timed:
+        return _probed_time(self.h, self.samples, *self.started)
+
+
+def _block_factors(
+    stamped: list[tuple[float, object]], start: float, count: int, factor
+) -> list[float]:
+    """``factor`` of the values of the ``(time, value)`` pairs in each
+    :data:`SCALE_BLOCK_S` block from ``start``; a block without pairs
+    takes the factor of them all."""
+    groups: list[list] = [[] for _ in range(count)]
+    for at, value in stamped:
+        block = int((at - start) / SCALE_BLOCK_S)
+        if 0 <= block < count:
+            groups[block].append(value)
+    overall = factor([value for _, value in stamped])
+    return [factor(group) if group else overall for group in groups]
+
+
+def _reference_burst(conn: http.client.HTTPConnection) -> tuple[float, float]:
+    """``(time, seconds)``: the median of a burst of reference reads,
+    without the first, which wakes the reference server from idle."""
+    seconds = []
+    for _ in range(REFERENCE_BURST):
+        began = time.perf_counter()
+        conn.request("GET", "/")
+        conn.getresponse().read()
+        seconds.append(time.perf_counter() - began)
+    return began, stats.median(seconds[1:])
 
 
 def serve_live(h: Harness, trace: bool) -> Result:
@@ -339,24 +422,22 @@ def serve_live(h: Harness, trace: bool) -> Result:
     setups = []
     for index in range(SETUP_REPEATS["serve_live"]):
         server = _Server(h, directory, index)
-        setups.append(server.setup_s)
         if index < SETUP_REPEATS["serve_live"] - 1:
             server.stop()
+            setups.append(server.setup())
     before = parse_prometheus(server.get("/metrics")[1].decode()) if trace else {}
+    refserver = h.spawn(
+        [h.python, str(BENCH_DIR / "refserver.py")], stdout=subprocess.PIPE, text=True
+    )
+    port = refserver.stdout.readline().strip()
+    if not port.isdigit():
+        raise BenchError("the reference HTTP server did not start")
+    reference = http.client.HTTPConnection("127.0.0.1", int(port), timeout=60)
 
     reads = spec["reads"]
-    gauge = speed.Gauge()
-    latencies: list[float] = []  # wall-clock
-    freshness: list[float] = []
-    scaled_latencies: list[float] = []
-    scaled_freshness: list[float] = []
-
-    def rescale() -> None:
-        """Scale the samples taken since the last reference."""
-        factor = gauge.factor()
-        scaled_latencies.extend(s * factor for s in latencies[len(scaled_latencies):])
-        scaled_freshness.extend(s * factor for s in freshness[len(scaled_freshness):])
-
+    latencies: list[tuple[float, float]] = []  # (began, seconds)
+    references: list[tuple[float, float]] = []  # (began, seconds)
+    freshness: list[tuple[float, float]] = []  # (appended, seconds)
     lateness: list[float] = []
     unseen: list[tuple[int, float]] = []  # (cursor, append returned at)
     etag = None
@@ -379,6 +460,9 @@ def serve_live(h: Harness, trace: bool) -> Result:
         if now >= deadline + FRESHNESS_GRACE_S:
             result.fail(f"server never showed delta cursor {unseen[0][0]}")
             break
+        # never while an append waits to be seen: that would delay its read
+        if index % REFERENCE_EVERY == 0 and not unseen:
+            references.append(_reference_burst(reference))
         read = reads[index % len(reads)]
         index += 1
         kind = read["kind"]
@@ -392,17 +476,18 @@ def serve_live(h: Harness, trace: bool) -> Result:
             server.reconnect()
             continue
         finished = time.perf_counter()
-        latencies.append(finished - began)
+        latencies.append((began, finished - began))
         if not checks.read_ok(kind, status):
             result.fail(f"{read['target']} answered {status} ({kind} read)")
         if tag is not None and _cursor(tag) >= seen_cursor:
             etag, seen_cursor = tag, _cursor(tag)
             while unseen and unseen[0][0] <= seen_cursor:
-                freshness.append(finished - unseen.pop(0)[1])
-        # never while an append waits to be seen: that would delay its read
-        if len(latencies) - len(scaled_latencies) >= READS_PER_REFERENCE and not unseen:
-            rescale()
-    rescale()
+                appended = unseen.pop(0)[1]
+                freshness.append((appended, finished - appended))
+    ended = time.perf_counter()
+    reference.close()
+    h.stop(refserver)
+    refserver.stdout.close()
 
     after = parse_prometheus(server.get("/metrics")[1].decode()) if trace else {}
     result.attempted += 1
@@ -412,20 +497,39 @@ def serve_live(h: Harness, trace: bool) -> Result:
     elif not checks.same_report(body, expected):
         result.fail("served /report differs from report_json(build_report(stream.replay()))")
     maxrss = server.stop()
+    setups.append(server.setup())
     result.info.append(
         f"reads: {len(latencies)}, deltas appended: {len(lateness)},"
         f" append lateness p50 {stats.median(lateness) * 1000:.2f} ms,"
         f" max {max(lateness) * 1000:.2f} ms"
     )
     if trace:
-        _serve_layers(result, before, after, sum(latencies) / len(latencies) * 1000)
+        mean_ms = sum(seconds for _, seconds in latencies) / len(latencies) * 1000
+        _serve_layers(result, before, after, mean_ms)
         return result
-    result.add_latency(scaled_latencies, setups, maxrss, fastest=False)
-    result.info.append(gauge.describe())
-    if scaled_freshness:
-        result.add(
-            "freshness_p50_ms", stats.median(scaled_freshness) * 1000, "ms", len(scaled_freshness)
-        )
+    blocks = int((ended - start) / SCALE_BLOCK_S) + 1
+    read_factors = _block_factors(
+        references, start, blocks, lambda seconds: REFERENCE_READ_S / stats.median(seconds)
+    )
+    samples = speed.load(h.tmp / server.samples)
+    speeds = _block_factors([(s.began, s) for s in samples], start, blocks, speed.speed)
+
+    def block(at: float) -> int:
+        return int((at - start) / SCALE_BLOCK_S)
+
+    result.add_latency(
+        [Timed(seconds, seconds * read_factors[block(at)]) for at, seconds in latencies],
+        setups, maxrss, tail_seconds=[seconds for _, seconds in latencies],
+    )
+    middle = stats.median([seconds for _, seconds in references])
+    result.info.append(
+        f"reference reads: median {middle * 1e6:.0f} us over {len(references)} bursts,"
+        f" so reads are scaled by about {REFERENCE_READ_S / middle:.3f}"
+    )
+    result.info.append(speed.describe(samples))
+    if freshness:
+        scaled = [seconds * speeds[block(at)] for at, seconds in freshness]
+        result.add("freshness_p50_ms", stats.median(scaled) * 1000, "ms", len(scaled), "scaled")
     return result
 
 
