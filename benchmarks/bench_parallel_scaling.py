@@ -3,7 +3,8 @@
 Runs the full crawl + headline-report pipeline at each worker count in
 ``REPRO_BENCH_WORKERS`` (default ``1,2,4``) over its own scenario world
 (``REPRO_BENCH_PARALLEL_DOMAINS`` domains, default 3,200 — large enough
-that per-shard work dominates pool startup). Two checks ride along:
+that per-shard work dominates pool startup). Only the crawl is sharded;
+the report is built serially. Two checks ride along:
 
 * every worker count produces byte-identical report JSON (the same
   guarantee CI's determinism job enforces at scenario scale), and
@@ -60,7 +61,6 @@ def test_parallel_scaling(benchmark, parallel_world, workers) -> None:
             parallel_world.oracle,
             seed=parallel_world.config.seed,
             registry=registry,
-            executor=executor,
         )
         return report_json(report)
 

@@ -123,14 +123,27 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` value: a positive integer, else an argparse error."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         metavar="N",
-        type=int,
+        type=_worker_count,
         default=1,
-        help="fan crawl stages and analyses out over N processes"
-        " (output is byte-identical for any N; default 1 = in-process)",
+        help="shard the crawl over N processes (output is byte-identical"
+        " for any N; default 1 = in-process)",
     )
 
 
@@ -376,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
             f" {DEFAULT_LEDGER_DIR})",
         )
 
-    for subparser in (simulate, crawl, analyze, report, serve):
+    for subparser in (simulate, crawl, report, serve):
         _add_workers_arg(subparser)
     for subparser in (simulate, crawl, analyze, report, serve):
         _add_store_arg(subparser)
@@ -606,7 +619,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         seed=args.control_seed,
         registry=obs.registry,
         tracer=obs.tracer,
-        executor=resolve_executor(args.workers),
     )
     for line in report.lines():
         print(line)
@@ -651,9 +663,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         registry=obs.registry,
         tracer=obs.tracer,
     )
-    executor = resolve_executor(args.workers)
     dataset, _ = world.run_crawl(
-        registry=obs.registry, tracer=obs.tracer, executor=executor
+        registry=obs.registry,
+        tracer=obs.tracer,
+        executor=resolve_executor(args.workers),
     )
     if args.store == "columnar":
         # Same records, array-backed: the analyses below must produce
@@ -667,7 +680,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         world.oracle,
         registry=obs.registry,
         tracer=obs.tracer,
-        executor=executor,
     )
     for line in report.lines():
         print(line)
@@ -680,7 +692,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import DatasetWatcher, ReproApp, ReproServer, run_load
 
     obs = _RunObservability(args)
-    executor = resolve_executor(args.workers)
     if args.watch and (args.dataset is None or args.store != "object"):
         print(
             "--watch requires a dataset directory and --store object"
@@ -704,7 +715,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tracer=obs.tracer,
         )
         dataset, _ = world.run_crawl(
-            registry=obs.registry, tracer=obs.tracer, executor=executor
+            registry=obs.registry,
+            tracer=obs.tracer,
+            executor=resolve_executor(args.workers),
         )
         if args.store == "columnar":
             dataset = ColumnarDataset.from_dataset(
@@ -718,7 +731,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.control_seed,
         registry=obs.registry,
         tracer=obs.tracer,
-        executor=executor,
     )
     server = ReproServer(app, host=args.host, port=args.port)
     watcher = None

@@ -8,7 +8,7 @@ from .authoritative import (
     authoritative_losses,
 )
 from .censoring import truncate_dataset
-from .context import AnalysisContext, DeltaImpact, OwnershipInterval, ScanAccess
+from .context import AnalysisContext, DeltaImpact, ScanAccess
 from .descriptive import DatasetOverview, describe_dataset
 from .export import export_figures
 from .comparison import (
@@ -78,7 +78,6 @@ __all__ = [
     "AnalysisContext",
     "DeltaImpact",
     "IncrementalReportBuilder",
-    "OwnershipInterval",
     "ScanAccess",
     "AuthoritativeReport",
     "HeuristicAssessment",

@@ -43,7 +43,7 @@ if TYPE_CHECKING:
     from ..oracle.ethusd import EthUsdOracle
     from .dropcatch import ReRegistration
 
-__all__ = ["AnalysisContext", "DeltaImpact", "OwnershipInterval", "ScanAccess"]
+__all__ = ["AnalysisContext", "DeltaImpact", "ScanAccess"]
 
 CACHE_REQUESTS_METRIC = "analysis_cache_requests_total"
 CACHE_INVALIDATIONS_METRIC = "analysis_cache_invalidations_total"
@@ -484,6 +484,10 @@ class ScanAccess:
     ) -> None:
         self.dataset = dataset
         self.oracle = oracle
+
+    def sync(self) -> None:
+        """Nothing is cached, so every report refresh is a full rebuild."""
+        return None
 
     def reregistrations(self) -> "list[ReRegistration]":
         """Recompute the dropcatch events from scratch."""

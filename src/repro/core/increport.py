@@ -24,14 +24,23 @@ around, each a pure function of an explicit dependency set:
   screening memo is valid only against one target table, so it is
   dropped whenever the table's *value* changes).
 
-Dirtiness is conservative: any item whose dependency set merely *might*
-have changed is recomputed, so every refresh is byte-identical to a
-cold :func:`~repro.core.report.build_report` over the same dataset —
-the invariant the ``incremental-determinism`` CI job locks down. When
-the context cannot link the dataset's delta chain (out-of-band
-mutation, a store without a delta log), the builder falls back to a
+This is the only place the §4 passes are orchestrated: a cold
+:func:`~repro.core.report.build_report` is a fresh builder's first
+:meth:`~IncrementalReportBuilder.refresh`. Dirtiness is conservative:
+any item whose dependency set merely *might* have changed is
+recomputed, so every refresh is byte-identical to a fresh builder over
+the same dataset — the invariant the ``incremental-determinism`` CI job
+locks down. When the context cannot link the dataset's delta chain
+(out-of-band mutation, a store without a delta log,
+:class:`~repro.core.context.ScanAccess`), the builder falls back to a
 full rebuild through the same memo-filling code path: correctness
 never depends on callers using the delta API, only speed does.
+
+Every pass runs in its own ``analyze.<pass>`` tracer span, after an
+``analyze.reregistrations`` span for the event list. A cold refresh
+nests them under one ``analyze`` span; a refresh of a built report
+nests them under ``delta.apply``, whose ``mode`` attribute says whether
+it was ``incremental``, ``full`` (broken delta chain) or ``noop``.
 
 The crawl cutoff (``dataset.crawl_timestamp``) is treated as fixed
 between full rebuilds — streamed scenarios carry the final crawl
@@ -42,47 +51,63 @@ rebuild anyway.
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..datasets.dataset import ENSDataset
-from ..datasets.schema import DomainRecord
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from ..oracle.ethusd import EthUsdOracle
 from .actors import actor_concentration
 from .comparison import (
     DomainFeatureRow,
+    FeatureComparison,
     compare_rows,
     feature_row_for,
     studied_registrant,
 )
-from .context import AnalysisContext, DeltaImpact
+from .context import AnalysisContext, DeltaImpact, ScanAccess
 from .control import study_groups
 from .dropcatch import ReRegistration, summarize
 from .hijackable import HijackableReport, HijackableWindow, domain_windows
 from .losses import LossReport, MisdirectedFlow, event_flows
-from .profit import analyze_profit
-from .report import HeadlineReport, _publish_gauges
+from .profit import ProfitReport, analyze_profit
+from .report import HeadlineReport
 from .resale import analyze_resale
 from .timing import delay_distribution
 from .typosquat import (
     TyposquatCandidate,
     TyposquatReport,
+    popular_target_rows,
     screen_event,
     target_income,
 )
 
 __all__ = ["IncrementalReportBuilder"]
 
-#: ``find_typosquat_catches`` defaults, mirrored so the memoized path
-#: reproduces the report-path parameters exactly.
-_MIN_TARGET_INCOME_USD = 10_000.0
-_MAX_DISTANCE = 1
-_EXCLUDE_NUMERIC_PAIRS = True
-
 #: Full-rebuild impact sentinel: with ``None`` every dirty predicate
 #: answers "recompute" and every memo has already been dropped.
 _FULL = None
+
+
+def _publish_gauges(
+    registry: MetricsRegistry | None, events_count: int, report: HeadlineReport
+) -> None:
+    """Mirror headline volumes into ``analysis_output_count`` gauges."""
+    if registry is None:
+        return
+    passes = registry.gauge(
+        "analysis_output_count",
+        "Headline volumes of the last analysis run",
+        labels=("result",),
+    )
+    passes.labels(result="reregistration_events").set(events_count)
+    passes.labels(result="misdirected_txs").set(
+        report.losses_with_coinbase.misdirected_tx_count
+    )
+    passes.labels(result="hijackable_domains").set(
+        report.hijackable.domains_with_exposure
+    )
+    passes.labels(result="typosquat_candidates").set(
+        len(report.typosquat.candidates)
+    )
 
 
 class IncrementalReportBuilder:
@@ -102,7 +127,7 @@ class IncrementalReportBuilder:
         *,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        context: AnalysisContext | None = None,
+        context: AnalysisContext | ScanAccess | None = None,
     ) -> None:
         self.dataset = dataset
         self.oracle = oracle
@@ -150,83 +175,110 @@ class IncrementalReportBuilder:
     def refresh(self) -> HeadlineReport:
         """Bring the report up to the live dataset state.
 
-        O(delta + dirty items) when the dataset moved through logged
-        deltas; a full (memo-repopulating) rebuild otherwise. Runs
-        under a ``delta.apply`` tracer span either way.
+        The first call is a cold build under an ``analyze`` span. Later
+        calls run under ``delta.apply``: O(delta + dirty items) when the
+        dataset moved through logged deltas, a full (memo-repopulating)
+        rebuild when the delta chain is broken, and the previous report
+        object when nothing moved.
         """
-        with self._tracer.span("delta.apply") as span:
+        cold = self._report is None
+        with self._tracer.span("analyze" if cold else "delta.apply") as span:
             impact = self.context.sync()
-            if impact is None or self._report is None:
+            if cold or impact is None:
                 self._reset_memos()
                 impact = _FULL
             elif impact.empty:
                 span.attributes["mode"] = "noop"
                 return self._report
             report = self._rebuild(impact)
-            span.attributes["mode"] = (
-                "incremental" if impact is not _FULL else "full"
-            )
+            if not cold:
+                span.attributes["mode"] = (
+                    "incremental" if impact is not _FULL else "full"
+                )
         self._report = report
-        events = self._last_events if self._last_events is not None else []
-        _publish_gauges(self._registry, len(events), report)
+        _publish_gauges(self._registry, len(self._last_events), report)
         return report
 
     def _rebuild(self, impact: DeltaImpact | None) -> HeadlineReport:
-        """Recompute the dirty passes, reuse the rest by reference."""
-        events = self.context.reregistrations()
+        """Recompute the dirty passes, reuse the rest by reference.
+
+        ``previous`` is ``None`` exactly when ``impact`` is ``_FULL``,
+        so every reuse branch below sits behind a dirty check that a
+        full rebuild always fails.
+        """
+        span = self._tracer.span
+        with span("analyze.reregistrations"):
+            events = self.context.reregistrations()
         events_changed = events is not self._last_events
         previous = self._report
-        fields: dict[str, Any] = {}
-        fields.update(self._overview(impact, events, events_changed, previous))
-        fields.update(self._comparison(impact, events, events_changed, previous))
-        fields.update(self._losses(impact, events, events_changed, previous))
-        fields.update(self._hijackable(impact, previous))
-        fields.update(self._typosquat(impact, events, events_changed, previous))
-        self._last_events = events
-        return HeadlineReport(**fields)
-
-    # -- pass groups -------------------------------------------------------
-
-    def _overview(
-        self,
-        impact: DeltaImpact | None,
-        events: list[ReRegistration],
-        events_changed: bool,
-        previous: HeadlineReport | None,
-    ) -> dict[str, Any]:
-        """Summary/delays/actors/resale — cheap, recomputed when touched.
-
-        Deps: the domain records and event list (all four), plus the
-        marketplace events (resale only) — a pure-transaction delta
-        skips the whole group.
-        """
-        dirty = (
+        # Summary, timing, actors and resale read the domain records and
+        # the event list; resale also reads the market events. A
+        # transactions-only delta skips all four.
+        overview_dirty = (
             impact is _FULL
             or events_changed
             or impact.domains
             or impact.market_changed
         )
-        if not dirty and previous is not None:
-            return {
-                "summary": previous.summary,
-                "delays": previous.delays,
-                "actors": previous.actors,
-                "resale": previous.resale,
-            }
-        return {
-            "summary": summarize(self.dataset, events=events),
-            "delays": delay_distribution(self.dataset, events=events),
-            "actors": actor_concentration(self.dataset, events=events),
-            "resale": analyze_resale(self.dataset, self.oracle, events=events),
-        }
+        dataset, oracle = self.dataset, self.oracle
+        with span("analyze.summary"):
+            summary = (
+                summarize(dataset, events=events)
+                if overview_dirty
+                else previous.summary
+            )
+        with span("analyze.timing"):
+            delays = (
+                delay_distribution(dataset, events=events)
+                if overview_dirty
+                else previous.delays
+            )
+        with span("analyze.actors"):
+            actors = (
+                actor_concentration(dataset, events=events)
+                if overview_dirty
+                else previous.actors
+            )
+        with span("analyze.comparison"):
+            comparison = self._comparison(impact, events, events_changed)
+        with span("analyze.resale"):
+            resale = (
+                analyze_resale(dataset, oracle, events=events)
+                if overview_dirty
+                else previous.resale
+            )
+        with span("analyze.losses"):
+            with_coinbase, noncustodial = self._losses(
+                impact, events, events_changed
+            )
+        with span("analyze.hijackable"):
+            hijackable = self._hijackable(impact)
+        with span("analyze.profit"):
+            profit = self._profit(with_coinbase, events)
+        with span("analyze.typosquat"):
+            typosquat = self._typosquat(impact, events, events_changed)
+        self._last_events = events
+        return HeadlineReport(
+            summary=summary,
+            delays=delays,
+            actors=actors,
+            comparison=comparison,
+            resale=resale,
+            losses_noncustodial=noncustodial,
+            losses_with_coinbase=with_coinbase,
+            hijackable=hijackable,
+            profit=profit,
+            typosquat=typosquat,
+        )
+
+    # -- passes ------------------------------------------------------------
 
     def _comparison(
         self,
         impact: DeltaImpact | None,
         events: list[ReRegistration],
         events_changed: bool,
-        previous: HeadlineReport | None,
-    ) -> dict[str, Any]:
+    ) -> FeatureComparison:
         """Table 1 — memoized per-member feature rows, cheap stats tail.
 
         Rows are memoized for group members only, so the memo must be
@@ -263,8 +315,8 @@ class IncrementalReportBuilder:
             for domain_id in (*rereg_ids, *control_ids)
             if domain_id not in self._row_memo
         ]
-        if not (groups_dirty or dirty_ids) and previous is not None:
-            return {"comparison": previous.comparison}
+        if not (groups_dirty or dirty_ids):
+            return self._report.comparison
         for domain_id in dirty_ids:
             domain = self.dataset.domains[domain_id]
             row = feature_row_for(
@@ -273,16 +325,16 @@ class IncrementalReportBuilder:
             self._row_memo[domain_id] = (studied_registrant(domain), row)
         rereg_rows = [self._row_memo[domain_id][1] for domain_id in rereg_ids]
         control_rows = [self._row_memo[domain_id][1] for domain_id in control_ids]
-        return {"comparison": compare_rows(rereg_rows, control_rows)}
+        return compare_rows(rereg_rows, control_rows)
 
     def _losses(
         self,
         impact: DeltaImpact | None,
         events: list[ReRegistration],
         events_changed: bool,
-        previous: HeadlineReport | None,
-    ) -> dict[str, Any]:
-        """Both loss variants plus profit — memoized per-event flows."""
+    ) -> tuple[LossReport, LossReport]:
+        """Both loss variants (with Coinbase, non-custodial only) from
+        memoized per-event flows; the previous objects when unchanged."""
 
         def _event_dirty(event: ReRegistration, memo: dict) -> bool:
             if event not in memo:
@@ -308,134 +360,111 @@ class IncrementalReportBuilder:
                         include_coinbase=include_coinbase,
                         cutoff=cutoff,
                     )
-        if not (any_dirty or events_changed) and previous is not None:
-            return {
-                "losses_with_coinbase": previous.losses_with_coinbase,
-                "losses_noncustodial": previous.losses_noncustodial,
-                "profit": previous.profit,
-            }
-        reports: dict[bool, LossReport] = {}
-        for include_coinbase in (True, False):
+        if not (any_dirty or events_changed):
+            previous = self._report
+            return previous.losses_with_coinbase, previous.losses_noncustodial
+
+        def _report(include_coinbase: bool) -> LossReport:
             memo = self._flow_memo[include_coinbase]
-            reports[include_coinbase] = LossReport(
+            return LossReport(
                 flows=[flow for event in events for flow in memo[event]],
                 oracle=self.oracle,
                 include_coinbase=include_coinbase,
             )
-        return {
-            "losses_with_coinbase": reports[True],
-            "losses_noncustodial": reports[False],
-            "profit": analyze_profit(
-                self.dataset,
-                self.oracle,
-                losses=reports[True],
-                events=events,
-                context=self.context,
-            ),
-        }
 
-    def _hijackable(
-        self, impact: DeltaImpact | None, previous: HeadlineReport | None
-    ) -> dict[str, Any]:
-        """Figure 7 — memoized per-domain exposure windows."""
+        return _report(True), _report(False)
 
-        def _domain_dirty(domain: DomainRecord) -> bool:
-            cached = self._window_memo.get(domain.domain_id)
-            if cached is None:
-                return True
-            if impact is _FULL:
-                return True
-            deps, _ = cached
-            return (
-                domain.domain_id in impact.domains
-                or not deps.isdisjoint(impact.addresses)
-            )
+    def _profit(
+        self, losses: LossReport, events: list[ReRegistration]
+    ) -> ProfitReport:
+        """Catcher economics — recomputed exactly when the losses were."""
+        previous = self._report
+        if previous is not None and losses is previous.losses_with_coinbase:
+            return previous.profit
+        return analyze_profit(
+            self.dataset,
+            self.oracle,
+            losses=losses,
+            events=events,
+            context=self.context,
+        )
 
+    def _hijackable(self, impact: DeltaImpact | None) -> HijackableReport:
+        """Figure 7 — memoized per-domain exposure windows.
+
+        One walk fills the dirty memo entries and collects every
+        domain's windows in domain order.
+        """
         cutoff = self.dataset.crawl_timestamp
-        any_dirty = False
+        any_dirty = impact is _FULL
+        windows: list[HijackableWindow] = []
         for domain in self.dataset.iter_domains():
-            if _domain_dirty(domain):
+            cached = self._window_memo.get(domain.domain_id)
+            if (
+                cached is None
+                or impact is _FULL
+                or domain.domain_id in impact.domains
+                or not cached[0].isdisjoint(impact.addresses)
+            ):
                 any_dirty = True
-                deps = frozenset(
-                    registration.registrant
-                    for registration in domain.registrations
-                )
-                self._window_memo[domain.domain_id] = (
-                    deps,
+                cached = (
+                    frozenset(
+                        registration.registrant
+                        for registration in domain.registrations
+                    ),
                     domain_windows(domain, self.context, cutoff=cutoff),
                 )
-        if not any_dirty and previous is not None:
-            return {"hijackable": previous.hijackable}
-        windows = [
-            window
-            for domain in self.dataset.iter_domains()
-            for window in self._window_memo[domain.domain_id][1]
-        ]
-        return {
-            "hijackable": HijackableReport(windows=windows, oracle=self.oracle)
-        }
+                self._window_memo[domain.domain_id] = cached
+            windows.extend(cached[1])
+        if not any_dirty:
+            return self._report.hijackable
+        return HijackableReport(windows=windows, oracle=self.oracle)
 
     def _typosquat(
         self,
         impact: DeltaImpact | None,
         events: list[ReRegistration],
         events_changed: bool,
-        previous: HeadlineReport | None,
-    ) -> dict[str, Any]:
+    ) -> TyposquatReport:
         """Typosquat screen — per-domain incomes, per-event matches.
 
-        The screening memo caches "event X matched target row Y" and is
+        One walk fills the dirty income memo entries and collects every
+        domain's ``(label, income)`` pair for the target table. The
+        screening memo caches "event X matched target row Y" and is
         valid only against one target table, so it survives a refresh
         only when the recomputed table is value-equal to the previous
         one (e.g. an income moved but stayed on the same side of the
         popularity threshold).
         """
-
-        def _income_dirty(domain: DomainRecord) -> bool:
-            cached = self._income_memo.get(domain.domain_id)
-            if cached is None:
-                return True
-            if impact is _FULL:
-                return True
-            dep, _ = cached
-            return (
-                domain.domain_id in impact.domains
-                or (dep is not None and dep in impact.addresses)
-            )
-
-        incomes_dirty = False
+        incomes_dirty = impact is _FULL
+        incomes: list[tuple[str, float | None]] = []
         for domain in self.dataset.iter_domains():
-            if _income_dirty(domain):
+            cached = self._income_memo.get(domain.domain_id)
+            if (
+                cached is None
+                or impact is _FULL
+                or domain.domain_id in impact.domains
+                or (cached[0] is not None and cached[0] in impact.addresses)
+            ):
                 incomes_dirty = True
                 registrations = domain.registrations
-                dep = registrations[0].registrant if registrations else None
-                self._income_memo[domain.domain_id] = (
-                    dep,
+                cached = (
+                    registrations[0].registrant if registrations else None,
                     target_income(
                         self.dataset, domain, self.oracle, self.context
                     ),
                 )
+                self._income_memo[domain.domain_id] = cached
+            incomes.append((domain.label_name, cached[1]))
         table_changed = False
         if incomes_dirty or self._target_rows is None:
-            # Replicate find_typosquat_catches exactly: a dict keyed by
-            # label (insertion order = first qualifying domain, value =
-            # LAST qualifying domain's income), then the hoisted rows.
-            targets: dict[str, float] = {}
-            for domain in self.dataset.iter_domains():
-                income = self._income_memo[domain.domain_id][1]
-                if income is not None and income >= _MIN_TARGET_INCOME_USD:
-                    targets[domain.label_name] = income
-            target_rows = [
-                (label, income, label.isdigit())
-                for label, income in targets.items()
-            ]
+            target_rows = popular_target_rows(incomes)
             if target_rows != self._target_rows:
                 table_changed = True
                 self._target_rows = target_rows
                 self._screen_memo.clear()
-        assert self._target_rows is not None
-        if not (table_changed or events_changed) and previous is not None:
-            return {"typosquat": previous.typosquat}
+        if not (table_changed or events_changed):
+            return self._report.typosquat
         candidates: list[TyposquatCandidate] = []
         screened = 0
         for event in events:
@@ -443,19 +472,12 @@ class IncrementalReportBuilder:
                 continue
             screened += 1
             if event not in self._screen_memo:
-                self._screen_memo[event] = screen_event(
-                    event,
-                    self._target_rows,
-                    max_distance=_MAX_DISTANCE,
-                    exclude_numeric_pairs=_EXCLUDE_NUMERIC_PAIRS,
-                )
+                self._screen_memo[event] = screen_event(event, self._target_rows)
             candidate = self._screen_memo[event]
             if candidate is not None:
                 candidates.append(candidate)
-        return {
-            "typosquat": TyposquatReport(
-                candidates=tuple(candidates),
-                catches_screened=screened,
-                popular_targets=len(self._target_rows),
-            )
-        }
+        return TyposquatReport(
+            candidates=tuple(candidates),
+            catches_screened=screened,
+            popular_targets=len(self._target_rows),
+        )

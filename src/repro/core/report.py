@@ -1,16 +1,15 @@
 """Headline report: every §4 number from one dataset, in one pass.
 
 This is the library's "run the whole paper" entry point — benchmarks
-and the quickstart example print it next to the published values. Each
-analysis pass runs inside its own tracer span (``analyze.<pass>``), so
+and the quickstart example print it next to the published values. The
+passes are orchestrated by
+:class:`~repro.core.increport.IncrementalReportBuilder`;
+:func:`build_report` is a fresh builder's cold refresh. Each analysis
+pass runs inside its own tracer span (``analyze.<pass>``), so
 ``repro analyze --trace`` shows where the time goes, and headline
 volumes are mirrored into the registry as ``analysis_*`` gauges.
-
-With an ``executor`` (``--workers N``), the independent pass *groups*
-fan out over the process pool — the passes are pure functions of
-``(dataset, oracle, seed)``, so the assembled report is identical to a
-serial run; :func:`report_json` is the canonical byte encoding the CI
-determinism gate compares across worker counts.
+:func:`report_json` is the canonical byte encoding the CI determinism
+gate compares across worker counts and stores.
 """
 
 from __future__ import annotations
@@ -22,29 +21,20 @@ from typing import Any
 
 from ..datasets.dataset import ENSDataset
 from ..obs.metrics import MetricsRegistry
-from ..obs.spanmerge import TelemetrySink
 from ..obs.tracing import Tracer
 from ..oracle.ethusd import EthUsdOracle
-from ..parallel import ParallelExecutor, worker_telemetry
-from .actors import ActorConcentration, actor_concentration
-from .comparison import FeatureComparison, compare_groups
-from .context import AnalysisContext
-from .dropcatch import DropcatchSummary, summarize
-from .hijackable import HijackableReport, find_hijackable
-from .losses import LossReport, detect_losses
-from .profit import ProfitReport, analyze_profit
-from .resale import ResaleReport, analyze_resale
-from .timing import DelayDistribution, delay_distribution
-from .typosquat import TyposquatReport, find_typosquat_catches
+from .actors import ActorConcentration
+from .comparison import FeatureComparison
+from .context import AnalysisContext, ScanAccess
+from .dropcatch import DropcatchSummary
+from .hijackable import HijackableReport
+from .losses import LossReport
+from .profit import ProfitReport
+from .resale import ResaleReport
+from .timing import DelayDistribution
+from .typosquat import TyposquatReport
 
 __all__ = ["HeadlineReport", "build_report", "canonical_json", "report_json"]
-
-#: Independent analysis units for the parallel path, in canonical
-#: (serial) order. Passes that feed each other stay in one group —
-#: ``profit`` consumes ``losses_with_coinbase``, so both live in
-#: "losses" — which keeps every group a pure function of the shared
-#: inputs and the merge a plain field-wise union.
-_PASS_GROUPS = ("overview", "comparison", "losses", "hijackable", "typosquat")
 
 
 @dataclass
@@ -266,99 +256,6 @@ def report_json(report: HeadlineReport) -> str:
     return canonical_json(report.as_dict())
 
 
-def _report_pass_group(
-    shared: tuple[ENSDataset, EthUsdOracle, int, list],
-    group: str,
-) -> dict[str, Any]:
-    """Run one independent pass group (in a worker or in-process).
-
-    Every group builds its own :class:`AnalysisContext` over the shared
-    (forked copy-on-write) dataset — the context is a cache, so a
-    per-worker one changes effort, never output. The context binds to
-    the task's worker telemetry, so per-group cache hit/miss counters
-    and an ``analyze.<group>`` span survive the merge back into the
-    parent run. Returns the report fields the group produced, keyed by
-    ``HeadlineReport`` field name.
-    """
-    dataset, oracle, seed, events = shared
-    telemetry = worker_telemetry()
-    context = AnalysisContext(dataset, oracle, registry=telemetry.registry)
-    with telemetry.tracer.span(f"analyze.{group}"):
-        return _run_pass_group(dataset, oracle, seed, events, context, group)
-
-
-def _run_pass_group(
-    dataset: ENSDataset,
-    oracle: EthUsdOracle,
-    seed: int,
-    events: list,
-    context: AnalysisContext,
-    group: str,
-) -> dict[str, Any]:
-    """The body of one pass group, shared by worker and in-process paths."""
-    if group == "overview":
-        return {
-            "summary": summarize(dataset, events=events),
-            "delays": delay_distribution(dataset, events=events),
-            "actors": actor_concentration(dataset, events=events),
-            "resale": analyze_resale(dataset, oracle, events=events),
-        }
-    if group == "comparison":
-        return {
-            "comparison": compare_groups(
-                dataset, oracle, seed=seed, events=events, context=context
-            )
-        }
-    if group == "losses":
-        losses_all = detect_losses(
-            dataset, oracle, include_coinbase=True, events=events,
-            context=context,
-        )
-        return {
-            "losses_with_coinbase": losses_all,
-            "losses_noncustodial": detect_losses(
-                dataset, oracle, include_coinbase=False, events=events,
-                context=context,
-            ),
-            "profit": analyze_profit(
-                dataset, oracle, losses=losses_all, events=events,
-                context=context,
-            ),
-        }
-    if group == "hijackable":
-        return {"hijackable": find_hijackable(dataset, oracle, context=context)}
-    if group == "typosquat":
-        return {
-            "typosquat": find_typosquat_catches(
-                dataset, oracle, events=events, context=context
-            )
-        }
-    raise ValueError(f"unknown pass group {group!r}")
-
-
-def _publish_gauges(
-    registry: MetricsRegistry | None, events_count: int, report: HeadlineReport
-) -> None:
-    """Mirror headline volumes into ``analysis_output_count`` gauges."""
-    if registry is None:
-        return
-    passes = registry.gauge(
-        "analysis_output_count",
-        "Headline volumes of the last analysis run",
-        labels=("result",),
-    )
-    passes.labels(result="reregistration_events").set(events_count)
-    passes.labels(result="misdirected_txs").set(
-        report.losses_with_coinbase.misdirected_tx_count
-    )
-    passes.labels(result="hijackable_domains").set(
-        report.hijackable.domains_with_exposure
-    )
-    passes.labels(result="typosquat_candidates").set(
-        len(report.typosquat.candidates)
-    )
-
-
 def build_report(
     dataset: ENSDataset,
     oracle: EthUsdOracle,
@@ -366,104 +263,24 @@ def build_report(
     *,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
-    context: AnalysisContext | None = None,
-    executor: ParallelExecutor | None = None,
-    incremental: Any | None = None,
+    context: AnalysisContext | ScanAccess | None = None,
 ) -> HeadlineReport:
     """Run every analysis once over a shared analysis index.
 
+    A fresh :class:`~repro.core.increport.IncrementalReportBuilder` and
+    its cold :meth:`~repro.core.increport.IncrementalReportBuilder.refresh`.
     ``context`` defaults to a fresh :class:`AnalysisContext` wired to
     ``registry`` (cache hit/miss counters land in the metrics export);
     pass :class:`~repro.core.context.ScanAccess` to force the index-free
     reference path — the output must be identical either way.
-
-    An ``executor`` with more than one worker fans the pass groups out
-    over the process pool; results merge in canonical group order, so
-    the report is identical to the serial run.
-
-    ``incremental`` accepts an
-    :class:`~repro.core.increport.IncrementalReportBuilder` bound to
-    ``dataset`` and delegates to its delta-aware refresh — O(delta +
-    dirty items) when the dataset moved through logged deltas, a full
-    rebuild otherwise, byte-identical output either way.
     """
-    if incremental is not None:
-        if incremental.dataset is not dataset:
-            raise ValueError(
-                "incremental builder is bound to a different dataset"
-            )
-        return incremental.refresh()
-    if tracer is None:
-        tracer = Tracer(registry=registry)
-    if context is None:
-        context = AnalysisContext(dataset, oracle, registry=registry)
-    if executor is not None and executor.workers > 1:
-        with tracer.span("analyze"):
-            with tracer.span("analyze.reregistrations"):
-                events = context.reregistrations()
-            with tracer.span("analyze.parallel", groups=len(_PASS_GROUPS)):
-                shared = (dataset, oracle, seed, events)
-                executor.telemetry_sink = TelemetrySink(
-                    registry=registry, tracer=tracer
-                )
-                try:
-                    parts = executor.run(
-                        _report_pass_group, shared, list(_PASS_GROUPS)
-                    )
-                finally:
-                    executor.telemetry_sink = None
-        fields: dict[str, Any] = {}
-        for part in parts:  # item order == _PASS_GROUPS order: canonical
-            fields.update(part)
-        report = HeadlineReport(**fields)
-        _publish_gauges(registry, len(events), report)
-        return report
-    with tracer.span("analyze"):
-        with tracer.span("analyze.reregistrations"):
-            events = context.reregistrations()
-        with tracer.span("analyze.summary"):
-            summary = summarize(dataset, events=events)
-        with tracer.span("analyze.timing"):
-            delays = delay_distribution(dataset, events=events)
-        with tracer.span("analyze.actors"):
-            actors = actor_concentration(dataset, events=events)
-        with tracer.span("analyze.comparison"):
-            comparison = compare_groups(
-                dataset, oracle, seed=seed, events=events, context=context
-            )
-        with tracer.span("analyze.resale"):
-            resale = analyze_resale(dataset, oracle, events=events)
-        with tracer.span("analyze.losses"):
-            losses_all = detect_losses(
-                dataset, oracle, include_coinbase=True, events=events,
-                context=context,
-            )
-            losses_noncustodial = detect_losses(
-                dataset, oracle, include_coinbase=False, events=events,
-                context=context,
-            )
-        with tracer.span("analyze.hijackable"):
-            hijackable = find_hijackable(dataset, oracle, context=context)
-        with tracer.span("analyze.profit"):
-            profit = analyze_profit(
-                dataset, oracle, losses=losses_all, events=events,
-                context=context,
-            )
-        with tracer.span("analyze.typosquat"):
-            typosquat = find_typosquat_catches(
-                dataset, oracle, events=events, context=context
-            )
-    report = HeadlineReport(
-        summary=summary,
-        delays=delays,
-        actors=actors,
-        comparison=comparison,
-        resale=resale,
-        losses_noncustodial=losses_noncustodial,
-        losses_with_coinbase=losses_all,
-        hijackable=hijackable,
-        profit=profit,
-        typosquat=typosquat,
-    )
-    _publish_gauges(registry, len(events), report)
-    return report
+    from .increport import IncrementalReportBuilder
+
+    return IncrementalReportBuilder(
+        dataset,
+        oracle,
+        seed,
+        registry=registry,
+        tracer=tracer,
+        context=context,
+    ).refresh()

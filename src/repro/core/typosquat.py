@@ -14,23 +14,33 @@ The edit distance is Damerau-Levenshtein (insert / delete / substitute
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..datasets.dataset import ENSDataset
 from ..datasets.schema import DomainRecord
 from ..oracle.ethusd import EthUsdOracle
 from .context import AnalysisContext
-from .dropcatch import ReRegistration, find_reregistrations
+from .dropcatch import ReRegistration
 from .features.transactional import extract_transactional
 
 __all__ = [
     "damerau_levenshtein",
     "within_edit_distance",
+    "popular_target_rows",
     "screen_event",
     "target_income",
     "TyposquatCandidate",
     "TyposquatReport",
     "find_typosquat_catches",
 ]
+
+
+#: Defaults of the screen: "popular" means at least this much USD
+#: income in the target's first registration period, "typo" means at
+#: most this many edits, and pure-digit pairs are not typosquats.
+MIN_TARGET_INCOME_USD = 10_000.0
+MAX_DISTANCE = 1
+EXCLUDE_NUMERIC_PAIRS = True
 
 
 def damerau_levenshtein(first: str, second: str) -> int:
@@ -140,9 +150,9 @@ def find_typosquat_catches(
     dataset: ENSDataset,
     oracle: EthUsdOracle,
     events: list[ReRegistration] | None = None,
-    min_target_income_usd: float = 10_000.0,
-    max_distance: int = 1,
-    exclude_numeric_pairs: bool = True,
+    min_target_income_usd: float = MIN_TARGET_INCOME_USD,
+    max_distance: int = MAX_DISTANCE,
+    exclude_numeric_pairs: bool = EXCLUDE_NUMERIC_PAIRS,
     context: AnalysisContext | None = None,
 ) -> TyposquatReport:
     """Match dropcaught labels against high-income target names.
@@ -156,17 +166,13 @@ def find_typosquat_catches(
     access = context if context is not None else AnalysisContext(dataset, oracle)
     if events is None:
         events = access.reregistrations()
-    targets: dict[str, float] = {}
-    for domain in dataset.iter_domains():
-        income = target_income(dataset, domain, oracle, access)
-        if income is not None and income >= min_target_income_usd:
-            targets[domain.label_name] = income
-    # hoist the per-target predicates; order must stay dict insertion
-    # order — candidates keep the FIRST matching target
-    target_rows = [
-        (label, income, label.isdigit()) for label, income in targets.items()
-    ]
-
+    target_rows = popular_target_rows(
+        (
+            (domain.label_name, target_income(dataset, domain, oracle, access))
+            for domain in dataset.iter_domains()
+        ),
+        min_target_income_usd,
+    )
     candidates: list[TyposquatCandidate] = []
     screened = 0
     for event in events:
@@ -184,7 +190,7 @@ def find_typosquat_catches(
     return TyposquatReport(
         candidates=tuple(candidates),
         catches_screened=screened,
-        popular_targets=len(targets),
+        popular_targets=len(target_rows),
     )
 
 
@@ -209,12 +215,32 @@ def target_income(
     ).income_usd
 
 
+def popular_target_rows(
+    incomes: Iterable[tuple[str, float | None]],
+    min_target_income_usd: float = MIN_TARGET_INCOME_USD,
+) -> list[tuple[str, float, bool]]:
+    """The popular-target table from ``(label, income)`` pairs.
+
+    Keeps labels whose income reaches ``min_target_income_usd``; a
+    repeated label keeps its FIRST position and its LAST income. Each
+    row hoists the ``label.isdigit()`` predicate for the screen. Row
+    order is significant: a candidate keeps the first matching target.
+    """
+    targets: dict[str, float] = {}
+    for label, income in incomes:
+        if income is not None and income >= min_target_income_usd:
+            targets[label] = income
+    return [
+        (label, income, label.isdigit()) for label, income in targets.items()
+    ]
+
+
 def screen_event(
     event: ReRegistration,
     target_rows: list[tuple[str, float, bool]],
     *,
-    max_distance: int = 1,
-    exclude_numeric_pairs: bool = True,
+    max_distance: int = MAX_DISTANCE,
+    exclude_numeric_pairs: bool = EXCLUDE_NUMERIC_PAIRS,
 ) -> TyposquatCandidate | None:
     """Screen one named dropcatch against the popular-target rows.
 

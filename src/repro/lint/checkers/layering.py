@@ -12,7 +12,7 @@ import higher ones)::
     crawler, explorer, faults,                  (services over the protocol;
     marketplace, simulation                      faults wraps its peers)
     core                                        (the paper's analyses)
-    perf, serve, wallets                        (index alias / query server /
+    serve, wallets                              (query server /
                                                  Appendix-B study)
     cli                                         (user interface, imports all)
 
@@ -51,7 +51,6 @@ LAYERS: dict[str, int] = {
     "marketplace": 3,
     "simulation": 3,
     "core": 4,
-    "perf": 5,       # alias over core.context; re-exports, never imported by core
     "serve": 5,      # resident query server over core's analyses
     "wallets": 5,
     "cli": 6,

@@ -60,12 +60,7 @@ from ..core.context import AnalysisContext
 from ..core.dropcatch import ReRegistration
 from ..core.hijackable import find_hijackable
 from ..core.increport import IncrementalReportBuilder
-from ..core.report import (
-    HeadlineReport,
-    build_report,
-    canonical_json,
-    report_json,
-)
+from ..core.report import HeadlineReport, canonical_json, report_json
 from ..datasets.delta import DatasetDelta
 from ..datasets.columnar import ColumnarDataset
 from ..datasets.dataset import ENSDataset
@@ -74,7 +69,6 @@ from ..obs.metrics import MetricsRegistry, global_registry
 from ..obs.exporters import prometheus_text
 from ..obs.tracing import Tracer
 from ..oracle.ethusd import EthUsdOracle
-from ..parallel import ParallelExecutor
 from .query import QueryCache, canonical_query
 
 __all__ = [
@@ -212,7 +206,6 @@ class ReproApp:
         seed: int = 0,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        executor: ParallelExecutor | None = None,
     ) -> None:
         """Load ``dataset`` and pre-build the warm analysis state."""
         self.dataset = dataset
@@ -247,46 +240,27 @@ class ReproApp:
             "serve_inflight_requests", "Requests currently being handled"
         )
         warm_tracer = tracer if tracer is not None else Tracer(registry=self.registry)
-        self._tracer = warm_tracer
         with warm_tracer.span("serve.warmup"):
             self.context = AnalysisContext(
                 dataset, self.oracle, registry=self.registry
             )
-            if executor is not None and executor.workers > 1:
-                # Parallel warm-up: fan the cold build out; the builder
-                # (and its memos) is created lazily on the first delta.
-                self._builder: IncrementalReportBuilder | None = None
-                self._report: HeadlineReport = build_report(
-                    dataset,
-                    self.oracle,
-                    seed=seed,
-                    registry=self.registry,
-                    tracer=warm_tracer,
-                    context=self.context,
-                    executor=executor,
-                )
-            else:
-                # Serial warm-up doubles as the memo-populating cold
-                # refresh, so the very first delta already applies in
-                # O(delta + dirty items).
-                self._builder = self._make_builder(warm_tracer)
-                self._report = self._builder.refresh()
+            # The warm-up is the builder's memo-populating cold refresh,
+            # so the very first delta already applies in O(delta +
+            # dirty items).
+            self._builder = IncrementalReportBuilder(
+                dataset,
+                self.oracle,
+                seed=seed,
+                registry=self.registry,
+                tracer=warm_tracer,
+                context=self.context,
+            )
+            self._report: HeadlineReport = self._builder.refresh()
             self._report_token = self._token()
         _log.info(
             "serve.warm",
             domains=len(dataset.domains),
             transactions=len(dataset.transactions),
-        )
-
-    def _make_builder(self, tracer: Tracer) -> IncrementalReportBuilder:
-        """An incremental builder sharing the app's warm context."""
-        return IncrementalReportBuilder(
-            self.dataset,
-            self.oracle,
-            seed=self.seed,
-            registry=self.registry,
-            tracer=tracer,
-            context=self.context,
         )
 
     # -- versioning --------------------------------------------------------
@@ -321,10 +295,6 @@ class ReproApp:
         callers hold the app lock.
         """
         if token != self._report_token:
-            if self._builder is None:
-                self._builder = self._make_builder(
-                    Tracer(registry=self.registry)
-                )
             self._report = self._builder.refresh()
             self._report_token = token
         return self._report

@@ -13,7 +13,6 @@ the comparison groups, out-of-band mutations, dataset identity).
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +20,7 @@ from repro.core import IncrementalReportBuilder, build_report
 from repro.core.report import report_json
 from repro.datasets import ENSDataset
 from repro.datasets.delta import DatasetDelta
+from repro.obs import Tracer
 from repro.oracle import EthUsdOracle
 
 from .helpers import (
@@ -193,6 +193,31 @@ class TestBuilderSemantics:
         first = builder.refresh()
         assert builder.refresh() is first
 
+    def test_cold_and_delta_refreshes_trace_every_pass(self) -> None:
+        dataset = self._dataset()
+        tracer = Tracer()
+        builder = IncrementalReportBuilder(
+            dataset, EthUsdOracle(), seed=0, tracer=tracer
+        )
+        builder.refresh()
+        dataset.apply_delta(
+            DatasetDelta(transactions=(make_tx("0xe", "0xb", 511),))
+        )
+        builder.refresh()
+        cold, delta = tracer.roots
+        assert cold.name == "analyze"
+        assert delta.name == "delta.apply"
+        assert delta.attributes["mode"] == "incremental"
+        passes = ["analyze.reregistrations"] + [
+            f"analyze.{name}"
+            for name in (
+                "summary", "timing", "actors", "comparison", "resale",
+                "losses", "hijackable", "profit", "typosquat",
+            )
+        ]
+        for root in (cold, delta):
+            assert [child.name for child in root.children] == passes
+
     def test_out_of_band_mutation_falls_back_to_full_rebuild(self) -> None:
         dataset = self._dataset()
         oracle = EthUsdOracle()
@@ -205,16 +230,3 @@ class TestBuilderSemantics:
         assert refreshed == report_json(
             build_report(cold_dataset, oracle, seed=0)
         )
-
-    def test_build_report_delegates_to_builder(self) -> None:
-        dataset = self._dataset()
-        oracle = EthUsdOracle()
-        builder = IncrementalReportBuilder(dataset, oracle, seed=0)
-        delegated = build_report(dataset, oracle, seed=0, incremental=builder)
-        assert delegated is builder.refresh()
-
-    def test_build_report_rejects_foreign_builder(self) -> None:
-        oracle = EthUsdOracle()
-        builder = IncrementalReportBuilder(self._dataset(), oracle, seed=0)
-        with pytest.raises(ValueError, match="different dataset"):
-            build_report(self._dataset(), oracle, seed=0, incremental=builder)

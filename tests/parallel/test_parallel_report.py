@@ -1,11 +1,10 @@
-"""Parallel analysis: the headline report never depends on worker count."""
+"""The canonical report encoding the determinism gates compare."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import build_report, report_json
-from repro.parallel import ProcessExecutor, resolve_executor
 from repro.simulation import ScenarioConfig, run_scenario
 
 N_DOMAINS = 80
@@ -27,42 +26,6 @@ def serial_json(world, crawl) -> str:
     dataset, _ = crawl
     report = build_report(dataset, world.oracle, seed=world.config.seed)
     return report_json(report)
-
-
-class TestParallelReport:
-    def test_process_pool_report_is_byte_identical(
-        self, world, crawl, serial_json
-    ) -> None:
-        dataset, _ = crawl
-        report = build_report(
-            dataset,
-            world.oracle,
-            seed=world.config.seed,
-            executor=ProcessExecutor(2),
-        )
-        assert report_json(report) == serial_json
-
-    def test_resolved_executor_matches_too(self, world, crawl, serial_json) -> None:
-        dataset, _ = crawl
-        report = build_report(
-            dataset,
-            world.oracle,
-            seed=world.config.seed,
-            executor=resolve_executor(4),
-        )
-        assert report_json(report) == serial_json
-
-    def test_serial_executor_takes_the_serial_path(
-        self, world, crawl, serial_json
-    ) -> None:
-        dataset, _ = crawl
-        report = build_report(
-            dataset,
-            world.oracle,
-            seed=world.config.seed,
-            executor=resolve_executor(1),
-        )
-        assert report_json(report) == serial_json
 
 
 class TestReportJson:

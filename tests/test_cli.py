@@ -26,6 +26,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate"])
 
+    @pytest.mark.parametrize("count", ["0", "-3", "two"])
+    def test_workers_must_be_positive(self, count, capsys) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["report", "--workers", count])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_analyze_has_no_workers(self, capsys) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["analyze", "d", "--workers", "2"])
+        assert excinfo.value.code == 2
+
     def test_defaults(self) -> None:
         args = build_parser().parse_args(["report"])
         assert args.domains == 1000
@@ -192,6 +204,11 @@ class TestObservabilityFlags:
         assert "--- trace ---" in output
         assert "analyze" in output
         assert "analyze.reregistrations" in output
+        for name in (
+            "summary", "timing", "actors", "comparison", "resale",
+            "losses", "hijackable", "profit", "typosquat",
+        ):
+            assert f"analyze.{name}" in output
         assert "s" in output  # durations rendered
 
     def test_analyze_profile_prints_slowest_spans(

@@ -36,8 +36,9 @@ matrix: the same scenario is sliced into ``--batches`` block-batches
 a time to a live dataset whose report is refreshed through
 :class:`~repro.core.increport.IncrementalReportBuilder`, and at *every*
 step the incrementally refreshed bytes must equal a cold
-``build_report`` of the replayed prefix — across every requested store
-and worker count. This is the gate that keeps O(delta) cache patching
+``build_report`` of the replayed prefix — across every requested
+store. Analysis is serial, so this mode has no worker axis and rejects
+``--workers``. This is the gate that keeps O(delta) cache patching
 honest: an incremental refresh may be faster than a rebuild, never
 different.
 
@@ -139,19 +140,18 @@ def served_report(domains: int, seed: int, stores: list[str]) -> dict[str, bytes
 
 
 def check_incremental(
-    domains: int, seed: int, batches: int, stores: list[str], workers: list[int]
+    domains: int, seed: int, batches: int, stores: list[str]
 ) -> int:
     """The streamed-determinism matrix (``--incremental``).
 
     One live dataset consumes the scenario's deltas batch by batch; its
     incrementally refreshed report must be byte-identical to a cold
     ``build_report`` of the replayed prefix at every step, for every
-    (store, workers) cell. Returns an exit code.
+    store. Returns an exit code.
     """
     from repro.core import IncrementalReportBuilder, build_report
     from repro.core.report import report_json
     from repro.datasets import ColumnarDataset
-    from repro.parallel import resolve_executor
     from repro.simulation import ScenarioConfig, stream_scenario
 
     stream = stream_scenario(
@@ -166,37 +166,29 @@ def check_incremental(
             cold_dataset = stream.replay(step)
             if store == "columnar":
                 cold_dataset = ColumnarDataset.from_dataset(cold_dataset)
-            for count in workers:
-                cold = report_json(
-                    build_report(
-                        cold_dataset,
-                        stream.oracle,
-                        seed=0,
-                        executor=resolve_executor(count),
-                    )
-                ).encode("utf-8")
-                if cold != incremental:
-                    print(
-                        f"\nFAIL: step {step}/{len(stream.deltas)}"
-                        f" ({delta.label}): incremental refresh"
-                        f" ({len(incremental)} bytes, sha256="
-                        f"{hashlib.sha256(incremental).hexdigest()[:16]}…)"
-                        f" != cold rebuild at store={store}"
-                        f" workers={count} ({len(cold)} bytes, sha256="
-                        f"{hashlib.sha256(cold).hexdigest()[:16]}…) — the"
-                        " delta cache patching diverged from a rebuild"
-                    )
-                    return EXIT_INCREMENTAL_DIVERGENCE
+            cold = report_json(
+                build_report(cold_dataset, stream.oracle, seed=0)
+            ).encode("utf-8")
+            if cold != incremental:
+                print(
+                    f"\nFAIL: step {step}/{len(stream.deltas)}"
+                    f" ({delta.label}): incremental refresh"
+                    f" ({len(incremental)} bytes, sha256="
+                    f"{hashlib.sha256(incremental).hexdigest()[:16]}…)"
+                    f" != cold rebuild at store={store}"
+                    f" ({len(cold)} bytes, sha256="
+                    f"{hashlib.sha256(cold).hexdigest()[:16]}…) — the"
+                    " delta cache patching diverged from a rebuild"
+                )
+                return EXIT_INCREMENTAL_DIVERGENCE
         print(
             f"step {step}/{len(stream.deltas)} ({delta.label}):"
-            f" incremental == cold across stores={stores}"
-            f" x workers={workers}, sha256="
+            f" incremental == cold across stores={stores}, sha256="
             f"{hashlib.sha256(incremental).hexdigest()[:16]}…"
         )
     print(
         f"incremental refresh byte-identical to cold rebuilds at every"
-        f" step (batches={len(stream.deltas)}, stores={stores},"
-        f" workers={workers})"
+        f" step (batches={len(stream.deltas)}, stores={stores})"
     )
     return 0
 
@@ -207,8 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument(
         "--workers",
-        default="1,4",
-        help="comma-separated worker counts to compare (default 1,4)",
+        default=None,
+        help="comma-separated worker counts to compare (default 1,4;"
+        " not with --incremental)",
     )
     parser.add_argument(
         "--stores",
@@ -247,13 +240,15 @@ def main(argv: list[str] | None = None) -> int:
         help="block-batches to slice the scenario into (--incremental)",
     )
     args = parser.parse_args(argv)
-    worker_counts = [int(part) for part in args.workers.split(",") if part]
+    if args.incremental and args.workers is not None:
+        parser.error("--workers has no effect with --incremental")
+    worker_counts = [
+        int(part) for part in (args.workers or "1,4").split(",") if part
+    ]
     stores = [part.strip() for part in args.stores.split(",") if part.strip()]
 
     if args.incremental:
-        return check_incremental(
-            args.domains, args.seed, args.batches, stores, worker_counts
-        )
+        return check_incremental(args.domains, args.seed, args.batches, stores)
 
     matrix = [(store, workers) for store in stores for workers in worker_counts]
     outputs: dict[tuple[str, int], bytes] = {}
