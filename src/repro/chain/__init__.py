@@ -8,13 +8,12 @@ Public surface:
 * :func:`keccak_256` — Ethereum's keccak (the ENS hash function).
 """
 
-from .account import Account, AccountState
+from .account import AccountState
 from .block import Block
 from .chain import Blockchain
 from .contract import CallContext, Contract
 from .crypto.keccak import Keccak256, keccak_256, keccak_256_hex
 from .errors import (
-    ChainError,
     InsufficientFunds,
     InvalidName,
     InvalidTransaction,
@@ -39,14 +38,12 @@ from .types import (
 )
 
 __all__ = [
-    "Account",
     "AccountState",
     "Address",
     "Block",
     "Blockchain",
     "CallContext",
     "CallPayload",
-    "ChainError",
     "Contract",
     "Hash32",
     "InsufficientFunds",

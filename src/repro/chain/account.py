@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .types import Address, Wei
 
-__all__ = ["Account", "AccountState"]
+__all__ = ["AccountState"]
 
 
 @dataclass(slots=True)

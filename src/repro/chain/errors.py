@@ -9,7 +9,6 @@ paper's analyses, which only care about success/failure and balances.
 from __future__ import annotations
 
 __all__ = [
-    "ChainError",
     "InsufficientFunds",
     "InvalidTransaction",
     "UnknownAccount",

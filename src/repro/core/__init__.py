@@ -1,18 +1,12 @@
 """The paper's analyses: dropcatch detection through financial losses."""
 
 from .actors import ActorConcentration, actor_concentration
-from .authoritative import (
-    AuthoritativeReport,
-    HeuristicAssessment,
-    assess_conservative_heuristic,
-    authoritative_losses,
-)
+from .authoritative import assess_conservative_heuristic, authoritative_losses
 from .censoring import truncate_dataset
 from .context import AnalysisContext, DeltaImpact, ScanAccess
-from .descriptive import DatasetOverview, describe_dataset
+from .descriptive import describe_dataset
 from .export import export_figures
 from .comparison import (
-    ComparisonRow,
     DomainFeatureRow,
     FeatureComparison,
     compare_groups,
@@ -33,20 +27,13 @@ from .increport import IncrementalReportBuilder
 from .losses import LossReport, MisdirectedFlow, detect_losses
 from .prediction import (
     LogisticModel,
-    PredictionMetrics,
-    PredictorReport,
     build_feature_matrix,
     train_reregistration_predictor,
 )
-from .profit import CatchEconomics, ProfitReport, analyze_profit
+from .profit import ProfitReport, analyze_profit
 from .report import HeadlineReport, build_report, canonical_json, report_json
 from .resale import ResaleReport, analyze_resale
-from .stats import (
-    SIGNIFICANCE_LEVEL,
-    TestResult,
-    two_proportion_z_test,
-    welch_t_test,
-)
+from .stats import TestResult, two_proportion_z_test, welch_t_test
 from .survival import (
     KaplanMeierCurve,
     domain_lifetimes,
@@ -55,16 +42,11 @@ from .survival import (
 )
 from .timing import (
     DelayDistribution,
-    MonthlyTimeline,
     PREMIUM_END_DAYS,
     delay_distribution,
     monthly_timeline,
 )
-from .timing_losses import (
-    TimingLossReport,
-    detect_losses_by_timing,
-    heuristic_overlap,
-)
+from .timing_losses import detect_losses_by_timing, heuristic_overlap
 from .typosquat import (
     TyposquatCandidate,
     TyposquatReport,
@@ -79,13 +61,8 @@ __all__ = [
     "DeltaImpact",
     "IncrementalReportBuilder",
     "ScanAccess",
-    "AuthoritativeReport",
-    "HeuristicAssessment",
     "assess_conservative_heuristic",
     "authoritative_losses",
-    "CatchEconomics",
-    "ComparisonRow",
-    "DatasetOverview",
     "DelayDistribution",
     "DomainFeatureRow",
     "describe_dataset",
@@ -97,19 +74,14 @@ __all__ = [
     "LogisticModel",
     "LossReport",
     "MisdirectedFlow",
-    "MonthlyTimeline",
-    "PredictionMetrics",
-    "PredictorReport",
     "build_feature_matrix",
     "train_reregistration_predictor",
     "PREMIUM_END_DAYS",
     "ProfitReport",
     "ReRegistration",
     "ResaleReport",
-    "SIGNIFICANCE_LEVEL",
     "KaplanMeierCurve",
     "TestResult",
-    "TimingLossReport",
     "TyposquatCandidate",
     "detect_losses_by_timing",
     "domain_lifetimes",

@@ -26,10 +26,7 @@ from ..oracle.ethusd import EthUsdOracle
 from .losses import LossReport
 
 __all__ = [
-    "AuthoritativeLoss",
-    "AuthoritativeReport",
     "authoritative_losses",
-    "HeuristicAssessment",
     "assess_conservative_heuristic",
 ]
 

@@ -24,7 +24,6 @@ from .stats import TestResult, two_proportion_z_test, welch_t_test
 __all__ = [
     "DomainFeatureRow",
     "FeatureComparison",
-    "ComparisonRow",
     "compare_groups",
     "compare_rows",
     "feature_row_for",

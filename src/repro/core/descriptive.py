@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..datasets.dataset import ENSDataset
 
-__all__ = ["DatasetOverview", "describe_dataset"]
+__all__ = ["describe_dataset"]
 
 
 @dataclass(frozen=True)

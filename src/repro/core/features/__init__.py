@@ -9,16 +9,14 @@ from ...datasets.wordlists import (
     contains_dictionary_word,
     is_dictionary_word,
 )
-from .lexical import BOOLEAN_FEATURE_NAMES, LexicalFeatures, extract_lexical
-from .transactional import TransactionalFeatures, extract_transactional
+from .lexical import BOOLEAN_FEATURE_NAMES, extract_lexical
+from .transactional import extract_transactional
 
 __all__ = [
     "ADULT_WORDS",
     "BOOLEAN_FEATURE_NAMES",
     "BRAND_NAMES",
     "DICTIONARY_WORDS",
-    "LexicalFeatures",
-    "TransactionalFeatures",
     "contains_adult_word",
     "contains_brand_name",
     "contains_dictionary_word",

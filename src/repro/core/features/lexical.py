@@ -11,7 +11,7 @@ from ...datasets.wordlists import (
     is_dictionary_word,
 )
 
-__all__ = ["LexicalFeatures", "extract_lexical", "BOOLEAN_FEATURE_NAMES"]
+__all__ = ["extract_lexical", "BOOLEAN_FEATURE_NAMES"]
 
 
 @dataclass(frozen=True, slots=True)

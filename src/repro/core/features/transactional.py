@@ -15,7 +15,7 @@ from ...datasets.schema import RegistrationRecord
 from ...oracle.ethusd import EthUsdOracle
 from ..context import AnalysisContext
 
-__all__ = ["TransactionalFeatures", "extract_transactional"]
+__all__ = ["extract_transactional"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,8 +27,6 @@ from .control import study_groups
 
 __all__ = [
     "LogisticModel",
-    "PredictionMetrics",
-    "PredictorReport",
     "build_feature_matrix",
     "train_reregistration_predictor",
 ]

@@ -17,7 +17,7 @@ from .context import AnalysisContext
 from .dropcatch import ReRegistration, find_reregistrations
 from .losses import LossReport, detect_losses
 
-__all__ = ["CatchEconomics", "ProfitReport", "analyze_profit"]
+__all__ = ["ProfitReport", "analyze_profit"]
 
 
 @dataclass(frozen=True, slots=True)

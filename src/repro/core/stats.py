@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["TestResult", "welch_t_test", "two_proportion_z_test",
-           "SIGNIFICANCE_LEVEL"]
+__all__ = ["TestResult", "welch_t_test", "two_proportion_z_test"]
 
 SIGNIFICANCE_LEVEL = 0.05
 

@@ -16,7 +16,6 @@ from ..ens.premium import GRACE_PERIOD_DAYS, PREMIUM_PERIOD_DAYS
 from .dropcatch import ReRegistration, find_reregistrations
 
 __all__ = [
-    "MonthlyTimeline",
     "monthly_timeline",
     "DelayDistribution",
     "delay_distribution",

@@ -24,8 +24,7 @@ from .context import AnalysisContext
 from .dropcatch import ReRegistration
 from .losses import LossReport
 
-__all__ = ["TimingFlow", "TimingLossReport", "detect_losses_by_timing",
-           "heuristic_overlap"]
+__all__ = ["detect_losses_by_timing", "heuristic_overlap"]
 
 _DEFAULT_WINDOW_DAYS = 120
 

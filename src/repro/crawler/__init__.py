@@ -2,7 +2,7 @@
 
 from .checkpoint import CheckpointConfig, CheckpointStore, CrawlState
 from .etherscan_client import EtherscanClient, EtherscanCrawlError
-from .opensea_client import OpenSeaClient, OpenSeaCrawlError
+from .opensea_client import OpenSeaClient
 from .pipeline import CrawlReport, DataCollectionPipeline, coverage_fields
 from .storage import dataset_digest, load_dataset, pack_dataset, save_dataset
 from .subgraph_client import SubgraphClient, SubgraphCrawlError
@@ -16,7 +16,6 @@ __all__ = [
     "EtherscanClient",
     "EtherscanCrawlError",
     "OpenSeaClient",
-    "OpenSeaCrawlError",
     "SubgraphClient",
     "SubgraphCrawlError",
     "coverage_fields",

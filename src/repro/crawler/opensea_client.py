@@ -24,7 +24,7 @@ from ..faults.retry import (
 from ..marketplace.api import OpenSeaAPI
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["OpenSeaClient", "OpenSeaCrawlError"]
+__all__ = ["OpenSeaClient"]
 
 CLIENT_LABEL = "opensea"
 

@@ -16,9 +16,8 @@ atomically and opened via :mod:`mmap`:
   file-backed and read-only, so every worker forked by
   :class:`~repro.parallel.executor.ProcessExecutor` shares them with
   the parent for free. On spawn-only platforms the dataset pickles as
-  its *path* (:meth:`ColumnarDataset.__reduce__` /
-  :meth:`ColumnarDataset.__shared_handle__`), and each worker re-maps
-  the file instead of deserializing an object graph.
+  its *path* (:meth:`ColumnarDataset.__reduce__`), and each worker
+  re-maps the file instead of deserializing an object graph.
 * **Identical analysis output** — :class:`ColumnarDataset` implements
   the read surface of :class:`~repro.datasets.dataset.ENSDataset`
   (``domains`` mapping, ``transactions`` / ``market_events``
@@ -384,22 +383,6 @@ def write_columnar(
     return path
 
 
-class _ColumnarHandle:
-    """A tiny picklable token that re-opens a file-backed store.
-
-    This is what crosses the process boundary on spawn-only platforms:
-    the path, not the data. ``resolve()`` re-maps the file in the
-    worker, so the payload cost is O(path), never O(rows).
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-
-    def resolve(self) -> "ColumnarDataset":
-        """Re-open the referenced container (fresh mmap in this process)."""
-        return ColumnarDataset.open(self.path)
-
-
 class _DomainsView(Mapping):
     """Read-only ``domain_id -> DomainRecord`` mapping over the columns.
 
@@ -563,14 +546,6 @@ class ColumnarDataset:
         if self._path is not None:
             return (ColumnarDataset.open, (self._path,))
         return (ColumnarDataset.from_bytes, (bytes(self._buffer),))
-
-    def __shared_handle__(self) -> _ColumnarHandle | None:
-        """Executor hook: ship a path token across spawn boundaries.
-
-        Returns ``None`` for in-memory stores, which then fall back to
-        ordinary (single-blob) pickling via :meth:`__reduce__`.
-        """
-        return _ColumnarHandle(self._path) if self._path is not None else None
 
     # -- container parsing -------------------------------------------------
 

@@ -12,7 +12,6 @@ The public surface downstream code uses:
 from .deployment import ENSDeployment
 from .namehash import ETH_NODE, ROOT_NODE, labelhash, namehash
 from .normalize import (
-    ETH_TLD,
     MIN_REGISTRABLE_LABEL_LENGTH,
     is_valid_label,
     normalize_label,
@@ -27,18 +26,12 @@ from .premium import (
     PremiumCurve,
 )
 from .pricing import RentPriceOracle
-from .registrar import (
-    GRACE_PERIOD_SECONDS,
-    MIN_REGISTRATION_DURATION,
-    BaseRegistrar,
-    RegistrarController,
-)
+from .registrar import GRACE_PERIOD_SECONDS, BaseRegistrar, RegistrarController
 from .registry import ENSRegistry
 from .resolver import PublicResolver
-from .reverse import ADDR_REVERSE_NODE, ReverseRegistrar, reverse_node_of
+from .reverse import ReverseRegistrar, reverse_node_of
 
 __all__ = [
-    "ADDR_REVERSE_NODE",
     "ReverseRegistrar",
     "reverse_node_of",
     "BaseRegistrar",
@@ -46,11 +39,9 @@ __all__ = [
     "ENSDeployment",
     "ENSRegistry",
     "ETH_NODE",
-    "ETH_TLD",
     "GRACE_PERIOD_DAYS",
     "GRACE_PERIOD_SECONDS",
     "MIN_REGISTRABLE_LABEL_LENGTH",
-    "MIN_REGISTRATION_DURATION",
     "PREMIUM_PERIOD_DAYS",
     "PremiumCurve",
     "PublicResolver",

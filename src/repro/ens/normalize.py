@@ -21,7 +21,6 @@ from .. import chain  # noqa: F401  (re-exported error types live there)
 from ..chain.errors import InvalidName
 
 __all__ = [
-    "ETH_TLD",
     "MIN_REGISTRABLE_LABEL_LENGTH",
     "normalize_label",
     "normalize_name",

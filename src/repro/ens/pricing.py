@@ -15,7 +15,7 @@ from ..oracle.ethusd import EthUsdOracle
 from .normalize import MIN_REGISTRABLE_LABEL_LENGTH
 from .premium import PremiumCurve, DEFAULT_PREMIUM
 
-__all__ = ["RentPriceOracle", "DEFAULT_USD_PER_YEAR"]
+__all__ = ["RentPriceOracle"]
 
 # Mainnet .eth pricing: 3-char $640/yr, 4-char $160/yr, 5+ chars $5/yr.
 DEFAULT_USD_PER_YEAR: dict[int, float] = {3: 640.0, 4: 160.0}

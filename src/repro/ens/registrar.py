@@ -40,9 +40,7 @@ from .registry import ENSRegistry
 __all__ = [
     "BaseRegistrar",
     "RegistrarController",
-    "Registration",
     "GRACE_PERIOD_SECONDS",
-    "MIN_REGISTRATION_DURATION",
 ]
 
 GRACE_PERIOD_SECONDS = GRACE_PERIOD_DAYS * SECONDS_PER_DAY

@@ -16,7 +16,7 @@ from ..chain.contract import CallContext, Contract
 from ..chain.errors import NotOwner
 from ..chain.types import Address, Hash32, ZERO_ADDRESS
 
-__all__ = ["ENSRegistry", "RegistryRecord"]
+__all__ = ["ENSRegistry"]
 
 
 @dataclass(slots=True)

@@ -21,7 +21,7 @@ from ..chain.crypto.keccak import keccak_256
 from ..chain.types import Address, Hash32
 from .namehash import labelhash, namehash
 
-__all__ = ["ReverseRegistrar", "ADDR_REVERSE_NODE", "reverse_node_of"]
+__all__ = ["ReverseRegistrar", "reverse_node_of"]
 
 ADDR_REVERSE_NODE = namehash("addr.reverse")
 

@@ -10,17 +10,13 @@ from .api import (
 from .database import ExplorerDatabase, TxEntry
 from .labels import (
     CATEGORY_COINBASE,
-    CATEGORY_CONTRACT,
     CATEGORY_CUSTODIAL_EXCHANGE,
-    AddressLabel,
     LabelRegistry,
 )
 
 __all__ = [
-    "AddressLabel",
     "ApiError",
     "CATEGORY_COINBASE",
-    "CATEGORY_CONTRACT",
     "CATEGORY_CUSTODIAL_EXCHANGE",
     "EtherscanAPI",
     "ExplorerDatabase",

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 from ..chain.types import Address
 
-__all__ = ["AddressLabel", "LabelRegistry",
-           "CATEGORY_COINBASE", "CATEGORY_CUSTODIAL_EXCHANGE", "CATEGORY_CONTRACT"]
+__all__ = ["LabelRegistry", "CATEGORY_COINBASE", "CATEGORY_CUSTODIAL_EXCHANGE"]
 
 CATEGORY_COINBASE = "coinbase"
 CATEGORY_CUSTODIAL_EXCHANGE = "custodial-exchange"

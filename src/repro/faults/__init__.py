@@ -21,14 +21,10 @@ from .errors import (
     CrawlKilled,
     EndpointOutage,
     EndpointTimeout,
-    InjectedFaultError,
     TransientInjectedError,
     TruncatedPayload,
 )
 from .injectors import (
-    ENDPOINT_EXPLORER,
-    ENDPOINT_OPENSEA,
-    ENDPOINT_SUBGRAPH,
     FaultyEtherscanAPI,
     FaultyOpenSeaAPI,
     FaultySubgraphEndpoint,
@@ -59,9 +55,6 @@ __all__ = [
     "CircuitBreaker",
     "CorruptPayload",
     "CrawlKilled",
-    "ENDPOINT_EXPLORER",
-    "ENDPOINT_OPENSEA",
-    "ENDPOINT_SUBGRAPH",
     "EndpointFaultSpec",
     "EndpointOutage",
     "EndpointTimeout",
@@ -71,7 +64,6 @@ __all__ = [
     "FaultyEtherscanAPI",
     "FaultyOpenSeaAPI",
     "FaultySubgraphEndpoint",
-    "InjectedFaultError",
     "OutageBurst",
     "RateStep",
     "RetryBudgetExhausted",

@@ -24,7 +24,6 @@ __all__ = [
     "CorruptPayload",
     "EndpointOutage",
     "EndpointTimeout",
-    "InjectedFaultError",
     "TransientInjectedError",
     "TruncatedPayload",
 ]

@@ -46,9 +46,6 @@ from .plan import (
 )
 
 __all__ = [
-    "ENDPOINT_EXPLORER",
-    "ENDPOINT_OPENSEA",
-    "ENDPOINT_SUBGRAPH",
     "FaultyEtherscanAPI",
     "FaultyOpenSeaAPI",
     "FaultySubgraphEndpoint",

@@ -41,7 +41,6 @@ from .plan import deterministic_uniform
 
 __all__ = [
     "CircuitBreaker",
-    "Clock",
     "RetryBudgetExhausted",
     "RetryError",
     "RetryExhausted",

@@ -1,6 +1,6 @@
 """The Graph-like subgraph substrate for ENS."""
 
-from .endpoint import MAX_FIRST, MAX_SKIP, SubgraphEndpoint
+from .endpoint import MAX_FIRST, SubgraphEndpoint
 from .entities import (
     EVENT_NAME_MIGRATED,
     EVENT_NAME_REGISTERED,
@@ -10,7 +10,7 @@ from .entities import (
     RegistrationEntity,
     RegistrationEventRecord,
 )
-from .query import FieldNode, GraphQLError, execute_query, parse_query
+from .query import GraphQLError, execute_query, parse_query
 from .subgraph import ENSSubgraph
 
 __all__ = [
@@ -20,10 +20,8 @@ __all__ = [
     "EVENT_NAME_REGISTERED",
     "EVENT_NAME_RENEWED",
     "EVENT_NAME_TRANSFERRED",
-    "FieldNode",
     "GraphQLError",
     "MAX_FIRST",
-    "MAX_SKIP",
     "RegistrationEntity",
     "RegistrationEventRecord",
     "SubgraphEndpoint",

@@ -24,7 +24,7 @@ from typing import Any, Callable
 from .query import GraphQLError, execute_query, parse_query
 from .subgraph import ENSSubgraph
 
-__all__ = ["SubgraphEndpoint", "MAX_FIRST", "MAX_SKIP"]
+__all__ = ["SubgraphEndpoint", "MAX_FIRST"]
 
 MAX_FIRST = 1000
 MAX_SKIP = 5000

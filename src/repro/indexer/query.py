@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-__all__ = ["GraphQLError", "FieldNode", "parse_query", "execute_query"]
+__all__ = ["GraphQLError", "parse_query", "execute_query"]
 
 
 class GraphQLError(ValueError):

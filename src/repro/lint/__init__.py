@@ -27,7 +27,7 @@ checker-authoring recipe.
 
 from .findings import Finding, Rule, Severity
 from .registry import Checker, all_checkers, all_rules, register
-from .reporters import render_json, render_text, summary_line
+from .reporters import render_json, render_text
 from .runner import LintResult, lint_paths, lint_sources
 from .source import SourceFile
 
@@ -45,7 +45,6 @@ __all__ = [
     "register",
     "render_json",
     "render_text",
-    "summary_line",
 ]
 
 # The whole-program engine lives in repro.lint.flow (imported lazily by

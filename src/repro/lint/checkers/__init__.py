@@ -19,10 +19,4 @@ from . import (  # noqa: F401  (imports register the checkers)
 __all__ = [
     "determinism",
     "layering",
-    "mutable_defaults",
-    "obs_hygiene",
-    "parallel_discipline",
-    "perf",
-    "public_api",
-    "retry_discipline",
 ]

@@ -26,7 +26,7 @@ from ..findings import Finding, Rule
 from ..registry import Checker, register
 from ..source import SourceFile
 
-__all__ = ["DeterminismChecker"]
+__all__ = []
 
 #: ``random`` module functions that use the hidden global RNG.
 GLOBAL_RNG_FUNCTIONS = frozenset(

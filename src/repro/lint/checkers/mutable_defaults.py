@@ -17,7 +17,7 @@ from ..findings import Finding, Rule
 from ..registry import Checker, register
 from ..source import SourceFile
 
-__all__ = ["MutableDefaultsChecker"]
+__all__ = []
 
 _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "defaultdict"})
 

@@ -31,7 +31,7 @@ from ..findings import Finding, Rule
 from ..registry import Checker, register
 from ..source import SourceFile
 
-__all__ = ["ObsHygieneChecker"]
+__all__ = []
 
 #: File names whose stdout output is the product, not stray debugging.
 PRINT_EXEMPT_FILES = frozenset({"cli.py"})

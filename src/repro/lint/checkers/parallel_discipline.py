@@ -25,7 +25,7 @@ from ..findings import Finding, Rule
 from ..registry import Checker, register
 from ..source import SourceFile
 
-__all__ = ["ParallelDisciplineChecker"]
+__all__ = []
 
 #: Mutating calls that bake iteration order into a sequence.
 ORDERED_ACCUMULATORS = frozenset({"append", "extend", "insert", "write"})

@@ -31,7 +31,7 @@ from ..findings import Finding, Rule
 from ..registry import Checker, register
 from ..source import SourceFile
 
-__all__ = ["PerfChecker"]
+__all__ = []
 
 #: Modules that ARE the index layer — they scan so nobody else has to.
 INDEX_LAYER_MODULES = frozenset(

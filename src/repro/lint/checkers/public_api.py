@@ -23,7 +23,7 @@ from ..findings import Finding, Rule
 from ..registry import Checker, register
 from ..source import SourceFile
 
-__all__ = ["PublicApiChecker"]
+__all__ = []
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 

@@ -23,7 +23,7 @@ from ..findings import Finding, Rule
 from ..registry import Checker, register
 from ..source import SourceFile
 
-__all__ = ["RetryDisciplineChecker"]
+__all__ = []
 
 #: Packages whose modules may never sleep directly. The shared policy
 #: (repro.faults.retry) is the single place allowed to call sleep on a

@@ -14,8 +14,8 @@ Two modes share one option surface:
   ``lint-stale-ignore``);
 * **whole-program** (``--flow``) — the interprocedural passes of
   :mod:`repro.lint.flow` (``flow-det-taint``, ``flow-exc-escape``,
-  ``flow-dead-api``) over the incremental fact cache, with the
-  committed baseline subtracted before the exit code.
+  ``flow-dead-api``), with the committed baseline subtracted before
+  the exit code and stale flow entries reported on stderr.
 
 Either mode renders as text, JSON, or SARIF 2.1.0 (``--format sarif``
 to stdout, ``--sarif PATH`` as a side artifact for CI upload).
@@ -32,7 +32,7 @@ from .registry import all_rules
 from .reporters import render_json, render_text
 from .runner import RUNNER_RULES, LintResult, lint_paths
 
-__all__ = ["add_lint_arguments", "build_parser", "main", "run"]
+__all__ = ["add_lint_arguments", "main", "run"]
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -90,19 +90,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--write-baseline",
         action="store_true",
         help="rewrite the baseline to accept every current flow finding"
-        " (entries of per-file rules are preserved)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="fact-cache directory for --flow"
-        " (default: .repro/lintcache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the fact cache (every module re-parses)",
+        " (entries of per-file rules and existing justifications are"
+        " preserved)",
     )
 
 
@@ -164,42 +153,49 @@ def _run_flow(args: argparse.Namespace) -> LintResult:
     """Execute the whole-program mode: analyze, baseline, maybe rewrite."""
     from .flow import (
         DEFAULT_BASELINE_PATH,
-        DEFAULT_CACHE_DIR,
         FLOW_RULES,
         Baseline,
         analyze_paths,
         apply_baseline,
     )
 
-    analysis = analyze_paths(
-        args.paths,
-        cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
-        use_cache=not args.no_cache,
-    )
-    result = analysis.result
+    result = analyze_paths(args.paths).result
     baseline_path = args.baseline or DEFAULT_BASELINE_PATH
+    flow_rule_ids = {rule.id for rule in FLOW_RULES}
     if args.write_baseline:
         # Replace only flow-rule entries: the baseline also carries
         # accepted per-file findings (e.g. perf-row-object-hot-loop),
-        # which a flow rewrite must not drop.
-        flow_rule_ids = {rule.id for rule in FLOW_RULES}
+        # which a flow rewrite must not drop. A finding that is still
+        # baselined keeps its hand-written justification.
+        current = Baseline.load(baseline_path).entries
         preserved = [
             entry
-            for _, entry in sorted(Baseline.load(baseline_path).entries.items())
+            for entry in current.values()
             if entry["rule"] not in flow_rule_ids
         ]
-        fresh = Baseline.from_findings(result.findings)
-        merged = Baseline(
-            preserved + [entry for _, entry in sorted(fresh.entries.items())]
-        )
-        merged.write(baseline_path)
+        fresh = Baseline.from_findings(result.findings).entries
+        Baseline(
+            preserved
+            + [current.get(key, entry) for key, entry in fresh.items()]
+        ).write(baseline_path)
         print(
             f"baseline written to {baseline_path}"
             f" ({len(result.findings)} finding(s))",
             file=sys.stderr,
         )
     if not args.no_baseline:
-        result = apply_baseline(result, Baseline.load(baseline_path))
+        baseline = Baseline.load(baseline_path)
+        for entry in baseline.unmatched(result.findings):
+            # per-file-rule entries are matched by the per-file run,
+            # never by the flow passes: not stale from here
+            if entry["rule"] in flow_rule_ids:
+                print(
+                    f"stale baseline entry: {entry['path']}:"
+                    f" {entry['message']} [{entry['rule']}]"
+                    f" — prune it from {baseline_path}",
+                    file=sys.stderr,
+                )
+        result = apply_baseline(result, baseline)
     return result
 
 

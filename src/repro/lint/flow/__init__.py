@@ -14,10 +14,8 @@ interprocedural passes over it:
 * ``flow-dead-api`` (:mod:`~repro.lint.flow.deadcode`) — exported
   names never referenced outside their defining module.
 
-Per-module facts are content-addressed and cached
-(:mod:`~repro.lint.flow.cache`), so warm runs re-parse only modified
-modules; committed, justified findings live in a baseline
-(:mod:`~repro.lint.flow.baseline`) subtracted before the exit code;
+Committed, justified findings live in a baseline
+(:mod:`~repro.lint.flow.baseline`) subtracted before the exit code,
 and results render as text, JSON, or deterministic SARIF 2.1.0
 (:mod:`~repro.lint.flow.sarif`). See ``docs/LINTING.md`` ("Whole-
 program analysis") for the workflow.
@@ -28,7 +26,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from ...obs.metrics import MetricsRegistry
 from ..findings import Finding, Rule, Severity
 from ..runner import LintResult, discover_files
 from ..source import module_name_for
@@ -37,7 +34,6 @@ from .baseline import (
     Baseline,
     apply_baseline,
 )
-from .cache import DEFAULT_CACHE_DIR, FactCache
 from .deadcode import RULE_DEAD_API, run_deadcode_pass
 from .exceptions import RULE_EXC_ESCAPE, run_exception_pass
 from .graph import ModuleFacts, ProgramGraph, extract_facts
@@ -47,10 +43,7 @@ from .taint import RULE_DET_TAINT, run_taint_pass
 __all__ = [
     "Baseline",
     "DEFAULT_BASELINE_PATH",
-    "DEFAULT_CACHE_DIR",
     "FLOW_RULES",
-    "FactCache",
-    "FlowAnalysis",
     "ProgramGraph",
     "analyze_paths",
     "apply_baseline",
@@ -64,16 +57,13 @@ FLOW_RULES: tuple[Rule, ...] = (RULE_DET_TAINT, RULE_EXC_ESCAPE, RULE_DEAD_API)
 class FlowAnalysis:
     """Result bundle of one whole-program run: findings + the graph."""
 
-    def __init__(
-        self, result: LintResult, graph: ProgramGraph, cache: FactCache
-    ) -> None:
+    def __init__(self, result: LintResult, graph: ProgramGraph) -> None:
         self.result = result
         self.graph = graph
-        self.cache = cache
 
 
-def _load_facts(path: Path, cache: FactCache) -> ModuleFacts:
-    """Facts for one file: cache hit, or parse + extract + store.
+def _load_facts(path: Path) -> ModuleFacts:
+    """Facts for one file: read, parse, extract.
 
     Unreadable or undecodable files yield facts whose ``parse_error``
     is set, which the engine reports as a structured ``parse-error``
@@ -83,31 +73,22 @@ def _load_facts(path: Path, cache: FactCache) -> ModuleFacts:
     try:
         content = path.read_bytes()
     except OSError as exc:
-        facts = ModuleFacts(
-            schema=-1, path=display, module=module_name_for(path), sha256=""
-        )
+        facts = ModuleFacts(path=display, module=module_name_for(path))
         facts.parse_error = {
             "line": 1, "column": 0, "message": f"cannot read: {exc}"
         }
         return facts
-    cached = cache.load(display, content)
-    if cached is not None:
-        return cached
     try:
         text = content.decode("utf-8")
     except UnicodeDecodeError as exc:
-        facts = ModuleFacts(
-            schema=-1, path=display, module=module_name_for(path), sha256=""
-        )
+        facts = ModuleFacts(path=display, module=module_name_for(path))
         facts.parse_error = {
             "line": 1,
             "column": 0,
             "message": f"cannot decode as UTF-8 (byte offset {exc.start})",
         }
         return facts
-    facts = extract_facts(display, module_name_for(path), text, sha256="")
-    cache.store(facts, content)
-    return facts
+    return extract_facts(display, module_name_for(path), text)
 
 
 def flow_sources(
@@ -135,18 +116,8 @@ def flow_sources(
     return result, graph
 
 
-def analyze_paths(
-    paths: Sequence[str | Path],
-    *,
-    cache_dir: str | Path = DEFAULT_CACHE_DIR,
-    use_cache: bool = True,
-    registry: MetricsRegistry | None = None,
-) -> FlowAnalysis:
+def analyze_paths(paths: Sequence[str | Path]) -> FlowAnalysis:
     """Whole-program analysis over ``*.py`` files beneath ``paths``."""
-    cache = FactCache(cache_dir, registry=registry, enabled=use_cache)
-    facts_list = [
-        _load_facts(path, cache) for path in discover_files(paths)
-    ]
+    facts_list = [_load_facts(path) for path in discover_files(paths)]
     result, graph = flow_sources(facts_list)
-    cache.sweep()
-    return FlowAnalysis(result, graph, cache)
+    return FlowAnalysis(result, graph)

@@ -2,13 +2,13 @@
 
 Whole-program passes judge existing public surface (``flow-dead-api``
 especially), and some committed findings are deliberate: an export
-kept for downstream users, a symbol exercised only by tests. Deleting
+kept for downstream users, a symbol registered dynamically. Deleting
 them would be wrong; ignoring the rule would be worse. The baseline is
 the middle path — a committed JSON file enumerating the accepted
 findings, each with a human justification, subtracted from every run
 before the exit code is computed. A finding absent from the baseline
-fails CI (`tools/check_lint_clean.py`); a baselined finding that stops
-occurring is reported so the entry gets pruned.
+fails the ``repro lint --flow`` exit code; a baselined finding that
+stops occurring is reported on stderr so the entry gets pruned.
 
 Matching is by ``(path, rule, message)`` — deliberately *not* line
 numbers, so unrelated edits above a baselined finding do not invalidate

@@ -28,9 +28,7 @@ from ..findings import Finding, Rule, Severity
 from .graph import ProgramGraph
 
 __all__ = [
-    "HAZARD_MODULE_PREFIXES",
     "RULE_EXC_ESCAPE",
-    "TRANSIENT_BASES",
     "run_exception_pass",
 ]
 

@@ -11,9 +11,7 @@ boundaries. This module supplies that in two strictly separated stages:
    sites (with the exception guards around them), direct nondeterminism
    sources, ``raise`` sites, class bases and attribute types, the
    ``__all__`` export list, and outbound symbol references. Facts are
-   plain JSON-serializable data — a pure function of the file's bytes —
-   which is what makes the incremental cache
-   (:mod:`~repro.lint.flow.cache`) sound: same content hash, same facts.
+   plain data, a pure function of the file's text.
 2. **Linking** — :class:`ProgramGraph` joins the per-module facts into
    a name-resolved call graph: import aliases are chased through
    re-exports, ``self.attr`` receivers resolve through dataclass field
@@ -29,7 +27,7 @@ pass errs toward silence rather than noise.
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..checkers.determinism import (
@@ -41,17 +39,10 @@ from ..checkers.determinism import (
 from ..source import parse_suppressions
 
 __all__ = [
-    "FACTS_SCHEMA",
-    "ClassFacts",
-    "FunctionFacts",
     "ModuleFacts",
     "ProgramGraph",
     "extract_facts",
 ]
-
-#: Bump when the shape of :class:`ModuleFacts` changes — stale cache
-#: entries from an older schema must never be loaded.
-FACTS_SCHEMA = 1
 
 #: Pseudo-function holding a module's top-level statements.
 MODULE_BODY = "<module>"
@@ -95,12 +86,10 @@ class ClassFacts:
 
 @dataclass
 class ModuleFacts:
-    """Everything the flow passes need from one file (JSON-round-trippable)."""
+    """Everything the flow passes need from one file."""
 
-    schema: int
     path: str
     module: str | None
-    sha256: str
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
     classes: dict[str, ClassFacts] = field(default_factory=dict)
@@ -120,38 +109,6 @@ class ModuleFacts:
         if not rules:
             return False
         return CATCH_ALL in rules or rule in rules
-
-    def as_dict(self) -> dict:
-        """Plain-dict encoding (what the fact cache persists)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModuleFacts":
-        """Rebuild a facts record from its :meth:`as_dict` encoding."""
-        functions = {
-            name: FunctionFacts(**data)
-            for name, data in payload.get("functions", {}).items()
-        }
-        classes = {
-            name: ClassFacts(**data)
-            for name, data in payload.get("classes", {}).items()
-        }
-        return cls(
-            schema=payload["schema"],
-            path=payload["path"],
-            module=payload.get("module"),
-            sha256=payload["sha256"],
-            imports=dict(payload.get("imports", {})),
-            functions=functions,
-            classes=classes,
-            exports=payload.get("exports"),
-            refs=list(payload.get("refs", [])),
-            suppressions={
-                key: list(value)
-                for key, value in payload.get("suppressions", {}).items()
-            },
-            parse_error=payload.get("parse_error"),
-        )
 
 
 def _package_of(module: str | None, path: str) -> str | None:
@@ -608,13 +565,9 @@ class _Scope:
     var_types: dict[str, str] = field(default_factory=dict)
 
 
-def extract_facts(
-    path: str, module: str | None, text: str, sha256: str
-) -> ModuleFacts:
+def extract_facts(path: str, module: str | None, text: str) -> ModuleFacts:
     """Distill one file into its :class:`ModuleFacts` (pure function)."""
-    facts = ModuleFacts(
-        schema=FACTS_SCHEMA, path=path, module=module, sha256=sha256
-    )
+    facts = ModuleFacts(path=path, module=module)
     facts.suppressions = {
         str(line): sorted(rules)
         for line, rules in parse_suppressions(text).items()

@@ -19,7 +19,7 @@ import json
 from ..findings import Finding, Rule, Severity
 from ..runner import LintResult
 
-__all__ = ["SARIF_SCHEMA_URI", "SARIF_VERSION", "render_sarif"]
+__all__ = ["SARIF_VERSION", "render_sarif"]
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (

@@ -33,7 +33,7 @@ from fnmatch import fnmatchcase
 from ..findings import Finding, Rule, Severity
 from .graph import ProgramGraph
 
-__all__ = ["DEFAULT_SINKS", "RULE_DET_TAINT", "run_taint_pass"]
+__all__ = ["RULE_DET_TAINT", "run_taint_pass"]
 
 RULE_DET_TAINT = Rule(
     "flow-det-taint",

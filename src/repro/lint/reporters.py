@@ -14,7 +14,7 @@ import json
 
 from .runner import LintResult
 
-__all__ = ["render_json", "render_text", "summary_line"]
+__all__ = ["render_json", "render_text"]
 
 
 def summary_line(result: LintResult) -> str:

@@ -1,16 +1,9 @@
 """OpenSea-like NFT marketplace substrate."""
 
 from .api import MAX_EVENTS_PER_PAGE, OpenSeaAPI
-from .market import (
-    EVENT_CANCEL,
-    EVENT_LISTING,
-    EVENT_SALE,
-    MarketEvent,
-    OpenSeaMarket,
-)
+from .market import EVENT_LISTING, EVENT_SALE, MarketEvent, OpenSeaMarket
 
 __all__ = [
-    "EVENT_CANCEL",
     "EVENT_LISTING",
     "EVENT_SALE",
     "MAX_EVENTS_PER_PAGE",

@@ -21,7 +21,7 @@ from ..chain.errors import Revert
 from ..chain.types import Address, Hash32, Wei
 from ..ens.registrar import BaseRegistrar
 
-__all__ = ["MarketEvent", "OpenSeaMarket", "EVENT_LISTING", "EVENT_SALE", "EVENT_CANCEL"]
+__all__ = ["MarketEvent", "OpenSeaMarket", "EVENT_LISTING", "EVENT_SALE"]
 
 EVENT_LISTING = "listing"
 EVENT_SALE = "sale"

@@ -21,14 +21,10 @@ from .exporters import (
     metrics_to_dict,
     prometheus_text,
     sanitize_metric_name,
-    span_tree_lines,
     write_run_report,
 )
-from .log import StructuredLogger, configure, get_logger
+from .log import configure, get_logger
 from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     MetricError,
     MetricFamily,
@@ -47,9 +43,6 @@ from .spanmerge import (
 from .tracing import Span, Tracer
 
 __all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
     "Histogram",
     "LEDGER_SCHEMA_VERSION",
     "MetricError",
@@ -60,7 +53,6 @@ __all__ = [
     "SLO",
     "SLOResult",
     "Span",
-    "StructuredLogger",
     "TelemetrySink",
     "Tracer",
     "WorkerTelemetry",
@@ -76,6 +68,5 @@ __all__ = [
     "sanitize_metric_name",
     "span_from_payload",
     "span_to_payload",
-    "span_tree_lines",
     "write_run_report",
 ]

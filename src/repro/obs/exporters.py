@@ -28,7 +28,6 @@ __all__ = [
     "metrics_to_dict",
     "prometheus_text",
     "sanitize_metric_name",
-    "span_tree_lines",
     "write_run_report",
 ]
 

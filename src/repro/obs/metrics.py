@@ -27,13 +27,10 @@ import re
 from typing import Any, Iterator
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricError",
     "MetricFamily",
     "MetricsRegistry",
-    "DEFAULT_BUCKETS",
     "global_registry",
 ]
 

@@ -1,5 +1,5 @@
 """ETH-USD price feed substrate (synthetic Yahoo-Finance substitute)."""
 
-from .ethusd import DEFAULT_ANCHORS, EthUsdOracle, day_of, timestamp_of_day
+from .ethusd import EthUsdOracle, timestamp_of_day
 
-__all__ = ["DEFAULT_ANCHORS", "EthUsdOracle", "day_of", "timestamp_of_day"]
+__all__ = ["EthUsdOracle", "timestamp_of_day"]

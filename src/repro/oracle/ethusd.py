@@ -26,7 +26,7 @@ from datetime import date, datetime, timezone
 
 from repro.chain.types import WEI_PER_ETHER, Wei
 
-__all__ = ["EthUsdOracle", "DEFAULT_ANCHORS", "day_of", "timestamp_of_day"]
+__all__ = ["EthUsdOracle", "timestamp_of_day"]
 
 SECONDS_PER_DAY = 86_400
 

@@ -12,8 +12,8 @@ including the in-process serial executor.
 
 Layering: this package is generic infrastructure (it imports only
 ``obs`` and its ``datasets`` peer). The crawl stages wire it up in
-:mod:`repro.crawler.pipeline`; the analysis fan-out lives in
-:mod:`repro.core.report`. See ``docs/PARALLELISM.md``.
+:mod:`repro.crawler.pipeline`, its only caller; analysis runs
+serially. See ``docs/PARALLELISM.md``.
 """
 
 from .executor import (
@@ -24,7 +24,6 @@ from .executor import (
     worker_telemetry,
 )
 from .merge import (
-    accumulate_counters,
     accumulate_registry,
     merge_keyed_lists,
     merge_staged_market_events,
@@ -37,7 +36,6 @@ __all__ = [
     "ParallelExecutor",
     "ProcessExecutor",
     "SerialExecutor",
-    "accumulate_counters",
     "accumulate_registry",
     "merge_keyed_lists",
     "merge_staged_market_events",

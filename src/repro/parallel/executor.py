@@ -18,19 +18,11 @@ task may execute more than once.
 The shared payload is delivered to workers through a module global set
 before the pool is created: with the ``fork`` start method children
 inherit it copy-on-write for free; on spawn-only platforms it is
-pickled once per worker via the pool initializer. Platforms that
-cannot run subprocesses at all fall back to :class:`SerialExecutor`
+pickled once per worker via the pool initializer (an mmap-backed
+:class:`~repro.datasets.columnar.ColumnarDataset` pickles as its file
+path and is re-mapped in the worker). Platforms that cannot run
+subprocesses at all fall back to :class:`SerialExecutor`
 (``parallel_fallbacks_total`` counts those downgrades).
-
-**Zero-pickle sharding.** Before the spawn-path payload is pickled,
-every member that exposes ``__shared_handle__()`` (the mmap-backed
-:class:`~repro.datasets.columnar.ColumnarDataset` does) is replaced by
-the small token that method returns — a file path, not an object graph
-— and each worker resolves the token back by re-mapping the file. The
-``parallel_shared_payload_bytes`` gauge records what actually crossed
-the process boundary: 0 under fork (copy-on-write, nothing crosses),
-O(path) for handle-capable payloads under spawn, and the full pickled
-graph only for legacy object payloads.
 
 **Worker telemetry.** Every task — in a pool worker, in the serial
 executor, or on the in-process fallback path — runs against a fresh
@@ -48,7 +40,6 @@ task's telemetry through :func:`worker_telemetry`.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
@@ -64,8 +55,6 @@ __all__ = [
     "worker_telemetry",
 ]
 
-SHARED_PAYLOAD_METRIC = "parallel_shared_payload_bytes"
-
 _log = get_logger("parallel.executor")
 
 #: Shared payload slot for forked/initialized workers (see module doc).
@@ -77,88 +66,12 @@ _TASK_TELEMETRY: WorkerTelemetry | None = None
 _UNSET = object()
 
 
-class _SharedHandleToken:
-    """Placeholder for a payload member shipped by handle, not by value."""
-
-    __slots__ = ("handle",)
-
-    def __init__(self, handle: Any) -> None:
-        self.handle = handle
-
-
-class _PackedBlob:
-    """The spawn-path payload, pre-pickled once in the parent.
-
-    Pickling in the parent (instead of letting the pool pickle the raw
-    payload per worker) lets the executor meter exactly how many bytes
-    cross the process boundary.
-    """
-
-    __slots__ = ("blob",)
-
-    def __init__(self, blob: bytes) -> None:
-        self.blob = blob
-
-
-def _handle_token(candidate: Any) -> _SharedHandleToken | None:
-    """The handle token for one payload member, or None to pickle it."""
-    probe = getattr(candidate, "__shared_handle__", None)
-    if probe is None:
-        return None
-    handle = probe()
-    return None if handle is None else _SharedHandleToken(handle)
-
-
-def _pack_shared(shared: Any) -> tuple[Any, int]:
-    """Replace handle-capable payload members with their tokens.
-
-    Walks the payload itself plus one level of tuple/list members —
-    ``build_report`` shares ``(dataset, oracle, seed, events)``, so one
-    level reaches the dataset. Returns the packed payload and how many
-    members were replaced.
-    """
-    direct = _handle_token(shared)
-    if direct is not None:
-        return direct, 1
-    if isinstance(shared, (tuple, list)):
-        replaced = 0
-        members = []
-        for member in shared:
-            token = _handle_token(member)
-            if token is None:
-                members.append(member)
-            else:
-                members.append(token)
-                replaced += 1
-        if replaced:
-            return type(shared)(members), replaced
-    return shared, 0
-
-
-def _unpack_shared(shared: Any) -> Any:
-    """Resolve handle tokens back into live objects (worker side)."""
-    if isinstance(shared, _SharedHandleToken):
-        return shared.handle.resolve()
-    if isinstance(shared, (tuple, list)) and any(
-        isinstance(member, _SharedHandleToken) for member in shared
-    ):
-        return type(shared)(
-            member.handle.resolve()
-            if isinstance(member, _SharedHandleToken)
-            else member
-            for member in shared
-        )
-    return shared
-
-
 def _init_worker(shared: Any = _UNSET) -> None:
     """Pool initializer: store the pickled payload (spawn) or keep the
     copy-on-write one inherited through fork."""
     global _SHARED
     if shared is not _UNSET:
-        if isinstance(shared, _PackedBlob):
-            shared = pickle.loads(shared.blob)
-        _SHARED = _unpack_shared(shared)
+        _SHARED = shared
 
 
 def worker_telemetry() -> WorkerTelemetry:
@@ -271,11 +184,6 @@ class ProcessExecutor:
             "parallel_fallbacks_total",
             "Process-pool runs downgraded to the in-process executor",
         )
-        self._payload_bytes = global_registry().gauge(
-            SHARED_PAYLOAD_METRIC,
-            "Pickled bytes of the shared payload crossing the process"
-            " boundary per worker (0 under fork copy-on-write)",
-        )
 
     def _context(self) -> multiprocessing.context.BaseContext:
         if self._start_method is not None:
@@ -300,22 +208,11 @@ class ProcessExecutor:
         _SHARED = shared
         try:
             context = self._context()
-            if context.get_start_method() == "fork":
-                # Children inherit _SHARED copy-on-write; mmap-backed
-                # stores share their pages with the parent outright.
-                initargs: tuple[Any, ...] = ()
-                self._payload_bytes.set(0)
-            else:
-                packed, replaced = _pack_shared(shared)
-                blob = pickle.dumps(packed, protocol=pickle.HIGHEST_PROTOCOL)
-                self._payload_bytes.set(len(blob))
-                if replaced:
-                    _log.info(
-                        "parallel.shared_by_handle",
-                        members=replaced,
-                        payload_bytes=len(blob),
-                    )
-                initargs = (_PackedBlob(blob),)
+            # Fork children inherit _SHARED copy-on-write; spawn
+            # children receive it pickled through the initializer.
+            initargs: tuple[Any, ...] = (
+                () if context.get_start_method() == "fork" else (shared,)
+            )
             done: set[int] = set()
             try:
                 with ProcessPoolExecutor(

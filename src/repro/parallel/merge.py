@@ -23,7 +23,6 @@ from ..datasets.dataset import ENSDataset
 from ..obs.metrics import MetricsRegistry
 
 __all__ = [
-    "accumulate_counters",
     "accumulate_registry",
     "merge_keyed_lists",
     "merge_staged_market_events",
@@ -91,47 +90,15 @@ def merge_staged_market_events(
     return conflicts
 
 
-def accumulate_counters(
-    registry: MetricsRegistry, snapshots: Iterable[Mapping[str, Any]]
-) -> None:
-    """Add worker counter snapshots into the parent registry.
-
-    Worker processes each start from a zeroed :class:`MetricsRegistry`,
-    so their :meth:`counter_snapshot` values are pure deltas and must be
-    *added* — unlike :meth:`MetricsRegistry.restore_counters`, which
-    raises counters to at-least a checkpointed absolute value. Addition
-    is commutative, so accumulation order cannot leak completion order
-    into the exported metrics; snapshots are still folded as given
-    (callers pass them in shard-index order).
-    """
-    for snapshot in snapshots:
-        for name in sorted(snapshot):
-            entry = snapshot[name]
-            label_names = tuple(entry.get("label_names", ()))
-            family = registry.counter(
-                name, entry.get("help", ""), labels=label_names
-            )
-            for item in entry.get("samples", ()):
-                sample = (
-                    family.labels(**item.get("labels", {}))
-                    if label_names
-                    else family
-                )
-                value = float(item["value"])
-                if value > 0:
-                    sample.inc(value)
-
-
 def accumulate_registry(
     registry: MetricsRegistry, snapshots: Iterable[Mapping[str, Any]]
 ) -> None:
     """Fold full worker registry snapshots into the parent registry.
 
-    The all-kinds successor to :func:`accumulate_counters`: histogram
-    observations are replayed (bucket counts, sums, and exact
-    percentiles stay correct) and gauges survive as last-write-wins —
-    previously both were silently dropped on merge, leaving worker-side
-    latency distributions invisible to the parent. Snapshots are folded
+    Counters add (worker registries start zeroed, so their values are
+    deltas), histogram observations are replayed (bucket counts, sums,
+    and exact percentiles stay correct) and gauges survive as
+    last-write-wins. Snapshots are folded
     in the order given; callers that need order-independence for gauges
     should merge through a :class:`~repro.obs.spanmerge.TelemetrySink`,
     which resolves gauge writes by task index instead.

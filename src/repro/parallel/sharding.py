@@ -17,9 +17,9 @@ within the same sharded mode.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable
 
-__all__ = ["DEFAULT_SHARD_COUNT", "non_empty", "partition", "shard_of"]
+__all__ = ["DEFAULT_SHARD_COUNT", "partition", "shard_of"]
 
 #: Fixed partition width for sharded crawl stages. Independent of the
 #: worker count so shard membership (and checkpoints) never depend on
@@ -51,8 +51,3 @@ def partition(keys: Iterable[str], shard_count: int) -> list[list[str]]:
     for key in keys:
         shards[shard_of(key, shard_count)].append(key)
     return shards
-
-
-def non_empty(shards: Sequence[Sequence[str]]) -> list[int]:
-    """Indexes of shards that actually hold work, in index order."""
-    return [index for index, shard in enumerate(shards) if shard]

@@ -19,7 +19,7 @@ no new dependencies.
 See ``docs/SERVING.md`` for endpoints, cache semantics, and SLOs.
 """
 
-from .app import ReproApp, Response
+from .app import ReproApp
 from .loadgen import DEFAULT_PATHS, LoadStats, run_load
 from .query import QueryCache, canonical_query
 from .server import ReproServer
@@ -32,7 +32,6 @@ __all__ = [
     "QueryCache",
     "ReproApp",
     "ReproServer",
-    "Response",
     "canonical_query",
     "run_load",
 ]

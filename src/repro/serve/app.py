@@ -75,10 +75,7 @@ __all__ = [
     "ERRORS_METRIC",
     "NOT_MODIFIED_METRIC",
     "REQUESTS_METRIC",
-    "REQUEST_SECONDS_ALL_METRIC",
-    "REQUEST_SECONDS_METRIC",
     "ReproApp",
-    "Response",
 ]
 
 #: Requests served, by endpoint class and status class.

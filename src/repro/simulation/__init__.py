@@ -7,11 +7,11 @@ from .agents import (
     SenderProfile,
     TrueCatch,
 )
-from .calibration import PAPER, PaperTargets, ratio_close
+from .calibration import PAPER, ratio_close
 from .config import ScenarioConfig
 from .names import GeneratedName, NameGenerator
 from .scenario import ScenarioWorld, run_scenario
-from .stream import ScenarioStream, stream_scenario
+from .stream import stream_scenario
 
 __all__ = [
     "DomainScript",
@@ -20,9 +20,7 @@ __all__ = [
     "GroundTruth",
     "NameGenerator",
     "PAPER",
-    "PaperTargets",
     "ScenarioConfig",
-    "ScenarioStream",
     "ScenarioWorld",
     "SenderProfile",
     "TrueCatch",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["PAPER", "PaperTargets", "ratio_close"]
+__all__ = ["PAPER", "ratio_close"]
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from ..oracle.ethusd import EthUsdOracle
 from .config import ScenarioConfig
 from .scenario import run_scenario
 
-__all__ = ["ScenarioStream", "stream_scenario"]
+__all__ = ["stream_scenario"]
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,9 @@
 """Digital-wallet resolution study (Appendix B) and the §6 countermeasure."""
 
-from .countermeasure import (
-    CountermeasureEvaluation,
-    WARNING_WALLET,
-    evaluate_countermeasure,
-)
-from .wallet import (
-    ResolutionOutcome,
-    STOCK_WALLETS,
-    WalletProfile,
-    survey_wallets,
-)
+from .countermeasure import WARNING_WALLET, evaluate_countermeasure
+from .wallet import STOCK_WALLETS, WalletProfile, survey_wallets
 
 __all__ = [
-    "CountermeasureEvaluation",
-    "ResolutionOutcome",
     "STOCK_WALLETS",
     "WARNING_WALLET",
     "WalletProfile",

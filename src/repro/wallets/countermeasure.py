@@ -15,7 +15,7 @@ from ..core.losses import LossReport
 from ..datasets.dataset import ENSDataset
 from .wallet import WalletProfile
 
-__all__ = ["WARNING_WALLET", "CountermeasureEvaluation", "evaluate_countermeasure"]
+__all__ = ["WARNING_WALLET", "evaluate_countermeasure"]
 
 # A stock wallet with both checks enabled — the paper's recommendation.
 WARNING_WALLET = WalletProfile(

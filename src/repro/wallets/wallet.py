@@ -18,7 +18,7 @@ from ..ens.namehash import labelhash
 from ..ens.normalize import registrable_label
 from ..ens.premium import GRACE_PERIOD_DAYS
 
-__all__ = ["ResolutionOutcome", "WalletProfile", "STOCK_WALLETS", "survey_wallets"]
+__all__ = ["WalletProfile", "STOCK_WALLETS", "survey_wallets"]
 
 _GRACE_SECONDS = GRACE_PERIOD_DAYS * 86_400
 

@@ -211,17 +211,6 @@ class TestPersistenceAndSharing:
         _assert_equivalent(clone, dataset)
         assert clone.path == str(path)
 
-    def test_shared_handle_resolves(self, tmp_path) -> None:
-        dataset = _small_dataset()
-        path = write_columnar(dataset, tmp_path / "d.rcol")
-        handle = ColumnarDataset.open(path).__shared_handle__()
-        assert handle is not None
-        _assert_equivalent(handle.resolve(), dataset)
-
-    def test_in_memory_store_has_no_handle(self) -> None:
-        store = ColumnarDataset.from_dataset(_small_dataset())
-        assert store.__shared_handle__() is None
-
     def test_atomic_write_leaves_no_temp_files(self, tmp_path) -> None:
         write_columnar(_small_dataset(), tmp_path / "d.rcol")
         assert [p.name for p in tmp_path.iterdir()] == ["d.rcol"]

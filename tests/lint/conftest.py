@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import textwrap
 
 import pytest
@@ -38,9 +37,7 @@ def make_facts(module: str, text: str, path: str | None = None):
     """
     if path is None:
         path = "src/" + module.replace(".", "/") + ".py"
-    clean = textwrap.dedent(text)
-    sha = hashlib.sha256(clean.encode("utf-8")).hexdigest()
-    return extract_facts(path, module, clean, sha)
+    return extract_facts(path, module, textwrap.dedent(text))
 
 
 @pytest.fixture()

@@ -15,6 +15,10 @@ from repro.lint.flow.baseline import Baseline
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = str(REPO_ROOT / "src")
 
+#: The whole-program scope CI runs: every consumer of the library, so
+#: a use from tests, benchmarks or examples keeps an export alive.
+FLOW_SCOPE = ["src", "tools", "benchmarks", "tests", "examples", "perfbench"]
+
 
 def _unbaselined(findings):
     """Findings not accepted by the committed baseline.
@@ -162,30 +166,14 @@ class TestFlowCli:
         )
         return proc
 
-    def test_committed_tree_exits_zero_with_baseline(self, tmp_path) -> None:
-        proc = self.run(
-            [
-                "--flow",
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "src",
-                "tools",
-                "benchmarks",
-            ]
-        )
+    def test_committed_tree_exits_zero_with_baseline(self) -> None:
+        proc = self.run(["--flow", *FLOW_SCOPE])
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "baselined" in proc.stdout
+        assert "file(s) checked" in proc.stdout
+        assert "stale baseline entry" not in proc.stderr
 
-    def test_no_baseline_reports_the_accepted_findings(self, tmp_path) -> None:
-        proc = self.run(
-            [
-                "--flow",
-                "--no-baseline",
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "src",
-            ]
-        )
+    def test_no_baseline_reports_the_accepted_findings(self) -> None:
+        proc = self.run(["--flow", "--no-baseline", "src"])
         assert proc.returncode == 1
         assert "flow-dead-api" in proc.stdout
 
@@ -198,51 +186,21 @@ class TestFlowCli:
         self, tmp_path
     ) -> None:
         target = tmp_path / "lint.sarif"
-        proc = self.run(
-            [
-                "--flow",
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "--sarif",
-                str(target),
-                "src",
-                "tools",
-                "benchmarks",
-            ]
-        )
+        proc = self.run(["--flow", "--sarif", str(target), *FLOW_SCOPE])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         document = json.loads(target.read_text(encoding="utf-8"))
         assert document["version"] == "2.1.0"
         assert "sarif report written" in proc.stderr
         assert "file(s) checked" in proc.stdout
 
-    def test_sarif_stdout_is_pure_json(self, tmp_path) -> None:
-        proc = self.run(
-            [
-                "--flow",
-                "--format",
-                "sarif",
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "src",
-                "tools",
-                "benchmarks",
-            ]
-        )
+    def test_sarif_stdout_is_pure_json(self) -> None:
+        proc = self.run(["--flow", "--format", "sarif", *FLOW_SCOPE])
         assert proc.returncode == 0, proc.stderr
         document = json.loads(proc.stdout)
         assert document["runs"][0]["tool"]["driver"]["name"] == "repro.lint"
 
-    def test_sarif_output_is_byte_identical_across_runs(self, tmp_path) -> None:
-        argv = [
-            "--flow",
-            "--format",
-            "sarif",
-            "--no-baseline",
-            "--cache-dir",
-            str(tmp_path / "cache"),
-            "src",
-        ]
+    def test_sarif_output_is_byte_identical_across_runs(self) -> None:
+        argv = ["--flow", "--format", "sarif", "--no-baseline", "src"]
         assert self.run(argv).stdout == self.run(argv).stdout
 
     def test_write_baseline_round_trips_to_exit_zero(self, tmp_path) -> None:
@@ -254,8 +212,6 @@ class TestFlowCli:
         baseline = tmp_path / "baseline.json"
         common = [
             "--flow",
-            "--cache-dir",
-            str(tmp_path / "cache"),
             "--baseline",
             str(baseline),
             str(tmp_path / "tree" / "src"),
@@ -268,3 +224,52 @@ class TestFlowCli:
         second = self.run(common)
         assert second.returncode == 0
         assert "1 baselined" in second.stdout
+
+    def dead_api_tree(self, tmp_path: Path, names: list[str]) -> Path:
+        module = tmp_path / "tree" / "src" / "repro" / "core" / "api.py"
+        module.parent.mkdir(parents=True, exist_ok=True)
+        body = "".join(
+            f"\n\ndef {name}() -> int:\n    return 1\n" for name in names
+        )
+        module.write_text(f"__all__ = {names!r}\n{body}")
+        return tmp_path / "tree" / "src"
+
+    def test_write_baseline_keeps_existing_justifications(
+        self, tmp_path
+    ) -> None:
+        tree = self.dead_api_tree(tmp_path, ["kept"])
+        baseline = tmp_path / "baseline.json"
+        common = ["--flow", "--baseline", str(baseline), str(tree)]
+        assert self.run([*common, "--write-baseline"]).returncode == 0
+        document = json.loads(baseline.read_text(encoding="utf-8"))
+        (entry,) = document["findings"]
+        entry["justification"] = "kept for the plugin API (issue #7)"
+        baseline.write_text(json.dumps(document), encoding="utf-8")
+
+        self.dead_api_tree(tmp_path, ["kept", "added"])
+        written = self.run([*common, "--write-baseline"])
+        assert written.returncode == 0, written.stdout + written.stderr
+        reasons = {
+            entry["message"].split("'")[1]: entry["justification"]
+            for entry in json.loads(baseline.read_text(encoding="utf-8"))[
+                "findings"
+            ]
+        }
+        assert reasons == {
+            "kept": "kept for the plugin API (issue #7)",
+            "added": "TODO: justify",
+        }
+
+    def test_stale_flow_entry_is_reported_and_exit_stays_zero(
+        self, tmp_path
+    ) -> None:
+        tree = self.dead_api_tree(tmp_path, ["gone"])
+        baseline = tmp_path / "baseline.json"
+        common = ["--flow", "--baseline", str(baseline), str(tree)]
+        assert self.run([*common, "--write-baseline"]).returncode == 0
+        self.dead_api_tree(tmp_path, [])
+        proc = self.run(common)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "stale baseline entry:" in proc.stderr
+        assert "'gone'" in proc.stderr
+        assert "stale baseline entry" not in proc.stdout

@@ -111,3 +111,8 @@ class TestCommittedBaseline:
         for entry in payload["findings"]:
             assert entry["justification"].strip()
             assert not entry["justification"].startswith("TODO")
+        # Each accepted finding is argued on its own: a small baseline,
+        # and no blanket justification shared by two entries.
+        assert len(payload["findings"]) <= 15
+        reasons = [entry["justification"] for entry in payload["findings"]]
+        assert len(set(reasons)) == len(reasons)

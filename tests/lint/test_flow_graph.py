@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from repro.lint.flow.graph import (
     CATCH_ALL,
-    FACTS_SCHEMA,
     MODULE_BODY,
-    ModuleFacts,
     ProgramGraph,
 )
 
@@ -123,26 +121,6 @@ class TestExtraction:
     def test_module_body_pseudo_function_exists(self) -> None:
         facts = make_facts("repro.core.fixture", "x = 1\n")
         assert MODULE_BODY in facts.functions
-
-    def test_round_trip_as_dict(self) -> None:
-        facts = make_facts(
-            "repro.core.fixture",
-            """
-            import time
-
-            __all__ = ["stamp"]
-
-            class Clock:
-                skew: int
-
-            def stamp(clock: Clock):
-                return time.time()  # lint: ignore[flow-det-taint] fixture
-            """,
-        )
-        clone = ModuleFacts.from_dict(facts.as_dict())
-        assert clone.as_dict() == facts.as_dict()
-        assert clone.schema == FACTS_SCHEMA
-        assert clone.is_suppressed(10, "flow-det-taint")
 
     def test_syntax_error_yields_parse_error_facts(self) -> None:
         facts = make_facts("repro.core.fixture", "def broken(:\n")

@@ -58,18 +58,14 @@ class TestPerFileMode:
 
 class TestFlowMode:
     def test_flow_reports_parse_errors_and_exits_nonzero(self, tmp_path) -> None:
-        analysis = analyze_paths(
-            [bad_tree(tmp_path)], cache_dir=tmp_path / "cache"
-        )
+        analysis = analyze_paths([bad_tree(tmp_path)])
         rules = {f.path.rsplit("/", 1)[-1]: f.rule for f in analysis.result.findings}
         assert rules["broken.py"] == "parse-error"
         assert rules["binary.py"] == "parse-error"
         assert analysis.result.exit_code == 1
 
     def test_broken_modules_do_not_poison_the_graph(self, tmp_path) -> None:
-        analysis = analyze_paths(
-            [bad_tree(tmp_path)], cache_dir=tmp_path / "cache"
-        )
+        analysis = analyze_paths([bad_tree(tmp_path)])
         assert not any(
             module.endswith("broken") for module in analysis.graph.modules
         )
@@ -82,8 +78,6 @@ class TestFlowMode:
                 "repro.lint",
                 "--flow",
                 "--no-baseline",
-                "--cache-dir",
-                str(tmp_path / "cache"),
                 str(bad_tree(tmp_path)),
             ],
             capture_output=True,
@@ -94,13 +88,3 @@ class TestFlowMode:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "parse-error" in proc.stdout
-
-    def test_warm_run_still_reports_parse_errors(self, tmp_path) -> None:
-        # cached facts must preserve the parse_error payload
-        root = bad_tree(tmp_path)
-        kwargs = {"cache_dir": tmp_path / "cache"}
-        cold = analyze_paths([root], **kwargs)
-        warm = analyze_paths([root], **kwargs)
-        assert [f.as_dict() for f in cold.result.findings] == [
-            f.as_dict() for f in warm.result.findings
-        ]

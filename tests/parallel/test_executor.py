@@ -27,6 +27,15 @@ def _boom(shared: int, item: int) -> int:
     return shared * item
 
 
+def _repeat(shared: list[int], item: int) -> list[int]:
+    return shared * item
+
+
+def _store_domains(shared, item: int) -> int:
+    store, factor = shared
+    return store.domain_count * factor * item
+
+
 class TestSerialExecutor:
     def test_run_preserves_item_order(self) -> None:
         assert SerialExecutor().run(_times, 10, [3, 1, 2]) == [30, 10, 20]
@@ -89,99 +98,9 @@ class TestProcessExecutor:
         ProcessExecutor(2).run(_times, 5, [1])
         assert executor_mod._SHARED is None
 
-
-def _repeat(shared: list[int], item: int) -> list[int]:
-    return shared * item
-
-
-class _FakeHandle:
-    """Stand-in for a store handle: cheap to pickle, resolves to data."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def resolve(self):
-        return ("resolved", self.value)
-
-
-class _HandleCapable:
-    def __init__(self, value):
-        self.value = value
-
-    def __shared_handle__(self):
-        return _FakeHandle(self.value)
-
-
-class _HandleDeclined:
-    """Capable in shape but currently in-memory: must pickle normally."""
-
-    def __shared_handle__(self):
-        return None
-
-
-def _store_domains(shared, item: int) -> int:
-    store, factor = shared
-    return store.domain_count * factor * item
-
-
-class TestZeroPickleSharding:
-    def test_plain_payload_passes_through(self) -> None:
-        packed, replaced = executor_mod._pack_shared({"a": 1})
-        assert packed == {"a": 1}
-        assert replaced == 0
-
-    def test_direct_handle_capable_payload_is_tokenized(self) -> None:
-        packed, replaced = executor_mod._pack_shared(_HandleCapable(7))
-        assert isinstance(packed, executor_mod._SharedHandleToken)
-        assert replaced == 1
-        assert executor_mod._unpack_shared(packed) == ("resolved", 7)
-
-    def test_tuple_members_are_tokenized_in_place(self) -> None:
-        shared = (_HandleCapable(1), 42, _HandleCapable(2))
-        packed, replaced = executor_mod._pack_shared(shared)
-        assert replaced == 2
-        assert isinstance(packed, tuple)
-        assert packed[1] == 42
-        assert executor_mod._unpack_shared(packed) == (
-            ("resolved", 1),
-            42,
-            ("resolved", 2),
-        )
-
-    def test_list_payload_keeps_its_type(self) -> None:
-        packed, replaced = executor_mod._pack_shared([_HandleCapable(3)])
-        assert replaced == 1
-        assert isinstance(packed, list)
-        assert executor_mod._unpack_shared(packed) == [("resolved", 3)]
-
-    def test_declining_handle_pickles_normally(self) -> None:
-        shared = (_HandleDeclined(), 1)
-        packed, replaced = executor_mod._pack_shared(shared)
-        assert replaced == 0
-        assert packed is shared
-
-    def test_unpack_without_tokens_is_identity(self) -> None:
-        shared = ([1, 2], "x")
-        assert executor_mod._unpack_shared(shared) is shared
-
-    def test_init_worker_unpickles_packed_blob(self) -> None:
-        import pickle
-
-        token = executor_mod._SharedHandleToken(_FakeHandle(9))
-        blob = pickle.dumps((token, "extra"), pickle.HIGHEST_PROTOCOL)
-        previous = executor_mod._SHARED
-        try:
-            executor_mod._init_worker(executor_mod._PackedBlob(blob))
-            assert executor_mod._SHARED == (("resolved", 9), "extra")
-        finally:
-            executor_mod._SHARED = previous
-
-    def test_fork_run_reports_zero_payload_bytes(self) -> None:
-        executor = ProcessExecutor(2, start_method="fork")
-        assert executor.run(_times, 3, [1, 2]) == [3, 6]
-        assert global_registry().value(executor_mod.SHARED_PAYLOAD_METRIC) == 0
-
-    def test_spawn_ships_columnar_store_by_handle(self, tmp_path) -> None:
+    def test_spawn_ships_columnar_store(self, tmp_path) -> None:
+        # Under spawn the store pickles as its path and each worker
+        # re-maps the file.
         from repro.datasets import ColumnarDataset, write_columnar
         from repro.simulation import ScenarioConfig, run_scenario
 
@@ -193,9 +112,9 @@ class TestZeroPickleSharding:
         executor = ProcessExecutor(2, start_method="spawn")
         results = executor.run(_store_domains, (store, 2), [1, 3])
         assert results == [store.domain_count * 2, store.domain_count * 6]
-        crossed = global_registry().value(executor_mod.SHARED_PAYLOAD_METRIC)
-        # A path token crosses the boundary, not the encoded columns.
-        assert 0 < crossed < store.nbytes / 10
+
+
+class TestResolveExecutor:
     def test_one_worker_is_serial(self) -> None:
         executor = resolve_executor(1)
         assert isinstance(executor, SerialExecutor)

@@ -1,9 +1,9 @@
 """Worker telemetry survives the process boundary: full registry + spans.
 
 The regression this file pins: worker gauge and histogram state used to
-be silently dropped on merge (``accumulate_counters`` only folded
-counters). The capture channel now ships the *whole* registry snapshot
-plus the finished span tree, and the parent merges both.
+be silently dropped on merge (only counters were folded). The capture
+channel now ships the *whole* registry snapshot plus the finished span
+tree, and the parent merges both.
 """
 
 from __future__ import annotations
