@@ -17,18 +17,21 @@ Datasets are the JSONL layout of :mod:`repro.crawler.storage`; analyses
 use the default deterministic ETH-USD oracle, so a saved dataset
 re-analyzes to identical numbers anywhere.
 
-Every subcommand takes ``--metrics-out PATH`` (write the run's metrics
-and spans as JSON; ``.prom`` suffix switches to Prometheus text format),
+Every subcommand except ``lint`` and ``obs`` is an observed run: it
+takes ``--metrics-out PATH`` (write the run's metrics and spans as
+JSON; ``.prom`` suffix switches to Prometheus text format),
 ``--trace`` (print the span tree after the command), and
 ``--profile [N]`` (print the N slowest spans, default 10 — where the
 time went without exporting metrics JSON). Progress goes to stderr
 through :mod:`repro.obs.log`; only results are printed to stdout, so
 piping stays clean.
 
-Every run also appends a record — command, argv, git sha, dataset
-fingerprint, metrics, spans, SLO verdicts — to the run ledger
+Every observed run that gets past argument parsing also appends a
+record — command, argv, exit code (``extra.exit_code``), git sha,
+dataset fingerprint, metrics, spans, SLO verdicts — to the run ledger
 (``--ledger-dir DIR`` / ``$REPRO_LEDGER_DIR`` / ``.repro/ledger``;
-``--no-ledger`` skips), and ``repro obs`` reads the history back:
+``--no-ledger`` skips), whether it exits 0 or not; a run that raises
+leaves no record. ``repro obs`` reads the history back:
 ``ls`` lists recent runs, ``show <ref>`` renders one run's trace and
 metrics, ``diff <a> <b>`` prints deltas and exits non-zero when an
 objective that passed in ``a`` fails in ``b``. SLO sets come from
@@ -40,6 +43,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from .core import build_report, report_json, train_reregistration_predictor
@@ -50,6 +54,7 @@ from .crawler import (
     pack_dataset,
     save_dataset,
 )
+from .crawler.storage import COLUMNAR_FILE, append_delta, load_deltas
 from .datasets import ColumnarDataset, ColumnarFormatError
 from .faults import CrawlKilled, load_plan
 from .lint.cli import add_lint_arguments
@@ -65,6 +70,7 @@ from .obs import (
     global_registry,
     load_slos,
     prometheus_text,
+    span_lines,
     write_run_report,
 )
 from .obs.runledger import DEFAULT_LEDGER_DIR, wall_now
@@ -78,6 +84,23 @@ _log = get_logger("cli")
 
 #: The SLO config consulted when no ``--slo PATH`` was given.
 DEFAULT_SLO_CONFIG = ".repro/slo.json"
+
+
+def _add_command(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """Attach subcommand ``name``; parsing it selects ``handler``."""
+    subparser = subparsers.add_parser(name, **kwargs)
+    subparser.set_defaults(handler=handler, parser=subparser)
+    return subparser
+
+
+def _add_ledger_dir_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--ledger-dir",
+        metavar="DIR",
+        default=None,
+        help="run-ledger directory (default: $REPRO_LEDGER_DIR or"
+        f" {DEFAULT_LEDGER_DIR})",
+    )
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -102,13 +125,7 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="print the N slowest analysis spans after the run (default 10)",
     )
-    parser.add_argument(
-        "--ledger-dir",
-        metavar="DIR",
-        default=None,
-        help="run-ledger directory (default: $REPRO_LEDGER_DIR or"
-        f" {DEFAULT_LEDGER_DIR})",
-    )
+    _add_ledger_dir_arg(parser)
     parser.add_argument(
         "--no-ledger",
         action="store_true",
@@ -166,20 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    simulate = subparsers.add_parser(
-        "simulate", help="build an ecosystem, crawl it, save the dataset"
+    simulate = _add_command(
+        subparsers, "simulate", _cmd_simulate,
+        help="build an ecosystem, crawl it, save the dataset",
     )
-    simulate.add_argument("--domains", type=int, default=1000)
-    simulate.add_argument("--seed", type=int, default=7)
     simulate.add_argument("--out", required=True, help="output dataset directory")
 
-    crawl = subparsers.add_parser(
-        "crawl",
+    crawl = _add_command(
+        subparsers, "crawl", _cmd_crawl,
         help="run the crawl pipeline, optionally under fault injection"
         " and/or with durable checkpoints",
     )
-    crawl.add_argument("--domains", type=int, default=1000)
-    crawl.add_argument("--seed", type=int, default=7)
     crawl.add_argument("--out", default=None, help="save the dataset here")
     crawl.add_argument(
         "--faults",
@@ -206,39 +220,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue from the newest compatible snapshot",
     )
 
-    analyze = subparsers.add_parser(
-        "analyze", help="run the full §4 analysis on a saved dataset"
+    analyze = _add_command(
+        subparsers, "analyze", _cmd_analyze,
+        help="run the full §4 analysis on a saved dataset",
     )
     analyze.add_argument("dataset", help="dataset directory")
     analyze.add_argument("--control-seed", type=int, default=0)
-    analyze.add_argument(
-        "--json-out",
-        metavar="PATH",
-        default=None,
-        help="write the report's canonical JSON encoding to PATH",
-    )
 
-    predict = subparsers.add_parser(
-        "predict", help="train the re-registration risk predictor"
+    predict = _add_command(
+        subparsers, "predict", _cmd_predict,
+        help="train the re-registration risk predictor",
     )
     predict.add_argument("dataset", help="dataset directory")
     predict.add_argument("--test-fraction", type=float, default=0.3)
     predict.add_argument("--seed", type=int, default=0)
 
-    report = subparsers.add_parser(
-        "report", help="simulate + crawl + analyze in one run (no files)"
-    )
-    report.add_argument("--domains", type=int, default=1000)
-    report.add_argument("--seed", type=int, default=7)
-    report.add_argument(
-        "--json-out",
-        metavar="PATH",
-        default=None,
-        help="write the report's canonical JSON encoding to PATH",
+    report = _add_command(
+        subparsers, "report", _cmd_report,
+        help="simulate + crawl + analyze in one run (no files)",
     )
 
-    serve = subparsers.add_parser(
-        "serve",
+    serve = _add_command(
+        subparsers, "serve", _cmd_serve,
         help="resident query server: load a dataset once, answer"
         " report/domain/dropcatch/hijackable queries over HTTP",
     )
@@ -249,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset directory to serve (omit to build an in-memory"
         " scenario from --domains/--seed)",
     )
-    serve.add_argument("--domains", type=int, default=300)
-    serve.add_argument("--seed", type=int, default=7)
     serve.add_argument("--control-seed", type=int, default=0)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -288,14 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent load-generation clients (with --load-gen)",
     )
 
-    figures = subparsers.add_parser(
-        "figures", help="export every figure's data series as CSV"
+    figures = _add_command(
+        subparsers, "figures", _cmd_figures,
+        help="export every figure's data series as CSV",
     )
     figures.add_argument("dataset", help="dataset directory")
     figures.add_argument("--out", required=True, help="CSV output directory")
 
-    sweep = subparsers.add_parser(
-        "sweep", help="multi-seed robustness sweep of the headline metrics"
+    sweep = _add_command(
+        subparsers, "sweep", _cmd_sweep,
+        help="multi-seed robustness sweep of the headline metrics",
     )
     sweep.add_argument("--domains", type=int, default=500)
     sweep.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
@@ -306,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         " a packed file",
     )
     dataset_sub = dataset.add_subparsers(dest="dataset_command", required=True)
-    dataset_pack = dataset_sub.add_parser(
-        "pack",
+    dataset_pack = _add_command(
+        dataset_sub, "pack", _cmd_dataset_pack,
         help="encode a JSONL dataset directory into dataset.rcol"
         " (atomic write; later loads mmap it in O(1))",
     )
@@ -319,23 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the columnar file here (default: dataset.rcol"
         " inside the dataset directory)",
     )
-    dataset_info = dataset_sub.add_parser(
-        "info",
+    dataset_info = _add_command(
+        dataset_sub, "info", _cmd_dataset_info,
         help="counts, bytes-per-domain, and section layout of a packed"
         " columnar dataset",
     )
     dataset_info.add_argument(
         "target", help="columnar file, or a dataset directory holding one"
     )
-    dataset_stream = dataset_sub.add_parser(
-        "stream",
+    dataset_stream = _add_command(
+        dataset_sub, "stream", _cmd_dataset_stream,
         help="incremental ingestion driver: write a scenario's first"
         " batch as the base dataset, then append the remaining batches"
         " to deltas.jsonl (a watching `repro serve --watch` picks each"
         " one up live)",
     )
-    dataset_stream.add_argument("--domains", type=int, default=300)
-    dataset_stream.add_argument("--seed", type=int, default=7)
     dataset_stream.add_argument(
         "--batches",
         type=int,
@@ -351,16 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue a previous stream of the same scenario: skip the"
         " deltas the directory's log already holds",
     )
-    for subparser in (dataset_pack, dataset_info, dataset_stream):
-        _add_obs_args(subparser)
 
-    lint = subparsers.add_parser(
-        "lint", help="static analysis: determinism, layering, obs hygiene"
+    lint = _add_command(
+        subparsers, "lint", _cmd_lint,
+        help="static analysis: determinism, layering, obs hygiene",
     )
     add_lint_arguments(lint)
 
-    obs = subparsers.add_parser(
-        "obs", help="inspect the run ledger: recent runs, traces, SLO diffs"
+    obs = _add_command(
+        subparsers, "obs", _cmd_obs,
+        help="inspect the run ledger: recent runs, traces, SLO diffs",
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_ls = obs_sub.add_parser("ls", help="list recent ledger runs")
@@ -381,66 +382,79 @@ def build_parser() -> argparse.ArgumentParser:
     obs_diff.add_argument("run_a", help="baseline run reference")
     obs_diff.add_argument("run_b", help="candidate run reference")
     for subparser in (obs_ls, obs_show, obs_diff):
-        subparser.add_argument(
-            "--ledger-dir",
-            metavar="DIR",
-            default=None,
-            help="run-ledger directory (default: $REPRO_LEDGER_DIR or"
-            f" {DEFAULT_LEDGER_DIR})",
-        )
+        _add_ledger_dir_arg(subparser)
 
+    for subparser, domains in (
+        (simulate, 1000), (crawl, 1000), (report, 1000),
+        (serve, 300), (dataset_stream, 300),
+    ):
+        subparser.add_argument("--domains", type=int, default=domains)
+        subparser.add_argument("--seed", type=int, default=7)
+    for subparser in (analyze, report):
+        subparser.add_argument(
+            "--json-out",
+            metavar="PATH",
+            default=None,
+            help="write the report's canonical JSON encoding to PATH",
+        )
     for subparser in (simulate, crawl, report, serve):
         _add_workers_arg(subparser)
     for subparser in (simulate, crawl, analyze, report, serve):
         _add_store_arg(subparser)
     for subparser in (
         simulate, crawl, analyze, predict, report, serve, figures, sweep,
+        dataset_pack, dataset_info, dataset_stream,
     ):
         _add_obs_args(subparser)
     return parser
 
 
+def _argument_problem(args: argparse.Namespace) -> str | None:
+    """A flag combination the parser accepts but the command cannot run."""
+    if args.command == "crawl" and args.resume and args.checkpoint_dir is None:
+        return "--resume requires --checkpoint-dir"
+    if args.command == "serve" and args.watch and (
+        args.dataset is None or args.store != "object"
+    ):
+        return (
+            "--watch requires a dataset directory and --store object"
+            " (deltas apply to the mutable object graph)"
+        )
+    return None
+
+
 def _ledger_dir(args: argparse.Namespace) -> str:
     """Resolve the ledger directory: flag, then env, then the default."""
-    explicit = getattr(args, "ledger_dir", None)
-    if explicit:
-        return explicit
-    return os.environ.get("REPRO_LEDGER_DIR") or DEFAULT_LEDGER_DIR
+    return args.ledger_dir or os.environ.get("REPRO_LEDGER_DIR") or DEFAULT_LEDGER_DIR
 
 
 class _RunObservability:
-    """One registry + tracer per CLI invocation, flushed at the end.
+    """One registry + tracer per observed CLI run, flushed at the end.
 
-    ``finish()`` also evaluates the run's SLO set and appends a
+    :func:`main` builds it before the handler runs and calls
+    ``finish(exit_code)`` once the handler returns, whatever the code.
+    ``finish`` evaluates the run's SLO set and appends a
     :class:`~repro.obs.RunRecord` to the run ledger (unless
-    ``--no-ledger``), so every invocation leaves a comparable trail for
+    ``--no-ledger``), so every run leaves a comparable trail for
     ``repro obs`` and the bench-regression gate.
     """
 
-    def __init__(self, args: argparse.Namespace) -> None:
+    def __init__(self, args: argparse.Namespace, argv: list[str]) -> None:
         self.registry = MetricsRegistry()
         self.tracer = Tracer(registry=self.registry)
-        self.command: str = getattr(args, "command", "") or ""
-        self.workers: int | None = getattr(args, "workers", None)
         self.dataset_fingerprint: str | None = None
-        self.shard_count: int | None = None
+        self._args = args
+        self._argv = argv
         self._started: float = wall_now()
-        self._argv: list[str] = list(getattr(args, "_argv", ()) or ())
-        self._metrics_out: str | None = getattr(args, "metrics_out", None)
-        self._trace: bool = getattr(args, "trace", False)
-        self._profile: int | None = getattr(args, "profile", None)
-        self._no_ledger: bool = getattr(args, "no_ledger", False)
-        self._ledger_dir: str = _ledger_dir(args)
-        self._slo_path: str | None = getattr(args, "slo", None)
 
     def _resolve_slos(self):
-        if self._slo_path:
-            return load_slos(self._slo_path)
+        if self._args.slo:
+            return load_slos(self._args.slo)
         if os.path.isfile(DEFAULT_SLO_CONFIG):
             return load_slos(DEFAULT_SLO_CONFIG)
-        return default_slos(self.command)
+        return default_slos(self._args.command)
 
-    def _evaluate_and_record(self) -> None:
+    def _evaluate_and_record(self, exit_code: int) -> None:
         slo_results = evaluate_slos(
             self._resolve_slos(),
             [self.registry, global_registry()],
@@ -454,21 +468,22 @@ class _RunObservability:
                     value=result.value,
                     threshold=result.slo.threshold,
                 )
-        if self._no_ledger:
+        if self._args.no_ledger:
             return
         record = RunRecord.capture(
-            self.command,
+            self._args.command,
             argv=self._argv,
             registries=[self.registry, global_registry()],
             tracer=self.tracer,
             started_at=self._started,
             dataset_fingerprint=self.dataset_fingerprint,
-            workers=self.workers,
-            shard_count=self.shard_count,
+            # only the commands that shard a crawl take --workers
+            workers=getattr(self._args, "workers", None),
             slo_results=slo_results,
+            extra={"exit_code": exit_code},
         )
         try:
-            path = RunLedger(self._ledger_dir).append(record)
+            path = RunLedger(_ledger_dir(self._args)).append(record)
         except OSError as exc:
             # a read-only or full disk must never fail the run itself
             _log.warning("ledger.append_failed", error=str(exc))
@@ -477,47 +492,83 @@ class _RunObservability:
             "ledger.appended", run_id=record.run_id, path=str(path)
         )
 
-    def finish(self) -> None:
-        self._evaluate_and_record()
-        if self._metrics_out:
+    def finish(self, exit_code: int) -> None:
+        self._evaluate_and_record(exit_code)
+        args = self._args
+        if args.metrics_out:
             registries = [self.registry, global_registry()]
-            if self._metrics_out.endswith(".prom"):
-                from pathlib import Path
-
-                Path(self._metrics_out).write_text(prometheus_text(*registries))
+            if args.metrics_out.endswith(".prom"):
+                Path(args.metrics_out).write_text(prometheus_text(*registries))
             else:
-                write_run_report(self._metrics_out, registries, self.tracer)
-            _log.info("metrics.written", path=self._metrics_out)
-        if self._trace:
+                write_run_report(args.metrics_out, registries, self.tracer)
+            _log.info("metrics.written", path=args.metrics_out)
+        if args.trace:
             print("--- trace ---")
             for line in self.tracer.tree_lines():
                 print(line)
-        if self._profile is not None:
+        if args.profile is not None:
             closed = [
                 span
                 for span in self.tracer.iter_spans()
                 if span.duration is not None
             ]
             closed.sort(key=lambda span: span.duration, reverse=True)
-            print(f"--- profile (top {self._profile} spans) ---")
-            for span in closed[: self._profile]:
+            print(f"--- profile (top {args.profile} spans) ---")
+            for span in closed[: args.profile]:
                 print(f"  {span.name:<40s} {span.duration:8.3f}s")
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    obs = _RunObservability(args)
+def _scenario_dataset(args: argparse.Namespace, obs: _RunObservability, **crawl):
+    """Simulate the ``--domains``/``--seed`` scenario and crawl it.
+
+    Returns ``(world, dataset, crawl_report)``; ``crawl`` passes the
+    fault plan and checkpoint options through to ``run_crawl``.
+    """
+    world = run_scenario(
+        ScenarioConfig(n_domains=args.domains, seed=args.seed),
+        registry=obs.registry,
+        tracer=obs.tracer,
+    )
+    dataset, crawl_report = world.run_crawl(
+        registry=obs.registry,
+        tracer=obs.tracer,
+        executor=resolve_executor(args.workers),
+        **crawl,
+    )
+    return world, dataset, crawl_report
+
+
+def _in_store(args: argparse.Namespace, obs: _RunObservability, dataset):
+    """``dataset`` in the ``--store`` substrate, encoded in memory."""
+    if args.store == "columnar":
+        # Same records, array-backed: the analyses must produce
+        # byte-identical output (the determinism gate checks this).
+        return ColumnarDataset.from_dataset(
+            dataset, registry=obs.registry, tracer=obs.tracer
+        )
+    return dataset
+
+
+def _load_store(
+    args: argparse.Namespace, obs: _RunObservability, *, validate: bool = False
+):
+    """Load ``args.dataset`` in the ``--store`` substrate, spanned."""
+    with obs.tracer.span(f"{args.command}.load", store=args.store):
+        dataset = load_dataset(
+            args.dataset,
+            store=args.store,
+            registry=obs.registry,
+            tracer=obs.tracer,
+        )
+        if validate:
+            dataset.validate()
+    return dataset
+
+
+def _cmd_simulate(args: argparse.Namespace, obs: _RunObservability) -> int:
     _log.info("simulate.start", domains=args.domains, seed=args.seed)
     with obs.tracer.span("simulate"):
-        world = run_scenario(
-            ScenarioConfig(n_domains=args.domains, seed=args.seed),
-            registry=obs.registry,
-            tracer=obs.tracer,
-        )
-        dataset, crawl = world.run_crawl(
-            registry=obs.registry,
-            tracer=obs.tracer,
-            executor=resolve_executor(args.workers),
-        )
+        _, dataset, crawl = _scenario_dataset(args, obs)
         with obs.tracer.span("simulate.save", store=args.store):
             directory = save_dataset(
                 dataset,
@@ -533,12 +584,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f" ({crawl.recovery_rate:.2%} recovery),"
           f" {crawl.transactions_crawled} transactions [{elapsed:.1f}s]")
     print(f"  dataset written to {directory}")
-    obs.finish()
     return 0
 
 
-def _cmd_crawl(args: argparse.Namespace) -> int:
-    obs = _RunObservability(args)
+def _cmd_crawl(args: argparse.Namespace, obs: _RunObservability) -> int:
     fault_plan = load_plan(args.faults) if args.faults else None
     checkpoint = None
     if args.checkpoint_dir is not None:
@@ -547,9 +596,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             every=args.checkpoint_every,
             resume=args.resume,
         )
-    elif args.resume:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
     _log.info(
         "crawl.start",
         domains=args.domains,
@@ -557,23 +603,13 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         faults=args.faults,
         resume=args.resume,
     )
-    world = run_scenario(
-        ScenarioConfig(n_domains=args.domains, seed=args.seed),
-        registry=obs.registry,
-        tracer=obs.tracer,
-    )
     try:
-        dataset, crawl = world.run_crawl(
-            registry=obs.registry,
-            tracer=obs.tracer,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
-            executor=resolve_executor(args.workers),
+        _, dataset, crawl = _scenario_dataset(
+            args, obs, fault_plan=fault_plan, checkpoint=checkpoint
         )
     except CrawlKilled as exc:
         # an injected kill: checkpoints (if configured) survive for --resume
         print(f"crawl killed by fault plan: {exc}", file=sys.stderr)
-        obs.finish()
         return 3
     print(
         f"  {crawl.domains_crawled} domains crawled"
@@ -592,22 +628,13 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             tracer=obs.tracer,
         )
         print(f"  dataset written to {directory}")
-    obs.finish()
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace, obs: _RunObservability) -> int:
     from .core.descriptive import describe_dataset
 
-    obs = _RunObservability(args)
-    with obs.tracer.span("analyze.load", store=args.store):
-        dataset = load_dataset(
-            args.dataset,
-            store=args.store,
-            registry=obs.registry,
-            tracer=obs.tracer,
-        )
-        dataset.validate()
+    dataset = _load_store(args, obs, validate=True)
     obs.dataset_fingerprint = dataset_digest(dataset)
     print("--- dataset ---")
     for line in describe_dataset(dataset).lines():
@@ -623,22 +650,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     _write_report_json(args, report)
-    obs.finish()
     return 0
 
 
 def _write_report_json(args: argparse.Namespace, report) -> None:
     """Write the canonical report encoding when ``--json-out`` was given."""
-    path = getattr(args, "json_out", None)
-    if path:
-        from pathlib import Path
-
-        Path(path).write_text(report_json(report), encoding="utf-8")
-        _log.info("report_json.written", path=path)
+    if args.json_out:
+        Path(args.json_out).write_text(report_json(report), encoding="utf-8")
+        _log.info("report_json.written", path=args.json_out)
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    obs = _RunObservability(args)
+def _cmd_predict(args: argparse.Namespace, obs: _RunObservability) -> int:
     with obs.tracer.span("predict"):
         dataset = load_dataset(args.dataset)
         report = train_reregistration_predictor(
@@ -652,28 +674,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     print("strongest features:")
     for name, weight in report.top_features(6):
         print(f"  {name:28s} {weight:+.3f}")
-    obs.finish()
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    obs = _RunObservability(args)
-    world = run_scenario(
-        ScenarioConfig(n_domains=args.domains, seed=args.seed),
-        registry=obs.registry,
-        tracer=obs.tracer,
-    )
-    dataset, _ = world.run_crawl(
-        registry=obs.registry,
-        tracer=obs.tracer,
-        executor=resolve_executor(args.workers),
-    )
-    if args.store == "columnar":
-        # Same records, array-backed: the analyses below must produce
-        # byte-identical output (the determinism gate checks this).
-        dataset = ColumnarDataset.from_dataset(
-            dataset, registry=obs.registry, tracer=obs.tracer
-        )
+def _cmd_report(args: argparse.Namespace, obs: _RunObservability) -> int:
+    world, dataset, _ = _scenario_dataset(args, obs)
+    dataset = _in_store(args, obs, dataset)
     obs.dataset_fingerprint = dataset_digest(dataset)
     report = build_report(
         dataset,
@@ -684,45 +690,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     _write_report_json(args, report)
-    obs.finish()
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace, obs: _RunObservability) -> int:
     from .serve import DatasetWatcher, ReproApp, ReproServer, run_load
 
-    obs = _RunObservability(args)
-    if args.watch and (args.dataset is None or args.store != "object"):
-        print(
-            "--watch requires a dataset directory and --store object"
-            " (deltas apply to the mutable object graph)",
-            file=sys.stderr,
-        )
-        return 2
     if args.dataset is not None:
-        with obs.tracer.span("serve.load", store=args.store):
-            dataset = load_dataset(
-                args.dataset,
-                store=args.store,
-                registry=obs.registry,
-                tracer=obs.tracer,
-            )
+        dataset = _load_store(args, obs)
         oracle = EthUsdOracle()
     else:
-        world = run_scenario(
-            ScenarioConfig(n_domains=args.domains, seed=args.seed),
-            registry=obs.registry,
-            tracer=obs.tracer,
-        )
-        dataset, _ = world.run_crawl(
-            registry=obs.registry,
-            tracer=obs.tracer,
-            executor=resolve_executor(args.workers),
-        )
-        if args.store == "columnar":
-            dataset = ColumnarDataset.from_dataset(
-                dataset, registry=obs.registry, tracer=obs.tracer
-            )
+        world, dataset, _ = _scenario_dataset(args, obs)
+        dataset = _in_store(args, obs, dataset)
         oracle = world.oracle
     obs.dataset_fingerprint = dataset_digest(dataset)
     app = ReproApp(
@@ -738,10 +717,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         watcher = DatasetWatcher(
             app, args.dataset, poll_interval=args.watch_interval
         )
+        watcher.start()
     if args.load_gen is not None:
         server.start()
-        if watcher is not None:
-            watcher.start()
         print(f"serving on http://{server.address} (load-gen mode)")
         with obs.tracer.span(
             "serve.loadgen", clients=args.clients, requests=args.load_gen
@@ -758,24 +736,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server.stop()
         for line in stats.lines():
             print(f"  {line}")
-        obs.finish()
         return 1 if stats.errors else 0
     mode = "watching deltas.jsonl, " if watcher is not None else ""
     print(f"serving on http://{server.address} ({mode}Ctrl-C to stop)")
-    if watcher is not None:
-        watcher.start()
     try:
         server.serve_forever()
     finally:
         if watcher is not None:
             watcher.stop()
-    obs.finish()
     return 0
 
 
-def _cmd_dataset_stream(
-    args: argparse.Namespace, obs: _RunObservability
-) -> int:
+def _cmd_dataset_stream(args: argparse.Namespace, obs: _RunObservability) -> int:
     """``repro dataset stream``: base dataset + delta-log appends.
 
     Writes batch 1 of the scenario as the base JSONL dataset and
@@ -785,7 +757,6 @@ def _cmd_dataset_stream(
     stream and appends only the batches the log does not hold yet, so a
     driver killed mid-stream continues exactly where it stopped.
     """
-    from .crawler.storage import append_delta, load_deltas, save_dataset
     from .simulation import stream_scenario
 
     with obs.tracer.span(
@@ -799,8 +770,6 @@ def _cmd_dataset_stream(
         )
         done = 0
         if args.resume:
-            from pathlib import Path
-
             if not (Path(args.out) / "meta.json").is_file():
                 print(
                     f"dataset stream: --resume but {args.out} holds no"
@@ -845,7 +814,6 @@ def _cmd_dataset_stream(
         f"{skipped}"
     )
     print(f"  final dataset digest {obs.dataset_fingerprint}")
-    obs.finish()
     return 0
 
 
@@ -857,36 +825,29 @@ def _format_bytes(count: float) -> str:
     return f"{count:.1f} GiB"  # pragma: no cover - loop always returns
 
 
-def _cmd_dataset(args: argparse.Namespace) -> int:
-    obs = _RunObservability(args)
-    if args.dataset_command == "stream":
-        return _cmd_dataset_stream(args, obs)
-    if args.dataset_command == "pack":
-        with obs.tracer.span("dataset.pack"):
-            path = pack_dataset(
-                args.dataset,
-                out=args.out,
-                registry=obs.registry,
-                tracer=obs.tracer,
-            )
-        stats = ColumnarDataset.open(
-            path, registry=obs.registry, tracer=obs.tracer
-        ).stats()
-        print(
-            f"  packed {stats['domains']} domains,"
-            f" {stats['transactions']} transactions,"
-            f" {stats['market_events']} market events"
-            f" into {_format_bytes(stats['bytes'])}"
-            f" ({stats['bytes_per_domain']:.0f} bytes/domain)"
+def _cmd_dataset_pack(args: argparse.Namespace, obs: _RunObservability) -> int:
+    with obs.tracer.span("dataset.pack"):
+        path = pack_dataset(
+            args.dataset,
+            out=args.out,
+            registry=obs.registry,
+            tracer=obs.tracer,
         )
-        print(f"  columnar file written to {path}")
-        obs.finish()
-        return 0
-    # info
-    from pathlib import Path
+    stats = ColumnarDataset.open(
+        path, registry=obs.registry, tracer=obs.tracer
+    ).stats()
+    print(
+        f"  packed {stats['domains']} domains,"
+        f" {stats['transactions']} transactions,"
+        f" {stats['market_events']} market events"
+        f" into {_format_bytes(stats['bytes'])}"
+        f" ({stats['bytes_per_domain']:.0f} bytes/domain)"
+    )
+    print(f"  columnar file written to {path}")
+    return 0
 
-    from .crawler.storage import COLUMNAR_FILE
 
+def _cmd_dataset_info(args: argparse.Namespace, obs: _RunObservability) -> int:
     target = Path(args.target)
     if target.is_dir():
         target = target / COLUMNAR_FILE
@@ -926,34 +887,29 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
             f" {section['elements']:>10d} x"
             f" {_format_bytes(section['bytes']):>10s}"
         )
-    obs.finish()
     return 0
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
+def _cmd_figures(args: argparse.Namespace, obs: _RunObservability) -> int:
     from .core.export import export_figures
 
-    obs = _RunObservability(args)
     with obs.tracer.span("figures"):
         dataset = load_dataset(args.dataset)
         paths = export_figures(dataset, EthUsdOracle(), args.out)
     for path in paths:
         print(path)
-    obs.finish()
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, obs: _RunObservability) -> int:
     from .core.robustness import run_sweep
 
-    obs = _RunObservability(args)
     with obs.tracer.span("sweep"):
         sweep = run_sweep(
             ScenarioConfig(n_domains=args.domains), seeds=args.seeds
         )
     for line in sweep.summary_lines():
         print(line)
-    obs.finish()
     return 0
 
 
@@ -1001,19 +957,6 @@ def _flatten_metrics(metrics: dict) -> dict[str, float]:
     return flat
 
 
-def _span_dict_lines(spans: list, depth: int = 0) -> list[str]:
-    """Render a ledger record's stored span trees (same shape as --trace)."""
-    lines: list[str] = []
-    for span in spans:
-        duration = span.get("duration_seconds")
-        timing = "(open)" if duration is None else f"{duration:.3f}s"
-        marker = f"  [error: {span['error']}]" if span.get("error") else ""
-        label = f"{'  ' * depth}{span.get('name', '?')}"
-        lines.append(f"{label:<44s} {timing:>10s}{marker}")
-        lines.extend(_span_dict_lines(span.get("children", ()), depth + 1))
-    return lines
-
-
 def _obs_ls(ledger: RunLedger, args: argparse.Namespace) -> int:
     records = ledger.records(limit=args.limit)
     if not records:
@@ -1051,6 +994,8 @@ def _obs_show(ledger: RunLedger, args: argparse.Namespace) -> int:
         f"  [{' '.join(record.argv)}]" if record.argv else ""
     ))
     print(f"started  {_format_started(record.started_at)}  duration {duration}")
+    if record.extra.get("exit_code"):
+        print(f"exit     {record.extra['exit_code']}")
     if record.git_sha:
         print(f"git      {record.git_sha}")
     if record.dataset_fingerprint:
@@ -1076,7 +1021,7 @@ def _obs_show(ledger: RunLedger, args: argparse.Namespace) -> int:
             print(f"  {key:<52s} {value:12.6g}")
     if record.spans:
         print("--- trace ---")
-        for line in _span_dict_lines(record.spans):
+        for line in span_lines(record.spans):
             print(line)
     return 0
 
@@ -1145,27 +1090,19 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 2
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "crawl": _cmd_crawl,
-    "analyze": _cmd_analyze,
-    "predict": _cmd_predict,
-    "report": _cmd_report,
-    "serve": _cmd_serve,
-    "dataset": _cmd_dataset,
-    "figures": _cmd_figures,
-    "sweep": _cmd_sweep,
-    "lint": _cmd_lint,
-    "obs": _cmd_obs,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point: parse ``argv`` and dispatch to the subcommand."""
+    """Entry point: parse ``argv``, run the subcommand, record the run."""
     raw = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(raw)
-    args._argv = raw
-    return _COMMANDS[args.command](args)
+    problem = _argument_problem(args)
+    if problem:
+        args.parser.error(problem)
+    if "metrics_out" not in vars(args):  # lint and obs: not observed runs
+        return args.handler(args)
+    obs = _RunObservability(args, raw)
+    exit_code = args.handler(args, obs)
+    obs.finish(exit_code)
+    return exit_code
 
 
 if __name__ == "__main__":

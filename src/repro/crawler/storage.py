@@ -64,14 +64,46 @@ DELTAS_FILE = "deltas.jsonl"
 #: Columnar container inside a dataset directory.
 COLUMNAR_FILE = f"dataset{COLUMNAR_SUFFIX}"
 
+#: Separators between the row streams in :func:`dataset_digest`'s input.
+_DIGEST_SECTION_MARKERS = {
+    _DOMAINS_FILE: b"",
+    _TRANSACTIONS_FILE: b"--transactions--\n",
+    _MARKET_FILE: b"--market--\n",
+}
+
 _log = get_logger("crawler.storage")
+
+
+def _serialized(
+    dataset: ENSDataset | ColumnarDataset,
+) -> tuple[dict[str, Any], tuple[tuple[str, Iterator[dict[str, Any]]], ...]]:
+    """The on-disk form of ``dataset``: meta dict and per-file row streams.
+
+    :func:`save_dataset` writes exactly these and :func:`dataset_digest`
+    hashes exactly these, so the digest cannot drift from the files.
+    """
+    meta = {
+        "crawlTimestamp": dataset.crawl_timestamp,
+        "coinbaseAddresses": sorted(dataset.coinbase_addresses),
+        "custodialAddresses": sorted(dataset.custodial_addresses),
+    }
+    streams = (
+        (_DOMAINS_FILE, (domain.as_dict() for domain in dataset.domains.values())),
+        (_TRANSACTIONS_FILE, (tx.as_dict() for tx in dataset.transactions)),
+        (_MARKET_FILE, (event.as_dict() for event in dataset.market_events)),
+    )
+    return meta, streams
+
+
+def _jsonl_line(row: dict[str, Any]) -> str:
+    return json.dumps(row, separators=(",", ":")) + "\n"
 
 
 def _write_jsonl(path: Path, rows: Iterator[dict[str, Any]]) -> int:
     count = 0
     with path.open("w", encoding="utf-8") as handle:
         for row in rows:
-            handle.write(json.dumps(row, separators=(",", ":")) + "\n")
+            handle.write(_jsonl_line(row))
             count += 1
     return count
 
@@ -180,23 +212,9 @@ def save_dataset(
         raise ValueError(f"unknown store {store!r} (choose object or columnar)")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(
-        directory / _DOMAINS_FILE,
-        (domain.as_dict() for domain in dataset.domains.values()),
-    )
-    _write_jsonl(
-        directory / _TRANSACTIONS_FILE,
-        (tx.as_dict() for tx in dataset.transactions),
-    )
-    _write_jsonl(
-        directory / _MARKET_FILE,
-        (event.as_dict() for event in dataset.market_events),
-    )
-    meta = {
-        "crawlTimestamp": dataset.crawl_timestamp,
-        "coinbaseAddresses": sorted(dataset.coinbase_addresses),
-        "custodialAddresses": sorted(dataset.custodial_addresses),
-    }
+    meta, streams = _serialized(dataset)
+    for name, rows in streams:
+        _write_jsonl(directory / name, rows)
     (directory / _META_FILE).write_text(json.dumps(meta, indent=2), encoding="utf-8")
     if store == "columnar":
         write_columnar(
@@ -247,22 +265,11 @@ def dataset_digest(dataset: ENSDataset | ColumnarDataset) -> str:
     import hashlib
 
     digest = hashlib.sha256()
-    for row in (domain.as_dict() for domain in dataset.domains.values()):
-        digest.update(json.dumps(row, separators=(",", ":")).encode("utf-8"))
-        digest.update(b"\n")
-    digest.update(b"--transactions--\n")
-    for row in (tx.as_dict() for tx in dataset.transactions):
-        digest.update(json.dumps(row, separators=(",", ":")).encode("utf-8"))
-        digest.update(b"\n")
-    digest.update(b"--market--\n")
-    for row in (event.as_dict() for event in dataset.market_events):
-        digest.update(json.dumps(row, separators=(",", ":")).encode("utf-8"))
-        digest.update(b"\n")
-    meta = {
-        "crawlTimestamp": dataset.crawl_timestamp,
-        "coinbaseAddresses": sorted(dataset.coinbase_addresses),
-        "custodialAddresses": sorted(dataset.custodial_addresses),
-    }
+    meta, streams = _serialized(dataset)
+    for name, rows in streams:
+        digest.update(_DIGEST_SECTION_MARKERS[name])
+        for row in rows:
+            digest.update(_jsonl_line(row).encode("utf-8"))
     digest.update(json.dumps(meta, sort_keys=True).encode("utf-8"))
     return digest.hexdigest()
 

@@ -10,9 +10,8 @@ the metrics can never drift apart.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters,
   gauges, histograms, labels) plus the process :func:`global_registry`,
 * :mod:`repro.obs.tracing` — nested :class:`Tracer` spans over wall or
-  virtual clocks,
+  virtual clocks, rendered as human-readable trees by :func:`span_lines`,
 * :mod:`repro.obs.exporters` — Prometheus text, JSON run reports,
-  human-readable span trees,
 * :mod:`repro.obs.log` — ``event key=value`` structured logging
   (``print()`` is banned outside ``cli.py`` and this package).
 """
@@ -40,7 +39,7 @@ from .spanmerge import (
     span_from_payload,
     span_to_payload,
 )
-from .tracing import Span, Tracer
+from .tracing import Span, Tracer, span_lines
 
 __all__ = [
     "Histogram",
@@ -67,6 +66,7 @@ __all__ = [
     "prometheus_text",
     "sanitize_metric_name",
     "span_from_payload",
+    "span_lines",
     "span_to_payload",
     "write_run_report",
 ]

@@ -5,8 +5,8 @@ Three consumers, three formats:
 * a scrape endpoint or textfile collector — :func:`prometheus_text`,
 * programmatic inspection / the CLI ``--metrics-out`` flag —
   :func:`metrics_to_dict` / :func:`write_run_report`,
-* a human at a terminal — :meth:`Tracer.tree_lines` (re-exported here
-  for discoverability via :func:`span_tree_lines`).
+* a human at a terminal — :func:`repro.obs.tracing.span_lines` (what
+  :meth:`Tracer.tree_lines` and ``repro obs show`` print).
 
 All exports are deterministic: families sorted by name, samples by label
 values, floats formatted canonically — so golden-file tests can pin the
@@ -138,11 +138,6 @@ def metrics_to_dict(*registries: MetricsRegistry) -> dict[str, Any]:
     for registry in registries:
         merged.update(registry.as_dict())
     return _jsonable(merged)
-
-
-def span_tree_lines(tracer: Tracer) -> list[str]:
-    """Human-readable span tree (same output as ``tracer.tree_lines()``)."""
-    return tracer.tree_lines()
 
 
 def write_run_report(

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator
 
 from .metrics import MetricsRegistry
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["Span", "Tracer", "span_lines"]
 
 SPAN_DURATION_METRIC = "span_duration_seconds"
 
@@ -133,17 +133,23 @@ class Tracer:
 
     def tree_lines(self) -> list[str]:
         """Human-readable tree with per-span durations (CLI ``--trace``)."""
-        lines: list[str] = []
+        return span_lines(self.as_dict())
 
-        def render(span: Span, depth: int) -> None:
-            duration = span.duration
-            timing = "(open)" if duration is None else f"{duration:.3f}s"
-            marker = f"  [error: {span.error}]" if span.error else ""
-            label = f"{'  ' * depth}{span.name}"
-            lines.append(f"{label:<44s} {timing:>10s}{marker}")
-            for child in span.children:
-                render(child, depth + 1)
 
-        for root in self.roots:
-            render(root, 0)
-        return lines
+def span_lines(spans: list[dict[str, Any]], depth: int = 0) -> list[str]:
+    """Render span trees of the :meth:`Tracer.as_dict` shape, one line each.
+
+    The format of ``--trace`` and ``repro obs show``: the name indented
+    two spaces per level, the duration (``(open)`` while unfinished),
+    and an ``[error: ...]`` marker for spans that raised. Ledger
+    records are read from disk, so a missing name renders as ``?``.
+    """
+    lines: list[str] = []
+    for span in spans:
+        duration = span.get("duration_seconds")
+        timing = "(open)" if duration is None else f"{duration:.3f}s"
+        marker = f"  [error: {span['error']}]" if span.get("error") else ""
+        label = f"{'  ' * depth}{span.get('name', '?')}"
+        lines.append(f"{label:<44s} {timing:>10s}{marker}")
+        lines.extend(span_lines(span.get("children", ()), depth + 1))
+    return lines

@@ -43,6 +43,52 @@ class TestParser:
         assert args.domains == 1000
         assert args.seed == 7
 
+    @pytest.mark.parametrize(
+        "argv, handler",
+        [
+            (["simulate", "--out", "d"], "_cmd_simulate"),
+            (["crawl"], "_cmd_crawl"),
+            (["analyze", "d"], "_cmd_analyze"),
+            (["predict", "d"], "_cmd_predict"),
+            (["report"], "_cmd_report"),
+            (["serve"], "_cmd_serve"),
+            (["figures", "d", "--out", "o"], "_cmd_figures"),
+            (["sweep"], "_cmd_sweep"),
+            (["dataset", "pack", "d"], "_cmd_dataset_pack"),
+            (["dataset", "info", "d"], "_cmd_dataset_info"),
+            (["dataset", "stream", "--out", "d"], "_cmd_dataset_stream"),
+            (["lint"], "run"),
+            (["obs", "ls"], "_cmd_obs"),
+            (["obs", "show", "latest"], "_cmd_obs"),
+            (["obs", "diff", "1", "2"], "_cmd_obs"),
+        ],
+    )
+    def test_every_command_resolves_to_a_handler(self, argv, handler) -> None:
+        args = build_parser().parse_args(argv)
+        assert args.handler.__name__ == handler
+
+
+class TestArgumentChecks:
+    """Flag combinations rejected before any run state exists (exit 2)."""
+
+    def test_crawl_resume_requires_checkpoint_dir(self, tmp_path, capsys) -> None:
+        ledger = tmp_path / "ledger"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["crawl", "--resume", "--ledger-dir", str(ledger)])
+        assert excinfo.value.code == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err
+        assert not ledger.exists()
+
+    @pytest.mark.parametrize("columnar_dataset", [False, True])
+    def test_serve_watch_requires_object_store_dataset(
+        self, columnar_dataset, tmp_path, capsys
+    ) -> None:
+        extra = [str(tmp_path), "--store", "columnar"] if columnar_dataset else []
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--watch", "--no-ledger", *extra])
+        assert excinfo.value.code == 2
+        assert "--watch requires" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_dataset(self, saved_dataset, capsys) -> None:
@@ -77,6 +123,32 @@ class TestReport:
         assert main(["report", "--domains", "200", "--seed", "3"]) == 0
         output = capsys.readouterr().out
         assert "domains: " in output
+
+    def test_traced_runner_seams_are_module_globals(
+        self, tmp_path, monkeypatch, capsys
+    ) -> None:
+        # perfbench/traced.py wraps these at repro.cli's module level
+        import repro.cli as cli
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            cli, "dataset_digest", counted("digest", cli.dataset_digest)
+        )
+        monkeypatch.setattr(cli, "report_json", counted("json", cli.report_json))
+        out = tmp_path / "report.json"
+        assert main([
+            "report", "--domains", "60", "--seed", "3",
+            "--json-out", str(out), "--no-ledger",
+        ]) == 0
+        assert calls == ["digest", "json"]
+        assert out.read_text(encoding="utf-8").startswith("{")
 
     def test_store_choice_is_invisible_in_output(self, tmp_path, capsys) -> None:
         argv = ["report", "--domains", "120", "--seed", "5"]
@@ -267,6 +339,7 @@ class TestRunLedger:
         assert record["argv"][0] == "crawl"
         assert record["dataset_fingerprint"]
         assert record["workers"] == 1
+        assert record["extra"] == {"exit_code": 0}
         assert record["span_summary"]["crawl"]["count"] == 1
         assert {slo["name"] for slo in record["slos"]} == {
             "crawl_wall_clock",
@@ -275,6 +348,20 @@ class TestRunLedger:
             "columnar_encode_wall_clock",
             "columnar_load_wall_clock",
         }
+
+    def test_failed_run_records_its_exit_code(self, tmp_path, capsys) -> None:
+        ledger = tmp_path / "ledger"
+        missing = tmp_path / "missing"
+        assert main(
+            ["dataset", "info", str(missing), "--ledger-dir", str(ledger)]
+        ) == 2
+        capsys.readouterr()
+        (entry,) = ledger.glob("run-*.json")
+        record = json.loads(entry.read_text())
+        assert record["command"] == "dataset"
+        assert record["extra"]["exit_code"] == 2
+        assert main(["obs", "show", "latest", "--ledger-dir", str(ledger)]) == 0
+        assert "exit     2" in capsys.readouterr().out
 
     def test_no_ledger_flag_skips_the_append(self, tmp_path, capsys) -> None:
         ledger = tmp_path / "ledger"
