@@ -27,7 +27,7 @@ from .block import GENESIS_PARENT, Block
 from .contract import CallContext, Contract
 from .errors import InsufficientFunds, InvalidTransaction, Revert, UnknownAccount
 from .transaction import CallPayload, InternalTransfer, Log, Receipt, Transaction
-from .types import Address, Hash32, Wei
+from .types import ZERO_ADDRESS, Address, Hash32, Wei
 
 __all__ = ["Blockchain"]
 
@@ -145,7 +145,7 @@ class Blockchain:
         if contract is None:
             raise UnknownAccount(f"no contract at {contract_address}")
         ctx = CallContext(
-            sender=Address(b"\x00" * 20),
+            sender=ZERO_ADDRESS,
             value=0,
             timestamp=self._timestamp,
             block_number=self.height,

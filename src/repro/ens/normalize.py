@@ -16,6 +16,7 @@ full confusable tables — the paper's dataset is overwhelmingly ASCII.
 from __future__ import annotations
 
 import unicodedata
+from functools import lru_cache
 
 from .. import chain  # noqa: F401  (re-exported error types live there)
 from ..chain.errors import InvalidName
@@ -135,13 +136,16 @@ def split_name(name: str) -> list[str]:
     return normalize_name(name).split(".")
 
 
+@lru_cache(maxsize=1_000_000)
 def registrable_label(name_or_label: str) -> str:
     """The second-level label a registrar registration refers to.
 
     Accepts either a bare label (``gold``) or a 2LD name (``gold.eth``)
     and returns the normalized label, enforcing the registrar's minimum
     length. Rejects subdomains — those are created via the registry, not
-    the registrar.
+    the registrar. Memoized (successes only: a rejected name raises
+    :class:`InvalidName` on every call); only the ENS contracts and
+    wallets call it, never the serve layer.
     """
     normalized = normalize_name(name_or_label)
     labels = normalized.split(".")

@@ -31,7 +31,7 @@ from ..chain.errors import (
     Revert,
 )
 from ..chain.types import SECONDS_PER_DAY, Address, Hash32, Wei, ZERO_ADDRESS
-from .namehash import ETH_NODE, labelhash
+from .namehash import ETH_NODE, child_node, labelhash
 from .normalize import registrable_label
 from .premium import GRACE_PERIOD_DAYS
 from .pricing import RentPriceOracle
@@ -379,9 +379,7 @@ class RegistrarController(Contract):
 
         # The base handed the registry node to us; wire records, then
         # pass node ownership to the registrant.
-        from ..chain.crypto.keccak import keccak_256
-
-        node = Hash32(keccak_256(ETH_NODE.raw + label_hash.raw))
+        node = child_node(ETH_NODE, label_hash)
         if set_addr_to is not None:
             self.internal_call(
                 ctx,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from ..chain.contract import CallContext, Contract
 from ..chain.errors import NotOwner
 from ..chain.types import Address, Hash32, ZERO_ADDRESS
+from .namehash import child_node
 
 __all__ = ["ENSRegistry"]
 
@@ -74,9 +75,7 @@ class ENSRegistry(Contract):
     ) -> Hash32:
         """Create/reassign ``label`` under ``node`` (caller owns ``node``)."""
         self._authorize(ctx, node)
-        from ..chain.crypto.keccak import keccak_256
-
-        subnode = Hash32(keccak_256(node.raw + label.raw))
+        subnode = child_node(node, label)
         self._record(subnode).owner = owner
         self.emit("NewOwner", node=node, label=label, owner=owner)
         return subnode

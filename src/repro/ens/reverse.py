@@ -17,9 +17,8 @@ actually observable.
 from __future__ import annotations
 
 from ..chain.contract import CallContext, Contract
-from ..chain.crypto.keccak import keccak_256
 from ..chain.types import Address, Hash32
-from .namehash import labelhash, namehash
+from .namehash import child_node, labelhash, namehash
 
 __all__ = ["ReverseRegistrar", "reverse_node_of"]
 
@@ -28,8 +27,7 @@ ADDR_REVERSE_NODE = namehash("addr.reverse")
 
 def reverse_node_of(address: Address) -> Hash32:
     """The ``<hex>.addr.reverse`` node for an address (EIP-181)."""
-    label = labelhash(address.raw.hex())
-    return Hash32(keccak_256(ADDR_REVERSE_NODE.raw + label.raw))
+    return child_node(ADDR_REVERSE_NODE, labelhash(address.raw.hex()))
 
 
 class ReverseRegistrar(Contract):

@@ -14,11 +14,10 @@ same "unknown label" phenomenon real ENS tooling deals with.
 from __future__ import annotations
 
 from ..chain.chain import Blockchain
-from ..chain.crypto.keccak import keccak_256
 from ..chain.transaction import Log
 from ..chain.types import Address, Hash32
 from ..ens.deployment import ENSDeployment
-from ..ens.namehash import ETH_NODE
+from ..ens.namehash import ETH_NODE, child_node
 from .entities import (
     EVENT_NAME_MIGRATED,
     EVENT_NAME_REGISTERED,
@@ -72,7 +71,7 @@ class ENSSubgraph:
 
     @staticmethod
     def _node_for_labelhash(label_hash: Hash32) -> str:
-        return Hash32(keccak_256(ETH_NODE.raw + label_hash.raw)).hex
+        return child_node(ETH_NODE, label_hash).hex
 
     @property
     def indexed_log_count(self) -> int:
@@ -282,7 +281,7 @@ class ENSSubgraph:
         else:
             parent = self.domains.get(node.hex)
             if parent is not None:
-                subnode = Hash32(keccak_256(node.raw + label_hash.raw)).hex
+                subnode = child_node(node, label_hash).hex
                 if subnode not in self._known_subnodes:
                     self._known_subnodes.add(subnode)
                     parent.subdomain_count += 1

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.chain.errors import InvalidName
 from repro.ens import ETH_NODE, ROOT_NODE, labelhash, namehash
+from repro.ens.namehash import child_node
 
 # Vectors straight from EIP-137.
 EIP137_VECTORS = {
@@ -20,6 +21,20 @@ EIP137_VECTORS = {
 @pytest.mark.parametrize("name,expected", sorted(EIP137_VECTORS.items()))
 def test_eip137_vectors(name: str, expected: str) -> None:
     assert namehash(name).hex == expected
+
+
+@pytest.mark.parametrize("name", sorted(name for name in EIP137_VECTORS if name))
+def test_child_node_derives_each_vector_from_its_parent(name: str) -> None:
+    label, _, parent = name.partition(".")
+    assert child_node(namehash(parent), labelhash(label)).hex == EIP137_VECTORS[name]
+
+
+def test_child_node_addr_reverse() -> None:
+    node = child_node(namehash("reverse"), labelhash("addr"))
+    assert node == namehash("addr.reverse")
+    assert node.hex == (
+        "0x91d1777781884d03a6757a803996e38de2a42967fb37eeaca72729271025a9e2"
+    )
 
 
 def test_eth_node_constant() -> None:
@@ -54,6 +69,13 @@ def test_invalid_name_rejected() -> None:
         namehash("has space.eth")
 
 
+@pytest.mark.parametrize("bad", ["has space.eth", "gold..eth", "xn--bad.eth"])
+def test_memo_never_caches_a_rejection(bad: str) -> None:
+    for _ in range(3):
+        with pytest.raises(InvalidName):
+            namehash(bad)
+
+
 LABEL_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
@@ -63,3 +85,9 @@ def test_namehash_deterministic_and_injective_on_labels(label: str) -> None:
     assert namehash(f"{label}.eth") == namehash(f"{label}.eth")
     if label != "other":
         assert namehash(f"{label}.eth") != namehash("other.eth")
+
+
+@given(st.text(alphabet=LABEL_ALPHABET, min_size=1, max_size=16))
+@settings(max_examples=50, deadline=None)
+def test_child_node_of_eth_is_namehash(label: str) -> None:
+    assert child_node(ETH_NODE, labelhash(label)) == namehash(f"{label}.eth")

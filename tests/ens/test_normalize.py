@@ -111,6 +111,34 @@ class TestRegistrableLabel:
             registrable_label("ab")
         assert registrable_label("abc") == "abc"
 
+    @pytest.mark.parametrize("bad", ["ab", "pay.gold.eth", "gold.com", "has space"])
+    def test_memo_never_caches_a_rejection(self, bad: str) -> None:
+        for _ in range(3):
+            with pytest.raises(InvalidName):
+                registrable_label(bad)
+
+
+def test_http_paths_never_reach_a_memo() -> None:
+    """The serve layer canonicalizes untrusted paths with the unmemoized
+    ``normalize_name``; no request may grow the ENS memos."""
+    from repro.ens import namehash
+    from repro.serve.query import canonical_query
+
+    before = (
+        namehash.cache_info().currsize,
+        registrable_label.cache_info().currsize,
+    )
+    for i in range(1_000):
+        assert canonical_query(f"/domain/Visitor{i}.eth") == f"/domain/visitor{i}.eth"
+    after = (
+        namehash.cache_info().currsize,
+        registrable_label.cache_info().currsize,
+    )
+    assert after == before
+    # the functions HTTP input does reach hold no memo at all
+    assert not hasattr(normalize_name, "cache_info")
+    assert not hasattr(normalize_label, "cache_info")
+
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=3, max_size=20))
 @settings(max_examples=50, deadline=None)
