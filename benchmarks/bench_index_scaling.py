@@ -278,9 +278,8 @@ def test_columnar_peak_memory_at_scale(columnar_files) -> None:
     """The opened store's heap footprint is >=3x below the object graph.
 
     tracemalloc sees Python-heap allocations only — which is exactly
-    the claim: column data lives in the mmap (kernel page cache, shared
-    copy-on-write across forked workers), not in per-process row
-    objects. The object-graph side rebuilds the dataset so both sides
+    the claim: column data lives in the mmap (kernel page cache), not
+    in per-process row objects. The object-graph side rebuilds the dataset so both sides
     are measured as fresh allocations.
     """
     scale = max(columnar_files)

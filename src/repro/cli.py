@@ -75,7 +75,6 @@ from .obs import (
 )
 from .obs.runledger import DEFAULT_LEDGER_DIR, wall_now
 from .oracle import EthUsdOracle
-from .parallel import resolve_executor
 from .simulation import ScenarioConfig, run_scenario
 
 __all__ = ["main", "build_parser"]
@@ -140,38 +139,14 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _worker_count(text: str) -> int:
-    """``--workers`` value: a positive integer, else an argparse error."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
-
-
-def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        metavar="N",
-        type=_worker_count,
-        default=1,
-        help="shard the crawl over N processes (output is byte-identical"
-        " for any N; default 1 = in-process)",
-    )
-
-
 def _add_store_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store",
         choices=("object", "columnar"),
         default="object",
         help="dataset substrate: the mutable object graph (default) or"
-        " the array-backed columnar store (mmap persistence, zero-pickle"
-        " sharding; output is byte-identical either way)",
+        " the array-backed columnar store (mmap persistence; output is"
+        " byte-identical either way)",
     )
 
 
@@ -397,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="write the report's canonical JSON encoding to PATH",
         )
-    for subparser in (simulate, crawl, report, serve):
-        _add_workers_arg(subparser)
     for subparser in (simulate, crawl, analyze, report, serve):
         _add_store_arg(subparser)
     for subparser in (
@@ -477,8 +450,6 @@ class _RunObservability:
             tracer=self.tracer,
             started_at=self._started,
             dataset_fingerprint=self.dataset_fingerprint,
-            # only the commands that shard a crawl take --workers
-            workers=getattr(self._args, "workers", None),
             slo_results=slo_results,
             extra={"exit_code": exit_code},
         )
@@ -532,7 +503,6 @@ def _scenario_dataset(args: argparse.Namespace, obs: _RunObservability, **crawl)
     dataset, crawl_report = world.run_crawl(
         registry=obs.registry,
         tracer=obs.tracer,
-        executor=resolve_executor(args.workers),
         **crawl,
     )
     return world, dataset, crawl_report
@@ -963,7 +933,7 @@ def _obs_ls(ledger: RunLedger, args: argparse.Namespace) -> int:
         print(f"no ledger entries in {ledger.directory}")
         return 0
     header = (
-        f"{'seq':>5s}  {'run_id':12s}  {'command':10s}  {'wrk':>3s}"
+        f"{'seq':>5s}  {'run_id':12s}  {'command':10s}"
         f"  {'duration':>9s}  {'slo':18s}  started"
     )
     print(header)
@@ -973,10 +943,9 @@ def _obs_ls(ledger: RunLedger, args: argparse.Namespace) -> int:
             if record.duration_seconds is None
             else f"{record.duration_seconds:8.2f}s"
         )
-        workers = "-" if record.workers is None else str(record.workers)
         print(
             f"{record.seq:>5d}  {record.run_id:12s}  {record.command:10s}"
-            f"  {workers:>3s}  {duration:>9s}  {_slo_cell(record):18s}"
+            f"  {duration:>9s}  {_slo_cell(record):18s}"
             f"  {_format_started(record.started_at)}"
         )
     return 0
@@ -1000,11 +969,6 @@ def _obs_show(ledger: RunLedger, args: argparse.Namespace) -> int:
         print(f"git      {record.git_sha}")
     if record.dataset_fingerprint:
         print(f"dataset  {record.dataset_fingerprint}")
-    if record.workers is not None:
-        shards = (
-            "" if record.shard_count is None else f"  shards {record.shard_count}"
-        )
-        print(f"workers  {record.workers}{shards}")
     if record.slos:
         print("--- slos ---")
         for slo in record.slos:

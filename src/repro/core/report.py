@@ -9,7 +9,7 @@ pass runs inside its own tracer span (``analyze.<pass>``), so
 ``repro analyze --trace`` shows where the time goes, and headline
 volumes are mirrored into the registry as ``analysis_*`` gauges.
 :func:`report_json` is the canonical byte encoding the CI determinism
-gate compares across worker counts and stores.
+gate compares across stores and against the golden digests.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ def report_json(report: HeadlineReport) -> str:
     """The canonical byte encoding of a report (sorted keys, compact).
 
     This exact string is what the CI determinism job compares between
-    ``--workers 1`` and ``--workers 4`` runs and hashes against the
-    committed golden digest — any formatting drift here is a
+    ``--store object`` and ``--store columnar`` runs and hashes against
+    the committed golden digest — any formatting drift here is a
     determinism-gate break, not a cosmetic change. Non-finite floats
     (e.g. a NaN ``recovery_rate``-style ratio from an empty
     denominator) encode as ``null`` rather than invalid JSON.

@@ -7,7 +7,6 @@ pointer::
     <dir>/ckpt-000012/
         state.json            stage, cursors, counter snapshot, fingerprint
         dataset/              partial ENSDataset (crawler.storage layout)
-        staged.json           per-shard results awaiting merge (sharded runs)
 
 The commit protocol makes a torn write invisible: a snapshot directory
 is fully written first, then ``LATEST`` is atomically replaced (write
@@ -34,7 +33,6 @@ from pathlib import Path
 from typing import Any
 
 from ..datasets.dataset import ENSDataset
-from ..datasets.schema import MarketEventRecord, TxRecord
 from ..obs.log import get_logger
 from .storage import load_dataset, save_dataset
 
@@ -72,7 +70,9 @@ STAGES = (
 _LATEST_FILE = "LATEST"
 _STATE_FILE = "state.json"
 _DATASET_DIR = "dataset"
-_STAGED_FILE = "staged.json"
+
+#: Cursor fields that count work done; each must be a non-negative int.
+_COUNT_FIELDS = ("wallets_done", "tokens_done", "units_done")
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,13 +100,9 @@ class CheckpointConfig:
 class CrawlState:
     """Resumable progress of one pipeline run (the checkpointed cursor).
 
-    Serial runs advance ``wallets_done``/``tokens_done``; sharded runs
-    (``--workers N``) instead record which shard indexes of the current
-    stage have completed (``shards_done``) and stash each completed
-    shard's fetched records (``staged_transactions`` /
-    ``staged_market_events``) until the stage-end canonical merge —
-    completion order must never reach the dataset, so per-shard results
-    stay staged, keyed by shard index, until every shard is in.
+    Stage 1 advances ``subgraph_cursor``, stages 3 and 4 advance
+    ``wallets_done`` / ``tokens_done``; ``units_done`` counts every
+    unit of work across stages and names the snapshot.
     """
 
     stage: str = STAGE_DOMAINS
@@ -115,13 +111,6 @@ class CrawlState:
     tokens_done: int = 0
     units_done: int = 0
     dataset: ENSDataset = field(default_factory=ENSDataset)
-    shards_done: dict[str, list[int]] = field(default_factory=dict)
-    staged_transactions: dict[int, list[tuple[str, list[TxRecord]]]] = field(
-        default_factory=dict
-    )
-    staged_market_events: dict[
-        int, list[tuple[str, list[MarketEventRecord]]]
-    ] = field(default_factory=dict)
 
     def cursor_dict(self) -> dict[str, Any]:
         """The JSON-ready cursor portion (everything but the dataset)."""
@@ -131,46 +120,7 @@ class CrawlState:
             "wallets_done": self.wallets_done,
             "tokens_done": self.tokens_done,
             "units_done": self.units_done,
-            "shards_done": {
-                stage: sorted(indexes)
-                for stage, indexes in sorted(self.shards_done.items())
-            },
         }
-
-    @property
-    def has_staged(self) -> bool:
-        """Whether any per-shard results await their canonical merge."""
-        return bool(self.staged_transactions or self.staged_market_events)
-
-    def staged_dict(self) -> dict[str, Any]:
-        """JSON-ready staged per-shard results (``staged.json``)."""
-        return {
-            "transactions": _staged_as_dict(self.staged_transactions),
-            "market_events": _staged_as_dict(self.staged_market_events),
-        }
-
-
-def _staged_as_dict(
-    staged: dict[int, list[tuple[str, list[Any]]]],
-) -> dict[str, list[list[Any]]]:
-    return {
-        str(shard_index): [
-            [key, [record.as_dict() for record in records]]
-            for key, records in pairs
-        ]
-        for shard_index, pairs in sorted(staged.items())
-    }
-
-
-def _staged_from_dict(
-    payload: dict[str, Any], parse: Any
-) -> dict[int, list[tuple[str, list[Any]]]]:
-    return {
-        int(shard_index): [
-            (str(key), [parse(row) for row in rows]) for key, rows in pairs
-        ]
-        for shard_index, pairs in payload.items()
-    }
 
 
 @dataclass
@@ -204,11 +154,6 @@ class CheckpointStore:
         (snapshot_dir / _STATE_FILE).write_text(
             json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
         )
-        if state.has_staged:
-            (snapshot_dir / _STAGED_FILE).write_text(
-                json.dumps(state.staged_dict(), sort_keys=True),
-                encoding="utf-8",
-            )
         self._commit(name)
         self._garbage_collect(keep=name)
         return snapshot_dir
@@ -238,8 +183,8 @@ class CheckpointStore:
 
         Returns None (never raises) for: no checkpoint directory, no
         committed snapshot, a dangling/torn commit, an unreadable state
-        file, or a fingerprint mismatch — every one of those cases
-        degrades to a fresh crawl.
+        file or malformed cursor, or a fingerprint mismatch — every one
+        of those cases degrades to a fresh crawl.
         """
         latest_path = self.directory / _LATEST_FILE
         try:
@@ -255,6 +200,12 @@ class CheckpointStore:
                 "checkpoint.unreadable", snapshot=name, error=str(exc)
             )
             return None
+        cursor = payload.get("cursor", {}) if isinstance(payload, dict) else None
+        if not _cursor_is_valid(cursor):
+            _log.warning(
+                "checkpoint.unreadable", snapshot=name, error="malformed cursor"
+            )
+            return None
         if payload.get("fingerprint") != self.fingerprint:
             _log.warning(
                 "checkpoint.stale_fingerprint",
@@ -263,7 +214,6 @@ class CheckpointStore:
                 expected=self.fingerprint,
             )
             return None
-        cursor = payload.get("cursor", {})
         stage = cursor.get("stage", STAGE_DOMAINS)
         if stage not in STAGES:
             _log.warning("checkpoint.unknown_stage", snapshot=name, stage=stage)
@@ -275,35 +225,23 @@ class CheckpointStore:
                 "checkpoint.dataset_unreadable", snapshot=name, error=str(exc)
             )
             return None
-        staged_path = snapshot_dir / _STAGED_FILE
-        staged_transactions: dict[int, list[tuple[str, list[Any]]]] = {}
-        staged_market_events: dict[int, list[tuple[str, list[Any]]]] = {}
-        if staged_path.exists():
-            try:
-                staged = json.loads(staged_path.read_text(encoding="utf-8"))
-                staged_transactions = _staged_from_dict(
-                    staged.get("transactions", {}), TxRecord.from_dict
-                )
-                staged_market_events = _staged_from_dict(
-                    staged.get("market_events", {}), MarketEventRecord.from_dict
-                )
-            except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-                _log.warning(
-                    "checkpoint.staged_unreadable", snapshot=name, error=str(exc)
-                )
-                return None
         state = CrawlState(
             stage=stage,
             subgraph_cursor=str(cursor.get("subgraph_cursor", "")),
-            wallets_done=int(cursor.get("wallets_done", 0)),
-            tokens_done=int(cursor.get("tokens_done", 0)),
-            units_done=int(cursor.get("units_done", 0)),
+            wallets_done=cursor.get("wallets_done", 0),
+            tokens_done=cursor.get("tokens_done", 0),
+            units_done=cursor.get("units_done", 0),
             dataset=dataset,
-            shards_done={
-                str(stage_name): [int(index) for index in indexes]
-                for stage_name, indexes in cursor.get("shards_done", {}).items()
-            },
-            staged_transactions=staged_transactions,
-            staged_market_events=staged_market_events,
         )
         return state, dict(payload.get("counters", {}))
+
+
+def _cursor_is_valid(cursor: Any) -> bool:
+    """A dict whose count fields, where present, are non-negative ints."""
+    if not isinstance(cursor, dict):
+        return False
+    for name in _COUNT_FIELDS:
+        value = cursor.get(name, 0)
+        if type(value) is not int or value < 0:
+            return False
+    return True

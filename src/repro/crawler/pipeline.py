@@ -43,16 +43,7 @@ from ..datasets.dataset import ENSDataset
 from ..explorer.labels import CATEGORY_COINBASE, CATEGORY_CUSTODIAL_EXCHANGE
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
-from ..obs.spanmerge import TelemetrySink
 from ..obs.tracing import Tracer
-from ..parallel import (
-    DEFAULT_SHARD_COUNT,
-    ParallelExecutor,
-    merge_staged_market_events,
-    merge_staged_transactions,
-    partition,
-    worker_telemetry,
-)
 from .checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointConfig,
@@ -127,52 +118,6 @@ def coverage_fields(report: CrawlReport) -> dict[str, int]:
     return {name: getattr(report, name) for name in COVERAGE_FIELDS}
 
 
-# -- shard workers ----------------------------------------------------------
-#
-# Module-level so a spawn-started pool can pickle them. Each worker
-# builds its *own* client over the shared (forked/pickled) API handle
-# and its task's zeroed telemetry registry, so the registry snapshot
-# the executor captures is a pure delta the parent can merge — full
-# metrics (counters, gauges, histograms) plus every finished span, not
-# just counters. Workers are pure in (shared, shard): they only read
-# the API and return records, which is what lets the executor re-run
-# them after a pool failure.
-
-
-def _fetch_wallet_shard(
-    shared: tuple[Any, int, int, float], wallets: list[str]
-) -> list[tuple[str, list[Any]]]:
-    """Fetch one shard of wallet transaction histories."""
-    api, page_size, max_retries, initial_backoff = shared
-    telemetry = worker_telemetry()
-    client = EtherscanClient(
-        api=api,
-        page_size=page_size,
-        max_retries=max_retries,
-        initial_backoff_seconds=initial_backoff,
-        registry=telemetry.registry,
-    )
-    with telemetry.tracer.span("shard.transactions", wallets=len(wallets)):
-        return [
-            (wallet, client.fetch_transactions(wallet)) for wallet in wallets
-        ]
-
-
-def _fetch_token_shard(
-    shared: tuple[Any, int], tokens: list[str]
-) -> list[tuple[str, list[Any]]]:
-    """Fetch one shard of marketplace event feeds."""
-    api, max_retries = shared
-    telemetry = worker_telemetry()
-    client = OpenSeaClient(
-        api=api, max_retries=max_retries, registry=telemetry.registry
-    )
-    with telemetry.tracer.span("shard.market_events", tokens=len(tokens)):
-        return [
-            (token, client.fetch_token_events(token)) for token in tokens
-        ]
-
-
 @dataclass
 class DataCollectionPipeline:
     """Wires the three clients into one staged, resumable collection run."""
@@ -183,30 +128,12 @@ class DataCollectionPipeline:
     registry: MetricsRegistry | None = None
     tracer: Tracer | None = None
     checkpoint: CheckpointConfig | None = None
-    executor: ParallelExecutor | None = None
-    shard_count: int = DEFAULT_SHARD_COUNT
 
     def __post_init__(self) -> None:
-        if self.shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
         if self.registry is None:
             self.registry = MetricsRegistry()
         if self.tracer is None:
             self.tracer = Tracer()
-        self._shard_items = self.registry.counter(
-            "shard_items_total",
-            "Work items processed by completed shards",
-            labels=("stage",),
-        )
-        self._shard_duration = self.registry.histogram(
-            "shard_duration_seconds",
-            "Wall-clock duration of completed shards",
-            labels=("stage",),
-        )
-        self._merge_conflicts = self.registry.counter(
-            "merge_conflicts_total",
-            "Per-shard results whose key an earlier shard already merged",
-        )
         self._checkpoint_writes = self.registry.counter(
             "checkpoint_writes_total", "Durable crawl snapshots committed"
         )
@@ -233,23 +160,13 @@ class DataCollectionPipeline:
         Covers the checkpoint format version plus every configuration
         knob that changes cursor semantics: resuming a crawl whose page
         sizes changed would mis-place every cursor, so such snapshots
-        are treated as stale. Sharded runs add the shard count — their
-        cursors are shard indexes, meaningless to a serial resume (and
-        vice versa), so the two modes never cross-resume.
+        are treated as stale.
         """
-        base = (
+        return (
             f"v{CHECKPOINT_FORMAT_VERSION}"
             f":subgraph_page={self.subgraph_client.page_size}"
             f":explorer_page={self.etherscan_client.page_size}"
         )
-        if self._sharded:
-            base += f":shards={self.shard_count}"
-        return base
-
-    @property
-    def _sharded(self) -> bool:
-        """Whether stages 3/4 fan out over the executor's process pool."""
-        return self.executor is not None and self.executor.workers > 1
 
     def _counter_snapshot(self) -> dict[str, Any]:
         """Counter state across every registry this run touches."""
@@ -320,70 +237,6 @@ class DataCollectionPipeline:
         )
         return state
 
-    # -- sharded stages ----------------------------------------------------
-
-    def _run_sharded_stage(
-        self,
-        state: CrawlState,
-        *,
-        stage: str,
-        items: list[str],
-        worker_fn: Any,
-        shared: tuple[Any, ...],
-        staged: dict[int, list[tuple[str, list[Any]]]],
-        merge: Any,
-        target_registry: MetricsRegistry,
-    ) -> None:
-        """Fan one crawl stage out over the executor, then merge canonically.
-
-        The items (pre-sorted by the caller) are partitioned into
-        ``shard_count`` stable shards; shards a resumed checkpoint
-        already recorded as done are skipped. Completed shards stream
-        back in *completion* order — each one is staged by shard index,
-        its full telemetry (registry snapshot + worker spans) merged
-        through the executor's :class:`TelemetrySink`, and a snapshot
-        committed — but nothing touches the dataset until every shard
-        is in and ``merge`` replays the serial insertion order. The
-        sink targets the stage's client registry, so the read-through
-        effort counters (``requests_made`` & co.) cover worker-side
-        work, and grafts worker spans under the open stage span, so a
-        sharded ``--trace`` is one coherent tree.
-        """
-        assert self.executor is not None and self.registry is not None
-        shards = partition(items, self.shard_count)
-        done = set(state.shards_done.get(stage, ()))
-        pending = [
-            (index, shard)
-            for index, shard in enumerate(shards)
-            if shard and index not in done
-        ]
-        sink = TelemetrySink(registry=target_registry, tracer=self.tracer)
-        self.executor.telemetry_sink = sink
-        positions: list[int] = []
-        try:
-            stream = self.executor.run_stream(
-                worker_fn, shared, [shard for _, shard in pending]
-            )
-            for position, pairs in stream:
-                shard_index, shard_items = pending[position]
-                staged[shard_index] = pairs
-                positions.append(position)
-                state.shards_done.setdefault(stage, []).append(shard_index)
-                state.units_done += len(shard_items)
-                self._shard_items.labels(stage=stage).inc(len(shard_items))
-                if self._store is not None:
-                    self._write_checkpoint(state)
-        finally:
-            self.executor.telemetry_sink = None
-        for position in sorted(positions, key=lambda p: pending[p][0]):
-            self._shard_duration.labels(stage=stage).observe(
-                sink.task_duration(position)
-            )
-        conflicts = merge(state.dataset, staged)
-        if conflicts:
-            self._merge_conflicts.inc(conflicts)
-        staged.clear()
-
     # -- the crawl ---------------------------------------------------------
 
     def run(self, crawl_timestamp: int | None = None) -> tuple[ENSDataset, CrawlReport]:
@@ -413,33 +266,15 @@ class DataCollectionPipeline:
             with tracer.span("crawl.2_wallets"):
                 wallets = sorted(dataset.wallet_addresses())
 
-            # 3. transaction histories — one wallet per unit serially, or
-            #    one stable shard of wallets per worker task
+            # 3. transaction histories, one wallet per unit
             with tracer.span("crawl.3_transactions"):
                 if state.stage == STAGE_TRANSACTIONS:
-                    if self._sharded:
-                        self._run_sharded_stage(
-                            state,
-                            stage=STAGE_TRANSACTIONS,
-                            items=wallets,
-                            worker_fn=_fetch_wallet_shard,
-                            shared=(
-                                self.etherscan_client.api,
-                                self.etherscan_client.page_size,
-                                self.etherscan_client.max_retries,
-                                self.etherscan_client.initial_backoff_seconds,
-                            ),
-                            staged=state.staged_transactions,
-                            merge=merge_staged_transactions,
-                            target_registry=self.etherscan_client.registry,
+                    for wallet in wallets[state.wallets_done :]:
+                        dataset.add_transactions(
+                            self.etherscan_client.fetch_transactions(wallet)
                         )
-                    else:
-                        for wallet in wallets[state.wallets_done :]:
-                            dataset.add_transactions(
-                                self.etherscan_client.fetch_transactions(wallet)
-                            )
-                            state.wallets_done += 1
-                            self._unit_done(state)
+                        state.wallets_done += 1
+                        self._unit_done(state)
                     state.stage = STAGE_MARKET_EVENTS
                     self._stage_boundary(state)
 
@@ -452,27 +287,12 @@ class DataCollectionPipeline:
                     if len(domain.unique_registrants) > 1
                 )
                 if state.stage == STAGE_MARKET_EVENTS:
-                    if self._sharded:
-                        self._run_sharded_stage(
-                            state,
-                            stage=STAGE_MARKET_EVENTS,
-                            items=rereg_tokens,
-                            worker_fn=_fetch_token_shard,
-                            shared=(
-                                self.opensea_client.api,
-                                self.opensea_client.max_retries,
-                            ),
-                            staged=state.staged_market_events,
-                            merge=merge_staged_market_events,
-                            target_registry=self.opensea_client.registry,
+                    for token in rereg_tokens[state.tokens_done :]:
+                        dataset.add_market_events(
+                            self.opensea_client.fetch_token_events(token)
                         )
-                    else:
-                        for token in rereg_tokens[state.tokens_done :]:
-                            dataset.add_market_events(
-                                self.opensea_client.fetch_token_events(token)
-                            )
-                            state.tokens_done += 1
-                            self._unit_done(state)
+                        state.tokens_done += 1
+                        self._unit_done(state)
                     state.stage = STAGE_LABELS
                     self._stage_boundary(state)
 

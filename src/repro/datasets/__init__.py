@@ -2,8 +2,8 @@
 
 Two interchangeable stores implement the same read protocol: the
 mutable object graph (:class:`ENSDataset`) and the read-only
-array-backed :class:`ColumnarDataset` (mmap-persisted, zero-pickle
-sharding) — see :mod:`repro.datasets.columnar`.
+array-backed :class:`ColumnarDataset` (mmap-persisted) — see
+:mod:`repro.datasets.columnar`.
 """
 
 from .columnar import (

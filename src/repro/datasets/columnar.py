@@ -12,12 +12,11 @@ atomically and opened via :mod:`mmap`:
 * **O(1) open** — :meth:`ColumnarDataset.open` parses a fixed-size
   header and section directory and wraps each section in a zero-copy
   ``memoryview`` cast; no row is touched until an analysis asks for it.
-* **Fork-COW sharing, zero pickling** — the backing pages are
-  file-backed and read-only, so every worker forked by
-  :class:`~repro.parallel.executor.ProcessExecutor` shares them with
-  the parent for free. On spawn-only platforms the dataset pickles as
-  its *path* (:meth:`ColumnarDataset.__reduce__`), and each worker
-  re-maps the file instead of deserializing an object graph.
+* **Cheap pickling** — the backing pages are file-backed and
+  read-only, so a file-backed dataset pickles as its *path*
+  (:meth:`ColumnarDataset.__reduce__`) and an in-memory one as its
+  single packed buffer; unpickling re-maps the file instead of
+  deserializing an object graph.
 * **Identical analysis output** — :class:`ColumnarDataset` implements
   the read surface of :class:`~repro.datasets.dataset.ENSDataset`
   (``domains`` mapping, ``transactions`` / ``market_events``
@@ -539,9 +538,9 @@ class ColumnarDataset:
     def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
         """Pickle as a path (file-backed) or as the raw buffer bytes.
 
-        Either way no per-record serialization happens: a spawn-started
-        worker re-maps the file (sharing the page cache) or receives
-        the single packed blob.
+        Either way no per-record serialization happens: unpickling
+        re-maps the file (sharing the page cache) or wraps the single
+        packed blob.
         """
         if self._path is not None:
             return (ColumnarDataset.open, (self._path,))

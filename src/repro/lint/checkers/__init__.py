@@ -10,7 +10,6 @@ from . import (  # noqa: F401  (imports register the checkers)
     layering,
     mutable_defaults,
     obs_hygiene,
-    parallel_discipline,
     perf,
     public_api,
     retry_discipline,

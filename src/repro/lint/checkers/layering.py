@@ -8,7 +8,7 @@ import higher ones)::
 
     obs, lint                                   (foundation, imports nothing)
     chain                                       (the ledger)
-    datasets, ens, indexer, oracle, parallel    (protocol + data models)
+    datasets, ens, indexer, oracle              (protocol + data models)
     crawler, explorer, faults,                  (services over the protocol;
     marketplace, simulation                      faults wraps its peers)
     core                                        (the paper's analyses)
@@ -44,7 +44,6 @@ LAYERS: dict[str, int] = {
     "ens": 2,
     "indexer": 2,
     "oracle": 2,
-    "parallel": 2,   # generic shard/merge engine; imports only obs + datasets
     "crawler": 3,
     "explorer": 3,
     "faults": 3,

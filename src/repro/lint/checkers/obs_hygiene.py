@@ -15,9 +15,9 @@ over this checker). Three rules:
   failures that the metrics layer is supposed to count.
 * ``obs-span-unclosed`` — a ``.span(...)`` call used outside a ``with``
   statement. A span opened without the context manager never records
-  its end instant; when the telemetry later crosses an executor
-  boundary (worker → parent merge), the open span serializes with no
-  duration and poisons every aggregate built from the merged trace.
+  its end instant, so it has no duration: it is missing from the
+  ``span_duration_seconds`` histogram, the ledger's span summary and
+  every SLO read from them.
   The :mod:`repro.obs` package itself is exempt: the tracing layer and
   tests of it manipulate spans directly by design.
 """
@@ -70,8 +70,8 @@ class ObsHygieneChecker(Checker):
         ),
         Rule(
             "obs-span-unclosed",
-            ".span(...) outside a with-statement never closes; open spans"
-            " cross executor merges with no duration",
+            ".span(...) outside a with-statement never closes, so it"
+            " records no duration",
         ),
     )
 
@@ -115,7 +115,7 @@ class ObsHygieneChecker(Checker):
                 yield self.finding(
                     source, "obs-span-unclosed", node.lineno, node.col_offset,
                     ".span(...) must be a `with` context manager — an"
-                    " unclosed span breaks worker telemetry merges",
+                    " unclosed span records no duration",
                 )
 
     @staticmethod

@@ -32,13 +32,6 @@ from .metrics import (
 )
 from .runledger import LEDGER_SCHEMA_VERSION, RunLedger, RunRecord
 from .slo import SLO, SLOResult, default_slos, evaluate_slos, load_slos
-from .spanmerge import (
-    TelemetrySink,
-    WorkerTelemetry,
-    graft_spans,
-    span_from_payload,
-    span_to_payload,
-)
 from .tracing import Span, Tracer, span_lines
 
 __all__ = [
@@ -52,21 +45,16 @@ __all__ = [
     "SLO",
     "SLOResult",
     "Span",
-    "TelemetrySink",
     "Tracer",
-    "WorkerTelemetry",
     "configure",
     "default_slos",
     "evaluate_slos",
     "get_logger",
     "global_registry",
-    "graft_spans",
     "load_slos",
     "metrics_to_dict",
     "prometheus_text",
     "sanitize_metric_name",
-    "span_from_payload",
     "span_lines",
-    "span_to_payload",
     "write_run_report",
 ]

@@ -342,95 +342,6 @@ class MetricsRegistry:
                 if delta > 0:
                     sample.inc(delta)
 
-    # -- full-registry state (worker telemetry capture) --------------------
-
-    def registry_snapshot(self) -> dict[str, Any]:
-        """Complete, mergeable snapshot of every family and sample.
-
-        Unlike :meth:`counter_snapshot` (counters only, for checkpoint
-        durability) this covers *all three kinds* — counters, gauges,
-        and histograms including their raw observations — so a worker
-        process can ship its entire registry back to the parent and
-        :meth:`merge_snapshot` can reconstruct exact percentiles, not
-        just bucket approximations. The payload is JSON-ready and
-        picklable (plain dicts, lists, floats).
-        """
-        snapshot: dict[str, Any] = {}
-        for family in self.families():
-            samples: list[dict[str, Any]] = []
-            for labels, sample in family.items():
-                if isinstance(sample, Histogram):
-                    samples.append(
-                        {"labels": labels, "values": list(sample.values)}
-                    )
-                else:
-                    samples.append({"labels": labels, "value": sample.value})
-            entry: dict[str, Any] = {
-                "kind": family.kind,
-                "help": family.help,
-                "label_names": list(family.label_names),
-                "samples": samples,
-            }
-            if family.kind == "histogram":
-                entry["buckets"] = list(
-                    next(iter(family.samples.values())).buckets
-                    if family.samples
-                    else DEFAULT_BUCKETS
-                )
-            snapshot[family.name] = entry
-        return snapshot
-
-    def merge_snapshot(
-        self,
-        snapshot: dict[str, Any],
-        *,
-        gauge_sources: dict[tuple[str, tuple[str, ...]], int] | None = None,
-        source: int = 0,
-    ) -> None:
-        """Fold one :meth:`registry_snapshot` into this registry.
-
-        Worker registries start zeroed, so their samples are pure
-        deltas: counters are *added*, histogram observations replayed
-        (buckets, sum, and exact percentiles all stay correct), and
-        gauges applied last-write-wins. Addition and replay are
-        commutative, so counters/histograms merge identically in any
-        completion order; gauges are not — pass a shared
-        ``gauge_sources`` dict plus each snapshot's ``source`` (its
-        task index) and a gauge sample is only overwritten by an
-        equal-or-higher source, making "last write" mean *highest task
-        index*, not *latest completion*, which keeps merged metrics
-        deterministic under parallel scheduling.
-        """
-        for name in sorted(snapshot):
-            entry = snapshot[name]
-            kind = entry.get("kind", "counter")
-            label_names = tuple(entry.get("label_names", ()))
-            kwargs: dict[str, Any] = {}
-            if kind == "histogram" and "buckets" in entry:
-                kwargs["buckets"] = tuple(entry["buckets"])
-            family = self._register(
-                name, kind, entry.get("help", ""), label_names, **kwargs
-            )
-            for item in entry.get("samples", ()):
-                labels = item.get("labels", {})
-                sample = family.labels(**labels) if label_names else family.default
-                if kind == "counter":
-                    value = float(item["value"])
-                    if value > 0:
-                        sample.inc(value)
-                elif kind == "gauge":
-                    key = (
-                        name,
-                        tuple(str(labels[n]) for n in family.label_names),
-                    )
-                    if gauge_sources is None or gauge_sources.get(key, -1) <= source:
-                        sample.set(float(item["value"]))
-                        if gauge_sources is not None:
-                            gauge_sources[key] = source
-                else:
-                    for value in item.get("values", ()):
-                        sample.observe(float(value))
-
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready snapshot of every family and sample."""
         snapshot: dict[str, Any] = {}

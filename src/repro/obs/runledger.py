@@ -116,8 +116,6 @@ class RunRecord:
     duration_seconds: float | None = None
     git_sha: str | None = None
     dataset_fingerprint: str | None = None
-    workers: int | None = None
-    shard_count: int | None = None
     metrics: dict[str, Any] = field(default_factory=dict)
     spans: list[dict[str, Any]] = field(default_factory=list)
     span_summary: dict[str, Any] = field(default_factory=dict)
@@ -134,8 +132,6 @@ class RunRecord:
         tracer: Tracer | None = None,
         started_at: float | None = None,
         dataset_fingerprint: str | None = None,
-        workers: int | None = None,
-        shard_count: int | None = None,
         slo_results: list[Any] | None = None,
         extra: dict[str, Any] | None = None,
     ) -> "RunRecord":
@@ -152,8 +148,6 @@ class RunRecord:
             ),
             git_sha=git_sha(),
             dataset_fingerprint=dataset_fingerprint,
-            workers=workers,
-            shard_count=shard_count,
             metrics=metrics_to_dict(*registries) if registries else {},
             spans=(
                 [root.as_dict() for root in tracer.roots] if tracer else []

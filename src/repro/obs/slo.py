@@ -186,9 +186,9 @@ def load_slos(path: str | Path) -> tuple[SLO, ...]:
     Format::
 
         {"version": 1,
-         "slos": [{"name": "crawl_shard_p99",
+         "slos": [{"name": "crawl_transactions_p99",
                    "metric": "span_duration_seconds",
-                   "labels": {"span": "shard.transactions"},
+                   "labels": {"span": "crawl.3_transactions"},
                    "objective": "p99",
                    "threshold": 30.0}]}
     """
@@ -217,14 +217,6 @@ _CRAWL_SLOS = (
         metric="span:crawl",
         threshold=600.0,
         description="end-to-end crawl stays under 10 minutes",
-    ),
-    SLO(
-        name="crawl_shard_p99",
-        metric="span_duration_seconds",
-        labels={"span": "shard.transactions"},
-        objective="p99",
-        threshold=120.0,
-        description="p99 wallet-shard latency",
     ),
 )
 

@@ -58,7 +58,6 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from ..oracle.ethusd import EthUsdOracle, timestamp_of_day
-from ..parallel import ParallelExecutor
 from .agents import (
     SENDER_COINBASE,
     SENDER_CUSTODIAL,
@@ -114,7 +113,6 @@ class ScenarioWorld:
         tracer: Tracer | None = None,
         fault_plan: FaultPlan | None = None,
         checkpoint: CheckpointConfig | None = None,
-        executor: "ParallelExecutor | None" = None,
     ) -> DataCollectionPipeline:
         """Fresh crawler clients wired to this world's endpoints.
 
@@ -126,10 +124,7 @@ class ScenarioWorld:
         :mod:`repro.faults` wrappers between the clients and this
         world's endpoints — the clients cannot tell injected failures
         from real ones. A ``checkpoint`` config makes the run durable
-        (periodic snapshots, optional resume). An ``executor`` (from
-        :func:`repro.parallel.resolve_executor`) shards the wallet and
-        market-event stages over a process pool; the dataset stays
-        byte-identical to the serial crawl.
+        (periodic snapshots, optional resume).
         """
         registry = registry if registry is not None else MetricsRegistry()
         tracer = tracer if tracer is not None else Tracer(registry=registry)
@@ -147,7 +142,6 @@ class ScenarioWorld:
             registry=registry,
             tracer=tracer,
             checkpoint=checkpoint,
-            executor=executor,
         )
 
     def run_crawl(
@@ -156,7 +150,6 @@ class ScenarioWorld:
         tracer: Tracer | None = None,
         fault_plan: FaultPlan | None = None,
         checkpoint: CheckpointConfig | None = None,
-        executor: "ParallelExecutor | None" = None,
     ) -> tuple[ENSDataset, CrawlReport]:
         """Run the Figure-1 pipeline against this world."""
         pipeline = self.build_pipeline(
@@ -164,7 +157,6 @@ class ScenarioWorld:
             tracer=tracer,
             fault_plan=fault_plan,
             checkpoint=checkpoint,
-            executor=executor,
         )
         return pipeline.run(crawl_timestamp=self.end_timestamp)
 

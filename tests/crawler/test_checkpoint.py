@@ -1,4 +1,5 @@
-"""Checkpoint store edge cases: torn writes, staleness, GC, round trips."""
+"""Checkpoint store edge cases: torn writes, staleness, GC, round trips,
+malformed cursors, and snapshots in the on-disk format of older releases."""
 
 from __future__ import annotations
 
@@ -13,6 +14,9 @@ from repro.crawler.checkpoint import (
     STAGES,
 )
 from repro.crawler.storage import dataset_digest
+from repro.faults import CrawlKilled, EndpointFaultSpec, FaultPlan
+from repro.obs.metrics import MetricsRegistry
+from repro.simulation import ScenarioConfig, run_scenario
 
 from ..core.helpers import make_dataset, make_domain, make_registration, make_tx
 
@@ -130,6 +134,25 @@ class TestDegradedLoads:
         (snapshot / "state.json").write_text(json.dumps(payload))
         assert store.load() is None
 
+    @pytest.mark.parametrize("field", ["wallets_done", "tokens_done", "units_done"])
+    @pytest.mark.parametrize("value", ["x", None, -1, 1.5, [], True])
+    def test_malformed_count_field(self, tmp_path, field, value) -> None:
+        store = _store(tmp_path)
+        snapshot = store.write(_state(), _COUNTERS)
+        payload = json.loads((snapshot / "state.json").read_text())
+        payload["cursor"][field] = value
+        (snapshot / "state.json").write_text(json.dumps(payload))
+        assert store.load() is None
+
+    @pytest.mark.parametrize("cursor", [[], "transactions", 7, None])
+    def test_cursor_that_is_not_a_dict(self, tmp_path, cursor) -> None:
+        store = _store(tmp_path)
+        snapshot = store.write(_state(), _COUNTERS)
+        payload = json.loads((snapshot / "state.json").read_text())
+        payload["cursor"] = cursor
+        (snapshot / "state.json").write_text(json.dumps(payload))
+        assert store.load() is None
+
     def test_unreadable_dataset(self, tmp_path) -> None:
         store = _store(tmp_path)
         snapshot = store.write(_state(), _COUNTERS)
@@ -179,3 +202,99 @@ class TestValidation:
         assert state.stage == STAGE_DOMAINS
         assert state.units_done == 0
         assert state.dataset.domain_count == 0
+
+
+# -- resuming a real crawl from snapshots on disk ---------------------------
+
+_KILL_PLAN = FaultPlan(
+    seed=0, endpoints={"explorer": EndpointFaultSpec(kill_at_call=20)}
+)
+
+
+@pytest.fixture(scope="module")
+def world():
+    return run_scenario(ScenarioConfig(n_domains=40, seed=21))
+
+
+@pytest.fixture(scope="module")
+def clean_digest(world) -> str:
+    """The digest of an uncheckpointed crawl of ``world``."""
+    dataset, _ = world.run_crawl()
+    return dataset_digest(dataset)
+
+
+def _killed_snapshot(world, directory) -> dict:
+    """Kill a checkpointed crawl mid-stage-3; return its committed state.json."""
+    with pytest.raises(CrawlKilled):
+        world.run_crawl(
+            fault_plan=_KILL_PLAN,
+            checkpoint=CheckpointConfig(directory=directory, every=7),
+        )
+    payload = json.loads(_state_path(directory).read_text())
+    assert payload["cursor"]["stage"] == STAGE_TRANSACTIONS
+    assert payload["cursor"]["wallets_done"] > 0
+    return payload
+
+
+def _state_path(directory):
+    latest = (directory / "LATEST").read_text().strip()
+    return directory / latest / "state.json"
+
+
+def _resume(world, directory) -> tuple[str, MetricsRegistry]:
+    registry = MetricsRegistry()
+    dataset, _ = world.run_crawl(
+        registry=registry,
+        checkpoint=CheckpointConfig(directory=directory, every=7, resume=True),
+    )
+    return dataset_digest(dataset), registry
+
+
+class TestResumeFromDisk:
+    @pytest.mark.parametrize("value", ["x", None, -1, 1.5, []])
+    def test_malformed_cursor_starts_fresh(
+        self, world, clean_digest, tmp_path, value
+    ) -> None:
+        directory = tmp_path / "ckpt"
+        payload = _killed_snapshot(world, directory)
+        payload["cursor"]["wallets_done"] = value
+        _state_path(directory).write_text(json.dumps(payload))
+        digest, registry = _resume(world, directory)
+        assert registry.value("checkpoint_stale_total") == 1
+        assert registry.value("checkpoint_resumes_total") == 0
+        assert digest == clean_digest
+
+    def test_serial_snapshot_from_older_release_resumes(
+        self, world, clean_digest, tmp_path
+    ) -> None:
+        """Older releases wrote an (empty) ``shards_done`` map into every
+        serial cursor; such a snapshot still resumes where it stopped."""
+        directory = tmp_path / "ckpt"
+        payload = _killed_snapshot(world, directory)
+        payload["cursor"]["shards_done"] = {}
+        _state_path(directory).write_text(
+            json.dumps(payload, indent=2, sort_keys=True)
+        )
+        digest, registry = _resume(world, directory)
+        assert registry.value("checkpoint_resumes_total") == 1
+        assert registry.value("checkpoint_stale_total") == 0
+        assert digest == clean_digest
+
+    def test_sharded_snapshot_from_older_release_is_stale(
+        self, world, clean_digest, tmp_path
+    ) -> None:
+        """A sharded crawl's snapshot (``:shards=N`` fingerprint, per-shard
+        results in ``staged.json``) cannot be resumed serially."""
+        directory = tmp_path / "ckpt"
+        payload = _killed_snapshot(world, directory)
+        payload["fingerprint"] += ":shards=16"
+        payload["cursor"]["shards_done"] = {STAGE_TRANSACTIONS: [0, 3]}
+        state_path = _state_path(directory)
+        state_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        (state_path.parent / "staged.json").write_text(
+            json.dumps({"transactions": {"0": [], "3": []}, "market_events": {}})
+        )
+        digest, registry = _resume(world, directory)
+        assert registry.value("checkpoint_stale_total") == 1
+        assert registry.value("checkpoint_resumes_total") == 0
+        assert digest == clean_digest

@@ -145,11 +145,11 @@ class TestSpanUnclosed:
     def test_obs_package_is_exempt(self, rule_ids) -> None:
         assert rule_ids(
             """
-            def graft(tracer):
+            def open_root(tracer):
                 node = tracer.span("raw-manipulation")
             """,
-            module="repro.obs.spanmerge",
-            path="src/repro/obs/spanmerge.py",
+            module="repro.obs.tracing",
+            path="src/repro/obs/tracing.py",
             rules=["obs-hygiene"],
         ) == []
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.runledger import (
     LEDGER_SCHEMA_VERSION,
@@ -97,12 +98,11 @@ class TestCapture:
         slo = SLO(name="fast", metric="requests_total", threshold=10.0)
         record = RunRecord.capture(
             "crawl",
-            argv=["crawl", "--workers", "4"],
+            argv=["crawl", "--domains", "120"],
             registries=registry,
             tracer=tracer,
             started_at=started,
             dataset_fingerprint="abc123",
-            workers=4,
             slo_results=[SLOResult(slo=slo, value=9.0, status="pass")],
         )
         assert record.duration_seconds >= 1.0
@@ -127,6 +127,64 @@ class TestCapture:
         payload["added_in_schema_9"] = {"x": 1}
         restored = RunRecord.from_dict(payload)
         assert restored.command == "crawl"
+
+
+class TestOlderRecords:
+    """Ledger files written when the crawl could still be sharded."""
+
+    @pytest.fixture()
+    def ledger_dir(self, tmp_path):
+        directory = tmp_path / "ledger"
+        directory.mkdir()
+        for seq, threshold in ((1, 600.0), (2, 0.0)):
+            payload = {
+                "schema_version": LEDGER_SCHEMA_VERSION,
+                "command": "crawl",
+                "argv": ["crawl", "--domains", "120"],
+                "run_id": f"{seq:012x}",
+                "seq": seq,
+                "started_at": 1_700_000_000.0 + seq,
+                "duration_seconds": 1.5,
+                "git_sha": None,
+                "dataset_fingerprint": "abc123",
+                "workers": 4,
+                "shard_count": 16,
+                "metrics": {
+                    "requests_total": {
+                        "type": "counter",
+                        "help": "",
+                        "samples": [{"labels": {}, "value": 9}],
+                    }
+                },
+                "spans": [{"name": "crawl", "duration": 1.5}],
+                "span_summary": {},
+                "slos": [{
+                    "name": "crawl_wall_clock",
+                    "status": "pass" if threshold else "fail",
+                    "value": 1.5,
+                    "threshold": threshold,
+                }],
+                "extra": {"exit_code": 0},
+            }
+            path = directory / f"run-{seq:06d}-{payload['run_id']}.json"
+            path.write_text(json.dumps(payload))
+        return directory
+
+    def test_worker_fields_are_dropped_on_load(self, ledger_dir) -> None:
+        record = RunLedger(ledger_dir).load("1")
+        assert record.command == "crawl"
+        assert record.dataset_fingerprint == "abc123"
+        assert "workers" not in record.as_dict()
+        assert "shard_count" not in record.as_dict()
+
+    def test_obs_commands_render_them(self, ledger_dir, capsys) -> None:
+        ledger = ["--ledger-dir", str(ledger_dir)]
+        assert main(["obs", "ls", *ledger]) == 0
+        assert main(["obs", "show", "1", *ledger]) == 0
+        assert main(["obs", "diff", "2", "1", *ledger]) == 0
+        output = capsys.readouterr().out
+        assert output.count("crawl") >= 2
+        assert "abc123" in output
 
 
 class TestSpanSummary:

@@ -2,9 +2,9 @@
 
 The serve endpoint promises byte identity with ``repro report
 --json-out`` for the same scenario — for the object *and* columnar
-stores, at 1 and 4 workers. This runs the real CLI entry point per
-matrix cell and compares each output file against one HTTP fetch from
-a server over an in-process build of the same world.
+stores. This runs the real CLI entry point per store and compares each
+output file against one HTTP fetch from a server over an in-process
+build of the same world.
 """
 
 from __future__ import annotations
@@ -31,24 +31,22 @@ def golden_world():
 
 @pytest.fixture(scope="module")
 def cli_report_bytes(tmp_path_factory):
-    """``repro report --json-out`` bytes per (store, workers) cell."""
+    """``repro report --json-out`` bytes per store."""
     out_dir = tmp_path_factory.mktemp("golden-serve")
-    outputs: dict[tuple[str, int], bytes] = {}
+    outputs: dict[str, bytes] = {}
     for store in ("object", "columnar"):
-        for workers in (1, 4):
-            out = out_dir / f"report-{store}-w{workers}.json"
-            code = cli_main(
-                [
-                    "report",
-                    "--domains", str(DOMAINS),
-                    "--seed", str(SEED),
-                    "--store", store,
-                    "--workers", str(workers),
-                    "--json-out", str(out),
-                ]
-            )
-            assert code == 0
-            outputs[store, workers] = out.read_bytes()
+        out = out_dir / f"report-{store}.json"
+        code = cli_main(
+            [
+                "report",
+                "--domains", str(DOMAINS),
+                "--seed", str(SEED),
+                "--store", store,
+                "--json-out", str(out),
+            ]
+        )
+        assert code == 0
+        outputs[store] = out.read_bytes()
     return outputs
 
 
@@ -67,8 +65,7 @@ def test_served_report_matches_cli_json_out(
     with ServeHarness(dataset, world.oracle) as harness:
         served = harness.get("/report")
     assert served.status == 200
-    for workers in (1, 4):
-        assert served.body == cli_report_bytes[store, workers], (
-            f"served /report over {store} store differs from"
-            f" repro report --store {store} --workers {workers} --json-out"
-        )
+    assert served.body == cli_report_bytes[store], (
+        f"served /report over {store} store differs from"
+        f" repro report --store {store} --json-out"
+    )

@@ -17,6 +17,26 @@ def saved_dataset(tmp_path_factory):
     return out
 
 
+#: One minimal valid argv per subcommand, with the handler it selects.
+COMMAND_ARGV = [
+    (["simulate", "--out", "d"], "_cmd_simulate"),
+    (["crawl"], "_cmd_crawl"),
+    (["analyze", "d"], "_cmd_analyze"),
+    (["predict", "d"], "_cmd_predict"),
+    (["report"], "_cmd_report"),
+    (["serve"], "_cmd_serve"),
+    (["figures", "d", "--out", "o"], "_cmd_figures"),
+    (["sweep"], "_cmd_sweep"),
+    (["dataset", "pack", "d"], "_cmd_dataset_pack"),
+    (["dataset", "info", "d"], "_cmd_dataset_info"),
+    (["dataset", "stream", "--out", "d"], "_cmd_dataset_stream"),
+    (["lint"], "run"),
+    (["obs", "ls"], "_cmd_obs"),
+    (["obs", "show", "latest"], "_cmd_obs"),
+    (["obs", "diff", "1", "2"], "_cmd_obs"),
+]
+
+
 class TestParser:
     def test_requires_command(self) -> None:
         with pytest.raises(SystemExit):
@@ -26,43 +46,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate"])
 
-    @pytest.mark.parametrize("count", ["0", "-3", "two"])
-    def test_workers_must_be_positive(self, count, capsys) -> None:
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in COMMAND_ARGV],
+        ids=[" ".join(argv) for argv, _ in COMMAND_ARGV],
+    )
+    def test_workers_flag_is_rejected(self, argv, capsys) -> None:
+        # the crawl runs serially; no subcommand takes a worker count
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["report", "--workers", count])
+            build_parser().parse_args([*argv, "--workers", "2"])
         assert excinfo.value.code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_analyze_has_no_workers(self, capsys) -> None:
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["analyze", "d", "--workers", "2"])
-        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_defaults(self) -> None:
         args = build_parser().parse_args(["report"])
         assert args.domains == 1000
         assert args.seed == 7
 
-    @pytest.mark.parametrize(
-        "argv, handler",
-        [
-            (["simulate", "--out", "d"], "_cmd_simulate"),
-            (["crawl"], "_cmd_crawl"),
-            (["analyze", "d"], "_cmd_analyze"),
-            (["predict", "d"], "_cmd_predict"),
-            (["report"], "_cmd_report"),
-            (["serve"], "_cmd_serve"),
-            (["figures", "d", "--out", "o"], "_cmd_figures"),
-            (["sweep"], "_cmd_sweep"),
-            (["dataset", "pack", "d"], "_cmd_dataset_pack"),
-            (["dataset", "info", "d"], "_cmd_dataset_info"),
-            (["dataset", "stream", "--out", "d"], "_cmd_dataset_stream"),
-            (["lint"], "run"),
-            (["obs", "ls"], "_cmd_obs"),
-            (["obs", "show", "latest"], "_cmd_obs"),
-            (["obs", "diff", "1", "2"], "_cmd_obs"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, handler", COMMAND_ARGV)
     def test_every_command_resolves_to_a_handler(self, argv, handler) -> None:
         args = build_parser().parse_args(argv)
         assert args.handler.__name__ == handler
@@ -338,12 +339,11 @@ class TestRunLedger:
         assert record["command"] == "crawl"
         assert record["argv"][0] == "crawl"
         assert record["dataset_fingerprint"]
-        assert record["workers"] == 1
+        assert "workers" not in record
         assert record["extra"] == {"exit_code": 0}
         assert record["span_summary"]["crawl"]["count"] == 1
         assert {slo["name"] for slo in record["slos"]} == {
             "crawl_wall_clock",
-            "crawl_shard_p99",
             "columnar_bytes_per_domain",
             "columnar_encode_wall_clock",
             "columnar_load_wall_clock",
@@ -400,9 +400,9 @@ class TestObsSubcommand:
                 "metric": "span:crawl",
                 "threshold": 600.0,
             }, {
-                "name": "crawl_shard_p99",
+                "name": "crawl_transactions_p99",
                 "metric": "span_duration_seconds",
-                "labels": {"span": "shard.transactions"},
+                "labels": {"span": "crawl.3_transactions"},
                 "objective": "p99",
                 "threshold": 120.0,
             }],
@@ -411,7 +411,7 @@ class TestObsSubcommand:
             "crawl", "--domains", "120", "--seed", "3",
             "--ledger-dir", str(ledger), "--slo", str(config),
         ]) == 0
-        # second run: same crawl, but the shard objective is impossible
+        # second run: same crawl, but the transactions objective is impossible
         config.write_text(json.dumps({
             "version": 1,
             "slos": [{
@@ -419,15 +419,15 @@ class TestObsSubcommand:
                 "metric": "span:crawl",
                 "threshold": 600.0,
             }, {
-                "name": "crawl_shard_p99",
+                "name": "crawl_transactions_p99",
                 "metric": "span_duration_seconds",
-                "labels": {"span": "shard.transactions"},
+                "labels": {"span": "crawl.3_transactions"},
                 "objective": "p99",
                 "threshold": 0.0,
             }],
         }))
         assert main([
-            "crawl", "--domains", "120", "--seed", "3", "--workers", "2",
+            "crawl", "--domains", "120", "--seed", "3",
             "--ledger-dir", str(ledger), "--slo", str(config),
         ]) == 0
         return ledger
@@ -438,7 +438,7 @@ class TestObsSubcommand:
         output = capsys.readouterr().out
         assert "run_id" in output
         assert output.count("crawl") >= 2
-        assert "FAIL(crawl_shard_p99)" in output
+        assert "FAIL(crawl_transactions_p99)" in output
 
     def test_show_renders_trace_and_slos(self, two_runs, capsys) -> None:
         capsys.readouterr()
@@ -448,7 +448,6 @@ class TestObsSubcommand:
         assert "--- metrics ---" in output
         assert "--- trace ---" in output
         assert "crawl.3_transactions" in output
-        assert "task[" in output  # worker spans in the stored tree
 
     def test_diff_exits_nonzero_on_slo_regression(
         self, two_runs, capsys
@@ -458,7 +457,7 @@ class TestObsSubcommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "<< REGRESSION" in captured.out
-        assert "crawl_shard_p99" in captured.err
+        assert "crawl_transactions_p99" in captured.err
 
     def test_diff_without_regression_exits_zero(
         self, two_runs, capsys

@@ -1,22 +1,21 @@
-"""Gate: the report pipeline is byte-identical at every worker count.
+"""Gate: the report pipeline is byte-identical on every store.
 
 Usage::
 
     python tools/check_report_determinism.py \
-        [--domains 120] [--seed 5] [--workers 1,4] [--stores object] \
+        [--domains 120] [--seed 5] [--stores object] \
         [--golden tests/golden/report_digests.json] [--update-golden] \
         [--serve] [--incremental] [--batches 6]
 
 Runs the full ``repro report`` pipeline (scenario crawl + analysis)
-once per (store, worker-count) pair through the real CLI entry point,
-writing each run's canonical report JSON via ``--json-out``, and fails
-unless every run produced *byte-identical* output. This is the CI
-determinism gate for :mod:`repro.parallel` *and* for the columnar
-dataset core: sharded fan-out and the backing store must both be
-invisible in the results, not merely statistically close. With
-``--stores object,columnar`` the whole matrix — every store at every
-worker count — must agree on one byte sequence and one golden digest;
-the golden key deliberately does not mention the store.
+once per store through the real CLI entry point, writing each run's
+canonical report JSON via ``--json-out``, and fails unless every run
+produced *byte-identical* output. This is the CI determinism gate for
+the columnar dataset core: the backing store must be invisible in the
+results, not merely statistically close. With
+``--stores object,columnar`` both stores must agree on one byte
+sequence and one golden digest; the golden key deliberately does not
+mention the store.
 
 With ``--serve`` the same scenario is additionally stood up behind the
 resident query server (:mod:`repro.serve`), once per store, and the
@@ -26,8 +25,8 @@ be invisible too, not merely the analysis.
 
 The agreed bytes are additionally hashed (SHA-256) and compared
 against a committed golden digest, which catches a subtler failure:
-a change that is self-consistent across worker counts but silently
-alters the analysis output. Refresh the golden intentionally with
+a change that is self-consistent across stores but silently alters
+the analysis output. Refresh the golden intentionally with
 ``--update-golden`` when the output is *supposed* to change.
 
 With ``--incremental`` the gate switches to the streamed-determinism
@@ -37,16 +36,15 @@ a time to a live dataset whose report is refreshed through
 :class:`~repro.core.increport.IncrementalReportBuilder`, and at *every*
 step the incrementally refreshed bytes must equal a cold
 ``build_report`` of the replayed prefix — across every requested
-store. Analysis is serial, so this mode has no worker axis and rejects
-``--workers``. This is the gate that keeps O(delta) cache patching
+store. This is the gate that keeps O(delta) cache patching
 honest: an incremental refresh may be faster than a rebuild, never
 different.
 
 Exit codes (``2`` is left to argparse):
 
-* ``0`` — identical across worker counts and matching the golden.
-* ``1`` — worker counts disagree (a nondeterministic merge).
-* ``3`` — consistent across workers but drifted from the golden.
+* ``0`` — identical across stores and matching the golden.
+* ``1`` — stores disagree (the representation leaks into the output).
+* ``3`` — consistent across stores but drifted from the golden.
 * ``4`` — golden file missing/unreadable (run ``--update-golden``).
 * ``5`` — a served ``/report`` body differs from the CLI bytes
   (``--serve`` only).
@@ -64,7 +62,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-EXIT_WORKER_MISMATCH = 1
+EXIT_STORE_MISMATCH = 1
 EXIT_GOLDEN_DRIFT = 3
 EXIT_GOLDEN_MISSING = 4
 EXIT_SERVE_MISMATCH = 5
@@ -75,9 +73,7 @@ DEFAULT_GOLDEN = Path(__file__).resolve().parent.parent / (
 )
 
 
-def run_report(
-    domains: int, seed: int, workers: int, store: str, out: Path
-) -> None:
+def run_report(domains: int, seed: int, store: str, out: Path) -> None:
     """Invoke the real CLI in-process; raise if it exits non-zero."""
     from repro.cli import main as cli_main
 
@@ -86,15 +82,12 @@ def run_report(
             "report",
             "--domains", str(domains),
             "--seed", str(seed),
-            "--workers", str(workers),
             "--store", store,
             "--json-out", str(out),
         ]
     )
     if code != 0:
-        raise RuntimeError(
-            f"repro report --store {store} --workers {workers} exited {code}"
-        )
+        raise RuntimeError(f"repro report --store {store} exited {code}")
 
 
 def scenario_key(domains: int, seed: int) -> str:
@@ -198,12 +191,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--domains", type=int, default=120)
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument(
-        "--workers",
-        default=None,
-        help="comma-separated worker counts to compare (default 1,4;"
-        " not with --incremental)",
-    )
-    parser.add_argument(
         "--stores",
         default="object",
         help="comma-separated dataset stores to compare"
@@ -240,45 +227,32 @@ def main(argv: list[str] | None = None) -> int:
         help="block-batches to slice the scenario into (--incremental)",
     )
     args = parser.parse_args(argv)
-    if args.incremental and args.workers is not None:
-        parser.error("--workers has no effect with --incremental")
-    worker_counts = [
-        int(part) for part in (args.workers or "1,4").split(",") if part
-    ]
     stores = [part.strip() for part in args.stores.split(",") if part.strip()]
 
     if args.incremental:
         return check_incremental(args.domains, args.seed, args.batches, stores)
 
-    matrix = [(store, workers) for store in stores for workers in worker_counts]
-    outputs: dict[tuple[str, int], bytes] = {}
+    outputs: dict[str, bytes] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for store, workers in matrix:
-            out = Path(tmp) / f"report-{store}-w{workers}.json"
-            run_report(args.domains, args.seed, workers, store, out)
-            outputs[store, workers] = out.read_bytes()
+        for store in stores:
+            out = Path(tmp) / f"report-{store}.json"
+            run_report(args.domains, args.seed, store, out)
+            outputs[store] = out.read_bytes()
             print(
-                f"store={store} workers={workers}:"
-                f" {len(outputs[store, workers])} bytes, sha256="
-                f"{hashlib.sha256(outputs[store, workers]).hexdigest()[:16]}…"
+                f"store={store}: {len(outputs[store])} bytes, sha256="
+                f"{hashlib.sha256(outputs[store]).hexdigest()[:16]}…"
             )
 
-    reference_cell = matrix[0]
-    reference = outputs[reference_cell]
-    mismatched = [cell for cell in matrix[1:] if outputs[cell] != reference]
+    reference = outputs[stores[0]]
+    mismatched = [store for store in stores[1:] if outputs[store] != reference]
     if mismatched:
-        cells = ", ".join(f"{s}/w{w}" for s, w in mismatched)
         print(
-            f"\nFAIL: report bytes at ({cells}) differ from"
-            f" {reference_cell[0]}/w{reference_cell[1]} — a merge or store"
-            " is leaking completion order, worker count, or representation"
-            " into the output"
+            f"\nFAIL: report bytes at ({', '.join(mismatched)}) differ from"
+            f" {stores[0]} — the store is leaking its representation into"
+            " the output"
         )
-        return EXIT_WORKER_MISMATCH
-    print(
-        f"report byte-identical across stores={stores}"
-        f" x workers={worker_counts}"
-    )
+        return EXIT_STORE_MISMATCH
+    print(f"report byte-identical across stores={stores}")
 
     if args.serve:
         served = served_report(args.domains, args.seed, stores)
@@ -319,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_GOLDEN_MISSING
     if digest != expected:
         print(
-            f"\nFAIL: report is consistent across worker counts but its"
+            f"\nFAIL: report is consistent across stores but its"
             f" digest drifted from the committed golden\n"
             f"  expected {expected}\n  got      {digest}\n"
             "If the analysis output was intentionally changed, refresh with"
