@@ -4,11 +4,6 @@ The scenario build (chain + contracts + crawl) takes ~10s at the default
 2,000-domain scale, so every benchmark shares a single session world and
 measures only its own analysis stage. Set ``REPRO_BENCH_DOMAINS`` to
 scale up (e.g. 5000 for tighter statistics at ~30s build time).
-
-Every bench session also writes a metrics JSON next to the timing
-numbers (``.benchmarks/metrics-latest.json``, or ``REPRO_BENCH_METRICS``
-if set): the shared world's scenario/chain counters, the crawl's
-per-client effort counters, and the process-global keccak counters.
 """
 
 from __future__ import annotations
@@ -18,14 +13,9 @@ import os
 import pytest
 
 from repro.core import find_reregistrations
-from repro.obs import MetricsRegistry, Tracer, global_registry, write_run_report
 from repro.simulation import ScenarioConfig, ScenarioWorld, run_scenario
 
 DEFAULT_BENCH_DOMAINS = 2_000
-
-# Registries populated by the session fixtures, exported at session end.
-_EXPORT: dict[str, MetricsRegistry] = {}
-_TRACERS: dict[str, Tracer] = {}
 
 
 def _bench_config() -> ScenarioConfig:
@@ -35,20 +25,13 @@ def _bench_config() -> ScenarioConfig:
 
 @pytest.fixture(scope="session")
 def world() -> ScenarioWorld:
-    built = run_scenario(_bench_config())
-    _EXPORT["scenario"] = built.registry
-    _TRACERS["scenario"] = built.tracer
-    return built
+    return run_scenario(_bench_config())
 
 
 @pytest.fixture(scope="session")
 def crawl(world):
     """(dataset, crawl report) from the Figure-1 pipeline."""
-    registry = MetricsRegistry()
-    tracer = Tracer(registry=registry)
-    _EXPORT["crawl"] = registry
-    _TRACERS["crawl"] = tracer
-    return world.run_crawl(registry=registry, tracer=tracer)
+    return world.run_crawl()
 
 
 @pytest.fixture(scope="session")
@@ -66,17 +49,3 @@ def rereg_events(dataset):
     """The shared re-registration scan most analyses start from."""
     return find_reregistrations(dataset)
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _export_metrics(request):
-    """Write the session's metrics JSON next to the timing numbers."""
-    yield
-    path = os.environ.get("REPRO_BENCH_METRICS") or str(
-        request.config.rootpath / ".benchmarks" / "metrics-latest.json"
-    )
-    registries = [*_EXPORT.values(), global_registry()]
-    tracer = _TRACERS.get("crawl") or _TRACERS.get("scenario")
-    try:
-        write_run_report(path, registries, tracer)
-    except OSError:  # an unwritable rootdir must not fail the bench run
-        pass

@@ -18,24 +18,21 @@ use the default deterministic ETH-USD oracle, so a saved dataset
 re-analyzes to identical numbers anywhere.
 
 Every subcommand except ``lint`` and ``obs`` is an observed run: it
-takes ``--metrics-out PATH`` (write the run's metrics and spans as
-JSON; ``.prom`` suffix switches to Prometheus text format),
-``--trace`` (print the span tree after the command), and
-``--profile [N]`` (print the N slowest spans, default 10 — where the
-time went without exporting metrics JSON). Progress goes to stderr
-through :mod:`repro.obs.log`; only results are printed to stdout, so
-piping stays clean.
+takes ``--trace`` (print the span tree after the command). Progress
+goes to stderr through :mod:`repro.obs.log`; only results are printed
+to stdout, so piping stays clean.
 
 Every observed run that gets past argument parsing also appends a
 record — command, argv, exit code (``extra.exit_code``), git sha,
 dataset fingerprint, metrics, spans, SLO verdicts — to the run ledger
 (``--ledger-dir DIR`` / ``$REPRO_LEDGER_DIR`` / ``.repro/ledger``;
 ``--no-ledger`` skips), whether it exits 0 or not; a run that raises
-leaves no record. ``repro obs`` reads the history back:
+leaves no record. That record is the run's one telemetry artifact.
+``repro obs`` reads the history back:
 ``ls`` lists recent runs, ``show <ref>`` renders one run's trace and
 metrics, ``diff <a> <b>`` prints deltas and exits non-zero when an
-objective that passed in ``a`` fails in ``b``. SLO sets come from
-``--slo PATH``, ``.repro/slo.json``, or built-in per-command defaults.
+objective that passed in ``a`` fails in ``b``. Each command's SLO set
+is the built-in :func:`~repro.obs.default_slos`.
 """
 
 from __future__ import annotations
@@ -68,21 +65,15 @@ from .obs import (
     evaluate_slos,
     get_logger,
     global_registry,
-    load_slos,
-    prometheus_text,
     span_lines,
-    write_run_report,
 )
-from .obs.runledger import DEFAULT_LEDGER_DIR, wall_now
+from .obs.runledger import DEFAULT_LEDGER_DIR, LedgerRecordError, wall_now
 from .oracle import EthUsdOracle
 from .simulation import ScenarioConfig, run_scenario
 
 __all__ = ["main", "build_parser"]
 
 _log = get_logger("cli")
-
-#: The SLO config consulted when no ``--slo PATH`` was given.
-DEFAULT_SLO_CONFIG = ".repro/slo.json"
 
 
 def _add_command(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
@@ -104,38 +95,15 @@ def _add_ledger_dir_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write run metrics (+ spans) to PATH as JSON"
-        " (.prom writes Prometheus text format)",
-    )
-    parser.add_argument(
         "--trace",
         action="store_true",
         help="print the span tree with per-stage durations",
-    )
-    parser.add_argument(
-        "--profile",
-        metavar="N",
-        nargs="?",
-        type=int,
-        const=10,
-        default=None,
-        help="print the N slowest analysis spans after the run (default 10)",
     )
     _add_ledger_dir_arg(parser)
     parser.add_argument(
         "--no-ledger",
         action="store_true",
         help="skip appending this run to the run ledger",
-    )
-    parser.add_argument(
-        "--slo",
-        metavar="PATH",
-        default=None,
-        help="SLO config JSON evaluated after the run (default:"
-        f" {DEFAULT_SLO_CONFIG} if present, else built-in objectives)",
     )
 
 
@@ -406,10 +374,11 @@ class _RunObservability:
 
     :func:`main` builds it before the handler runs and calls
     ``finish(exit_code)`` once the handler returns, whatever the code.
-    ``finish`` evaluates the run's SLO set and appends a
+    ``finish`` evaluates the command's built-in SLO set, appends a
     :class:`~repro.obs.RunRecord` to the run ledger (unless
-    ``--no-ledger``), so every run leaves a comparable trail for
-    ``repro obs`` and the bench-regression gate.
+    ``--no-ledger``) and prints the span tree under ``--trace``. The
+    record is the run's one telemetry artifact: ``repro obs`` and the
+    bench-regression gate read it back.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str]) -> None:
@@ -420,16 +389,9 @@ class _RunObservability:
         self._argv = argv
         self._started: float = wall_now()
 
-    def _resolve_slos(self):
-        if self._args.slo:
-            return load_slos(self._args.slo)
-        if os.path.isfile(DEFAULT_SLO_CONFIG):
-            return load_slos(DEFAULT_SLO_CONFIG)
-        return default_slos(self._args.command)
-
     def _evaluate_and_record(self, exit_code: int) -> None:
         slo_results = evaluate_slos(
-            self._resolve_slos(),
+            default_slos(self._args.command),
             [self.registry, global_registry()],
             self.tracer,
         )
@@ -465,28 +427,10 @@ class _RunObservability:
 
     def finish(self, exit_code: int) -> None:
         self._evaluate_and_record(exit_code)
-        args = self._args
-        if args.metrics_out:
-            registries = [self.registry, global_registry()]
-            if args.metrics_out.endswith(".prom"):
-                Path(args.metrics_out).write_text(prometheus_text(*registries))
-            else:
-                write_run_report(args.metrics_out, registries, self.tracer)
-            _log.info("metrics.written", path=args.metrics_out)
-        if args.trace:
+        if self._args.trace:
             print("--- trace ---")
             for line in self.tracer.tree_lines():
                 print(line)
-        if args.profile is not None:
-            closed = [
-                span
-                for span in self.tracer.iter_spans()
-                if span.duration is not None
-            ]
-            closed.sort(key=lambda span: span.duration, reverse=True)
-            print(f"--- profile (top {args.profile} spans) ---")
-            for span in closed[: args.profile]:
-                print(f"  {span.name:<40s} {span.duration:8.3f}s")
 
 
 def _scenario_dataset(args: argparse.Namespace, obs: _RunObservability, **crawl):
@@ -1049,7 +993,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     handlers = {"ls": _obs_ls, "show": _obs_show, "diff": _obs_diff}
     try:
         return handlers[args.obs_command](ledger, args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, LedgerRecordError) as exc:
         print(f"obs: {exc}", file=sys.stderr)
         return 2
 
@@ -1061,7 +1005,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     problem = _argument_problem(args)
     if problem:
         args.parser.error(problem)
-    if "metrics_out" not in vars(args):  # lint and obs: not observed runs
+    if "no_ledger" not in vars(args):  # lint and obs: not observed runs
         return args.handler(args)
     obs = _RunObservability(args, raw)
     exit_code = args.handler(args, obs)

@@ -15,11 +15,11 @@ gate compares across stores and against the golden digests.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Any
 
 from ..datasets.dataset import ENSDataset
+from ..obs.exporters import sanitize_non_finite
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
 from ..oracle.ethusd import EthUsdOracle
@@ -205,24 +205,6 @@ class HeadlineReport:
         }
 
 
-def _sanitize_non_finite(value: Any) -> Any:
-    """Replace NaN/±Inf floats with ``None``, recursively.
-
-    ``json.dumps`` defaults to ``allow_nan=True`` and happily emits the
-    bare tokens ``NaN``/``Infinity`` — which are *not* JSON and break
-    every strict parser downstream. Ratios over empty denominators (a
-    crawl that recovered nothing, an empty expiry universe) are exactly
-    where these appear, so the canonical encoders map them to ``null``.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _sanitize_non_finite(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize_non_finite(item) for item in value]
-    return value
-
-
 def canonical_json(payload: Any) -> str:
     """Canonical JSON text for any JSON-ready payload.
 
@@ -234,7 +216,7 @@ def canonical_json(payload: Any) -> str:
     """
     return (
         json.dumps(
-            _sanitize_non_finite(payload),
+            sanitize_non_finite(payload),
             sort_keys=True,
             separators=(",", ":"),
             allow_nan=False,

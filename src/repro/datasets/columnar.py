@@ -12,11 +12,6 @@ atomically and opened via :mod:`mmap`:
 * **O(1) open** — :meth:`ColumnarDataset.open` parses a fixed-size
   header and section directory and wraps each section in a zero-copy
   ``memoryview`` cast; no row is touched until an analysis asks for it.
-* **Cheap pickling** — the backing pages are file-backed and
-  read-only, so a file-backed dataset pickles as its *path*
-  (:meth:`ColumnarDataset.__reduce__`) and an in-memory one as its
-  single packed buffer; unpickling re-maps the file instead of
-  deserializing an object graph.
 * **Identical analysis output** — :class:`ColumnarDataset` implements
   the read surface of :class:`~repro.datasets.dataset.ENSDataset`
   (``domains`` mapping, ``transactions`` / ``market_events``
@@ -534,17 +529,6 @@ class ColumnarDataset:
         return cls.from_bytes(
             encode_dataset(dataset, registry=registry, tracer=tracer)
         )
-
-    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
-        """Pickle as a path (file-backed) or as the raw buffer bytes.
-
-        Either way no per-record serialization happens: unpickling
-        re-maps the file (sharing the page cache) or wraps the single
-        packed blob.
-        """
-        if self._path is not None:
-            return (ColumnarDataset.open, (self._path,))
-        return (ColumnarDataset.from_bytes, (bytes(self._buffer),))
 
     # -- container parsing -------------------------------------------------
 

@@ -1,7 +1,6 @@
 """Obs-hygiene checker: structured output only, no swallowed failures.
 
-Successor to ``tools/check_no_print.py`` (that script is now a shim
-over this checker). Three rules:
+Three rules:
 
 * ``obs-no-print`` — ``print()`` in library code. Results go to stdout
   through the CLI layer; progress goes to stderr through
@@ -16,8 +15,8 @@ over this checker). Three rules:
 * ``obs-span-unclosed`` — a ``.span(...)`` call used outside a ``with``
   statement. A span opened without the context manager never records
   its end instant, so it has no duration: it is missing from the
-  ``span_duration_seconds`` histogram, the ledger's span summary and
-  every SLO read from them.
+  ``span_duration_seconds`` histogram and every SLO and ledger
+  comparison read from it.
   The :mod:`repro.obs` package itself is exempt: the tracing layer and
   tests of it manipulate spans directly by design.
 """

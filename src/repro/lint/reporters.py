@@ -2,10 +2,9 @@
 
 Mirrors the :mod:`repro.obs.exporters` conventions — deterministic
 ordering (findings arrive pre-sorted from the runner), canonical
-formatting, strict JSON (``allow_nan`` is irrelevant here but the
-structure matches :func:`repro.obs.exporters.write_run_report`: one
-top-level document with a ``summary`` block, safe to pin in golden
-tests). Reporters return strings; only the CLI layer writes to stdout.
+formatting, strict JSON: one top-level document with a ``summary``
+block, safe to pin in golden tests. Reporters return strings; only the
+CLI layer writes to stdout.
 """
 
 from __future__ import annotations

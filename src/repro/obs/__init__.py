@@ -11,17 +11,12 @@ the metrics can never drift apart.
   gauges, histograms, labels) plus the process :func:`global_registry`,
 * :mod:`repro.obs.tracing` — nested :class:`Tracer` spans over wall or
   virtual clocks, rendered as human-readable trees by :func:`span_lines`,
-* :mod:`repro.obs.exporters` — Prometheus text, JSON run reports,
+* :mod:`repro.obs.exporters` — Prometheus text, strict-JSON snapshots,
 * :mod:`repro.obs.log` — ``event key=value`` structured logging
   (``print()`` is banned outside ``cli.py`` and this package).
 """
 
-from .exporters import (
-    metrics_to_dict,
-    prometheus_text,
-    sanitize_metric_name,
-    write_run_report,
-)
+from .exporters import metrics_to_dict, prometheus_text, sanitize_metric_name
 from .log import configure, get_logger
 from .metrics import (
     Histogram,
@@ -31,7 +26,7 @@ from .metrics import (
     global_registry,
 )
 from .runledger import LEDGER_SCHEMA_VERSION, RunLedger, RunRecord
-from .slo import SLO, SLOResult, default_slos, evaluate_slos, load_slos
+from .slo import SLO, SLOResult, default_slos, evaluate_slos
 from .tracing import Span, Tracer, span_lines
 
 __all__ = [
@@ -51,10 +46,8 @@ __all__ = [
     "evaluate_slos",
     "get_logger",
     "global_registry",
-    "load_slos",
     "metrics_to_dict",
     "prometheus_text",
     "sanitize_metric_name",
     "span_lines",
-    "write_run_report",
 ]

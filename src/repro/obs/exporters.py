@@ -1,10 +1,9 @@
-"""Exporters: Prometheus text format, JSON run reports, span trees.
+"""Exporters: Prometheus text format, strict-JSON metric snapshots.
 
 Three consumers, three formats:
 
-* a scrape endpoint or textfile collector — :func:`prometheus_text`,
-* programmatic inspection / the CLI ``--metrics-out`` flag —
-  :func:`metrics_to_dict` / :func:`write_run_report`,
+* ``repro serve``'s ``/metrics`` scrape endpoint — :func:`prometheus_text`,
+* the run ledger's record of each run — :func:`metrics_to_dict`,
 * a human at a terminal — :func:`repro.obs.tracing.span_lines` (what
   :meth:`Tracer.tree_lines` and ``repro obs show`` print).
 
@@ -15,20 +14,17 @@ exact output.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from pathlib import Path
 from typing import Any
 
 from .metrics import Histogram, MetricsRegistry
-from .tracing import Tracer
 
 __all__ = [
     "metrics_to_dict",
     "prometheus_text",
     "sanitize_metric_name",
-    "write_run_report",
+    "sanitize_non_finite",
 ]
 
 
@@ -121,14 +117,22 @@ def prometheus_text(*registries: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value: Any) -> Any:
-    """Replace NaN/Inf with None so the output is strict JSON."""
+def sanitize_non_finite(value: Any) -> Any:
+    """Replace NaN/±Inf floats with ``None``, recursively.
+
+    ``json.dumps`` defaults to ``allow_nan=True`` and emits the bare
+    tokens ``NaN``/``Infinity``, which are *not* JSON and break every
+    strict parser downstream. Ratios over empty denominators (a crawl
+    that recovered nothing, an empty histogram) are exactly where these
+    appear, so every JSON writer maps them to ``null`` first. Tuples
+    come back as lists, as ``json`` would encode them.
+    """
     if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_jsonable(item) for item in value]
+        return {key: sanitize_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [sanitize_non_finite(item) for item in value]
     return value
 
 
@@ -137,25 +141,4 @@ def metrics_to_dict(*registries: MetricsRegistry) -> dict[str, Any]:
     merged: dict[str, Any] = {}
     for registry in registries:
         merged.update(registry.as_dict())
-    return _jsonable(merged)
-
-
-def write_run_report(
-    path: str | Path,
-    registries: MetricsRegistry | list[MetricsRegistry],
-    tracer: Tracer | None = None,
-    extra: dict[str, Any] | None = None,
-) -> Path:
-    """Write one structured JSON run report: metrics + spans + extras."""
-    if isinstance(registries, MetricsRegistry):
-        registries = [registries]
-    report: dict[str, Any] = {"metrics": metrics_to_dict(*registries)}
-    if tracer is not None:
-        report["spans"] = _jsonable(tracer.as_dict())
-    if extra:
-        report.update(_jsonable(extra))
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
-    return path
+    return sanitize_non_finite(merged)

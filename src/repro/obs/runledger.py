@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import subprocess
 import time
@@ -28,17 +27,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .exporters import metrics_to_dict
+from .exporters import metrics_to_dict, sanitize_non_finite
+from .log import get_logger
 from .metrics import MetricsRegistry
-from .tracing import Span, Tracer
+from .tracing import Tracer
 
 __all__ = [
     "DEFAULT_LEDGER_DIR",
     "LEDGER_SCHEMA_VERSION",
+    "LedgerRecordError",
     "RunLedger",
     "RunRecord",
     "git_sha",
-    "span_summary",
     "wall_now",
 ]
 
@@ -49,6 +49,29 @@ LEDGER_SCHEMA_VERSION = 1
 DEFAULT_LEDGER_DIR = ".repro/ledger"
 
 _RUN_FILE_PREFIX = "run-"
+
+_log = get_logger("obs.ledger")
+
+_NUMBER_OR_NONE = (int, float, type(None))
+
+#: The JSON type of each record field that ``repro obs`` formats or
+#: indexes; a file holding anything else is not a readable record.
+_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
+    "command": str,
+    "argv": list,
+    "run_id": str,
+    "seq": int,
+    "started_at": _NUMBER_OR_NONE,
+    "duration_seconds": _NUMBER_OR_NONE,
+    "metrics": dict,
+    "spans": list,
+    "slos": list,
+    "extra": dict,
+}
+
+
+class LedgerRecordError(ValueError):
+    """A ledger file whose content is not a readable run record."""
 
 
 def wall_now() -> float:
@@ -77,32 +100,6 @@ def git_sha(cwd: str | Path | None = None) -> str | None:
     return sha if proc.returncode == 0 and sha else None
 
 
-def span_summary(tracer: Tracer) -> dict[str, Any]:
-    """Per-span-name duration aggregates for one run's trace.
-
-    ``{name: {count, total_seconds, max_seconds, p50, p99}}`` — the
-    compact, comparable digest ``repro obs diff`` and the ledger-backed
-    bench gate work from (the full tree is stored separately for
-    ``repro obs show``).
-    """
-    durations: dict[str, list[float]] = {}
-    for span in tracer.iter_spans():
-        if span.duration is not None:
-            durations.setdefault(span.name, []).append(span.duration)
-    summary: dict[str, Any] = {}
-    for name in sorted(durations):
-        values = sorted(durations[name])
-        count = len(values)
-        summary[name] = {
-            "count": count,
-            "total_seconds": sum(values),
-            "max_seconds": values[-1],
-            "p50": values[max(0, math.ceil(50 / 100 * count) - 1)],
-            "p99": values[max(0, math.ceil(99 / 100 * count) - 1)],
-        }
-    return summary
-
-
 @dataclass
 class RunRecord:
     """One ledger entry: everything needed to compare this run to another."""
@@ -118,7 +115,6 @@ class RunRecord:
     dataset_fingerprint: str | None = None
     metrics: dict[str, Any] = field(default_factory=dict)
     spans: list[dict[str, Any]] = field(default_factory=list)
-    span_summary: dict[str, Any] = field(default_factory=dict)
     slos: list[dict[str, Any]] = field(default_factory=list)
     extra: dict[str, Any] = field(default_factory=dict)
 
@@ -152,7 +148,6 @@ class RunRecord:
             spans=(
                 [root.as_dict() for root in tracer.roots] if tracer else []
             ),
-            span_summary=span_summary(tracer) if tracer else {},
             slos=[result.as_dict() for result in slo_results or []],
             extra=dict(extra or {}),
         )
@@ -162,25 +157,33 @@ class RunRecord:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "RunRecord":
-        """Load a record, tolerating fields added by newer schemas."""
+    def from_dict(cls, payload: Any) -> "RunRecord":
+        """Load a record, tolerating fields added by newer schemas.
+
+        Fields this schema no longer has (older span digests, ``workers``)
+        are dropped. Raises :class:`LedgerRecordError` when ``payload``
+        is not an object, lacks ``command``, or holds a field of the
+        wrong JSON type.
+        """
+        if not isinstance(payload, dict):
+            raise LedgerRecordError(
+                f"expected a JSON object, got {type(payload).__name__}"
+            )
         known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        fields = {k: v for k, v in payload.items() if k in known}
+        if "command" not in fields:
+            raise LedgerRecordError("record has no command")
+        for name, types in _FIELD_TYPES.items():
+            if name in fields and not isinstance(fields[name], types):
+                raise LedgerRecordError(
+                    f"field {name!r} is {type(fields[name]).__name__}"
+                )
+        return cls(**fields)
 
     @property
     def slo_failures(self) -> list[str]:
         """Names of objectives this run violated."""
         return [s["name"] for s in self.slos if s.get("status") == "fail"]
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_jsonable(item) for item in value]
-    return value
 
 
 class RunLedger:
@@ -209,7 +212,7 @@ class RunLedger:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         record.seq = self._next_seq()
-        payload = _jsonable(record.as_dict())
+        payload = sanitize_non_finite(record.as_dict())
         digest_src = json.dumps(
             {k: v for k, v in payload.items() if k not in ("run_id", "seq")},
             sort_keys=True,
@@ -261,16 +264,33 @@ class RunLedger:
         )
 
     def records(self, limit: int | None = None) -> list[RunRecord]:
-        """All records oldest-first (the newest ``limit`` when given)."""
+        """All records oldest-first (the newest ``limit`` files when given).
+
+        A file that is not a readable record is skipped with a
+        ``ledger.unreadable`` warning, so one torn or foreign file
+        cannot hide the rest of the history.
+        """
         paths = self._entry_paths()
         if limit is not None:
             paths = paths[-limit:]
-        return [self._read(path) for path in paths]
+        records = []
+        for path in paths:
+            try:
+                records.append(self._read(path))
+            except LedgerRecordError as exc:
+                _log.warning(
+                    "ledger.unreadable", path=str(path), error=str(exc.__cause__)
+                )
+        return records
 
     def _read(self, path: Path) -> RunRecord:
-        return RunRecord.from_dict(
-            json.loads(path.read_text(encoding="utf-8"))
-        )
+        """One file's record; :class:`LedgerRecordError` names the path."""
+        try:
+            return RunRecord.from_dict(
+                json.loads(path.read_text(encoding="utf-8"))
+            )
+        except ValueError as exc:  # bad UTF-8, bad JSON, or a bad record
+            raise LedgerRecordError(f"{path}: {exc}") from exc
 
     def load(self, ref: str) -> RunRecord:
         """Resolve one run reference to its record.

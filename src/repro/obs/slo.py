@@ -11,21 +11,14 @@ set and writes the verdicts into the run ledger
 the bench-regression tool flag *regressions* — a run that newly violates
 an objective an earlier run met — instead of only absolute failures.
 
-Objectives come from three places, first match wins:
-
-1. an explicit config file (CLI ``--slo PATH``, JSON, see
-   :func:`load_slos`),
-2. ``.repro/slo.json`` in the working directory,
-3. the built-in per-command defaults (:func:`default_slos`) — loose
-   bounds meant to catch order-of-magnitude regressions, not to flake
-   on a busy CI runner.
+Each command's objectives are its built-in set (:func:`default_slos`):
+loose bounds meant to catch order-of-magnitude regressions, not to
+flake on a busy CI runner.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from .metrics import Histogram, MetricsRegistry
@@ -36,7 +29,6 @@ __all__ = [
     "SLOResult",
     "default_slos",
     "evaluate_slos",
-    "load_slos",
 ]
 
 #: Objectives a histogram sample supports.
@@ -180,37 +172,8 @@ def evaluate_slos(
     return results
 
 
-def load_slos(path: str | Path) -> tuple[SLO, ...]:
-    """Read an SLO set from a JSON config file.
-
-    Format::
-
-        {"version": 1,
-         "slos": [{"name": "crawl_transactions_p99",
-                   "metric": "span_duration_seconds",
-                   "labels": {"span": "crawl.3_transactions"},
-                   "objective": "p99",
-                   "threshold": 30.0}]}
-    """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    slos = []
-    for entry in payload.get("slos", ()):
-        slos.append(
-            SLO(
-                name=entry["name"],
-                metric=entry["metric"],
-                threshold=float(entry["threshold"]),
-                objective=entry.get("objective", "value"),
-                labels=dict(entry.get("labels", {})),
-                description=entry.get("description", ""),
-            )
-        )
-    return tuple(slos)
-
-
 #: Per-command built-in objectives. Bounds are deliberately loose —
-#: order-of-magnitude tripwires for a CI runner, tightened per-site via
-#: ``--slo`` / ``.repro/slo.json`` rather than in code.
+#: order-of-magnitude tripwires for a CI runner.
 _CRAWL_SLOS = (
     SLO(
         name="crawl_wall_clock",

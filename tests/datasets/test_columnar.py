@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,18 +197,6 @@ class TestFormatErrors:
 
 
 class TestPersistenceAndSharing:
-    def test_pickle_round_trip_in_memory(self) -> None:
-        dataset = _small_dataset()
-        store = ColumnarDataset.from_dataset(dataset)
-        _assert_equivalent(pickle.loads(pickle.dumps(store)), dataset)
-
-    def test_pickle_round_trip_file_backed(self, tmp_path) -> None:
-        dataset = _small_dataset()
-        path = write_columnar(dataset, tmp_path / "d.rcol")
-        clone = pickle.loads(pickle.dumps(ColumnarDataset.open(path)))
-        _assert_equivalent(clone, dataset)
-        assert clone.path == str(path)
-
     def test_atomic_write_leaves_no_temp_files(self, tmp_path) -> None:
         write_columnar(_small_dataset(), tmp_path / "d.rcol")
         assert [p.name for p in tmp_path.iterdir()] == ["d.rcol"]

@@ -1,12 +1,6 @@
-"""Obs-hygiene checker + the check_no_print shim contract."""
+"""Obs-hygiene checker: no print, no swallowed failures, closed spans."""
 
 from __future__ import annotations
-
-import subprocess
-import sys
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestNoPrint:
@@ -161,30 +155,3 @@ class TestSpanUnclosed:
             """,
             rules=["obs-hygiene"],
         ) == []
-
-
-class TestCheckNoPrintShim:
-    """The historic tools/check_no_print.py CLI contract must survive."""
-
-    def _run(self, root: str, cwd: Path) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "check_no_print.py"), root],
-            capture_output=True,
-            text=True,
-            cwd=cwd,
-        )
-
-    def test_clean_tree_exits_zero(self) -> None:
-        result = self._run("src", REPO_ROOT)
-        assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_offending_tree_exits_one_with_old_format(self, tmp_path) -> None:
-        bad = tmp_path / "src" / "repro" / "badmod.py"
-        bad.parent.mkdir(parents=True)
-        (bad.parent / "__init__.py").write_text("")
-        bad.write_text("def f():\n    print('oops')\n")
-        result = self._run("src", tmp_path)
-        assert result.returncode == 1
-        assert "badmod.py:2:" in result.stdout
-        assert "repro.obs.log" in result.stdout
-        assert "1 offending call(s)." in result.stderr

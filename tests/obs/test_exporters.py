@@ -1,17 +1,14 @@
-"""Exporters: Prometheus golden file, JSON run reports."""
+"""Exporters: Prometheus golden file, strict-JSON metric snapshots."""
 
 from __future__ import annotations
 
-import json
-
 from repro.obs import (
     MetricsRegistry,
-    Tracer,
     metrics_to_dict,
     prometheus_text,
     sanitize_metric_name,
-    write_run_report,
 )
+from repro.obs.exporters import sanitize_non_finite
 
 # The exporter promises deterministic output: families sorted by name,
 # samples by label values, canonical float formatting. This golden text
@@ -171,22 +168,10 @@ class TestMetricsToDict:
         assert snapshot["empty_seconds"]["samples"][0]["p50"] is None
 
 
-class TestWriteRunReport:
-    def test_writes_strict_json_with_spans(self, tmp_path) -> None:
-        registry = MetricsRegistry()
-        registry.counter("a_total").inc()
-        registry.gauge("rate").set(float("nan"))
-        tracer = Tracer()
-        with tracer.span("stage"):
-            pass
-        path = write_run_report(
-            tmp_path / "out" / "metrics.json",
-            registry,
-            tracer,
-            extra={"crawl_report": {"domains": 5}},
-        )
-        payload = json.loads(path.read_text())  # strict JSON must parse
-        assert payload["metrics"]["a_total"]["samples"][0]["value"] == 1.0
-        assert payload["metrics"]["rate"]["samples"][0]["value"] is None
-        assert payload["spans"][0]["name"] == "stage"
-        assert payload["crawl_report"] == {"domains": 5}
+class TestSanitizeNonFinite:
+    def test_walks_dicts_lists_and_tuples(self) -> None:
+        value = {"a": [1.0, float("inf")], "b": (float("-inf"), {"c": float("nan")})}
+        assert sanitize_non_finite(value) == {"a": [1.0, None], "b": [None, {"c": None}]}
+
+    def test_finite_scalars_pass_through(self) -> None:
+        assert sanitize_non_finite(("x", 2, 0.5, None, True)) == ["x", 2, 0.5, None, True]

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import io
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, configure
 from repro.obs.runledger import (
     LEDGER_SCHEMA_VERSION,
+    LedgerRecordError,
     RunLedger,
     RunRecord,
-    span_summary,
     wall_now,
 )
 from repro.obs.slo import SLO, SLOResult
@@ -108,7 +114,6 @@ class TestCapture:
         assert record.duration_seconds >= 1.0
         assert record.metrics["requests_total"]["samples"][0]["value"] == 9
         assert record.spans[0]["name"] == "crawl"
-        assert "crawl" in record.span_summary
         assert record.slos[0]["status"] == "pass"
         assert record.dataset_fingerprint == "abc123"
         assert record.slo_failures == []
@@ -129,53 +134,116 @@ class TestCapture:
         assert restored.command == "crawl"
 
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: The per-span-name digest older records carry beside the histogram.
+DIGEST_FIELD = "span_summary"
+
+
+def _bench_regression(ledger_dir: Path) -> subprocess.CompletedProcess:
+    """``tools/check_bench_regression.py --ledger`` over ``ledger_dir``."""
+    return subprocess.run(
+        [
+            sys.executable,
+            str(REPO_ROOT / "tools" / "check_bench_regression.py"),
+            "--ledger", str(ledger_dir),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+
+
+def _older_record(seq: int, crawl_seconds: float, threshold: float) -> dict:
+    """A crawl record as earlier schemas wrote it.
+
+    Sharded crawls added ``workers`` and ``shard_count``. Every record
+    held each span's totals twice, in :data:`DIGEST_FIELD` and in the
+    ``span_duration_seconds`` histogram, with equal values.
+    """
+    seconds = {"crawl": crawl_seconds, "crawl.3_transactions": crawl_seconds / 2}
+    return {
+        "schema_version": LEDGER_SCHEMA_VERSION,
+        "command": "crawl",
+        "argv": ["crawl", "--domains", "120"],
+        "run_id": f"{seq:012x}",
+        "seq": seq,
+        "started_at": 1_700_000_000.0 + seq,
+        "duration_seconds": crawl_seconds,
+        "git_sha": None,
+        "dataset_fingerprint": "abc123",
+        "workers": 4,
+        "shard_count": 16,
+        "metrics": {
+            "span_duration_seconds": {
+                "type": "histogram",
+                "help": "Duration of traced spans",
+                "samples": [
+                    {
+                        "labels": {"span": name},
+                        "count": 1,
+                        "sum": value,
+                        "p50": value,
+                        "p90": value,
+                        "p99": value,
+                    }
+                    for name, value in seconds.items()
+                ],
+            }
+        },
+        "spans": [{
+            "name": "crawl",
+            "duration_seconds": crawl_seconds,
+            "children": [{
+                "name": "crawl.3_transactions",
+                "duration_seconds": crawl_seconds / 2,
+            }],
+        }],
+        DIGEST_FIELD: {
+            name: {
+                "count": 1,
+                "total_seconds": value,
+                "max_seconds": value,
+                "p50": value,
+                "p99": value,
+            }
+            for name, value in seconds.items()
+        },
+        "slos": [{
+            "name": "crawl_wall_clock",
+            "status": "pass" if crawl_seconds <= threshold else "fail",
+            "value": crawl_seconds,
+            "threshold": threshold,
+        }],
+        "extra": {"exit_code": 0},
+    }
+
+
+def _write_ledger(directory: Path, *payloads: dict) -> Path:
+    directory.mkdir()
+    for payload in payloads:
+        path = directory / f"run-{payload['seq']:06d}-{payload['run_id']}.json"
+        path.write_text(json.dumps(payload))
+    return directory
+
+
 class TestOlderRecords:
-    """Ledger files written when the crawl could still be sharded."""
+    """Ledger files written by earlier schemas still load, list, show and diff."""
 
     @pytest.fixture()
     def ledger_dir(self, tmp_path):
-        directory = tmp_path / "ledger"
-        directory.mkdir()
-        for seq, threshold in ((1, 600.0), (2, 0.0)):
-            payload = {
-                "schema_version": LEDGER_SCHEMA_VERSION,
-                "command": "crawl",
-                "argv": ["crawl", "--domains", "120"],
-                "run_id": f"{seq:012x}",
-                "seq": seq,
-                "started_at": 1_700_000_000.0 + seq,
-                "duration_seconds": 1.5,
-                "git_sha": None,
-                "dataset_fingerprint": "abc123",
-                "workers": 4,
-                "shard_count": 16,
-                "metrics": {
-                    "requests_total": {
-                        "type": "counter",
-                        "help": "",
-                        "samples": [{"labels": {}, "value": 9}],
-                    }
-                },
-                "spans": [{"name": "crawl", "duration": 1.5}],
-                "span_summary": {},
-                "slos": [{
-                    "name": "crawl_wall_clock",
-                    "status": "pass" if threshold else "fail",
-                    "value": 1.5,
-                    "threshold": threshold,
-                }],
-                "extra": {"exit_code": 0},
-            }
-            path = directory / f"run-{seq:06d}-{payload['run_id']}.json"
-            path.write_text(json.dumps(payload))
-        return directory
+        return _write_ledger(
+            tmp_path / "ledger",
+            _older_record(1, 1.5, threshold=600.0),
+            _older_record(2, 1.5, threshold=0.0),
+        )
 
     def test_worker_fields_are_dropped_on_load(self, ledger_dir) -> None:
         record = RunLedger(ledger_dir).load("1")
         assert record.command == "crawl"
         assert record.dataset_fingerprint == "abc123"
-        assert "workers" not in record.as_dict()
-        assert "shard_count" not in record.as_dict()
+        for dropped in ("workers", "shard_count", DIGEST_FIELD):
+            assert dropped not in record.as_dict()
 
     def test_obs_commands_render_them(self, ledger_dir, capsys) -> None:
         ledger = ["--ledger-dir", str(ledger_dir)]
@@ -185,22 +253,80 @@ class TestOlderRecords:
         output = capsys.readouterr().out
         assert output.count("crawl") >= 2
         assert "abc123" in output
+        assert "crawl.3_transactions" in output
+        assert "span_duration_seconds{span=crawl}.sum" in output
+
+    @pytest.mark.parametrize("slowdown", [1.5, 3.0])
+    def test_bench_regression_verdict_matches_the_digest(
+        self, tmp_path, slowdown
+    ) -> None:
+        before, after = (
+            _older_record(1, 2.0, threshold=600.0),
+            _older_record(2, 2.0 * slowdown, threshold=600.0),
+        )
+        # the verdict the digest's totals give at the tool's 2x threshold
+        regressed = any(
+            after[DIGEST_FIELD][name]["total_seconds"]
+            > 2.0 * stats["total_seconds"]
+            for name, stats in before[DIGEST_FIELD].items()
+        )
+        result = _bench_regression(_write_ledger(tmp_path / "ledger", before, after))
+        assert result.returncode == (1 if regressed else 0), result.stdout
+        assert ("<< REGRESSION" in result.stdout) is regressed
 
 
-class TestSpanSummary:
-    def test_aggregates_per_name(self) -> None:
-        ticks = iter([0.0, 1.0, 2.0, 5.0])
-        tracer = Tracer(clock=lambda: next(ticks))
-        with tracer.span("shard"):
-            pass
-        with tracer.span("shard"):
-            pass
-        summary = span_summary(tracer)
-        assert summary["shard"]["count"] == 2
-        assert summary["shard"]["total_seconds"] == 4.0
-        assert summary["shard"]["max_seconds"] == 3.0
-        assert summary["shard"]["p50"] == 1.0
-        assert summary["shard"]["p99"] == 3.0
+#: Files a ledger directory can end up holding that are not run records.
+UNREADABLE_PAYLOADS = {
+    "truncated-json": '{"command": "crawl", "seq": ',
+    "not-an-object": "[1, 2]",
+    "seq-not-an-int": '{"command": "x", "seq": "abc"}',
+}
+
+
+class TestUnreadableFiles:
+    """One bad file must not take ``repro obs`` or the bench gate down."""
+
+    @pytest.fixture(params=sorted(UNREADABLE_PAYLOADS))
+    def ledger(self, request, tmp_path) -> RunLedger:
+        ledger = RunLedger(tmp_path / "ledger")
+        ledger.append(_record("crawl", started_at=1.0))
+        bad = ledger.directory / "run-000002-badbadbadbad.json"
+        bad.write_text(UNREADABLE_PAYLOADS[request.param])
+        ledger.append(_record("crawl", started_at=3.0))
+        return ledger
+
+    @pytest.fixture()
+    def log_stream(self):
+        stream = io.StringIO()
+        configure(level=logging.INFO, stream=stream)
+        yield stream
+        configure(level=logging.INFO, stream=sys.stderr)
+
+    def test_records_skip_it_with_a_warning(self, ledger, log_stream) -> None:
+        assert [record.seq for record in ledger.records()] == [1, 3]
+        warning = log_stream.getvalue()
+        assert "ledger.unreadable" in warning
+        assert "run-000002-badbadbadbad.json" in warning
+
+    def test_load_raises_a_typed_error(self, ledger) -> None:
+        with pytest.raises(LedgerRecordError, match="run-000002-"):
+            ledger.load("2")
+
+    def test_obs_ls_lists_the_rest(self, ledger, capsys) -> None:
+        assert main(["obs", "ls", "--ledger-dir", str(ledger.directory)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["1", "3"]
+
+    def test_obs_show_exits_two_with_one_line(self, ledger, capsys) -> None:
+        code = main(["obs", "show", "2", "--ledger-dir", str(ledger.directory)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("obs: ") and err.count("\n") == 1
+
+    def test_bench_regression_compares_the_rest(self, ledger) -> None:
+        result = _bench_regression(ledger.directory)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "(seq 3)" in result.stdout
 
 
 class TestLoad:

@@ -1,13 +1,9 @@
-"""SLOs: readings from metrics and spans, config loading, defaults."""
+"""SLOs: readings from metrics and spans, the built-in defaults."""
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.slo import SLO, default_slos, evaluate_slos, load_slos
+from repro.obs.slo import SLO, default_slos, evaluate_slos
 
 
 def _evaluate_one(slo: SLO, registry: MetricsRegistry, tracer=None):
@@ -77,38 +73,6 @@ class TestEvaluate:
         assert payload["status"] == "fail"
         assert payload["value"] == 2.0
         assert payload["threshold"] == 1.0
-
-
-class TestLoadSlos:
-    def test_loads_config_file(self, tmp_path) -> None:
-        config = tmp_path / "slo.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "slos": [
-                        {
-                            "name": "shard_p99",
-                            "metric": "span_duration_seconds",
-                            "labels": {"span": "shard.transactions"},
-                            "objective": "p99",
-                            "threshold": 30.0,
-                            "description": "shard latency",
-                        }
-                    ],
-                }
-            )
-        )
-        slos = load_slos(config)
-        assert len(slos) == 1
-        assert slos[0].name == "shard_p99"
-        assert slos[0].objective == "p99"
-        assert slos[0].labels == {"span": "shard.transactions"}
-        assert slos[0].threshold == 30.0
-
-    def test_missing_file_raises(self, tmp_path) -> None:
-        with pytest.raises(FileNotFoundError):
-            load_slos(tmp_path / "absent.json")
 
 
 class TestDefaults:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import RunLedger, RunRecord
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,11 @@ COMMAND_ARGV = [
     (["obs", "diff", "1", "2"], "_cmd_obs"),
 ]
 
+#: The subcommands that run observed: every one but ``lint`` and ``obs``.
+OBSERVED_ARGV = [
+    entry for entry in COMMAND_ARGV if entry[0][0] not in ("lint", "obs")
+]
+
 
 class TestParser:
     def test_requires_command(self) -> None:
@@ -57,6 +63,21 @@ class TestParser:
             build_parser().parse_args([*argv, "--workers", "2"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["metrics-out", "profile", "slo"])
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in OBSERVED_ARGV],
+        ids=[" ".join(argv) for argv, _ in OBSERVED_ARGV],
+    )
+    def test_removed_telemetry_flags_are_rejected(
+        self, argv, flag, capsys
+    ) -> None:
+        # the ledger record is a run's one telemetry artifact
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, f"--{flag}", "5"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
 
     def test_defaults(self) -> None:
         args = build_parser().parse_args(["report"])
@@ -214,19 +235,24 @@ class TestDatasetSubcommand:
         assert capsys.readouterr().out == object_out
 
 
+def _latest_record(ledger) -> dict:
+    """The newest run record in the ledger directory ``ledger``."""
+    return json.loads(sorted(ledger.glob("run-*.json"))[-1].read_text())
+
+
 class TestObservabilityFlags:
     def test_simulate_metrics_out_matches_crawl_report(self, tmp_path, capsys) -> None:
         out = tmp_path / "crawl"
-        metrics_path = tmp_path / "metrics.json"
+        ledger = tmp_path / "ledger"
         code = main(
             [
                 "simulate", "--domains", "200", "--seed", "7",
-                "--out", str(out), "--metrics-out", str(metrics_path),
+                "--out", str(out), "--ledger-dir", str(ledger),
             ]
         )
         assert code == 0
-        payload = json.loads(metrics_path.read_text())
-        metrics = payload["metrics"]
+        record = _latest_record(ledger)
+        metrics = record["metrics"]
 
         def counter(name: str, client: str) -> float:
             for sample in metrics[name]["samples"]:
@@ -254,22 +280,8 @@ class TestObservabilityFlags:
             "crawl_opensea_requests"
         )
         # spans from the simulate run are captured too
-        span_names = {span["name"] for span in payload["spans"]}
+        span_names = {span["name"] for span in record["spans"]}
         assert "simulate" in span_names
-
-    def test_simulate_prom_export(self, tmp_path) -> None:
-        out = tmp_path / "crawl"
-        metrics_path = tmp_path / "metrics.prom"
-        code = main(
-            [
-                "simulate", "--domains", "150", "--seed", "3",
-                "--out", str(out), "--metrics-out", str(metrics_path),
-            ]
-        )
-        assert code == 0
-        text = metrics_path.read_text()
-        assert "# TYPE crawler_requests_total counter" in text
-        assert 'crawler_requests_total{client="explorer"}' in text
 
     def test_analyze_trace_prints_span_tree(self, saved_dataset, capsys) -> None:
         assert main(["analyze", str(saved_dataset), "--trace"]) == 0
@@ -284,28 +296,13 @@ class TestObservabilityFlags:
             assert f"analyze.{name}" in output
         assert "s" in output  # durations rendered
 
-    def test_analyze_profile_prints_slowest_spans(
-        self, saved_dataset, capsys
-    ) -> None:
-        assert main(["analyze", str(saved_dataset), "--profile", "5"]) == 0
-        output = capsys.readouterr().out
-        assert "--- profile (top 5 spans) ---" in output
-        assert "analyze" in output
-
-    def test_report_profile_defaults_to_ten(self, capsys) -> None:
-        assert main(["report", "--domains", "150", "--seed", "3", "--profile"]) == 0
-        output = capsys.readouterr().out
-        assert "--- profile (top 10 spans) ---" in output
-
     def test_analyze_metrics_out_has_analysis_gauges(
         self, saved_dataset, tmp_path
     ) -> None:
-        metrics_path = tmp_path / "analyze.json"
-        code = main(
-            ["analyze", str(saved_dataset), "--metrics-out", str(metrics_path)]
-        )
+        ledger = tmp_path / "ledger"
+        code = main(["analyze", str(saved_dataset), "--ledger-dir", str(ledger)])
         assert code == 0
-        metrics = json.loads(metrics_path.read_text())["metrics"]
+        metrics = _latest_record(ledger)["metrics"]
         results = {
             sample["labels"]["result"]
             for sample in metrics["analysis_output_count"]["samples"]
@@ -341,7 +338,12 @@ class TestRunLedger:
         assert record["dataset_fingerprint"]
         assert "workers" not in record
         assert record["extra"] == {"exit_code": 0}
-        assert record["span_summary"]["crawl"]["count"] == 1
+        (crawl_span,) = [
+            sample
+            for sample in record["metrics"]["span_duration_seconds"]["samples"]
+            if sample["labels"] == {"span": "crawl"}
+        ]
+        assert crawl_span["count"] == 1
         assert {slo["name"] for slo in record["slos"]} == {
             "crawl_wall_clock",
             "columnar_bytes_per_domain",
@@ -369,68 +371,40 @@ class TestRunLedger:
         capsys.readouterr()
         assert not ledger.exists()
 
-    def test_explicit_slo_config_is_used(self, tmp_path, capsys) -> None:
-        ledger = tmp_path / "ledger"
-        config = tmp_path / "slo.json"
-        config.write_text(json.dumps({
-            "version": 1,
-            "slos": [{
-                "name": "impossible",
-                "metric": "span:crawl",
-                "threshold": 0.0,
-            }],
-        }))
-        assert self._crawl(str(ledger), "--slo", str(config)) == 0
-        capsys.readouterr()
-        record = json.loads(next(ledger.glob("run-*.json")).read_text())
-        assert [slo["name"] for slo in record["slos"]] == ["impossible"]
-        assert record["slos"][0]["status"] == "fail"
-
 
 class TestObsSubcommand:
     @pytest.fixture()
     def two_runs(self, tmp_path):
         """A ledger with a passing run then an SLO-failing run."""
-        ledger = tmp_path / "ledger"
-        config = tmp_path / "tight.json"
-        config.write_text(json.dumps({
-            "version": 1,
-            "slos": [{
-                "name": "crawl_wall_clock",
-                "metric": "span:crawl",
-                "threshold": 600.0,
-            }, {
-                "name": "crawl_transactions_p99",
-                "metric": "span_duration_seconds",
-                "labels": {"span": "crawl.3_transactions"},
-                "objective": "p99",
-                "threshold": 120.0,
-            }],
-        }))
-        assert main([
-            "crawl", "--domains", "120", "--seed", "3",
-            "--ledger-dir", str(ledger), "--slo", str(config),
-        ]) == 0
-        # second run: same crawl, but the transactions objective is impossible
-        config.write_text(json.dumps({
-            "version": 1,
-            "slos": [{
-                "name": "crawl_wall_clock",
-                "metric": "span:crawl",
-                "threshold": 600.0,
-            }, {
-                "name": "crawl_transactions_p99",
-                "metric": "span_duration_seconds",
-                "labels": {"span": "crawl.3_transactions"},
-                "objective": "p99",
-                "threshold": 0.0,
-            }],
-        }))
-        assert main([
-            "crawl", "--domains", "120", "--seed", "3",
-            "--ledger-dir", str(ledger), "--slo", str(config),
-        ]) == 0
-        return ledger
+        ledger = RunLedger(tmp_path / "ledger")
+        spans = [{
+            "name": "crawl",
+            "duration_seconds": 1.5,
+            "children": [
+                {"name": "crawl.3_transactions", "duration_seconds": 0.9},
+            ],
+        }]
+        # the second run's transactions objective is impossible
+        for started_at, threshold in ((1.0, 120.0), (2.0, 0.0)):
+            ledger.append(RunRecord(
+                command="crawl",
+                argv=["crawl", "--domains", "120", "--seed", "3"],
+                started_at=started_at,
+                metrics={"crawler_requests_total": {
+                    "type": "counter",
+                    "help": "",
+                    "samples": [{"labels": {}, "value": 10 * started_at}],
+                }},
+                spans=spans,
+                slos=[
+                    {"name": "crawl_wall_clock", "status": "pass",
+                     "value": 1.5, "threshold": 600.0},
+                    {"name": "crawl_transactions_p99",
+                     "status": "pass" if 0.9 <= threshold else "fail",
+                     "value": 0.9, "threshold": threshold},
+                ],
+            ))
+        return ledger.directory
 
     def test_ls_lists_runs(self, two_runs, capsys) -> None:
         capsys.readouterr()

@@ -24,8 +24,9 @@ baseline can be refreshed.
 
 ``--ledger`` switches the data source from pytest-benchmark JSON to the
 run ledger (:mod:`repro.obs.runledger`): the newest run's per-span
-duration totals are compared against the mean of the preceding runs of
-the same command. Same matching, threshold, and exit-code semantics —
+duration totals (the ``sum`` of each ``span_duration_seconds{span=…}``
+sample in the record's metrics) are compared against the mean of the
+preceding runs of the same command. Same matching, threshold, and exit-code semantics —
 span names play the role of benchmark fullnames. This turns every
 ordinary CLI invocation into a regression datapoint without a separate
 benchmarking pass.
@@ -59,12 +60,21 @@ def load_means(path: str) -> dict[str, float]:
     }
 
 
+def span_totals(metrics: dict) -> dict[str, float]:
+    """Span name -> total seconds, from one record's duration histogram."""
+    family = metrics.get("span_duration_seconds", {})
+    return {
+        sample["labels"]["span"]: sample["sum"]
+        for sample in family.get("samples", ())
+    }
+
+
 def ledger_means(
     directory: str, command: str | None, history: int
 ) -> tuple[dict[str, float], dict[str, float]] | None:
     """(baseline, current) span-duration tables from the run ledger.
 
-    ``current`` is the newest matching run's per-span ``total_seconds``;
+    ``current`` is the newest matching run's per-span total seconds;
     ``baseline`` is the mean of the up-to-``history`` runs before it.
     Returns None when fewer than two matching runs exist.
     """
@@ -81,15 +91,12 @@ def ledger_means(
     prior = records[-(history + 1):-1]
     totals: dict[str, list[float]] = {}
     for record in prior:
-        for name, stats in record.span_summary.items():
-            totals.setdefault(name, []).append(stats["total_seconds"])
+        for name, seconds in span_totals(record.metrics).items():
+            totals.setdefault(name, []).append(seconds)
     baseline = {
         name: sum(values) / len(values) for name, values in totals.items()
     }
-    current = {
-        name: stats["total_seconds"]
-        for name, stats in current_record.span_summary.items()
-    }
+    current = span_totals(current_record.metrics)
     label = f"run {current_record.run_id} (seq {current_record.seq})"
     print(
         f"ledger mode: {label} vs mean of {len(prior)} prior"
