@@ -16,7 +16,8 @@ analyses and every substrate they run on:
 * :mod:`repro.core` — the paper's §4 analyses (the contribution),
 * :mod:`repro.wallets` — the Appendix-B wallet study + countermeasure,
 * :mod:`repro.simulation` — a calibrated ecosystem generator,
-* :mod:`repro.lint` — static analysis guarding determinism + layering.
+* :mod:`repro.lint` — static analysis guarding determinism + layering
+  (``python -m repro.lint [--flow]``).
 
 Quick start::
 

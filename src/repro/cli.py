@@ -9,18 +9,18 @@ The workflows of the repository as one tool::
     repro predict ./crawl                                  # risk predictor
     repro report --domains 800                             # all-in-one, in memory
     repro serve ./crawl --port 8321                        # resident query server
-    repro lint src                                         # structural invariants
     repro obs ls                                           # the run ledger
     repro obs diff -2 -1                                   # SLO/metric deltas
 
 Datasets are the JSONL layout of :mod:`repro.crawler.storage`; analyses
 use the default deterministic ETH-USD oracle, so a saved dataset
-re-analyzes to identical numbers anywhere.
+re-analyzes to identical numbers anywhere. The static-analysis gate is
+a separate entry point, ``python -m repro.lint`` (:mod:`repro.lint`).
 
-Every subcommand except ``lint`` and ``obs`` is an observed run: it
-takes ``--trace`` (print the span tree after the command). Progress
-goes to stderr through :mod:`repro.obs.log`; only results are printed
-to stdout, so piping stays clean.
+Every subcommand except ``obs`` is an observed run: it takes
+``--trace`` (print the span tree after the command). Progress goes to
+stderr through :mod:`repro.obs.log`; only results are printed to
+stdout, so piping stays clean.
 
 Every observed run that gets past argument parsing also appends a
 record — command, argv, exit code (``extra.exit_code``), git sha,
@@ -54,8 +54,6 @@ from .crawler import (
 from .crawler.storage import COLUMNAR_FILE, append_delta, load_deltas
 from .datasets import ColumnarDataset, ColumnarFormatError
 from .faults import CrawlKilled, load_plan
-from .lint.cli import add_lint_arguments
-from .lint.cli import run as _cmd_lint
 from .obs import (
     MetricsRegistry,
     RunLedger,
@@ -295,12 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue a previous stream of the same scenario: skip the"
         " deltas the directory's log already holds",
     )
-
-    lint = _add_command(
-        subparsers, "lint", _cmd_lint,
-        help="static analysis: determinism, layering, obs hygiene",
-    )
-    add_lint_arguments(lint)
 
     obs = _add_command(
         subparsers, "obs", _cmd_obs,
@@ -1005,7 +997,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     problem = _argument_problem(args)
     if problem:
         args.parser.error(problem)
-    if "no_ledger" not in vars(args):  # lint and obs: not observed runs
+    if "no_ledger" not in vars(args):  # obs: not an observed run
         return args.handler(args)
     obs = _RunObservability(args, raw)
     exit_code = args.handler(args, obs)

@@ -72,7 +72,7 @@ def analyze_resale(
     listed: set[str] = set()
     sold: set[str] = set()
     sale_prices: list[float] = []
-    for market_event in dataset.market_events:
+    for market_event in dataset.market_events:  # lint: ignore[perf-row-object-hot-loop] one pass per report pairs listings with sales
         catches = catch_info.get(market_event.token_id)
         if not catches:
             continue

@@ -6,8 +6,8 @@ layers only depend downward (``repro.chain`` must never reach up into
 the crawler that crawls it), and failures are counted rather than
 swallowed. This package is a small pluggable AST/tokenize framework —
 checker registry, per-file :class:`Finding` records, line-level
-``# lint: ignore[rule-id]`` suppressions, deterministic text/JSON
-reporters — plus five built-in checkers:
+``# lint: ignore[rule-id] reason`` suppressions, a deterministic text
+reporter — plus five built-in checkers:
 
 * ``determinism`` — global-RNG calls, wall-clock reads, set-order leaks,
 * ``layering`` — the package import DAG, upward imports and cycles,
@@ -15,7 +15,8 @@ reporters — plus five built-in checkers:
 * ``mutable-defaults`` — shared mutable default arguments,
 * ``public-api`` — docstring/annotation coverage of the public surface.
 
-Run it as ``repro lint``, ``python -m repro.lint``, or in-process::
+Run it as ``python -m repro.lint`` (``--flow`` for the whole-program
+passes of :mod:`repro.lint.flow`), or in-process::
 
     from repro.lint import lint_paths
     result = lint_paths(["src"])
@@ -27,7 +28,7 @@ checker-authoring recipe.
 
 from .findings import Finding, Rule, Severity
 from .registry import Checker, all_checkers, all_rules, register
-from .reporters import render_json, render_text
+from .reporters import render_text
 from .runner import LintResult, lint_paths, lint_sources
 from .source import SourceFile
 
@@ -43,9 +44,5 @@ __all__ = [
     "lint_paths",
     "lint_sources",
     "register",
-    "render_json",
     "render_text",
 ]
-
-# The whole-program engine lives in repro.lint.flow (imported lazily by
-# the CLI so `repro lint` start-up stays free of the obs dependency).

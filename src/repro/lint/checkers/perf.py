@@ -17,9 +17,10 @@ index exists to remove.
   the same way. The columnar store answers ordered/windowed event
   queries straight off its timestamp column
   (``AnalysisContext.market_events_until``); a raw loop materializes
-  every row object even when the dataset is column-backed. Accepted
-  legacy scans are baselined in ``tools/lint_baseline.json`` rather
-  than suppressed inline.
+  every row object even when the dataset is column-backed. An
+  accepted once-per-report scan carries a
+  ``# lint: ignore[perf-row-object-hot-loop]`` suppression with its
+  reason.
 """
 
 from __future__ import annotations

@@ -1,54 +1,60 @@
-"""Command-line front end: ``python -m repro.lint`` / ``repro lint``.
+"""Command-line front end: ``python -m repro.lint [--flow] [PATH ...]``.
 
 Exit codes follow the classic lint contract: 0 when no error-severity
-finding survives suppression (and, in ``--flow`` mode, the baseline),
-1 otherwise, 2 for usage errors (from argparse). Findings print to
-stdout — for this tool the report *is* the product, same as ``repro
-analyze`` — pre-sorted by (path, line, column, rule) so CI logs are
-byte-stable.
+finding survives suppression, 1 otherwise, 2 for usage errors (from
+argparse, on stderr). Findings print to stdout — for this tool the
+report *is* the product, same as ``repro analyze`` — pre-sorted by
+(path, line, column, rule) so CI logs are byte-stable.
 
-Two modes share one option surface:
+Two modes, each defaulting to the scope CI gates:
 
-* **per-file** (default) — the registered checkers of
-  :mod:`repro.lint.checkers` plus runner rules (``parse-error``,
-  ``lint-stale-ignore``);
-* **whole-program** (``--flow``) — the interprocedural passes of
-  :mod:`repro.lint.flow` (``flow-det-taint``, ``flow-exc-escape``,
-  ``flow-dead-api``), with the committed baseline subtracted before
-  the exit code and stale flow entries reported on stderr.
+* **per-file** (default, :data:`PER_FILE_SCOPE`) — the registered
+  checkers of :mod:`repro.lint.checkers` plus runner rules
+  (``parse-error``, ``lint-stale-ignore``);
+* **whole-program** (``--flow``, :data:`FLOW_SCOPE`) — the
+  interprocedural passes of :mod:`repro.lint.flow` (``flow-det-taint``,
+  ``flow-exc-escape``, ``flow-dead-api``) plus ``lint-stale-ignore``
+  for suppressions naming ``flow-*`` rules. The scope holds every
+  consumer of the library, so a use from a test, an example or the
+  repository benchmark keeps an export alive.
 
-Either mode renders as text, JSON, or SARIF 2.1.0 (``--format sarif``
-to stdout, ``--sarif PATH`` as a side artifact for CI upload).
+A finding is accepted only by a ``# lint: ignore[rule-id] reason``
+comment on its line.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 from typing import Sequence
 
+from .flow import FLOW_RULES, analyze_paths
 from .registry import all_rules
-from .reporters import render_json, render_text
-from .runner import RUNNER_RULES, LintResult, lint_paths
+from .reporters import render_text
+from .runner import RUNNER_RULES, lint_paths
 
-__all__ = ["add_lint_arguments", "main", "run"]
+__all__ = ["PER_FILE_SCOPE", "main"]
+
+#: What a per-file run lints when no path is given.
+PER_FILE_SCOPE: tuple[str, ...] = ("src", "tools", "benchmarks")
+
+#: What a ``--flow`` run analyzes when no path is given.
+FLOW_SCOPE: tuple[str, ...] = (*PER_FILE_SCOPE, "tests", "examples", "perfbench")
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options to ``parser`` (shared with ``repro lint``)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.lint`` argument parser."""
+    parser = argparse.ArgumentParser(
+        prog="repro.lint",
+        description="static analysis for the repro tree: determinism,"
+        " layering, obs hygiene, mutable defaults, public-API coverage,"
+        " and whole-program flow passes (--flow)",
+    )
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src"],
         metavar="PATH",
-        help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
+        help="files or directories to lint (default: "
+        f"{' '.join(PER_FILE_SCOPE)}; with --flow: {' '.join(FLOW_SCOPE)})",
     )
     parser.add_argument(
         "--rules",
@@ -68,49 +74,11 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="whole-program analysis: determinism taint, exception"
         " escape, dead public API (see docs/LINTING.md)",
     )
-    parser.add_argument(
-        "--sarif",
-        metavar="PATH",
-        default=None,
-        help="also write the report as SARIF 2.1.0 to PATH",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="finding baseline to subtract (both modes;"
-        " default: tools/lint_baseline.json when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file (report every finding)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept every current flow finding"
-        " (entries of per-file rules and existing justifications are"
-        " preserved)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Stand-alone parser for the ``python -m repro.lint`` entry point."""
-    parser = argparse.ArgumentParser(
-        prog="repro.lint",
-        description="static analysis for the repro tree: determinism,"
-        " layering, obs hygiene, mutable defaults, public-API coverage,"
-        " and whole-program flow passes (--flow)",
-    )
-    add_lint_arguments(parser)
     return parser
 
 
 def _rule_catalogue() -> str:
     """The rule table shown by ``--list-rules`` (checkers + runner + flow)."""
-    from .flow import FLOW_RULES
-
     rows = [
         (rule.id, str(rule.severity), checker_name, rule.summary)
         for checker_name, rule in all_rules()
@@ -130,85 +98,17 @@ def _rule_catalogue() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(args: argparse.Namespace, result: LintResult) -> str:
-    """The report in the requested ``--format``."""
-    if args.format == "json":
-        return render_json(result)
-    if args.format == "sarif":
-        return _sarif_text(result)
-    return render_text(result)
-
-
-def _sarif_text(result: LintResult) -> str:
-    from .flow import FLOW_RULES
-    from .flow.sarif import render_sarif
-
-    catalogue = [rule for _, rule in all_rules()]
-    catalogue.extend(RUNNER_RULES)
-    catalogue.extend(FLOW_RULES)
-    return render_sarif(result, rules=catalogue)
-
-
-def _run_flow(args: argparse.Namespace) -> LintResult:
-    """Execute the whole-program mode: analyze, baseline, maybe rewrite."""
-    from .flow import (
-        DEFAULT_BASELINE_PATH,
-        FLOW_RULES,
-        Baseline,
-        analyze_paths,
-        apply_baseline,
-    )
-
-    result = analyze_paths(args.paths).result
-    baseline_path = args.baseline or DEFAULT_BASELINE_PATH
-    flow_rule_ids = {rule.id for rule in FLOW_RULES}
-    if args.write_baseline:
-        # Replace only flow-rule entries: the baseline also carries
-        # accepted per-file findings (e.g. perf-row-object-hot-loop),
-        # which a flow rewrite must not drop. A finding that is still
-        # baselined keeps its hand-written justification.
-        current = Baseline.load(baseline_path).entries
-        preserved = [
-            entry
-            for entry in current.values()
-            if entry["rule"] not in flow_rule_ids
-        ]
-        fresh = Baseline.from_findings(result.findings).entries
-        Baseline(
-            preserved
-            + [current.get(key, entry) for key, entry in fresh.items()]
-        ).write(baseline_path)
-        print(
-            f"baseline written to {baseline_path}"
-            f" ({len(result.findings)} finding(s))",
-            file=sys.stderr,
-        )
-    if not args.no_baseline:
-        baseline = Baseline.load(baseline_path)
-        for entry in baseline.unmatched(result.findings):
-            # per-file-rule entries are matched by the per-file run,
-            # never by the flow passes: not stale from here
-            if entry["rule"] in flow_rule_ids:
-                print(
-                    f"stale baseline entry: {entry['path']}:"
-                    f" {entry['message']} [{entry['rule']}]"
-                    f" — prune it from {baseline_path}",
-                    file=sys.stderr,
-                )
-        result = apply_baseline(result, baseline)
-    return result
-
-
-def run(args: argparse.Namespace) -> int:
-    """Execute a parsed lint invocation and print the report."""
+def main(argv: Sequence[str] | None = None) -> int:
+    """``python -m repro.lint [--flow] [--rules ID,...] [PATH ...]``."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.list_rules:
         print(_rule_catalogue(), end="")
         return 0
     if args.flow:
         if args.rules:
-            print("repro.lint: --rules cannot narrow a --flow run")
-            return 2
-        result = _run_flow(args)
+            parser.error("--rules cannot narrow a --flow run")
+        result = analyze_paths(args.paths or FLOW_SCOPE).result
     else:
         rules = None
         if args.rules:
@@ -216,26 +116,8 @@ def run(args: argparse.Namespace) -> int:
                 token.strip() for token in args.rules.split(",") if token.strip()
             ]
         try:
-            result = lint_paths(args.paths, rules=rules)
+            result = lint_paths(args.paths or PER_FILE_SCOPE, rules=rules)
         except ValueError as exc:  # unknown rule id
-            print(f"repro.lint: {exc}")
-            return 2
-        if not args.no_baseline:
-            # Per-file findings honor the same committed baseline as the
-            # flow passes: accepted legacy scans are subtracted before
-            # the exit code, new occurrences still fail.
-            from .flow import DEFAULT_BASELINE_PATH, Baseline, apply_baseline
-
-            result = apply_baseline(
-                result, Baseline.load(args.baseline or DEFAULT_BASELINE_PATH)
-            )
-    if args.sarif:
-        Path(args.sarif).write_text(_sarif_text(result), encoding="utf-8")
-        print(f"sarif report written to {args.sarif}", file=sys.stderr)
-    print(_render(args, result), end="")
+            parser.error(str(exc))
+    print(render_text(result), end="")
     return result.exit_code
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.lint [--flow] [--format text|json|sarif] [PATHS]``."""
-    return run(build_parser().parse_args(argv))

@@ -65,13 +65,3 @@ class Finding:
             f" {self.severity}: {self.message} [{self.rule}]"
         )
 
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready mapping (used by the ``--format json`` reporter)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "rule": self.rule,
-            "severity": str(self.severity),
-            "message": self.message,
-        }

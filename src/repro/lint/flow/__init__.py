@@ -1,4 +1,4 @@
-"""Whole-program flow analysis: ``repro lint --flow``.
+"""Whole-program flow analysis: ``python -m repro.lint --flow``.
 
 Where the per-file checkers see one AST at a time, this subpackage
 parses the tree *once* into a module/import graph and a name-resolved
@@ -14,11 +14,10 @@ interprocedural passes over it:
 * ``flow-dead-api`` (:mod:`~repro.lint.flow.deadcode`) — exported
   names never referenced outside their defining module.
 
-Committed, justified findings live in a baseline
-(:mod:`~repro.lint.flow.baseline`) subtracted before the exit code,
-and results render as text, JSON, or deterministic SARIF 2.1.0
-(:mod:`~repro.lint.flow.sarif`). See ``docs/LINTING.md`` ("Whole-
-program analysis") for the workflow.
+A deliberate finding carries an inline ``# lint: ignore[flow-...]
+reason`` comment, and a suppression naming only ``flow-*`` rules that
+silenced nothing is reported as ``lint-stale-ignore``. See
+``docs/LINTING.md`` ("Whole-program analysis") for the workflow.
 """
 
 from __future__ import annotations
@@ -27,28 +26,14 @@ from pathlib import Path
 from typing import Sequence
 
 from ..findings import Finding, Rule, Severity
-from ..runner import LintResult, discover_files
+from ..runner import LintResult, discover_files, stale_ignore_finding
 from ..source import module_name_for
-from .baseline import (
-    DEFAULT_BASELINE_PATH,
-    Baseline,
-    apply_baseline,
-)
 from .deadcode import RULE_DEAD_API, run_deadcode_pass
 from .exceptions import RULE_EXC_ESCAPE, run_exception_pass
 from .graph import ModuleFacts, ProgramGraph, extract_facts
-from .sarif import render_sarif
 from .taint import RULE_DET_TAINT, run_taint_pass
 
-__all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE_PATH",
-    "FLOW_RULES",
-    "ProgramGraph",
-    "analyze_paths",
-    "apply_baseline",
-    "render_sarif",
-]
+__all__ = ["FLOW_RULES", "ProgramGraph", "analyze_paths"]
 
 #: The catalogue of rules the flow engine can emit.
 FLOW_RULES: tuple[Rule, ...] = (RULE_DET_TAINT, RULE_EXC_ESCAPE, RULE_DEAD_API)
@@ -112,8 +97,31 @@ def flow_sources(
     result.findings.extend(run_taint_pass(graph))
     result.findings.extend(run_exception_pass(graph))
     result.findings.extend(run_deadcode_pass(graph))
+    result.findings.extend(_stale_flow_suppressions(graph))
     result.findings.sort(key=lambda finding: finding.sort_key)
     return result, graph
+
+
+def _stale_flow_suppressions(graph: ProgramGraph) -> list[Finding]:
+    """``lint-stale-ignore`` for flow-only suppressions that silenced nothing.
+
+    The per-file runner leaves suppressions naming ``flow-*`` rules to
+    this engine; one the passes never used to drop a finding (or a
+    taint source) is dead. Runs after every pass, so each use is
+    already recorded in :attr:`ModuleFacts.silenced`; modules that
+    failed to parse are not in the graph and are not judged.
+    """
+    stale: list[Finding] = []
+    for facts in graph.modules.values():
+        for line, rules in sorted(facts.suppressions.items()):
+            if (
+                line in facts.silenced
+                or not rules
+                or not all(rule.startswith("flow-") for rule in rules)
+            ):
+                continue
+            stale.append(stale_ignore_finding(facts.path, line, rules))
+    return stale
 
 
 def analyze_paths(paths: Sequence[str | Path]) -> FlowAnalysis:

@@ -10,12 +10,13 @@ directions) and emits ``flow-dead-api`` for exports referenced only
 from their defining module — or from nowhere at all.
 
 The pass judges only the trees it is given, so "used" means used by
-something in scope. CI passes every consumer of the library —
-``src tools benchmarks tests examples perfbench`` — so a reference
-from a test, a benchmark or an example keeps an export alive, and a
-flagged name is one nothing outside its module touches: it leaves
-``__all__``, or stays in the committed baseline with its own
-justification (see ``docs/LINTING.md``).
+something in scope. ``--flow``'s default scope
+(:data:`repro.lint.cli.FLOW_SCOPE`) holds every consumer of the
+library, so a reference from a test, a benchmark or an example keeps
+an export alive, and a flagged name is one nothing outside its module
+touches: it leaves ``__all__``, or keeps an inline
+``# lint: ignore[flow-dead-api] reason`` on its export line (see
+``docs/LINTING.md``).
 
 ``main`` and dunder names are exempt — they are entry-point contracts
 (``console_scripts``, ``python -m``), referenced from metadata the
@@ -92,8 +93,8 @@ def run_deadcode_pass(graph: ProgramGraph) -> list[Finding]:
                     rule=RULE_DEAD_API.id,
                     message=(
                         f"exported name {name!r} is never referenced outside"
-                        f" {module_id}; remove it from __all__ or baseline it"
-                        " with a justification"
+                        f" {module_id}; remove it from __all__ or suppress it"
+                        " inline with a justification"
                     ),
                     severity=Severity.ERROR,
                 )

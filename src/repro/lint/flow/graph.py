@@ -36,7 +36,7 @@ from ..checkers.determinism import (
     WALL_CLOCK_CALLS,
     _is_set_like,
 )
-from ..source import parse_suppressions
+from ..source import ALL_RULES, parse_suppressions
 
 __all__ = [
     "ModuleFacts",
@@ -95,7 +95,8 @@ class ModuleFacts:
     classes: dict[str, ClassFacts] = field(default_factory=dict)
     exports: list[dict] | None = None
     refs: list[str] = field(default_factory=list)
-    suppressions: dict[str, list[str]] = field(default_factory=dict)
+    suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
+    silenced: set[int] = field(default_factory=set)
     parse_error: dict | None = None
 
     @property
@@ -104,11 +105,16 @@ class ModuleFacts:
         return self.module if self.module is not None else self.path
 
     def is_suppressed(self, line: int, rule: str) -> bool:
-        """Whether a ``# lint: ignore`` comment silences ``rule`` here."""
-        rules = self.suppressions.get(str(line))
-        if not rules:
+        """Whether a ``# lint: ignore`` comment silences ``rule`` here.
+
+        A line that answers yes is recorded in :attr:`silenced`, so the
+        engine can report the suppressions that silenced nothing.
+        """
+        rules = self.suppressions.get(line)
+        if not rules or not (ALL_RULES in rules or rule in rules):
             return False
-        return CATCH_ALL in rules or rule in rules
+        self.silenced.add(line)
+        return True
 
 
 def _package_of(module: str | None, path: str) -> str | None:
@@ -568,10 +574,7 @@ class _Scope:
 def extract_facts(path: str, module: str | None, text: str) -> ModuleFacts:
     """Distill one file into its :class:`ModuleFacts` (pure function)."""
     facts = ModuleFacts(path=path, module=module)
-    facts.suppressions = {
-        str(line): sorted(rules)
-        for line, rules in parse_suppressions(text).items()
-    }
+    facts.suppressions = parse_suppressions(text)
     try:
         tree = ast.parse(text)
     except SyntaxError as exc:

@@ -23,7 +23,7 @@ return value. This pass closes that hole interprocedurally:
 
 The worklist is processed in sorted order and ties break
 lexicographically, so the witness chain — and therefore the report —
-is deterministic, which the SARIF byte-identity gate relies on.
+is deterministic, which the byte-identical text report relies on.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ DEFAULT_SINKS: tuple[str, ...] = (
     "repro.crawler.storage.save_dataset*",
     "repro.crawler.storage.dataset_digest*",
     "repro.lint.reporters.*",
-    "repro.lint.flow.sarif.*",
 )
 
 #: Modules whose wall-clock reads are sanctioned (the telemetry layer).

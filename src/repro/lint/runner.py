@@ -42,7 +42,6 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def errors(self) -> int:
@@ -130,6 +129,25 @@ def lint_sources(
     return result
 
 
+def stale_ignore_finding(
+    path: str, line: int, rules: frozenset[str]
+) -> Finding:
+    """The ``lint-stale-ignore`` finding for a comment that silenced nothing."""
+    named = sorted(rules - {ALL_RULES})
+    label = f"[{', '.join(named)}]" if named else ""
+    return Finding(
+        path=path,
+        line=line,
+        column=0,
+        rule="lint-stale-ignore",
+        message=(
+            f"'# lint: ignore{label}' suppresses nothing on this"
+            " line; remove the stale comment"
+        ),
+        severity=Severity.ERROR,
+    )
+
+
 def _stale_suppressions(
     sources: Iterable[SourceFile], fired: set[tuple[str, int]]
 ) -> Iterator[Finding]:
@@ -139,9 +157,10 @@ def _stale_suppressions(
     cannot prove a suppression dead), skips files that failed to parse
     (their finding set is unknowable), and skips suppressions naming
     rules outside the per-file catalogue — a ``# lint:
-    ignore[flow-det-taint]`` is the flow engine's to judge, not ours.
-    These findings are emitted *after* suppression handling, so a stale
-    ignore cannot suppress its own staleness report.
+    ignore[flow-det-taint]`` is judged by the ``--flow`` run
+    (:func:`repro.lint.flow.flow_sources`). These findings are emitted
+    *after* suppression handling, so a stale ignore cannot suppress its
+    own staleness report.
     """
     per_file_rules = {rule.id for _, rule in all_rules()} | {
         rule.id for rule in RUNNER_RULES
@@ -153,21 +172,9 @@ def _stale_suppressions(
             rules = source.suppressions[line]
             if (source.path, line) in fired:
                 continue
-            named = sorted(rules - {ALL_RULES})
-            if named and not set(named) <= per_file_rules:
+            if not (rules - {ALL_RULES}) <= per_file_rules:
                 continue
-            label = f"[{', '.join(named)}]" if named else ""
-            yield Finding(
-                path=source.path,
-                line=line,
-                column=0,
-                rule="lint-stale-ignore",
-                message=(
-                    f"'# lint: ignore{label}' suppresses nothing on this"
-                    " line; remove the stale comment"
-                ),
-                severity=Severity.ERROR,
-            )
+            yield stale_ignore_finding(source.path, line, rules)
 
 
 def lint_paths(

@@ -1,97 +1,94 @@
-"""The lint CLI front ends + the committed-tree integration gate."""
+"""The lint CLI front end + the committed-tree integration gate."""
 
 from __future__ import annotations
 
-import json
+import io
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main as repro_main
-from repro.lint import lint_paths
+from repro.lint import all_rules, lint_paths
+from repro.lint.cli import PER_FILE_SCOPE
 from repro.lint.cli import main as lint_main
-from repro.lint.flow.baseline import Baseline
+from repro.lint.flow import FLOW_RULES
+from repro.lint.runner import RUNNER_RULES, discover_files
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = str(REPO_ROOT / "src")
 
-#: The whole-program scope CI runs: every consumer of the library, so
-#: a use from tests, benchmarks or examples keeps an export alive.
-FLOW_SCOPE = ["src", "tools", "benchmarks", "tests", "examples", "perfbench"]
+#: A suppression comment: its bracketed rule list and the reason after it.
+SUPPRESSION = re.compile(r"#\s*lint:\s*ignore(?:\[([^\]]*)\])?(.*)")
+
+#: Most inline suppressions the per-file scope may carry.
+MAX_SUPPRESSIONS = 15
 
 
-def _unbaselined(findings):
-    """Findings not accepted by the committed baseline.
+def run_lint(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m repro.lint ARGV`` from the repository root."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.lint", *argv],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+    )
 
-    ``lint_paths`` keeps paths as addressed (absolute here), while the
-    baseline stores repo-relative keys — relativize before matching.
-    """
-    baseline = Baseline.load(REPO_ROOT / "tools" / "lint_baseline.json")
-    kept = []
-    for finding in findings:
-        path = Path(finding.path)
-        if path.is_absolute():
-            path = path.relative_to(REPO_ROOT)
-        relative = finding.__class__(
-            path=path.as_posix(),
-            line=finding.line,
-            column=finding.column,
-            rule=finding.rule,
-            message=finding.message,
-            severity=finding.severity,
-        )
-        if not baseline.matches(relative):
-            kept.append(finding)
-    return kept
+
+def suppression_comments(paths: list[Path]) -> list[tuple[str, int, str]]:
+    """Every ``# lint: ignore`` comment token under ``paths``."""
+    comments = []
+    for path in discover_files(paths):
+        readline = io.StringIO(path.read_text(encoding="utf-8")).readline
+        for token in tokenize.generate_tokens(readline):
+            if token.type == tokenize.COMMENT and SUPPRESSION.search(token.string):
+                comments.append((str(path), token.start[0], token.string))
+    return comments
 
 
 class TestCommittedTree:
-    """The acceptance gate: the committed tree lints clean (modulo the
-    committed baseline, exactly as the CLI subtracts it)."""
+    """The acceptance gate: the committed tree lints clean."""
 
     def test_src_exits_zero(self) -> None:
-        findings = _unbaselined(lint_paths([SRC]).findings)
+        findings = lint_paths([SRC]).findings
         assert not findings, "\n".join(f.render() for f in findings)
 
     def test_tools_and_benchmarks_exit_zero(self) -> None:
-        result = lint_paths(
+        findings = lint_paths(
             [str(REPO_ROOT / "tools"), str(REPO_ROOT / "benchmarks")]
-        )
-        findings = _unbaselined(result.findings)
+        ).findings
         assert not findings, "\n".join(f.render() for f in findings)
 
     def test_python_dash_m_entry_point(self) -> None:
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "src"],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        )
+        proc = run_lint([])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 error(s)" in proc.stdout
 
     def test_output_is_identical_across_runs(self) -> None:
-        def run() -> str:
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.lint", "src", "--format", "json"],
-                capture_output=True,
-                text=True,
-                cwd=REPO_ROOT,
-                env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            )
-            assert proc.returncode == 0
-            return proc.stdout
+        first = run_lint(["src"])
+        assert first.returncode == 0
+        assert first.stdout == run_lint(["src"]).stdout
 
-        assert run() == run()
+    def test_suppressions_are_justified(self) -> None:
+        catalogue = {rule.id for _, rule in all_rules()}
+        catalogue |= {rule.id for rule in (*RUNNER_RULES, *FLOW_RULES)}
+        comments = suppression_comments(
+            [REPO_ROOT / scope for scope in PER_FILE_SCOPE]
+        )
+        assert len(comments) <= MAX_SUPPRESSIONS
+        for path, line, comment in comments:
+            rules, reason = SUPPRESSION.search(comment).groups()
+            named = {rule.strip() for rule in (rules or "").split(",")} - {""}
+            where = f"{path}:{line}: {comment}"
+            assert named and named <= catalogue, where
+            assert reason.strip(), where
 
 
 class TestLintCli:
-    def test_repro_lint_subcommand(self, capsys) -> None:
-        code = repro_main(["lint", SRC])
-        assert code == 0
-        assert "0 error(s)" in capsys.readouterr().out
-
     def test_nonzero_exit_on_findings(self, tmp_path, capsys) -> None:
         bad = tmp_path / "src" / "repro" / "badmod.py"
         bad.parent.mkdir(parents=True)
@@ -100,17 +97,6 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert code == 1
         assert "det-unseeded-random" in out
-
-    def test_json_format(self, tmp_path, capsys) -> None:
-        bad = tmp_path / "src" / "repro" / "badmod.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("def f(a=[]):\n    pass\n")
-        code = lint_main(
-            [str(tmp_path / "src"), "--format", "json", "--rules", "mutable-defaults"]
-        )
-        document = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert document["findings"][0]["rule"] == "mutable-default"
 
     def test_rules_filter(self, tmp_path, capsys) -> None:
         bad = tmp_path / "src" / "repro" / "badmod.py"
@@ -123,9 +109,38 @@ class TestLintCli:
         assert "det-unseeded-random" not in out
 
     def test_unknown_rule_is_usage_error(self, capsys) -> None:
-        code = lint_main([SRC, "--rules", "no-such-rule"])
-        assert code == 2
-        assert "unknown rule" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main([SRC, "--rules", "no-such-rule"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown rule" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("format", "json"),
+            ("sarif", "x"),
+            ("baseline", "x"),
+            ("no-baseline", None),
+            ("write-baseline", None),
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, flag, value, capsys) -> None:
+        # inline suppressions are the one way to accept a finding, and
+        # the text report is the one output
+        argv = [f"--{flag}"] if value is None else [f"--{flag}", value]
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+    def test_repro_has_no_lint_subcommand(self, capsys) -> None:
+        # python -m repro.lint is the one entry point
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["lint"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
     def test_list_rules(self, capsys) -> None:
         code = lint_main(["--list-rules"])
@@ -154,122 +169,52 @@ class TestLintCli:
 
 
 class TestFlowCli:
-    """The --flow mode: committed-tree gate, baseline, SARIF artifact."""
+    """The --flow mode: default scope, explicit paths, stale suppressions."""
 
-    def run(self, argv: list[str]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", *argv],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        )
-        return proc
-
-    def test_committed_tree_exits_zero_with_baseline(self) -> None:
-        proc = self.run(["--flow", *FLOW_SCOPE])
+    def test_default_scope_exits_zero(self) -> None:
+        # no paths: every consumer of the library is in scope, so
+        # exports used only by tests, examples or perfbench stay alive
+        proc = run_lint(["--flow"])
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "file(s) checked" in proc.stdout
-        assert "stale baseline entry" not in proc.stderr
+        assert "file(s) checked: 0 error(s)" in proc.stdout
 
-    def test_no_baseline_reports_the_accepted_findings(self) -> None:
-        proc = self.run(["--flow", "--no-baseline", "src"])
+    def test_explicit_paths_narrow_the_scope(self) -> None:
+        # src alone misses the consumers that keep its exports alive
+        proc = run_lint(["--flow", "src"])
         assert proc.returncode == 1
         assert "flow-dead-api" in proc.stdout
 
+    def test_flow_output_is_byte_identical_across_runs(self, capsys) -> None:
+        argv = ["--flow", str(REPO_ROOT / "src" / "repro" / "lint")]
+        lint_main(argv)
+        first = capsys.readouterr().out
+        lint_main(argv)
+        assert capsys.readouterr().out == first
+        assert "[flow-dead-api]" in first
+
     def test_rules_cannot_narrow_a_flow_run(self, capsys) -> None:
-        code = lint_main(["--flow", "--rules", "flow-det-taint", "src"])
-        assert code == 2
-        assert "--rules" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main(["--flow", "--rules", "flow-det-taint", "src"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--rules" in captured.err
+        assert captured.out == ""
 
-    def test_sarif_artifact_is_written_and_stdout_stays_text(
-        self, tmp_path
-    ) -> None:
-        target = tmp_path / "lint.sarif"
-        proc = self.run(["--flow", "--sarif", str(target), *FLOW_SCOPE])
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        document = json.loads(target.read_text(encoding="utf-8"))
-        assert document["version"] == "2.1.0"
-        assert "sarif report written" in proc.stderr
-        assert "file(s) checked" in proc.stdout
-
-    def test_sarif_stdout_is_pure_json(self) -> None:
-        proc = self.run(["--flow", "--format", "sarif", *FLOW_SCOPE])
-        assert proc.returncode == 0, proc.stderr
-        document = json.loads(proc.stdout)
-        assert document["runs"][0]["tool"]["driver"]["name"] == "repro.lint"
-
-    def test_sarif_output_is_byte_identical_across_runs(self) -> None:
-        argv = ["--flow", "--format", "sarif", "--no-baseline", "src"]
-        assert self.run(argv).stdout == self.run(argv).stdout
-
-    def test_write_baseline_round_trips_to_exit_zero(self, tmp_path) -> None:
-        bad = tmp_path / "tree" / "src" / "repro" / "core" / "report.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(
-            "import time\n\n\ndef build_report():\n    return time.time()\n"
+    def test_stale_flow_suppression_is_reported(self, tmp_path) -> None:
+        package = tmp_path / "src" / "repro" / "core"
+        package.mkdir(parents=True)
+        (package / "api.py").write_text(
+            '__all__ = [\n'
+            '    "used",  # lint: ignore[flow-dead-api] kept for plugins\n'
+            ']\n\n\n'
+            'def used() -> int:\n'
+            '    """One."""\n'
+            '    return 1\n'
         )
-        baseline = tmp_path / "baseline.json"
-        common = [
-            "--flow",
-            "--baseline",
-            str(baseline),
-            str(tmp_path / "tree" / "src"),
-        ]
-        first = self.run(common)
-        assert first.returncode == 1
-        written = self.run([*common, "--write-baseline"])
-        assert written.returncode == 0, written.stdout + written.stderr
-        assert "baseline written" in written.stderr
-        second = self.run(common)
-        assert second.returncode == 0
-        assert "1 baselined" in second.stdout
-
-    def dead_api_tree(self, tmp_path: Path, names: list[str]) -> Path:
-        module = tmp_path / "tree" / "src" / "repro" / "core" / "api.py"
-        module.parent.mkdir(parents=True, exist_ok=True)
-        body = "".join(
-            f"\n\ndef {name}() -> int:\n    return 1\n" for name in names
-        )
-        module.write_text(f"__all__ = {names!r}\n{body}")
-        return tmp_path / "tree" / "src"
-
-    def test_write_baseline_keeps_existing_justifications(
-        self, tmp_path
-    ) -> None:
-        tree = self.dead_api_tree(tmp_path, ["kept"])
-        baseline = tmp_path / "baseline.json"
-        common = ["--flow", "--baseline", str(baseline), str(tree)]
-        assert self.run([*common, "--write-baseline"]).returncode == 0
-        document = json.loads(baseline.read_text(encoding="utf-8"))
-        (entry,) = document["findings"]
-        entry["justification"] = "kept for the plugin API (issue #7)"
-        baseline.write_text(json.dumps(document), encoding="utf-8")
-
-        self.dead_api_tree(tmp_path, ["kept", "added"])
-        written = self.run([*common, "--write-baseline"])
-        assert written.returncode == 0, written.stdout + written.stderr
-        reasons = {
-            entry["message"].split("'")[1]: entry["justification"]
-            for entry in json.loads(baseline.read_text(encoding="utf-8"))[
-                "findings"
-            ]
-        }
-        assert reasons == {
-            "kept": "kept for the plugin API (issue #7)",
-            "added": "TODO: justify",
-        }
-
-    def test_stale_flow_entry_is_reported_and_exit_stays_zero(
-        self, tmp_path
-    ) -> None:
-        tree = self.dead_api_tree(tmp_path, ["gone"])
-        baseline = tmp_path / "baseline.json"
-        common = ["--flow", "--baseline", str(baseline), str(tree)]
-        assert self.run([*common, "--write-baseline"]).returncode == 0
-        self.dead_api_tree(tmp_path, [])
-        proc = self.run(common)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "stale baseline entry:" in proc.stderr
-        assert "'gone'" in proc.stderr
-        assert "stale baseline entry" not in proc.stdout
+        (package / "user.py").write_text("from repro.core.api import used\n")
+        tree = str(tmp_path / "src")
+        assert run_lint([tree]).returncode == 0
+        proc = run_lint(["--flow", tree])
+        assert proc.returncode == 1
+        assert "api.py:2:0: error:" in proc.stdout
+        assert "[lint-stale-ignore]" in proc.stdout

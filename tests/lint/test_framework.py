@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.lint import (
@@ -11,7 +9,6 @@ from repro.lint import (
     all_checkers,
     all_rules,
     lint_sources,
-    render_json,
     render_text,
 )
 from repro.lint.source import parse_suppressions
@@ -81,9 +78,6 @@ class TestDeterministicOutput:
         first = render_text(lint_sources(self._sources()))
         second = render_text(lint_sources(self._sources()))
         assert first == second
-        assert render_json(lint_sources(self._sources())) == render_json(
-            lint_sources(self._sources())
-        )
 
 
 class TestReporters:
@@ -97,18 +91,6 @@ class TestReporters:
         assert "src/repro/core/x.py:1:" in text
         assert "[mutable-default]" in text
         assert "1 error(s)" in text
-
-    def test_json_document_shape(self) -> None:
-        source = SourceFile.from_text(
-            "def f(a=[]):\n    pass\n",
-            path="src/repro/core/x.py",
-            module="repro.core.x",
-        )
-        document = json.loads(render_json(lint_sources([source])))
-        assert document["version"] == 1
-        assert document["summary"]["errors"] == len(document["findings"]) > 0
-        finding = document["findings"][0]
-        assert set(finding) == {"path", "line", "column", "rule", "severity", "message"}
 
 
 class TestParseErrors:

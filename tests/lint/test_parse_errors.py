@@ -77,7 +77,6 @@ class TestFlowMode:
                 "-m",
                 "repro.lint",
                 "--flow",
-                "--no-baseline",
                 str(bad_tree(tmp_path)),
             ],
             capture_output=True,

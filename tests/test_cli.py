@@ -31,16 +31,19 @@ COMMAND_ARGV = [
     (["dataset", "pack", "d"], "_cmd_dataset_pack"),
     (["dataset", "info", "d"], "_cmd_dataset_info"),
     (["dataset", "stream", "--out", "d"], "_cmd_dataset_stream"),
-    (["lint"], "run"),
     (["obs", "ls"], "_cmd_obs"),
     (["obs", "show", "latest"], "_cmd_obs"),
     (["obs", "diff", "1", "2"], "_cmd_obs"),
 ]
 
-#: The subcommands that run observed: every one but ``lint`` and ``obs``.
-OBSERVED_ARGV = [
-    entry for entry in COMMAND_ARGV if entry[0][0] not in ("lint", "obs")
+#: Case ids for the handler test. Index 11 belonged to the removed ``lint``
+#: subcommand; the cases after it keep their numbers so their names stay put.
+HANDLER_IDS = [
+    f"argv{i + (i >= 11)}-{handler}" for i, (_, handler) in enumerate(COMMAND_ARGV)
 ]
+
+#: The subcommands that run observed: every one but ``obs``.
+OBSERVED_ARGV = [entry for entry in COMMAND_ARGV if entry[0][0] != "obs"]
 
 
 class TestParser:
@@ -84,7 +87,7 @@ class TestParser:
         assert args.domains == 1000
         assert args.seed == 7
 
-    @pytest.mark.parametrize("argv, handler", COMMAND_ARGV)
+    @pytest.mark.parametrize("argv, handler", COMMAND_ARGV, ids=HANDLER_IDS)
     def test_every_command_resolves_to_a_handler(self, argv, handler) -> None:
         args = build_parser().parse_args(argv)
         assert args.handler.__name__ == handler
