@@ -5,21 +5,16 @@ The tentpole claim of the delta pipeline, measured: after a warm
 report once, appending one block's worth of records
 (:meth:`~repro.datasets.dataset.ENSDataset.apply_delta`) and refreshing
 must cost O(delta + dirty items), not O(dataset). The gate asserts a
-``>= 10x`` speedup over ``build_report`` from scratch at the default
-3,200-domain scale (``REPRO_BENCH_INCREMENTAL_DOMAINS`` scales it).
-
-Both sides are recorded as ordinary pytest-benchmark entries, so
-``tools/check_bench_regression.py`` also flags either path regressing
-against the committed ``BENCH_baseline.json`` independently of the
-ratio — a 2x-slower refresh that still clears 10x is a regression worth
-seeing.
+``>= 10x`` speedup over ``build_report`` from scratch at 3,200 domains.
+Both sides are timed in the same process, so the ratio holds on any
+machine; a slower commit shows up in ``perfbench``'s
+``incremental.apply_ms``, not here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 
 import pytest
 
@@ -27,7 +22,7 @@ from repro.core import IncrementalReportBuilder, build_report
 from repro.datasets.delta import DatasetDelta
 from repro.simulation import ScenarioConfig, stream_scenario
 
-DEFAULT_INCREMENTAL_DOMAINS = 3_200
+INCREMENTAL_DOMAINS = 3_200
 
 #: The acceptance floor: one appended block refreshes at least this many
 #: times faster than rebuilding the report from scratch.
@@ -40,13 +35,8 @@ _MEANS: dict[str, float] = {}
 @pytest.fixture(scope="module")
 def stream():
     """The block-batched scenario stream shared by both benches."""
-    n_domains = int(
-        os.environ.get(
-            "REPRO_BENCH_INCREMENTAL_DOMAINS", DEFAULT_INCREMENTAL_DOMAINS
-        )
-    )
     return stream_scenario(
-        ScenarioConfig(n_domains=n_domains, seed=7), batches=4
+        ScenarioConfig(n_domains=INCREMENTAL_DOMAINS, seed=7), batches=4
     )
 
 

@@ -11,8 +11,8 @@ Scales default to the issue's {200, 800, 3200}; set
 ``REPRO_BENCH_SCALES`` (comma-separated) to trim the sweep, e.g.
 ``REPRO_BENCH_SCALES=200,800`` for the CI perf-smoke job.
 
-The columnar sweep (``REPRO_BENCH_COLUMNAR_SCALES``, default
-``200,50000``) measures the :mod:`repro.datasets.columnar` container at
+The columnar sweep (:data:`COLUMNAR_SCALES`, 200 and 50,000 domains)
+measures the :mod:`repro.datasets.columnar` container at
 dropcatch-census scale: encode throughput, mmap open latency (which
 must stay O(1) in dataset size — the directory parse touches a few
 hundred bytes regardless of payload), and the Python-heap footprint of
@@ -41,7 +41,9 @@ from repro.obs.runledger import wall_now
 from repro.simulation import ScenarioConfig, run_scenario
 
 DEFAULT_SCALES = "200,800,3200"
-DEFAULT_COLUMNAR_SCALES = "200,50000"
+
+#: Columnar sweep: a small store and the paper's dropcatch-census scale.
+COLUMNAR_SCALES = (200, 50_000)
 
 #: Address-pool modulus: a prime so address reuse spreads across domains.
 _ADDRESS_POOL = 9973
@@ -49,13 +51,6 @@ _ADDRESS_POOL = 9973
 
 def _scales() -> list[int]:
     raw = os.environ.get("REPRO_BENCH_SCALES", DEFAULT_SCALES)
-    return [int(part) for part in raw.split(",") if part.strip()]
-
-
-def _columnar_scales() -> list[int]:
-    raw = os.environ.get(
-        "REPRO_BENCH_COLUMNAR_SCALES", DEFAULT_COLUMNAR_SCALES
-    )
     return [int(part) for part in raw.split(",") if part.strip()]
 
 
@@ -201,7 +196,7 @@ def columnar_files(tmp_path_factory):
     """{scale: (object dataset, packed .rcol path)} for the whole sweep."""
     root = tmp_path_factory.mktemp("rcol")
     out = {}
-    for n in _columnar_scales():
+    for n in COLUMNAR_SCALES:
         dataset = build_synthetic_dataset(n)
         path = root / f"bench-{n}.rcol"
         write_columnar(dataset, path)
@@ -209,9 +204,7 @@ def columnar_files(tmp_path_factory):
     return out
 
 
-@pytest.fixture(
-    scope="module", params=_columnar_scales(), ids=lambda n: f"{n}d"
-)
+@pytest.fixture(scope="module", params=COLUMNAR_SCALES, ids=lambda n: f"{n}d")
 def columnar_world(request, columnar_files):
     dataset, path = columnar_files[request.param]
     return request.param, dataset, path
@@ -241,9 +234,7 @@ def test_columnar_load_is_o1(columnar_files) -> None:
     Best-of-five wall times, with a small floor so a sub-10ms small
     open (pure noise territory) cannot fail a still-O(1) large open.
     """
-    scales = sorted(columnar_files)
-    if len(scales) < 2:
-        pytest.skip("need two scales to compare open latency")
+    small, large = COLUMNAR_SCALES
 
     def best_of(path) -> float:
         times = []
@@ -253,11 +244,11 @@ def test_columnar_load_is_o1(columnar_files) -> None:
             times.append(wall_now() - start)
         return min(times)
 
-    t_small = best_of(columnar_files[scales[0]][1])
-    t_large = best_of(columnar_files[scales[-1]][1])
+    t_small = best_of(columnar_files[small][1])
+    t_large = best_of(columnar_files[large][1])
     assert t_large <= 2 * max(t_small, 0.01), (
-        f"open({scales[-1]}d)={t_large:.4f}s vs"
-        f" open({scales[0]}d)={t_small:.4f}s — mmap open is scaling"
+        f"open({large}d)={t_large:.4f}s vs"
+        f" open({small}d)={t_small:.4f}s — mmap open is scaling"
         " with the payload"
     )
 
@@ -282,9 +273,7 @@ def test_columnar_peak_memory_at_scale(columnar_files) -> None:
     in per-process row objects. The object-graph side rebuilds the dataset so both sides
     are measured as fresh allocations.
     """
-    scale = max(columnar_files)
-    if scale < 10_000:
-        pytest.skip("memory ratio is asserted at census scale (>=10k)")
+    scale = max(COLUMNAR_SCALES)
     _, path = columnar_files[scale]
 
     def _open_and_scan():

@@ -8,10 +8,8 @@ that down:
   of the largest cached body (``/report``).
 * ``test_sustained_cached_throughput`` — 4 keep-alive clients hammering
   the default query mix; the run must sustain at least
-  ``REPRO_BENCH_SERVE_MIN_RPS`` requests/second (default 1000, the
-  acceptance floor) with zero errors. Observed req/s and p50/p99
-  latency land in the bench report's ``extra_info`` so the regression
-  gate and the BENCH report can track them.
+  :data:`MIN_REQUESTS_PER_SECOND` with zero errors. Observed req/s and
+  p50/p99 latency land in the bench's ``extra_info``.
 
 Uses the shared session world from ``benchmarks/conftest.py``; the
 server is built once per module and every benchmarked path is primed,
@@ -20,12 +18,14 @@ so the numbers measure the serving path, not the first-miss analysis.
 
 from __future__ import annotations
 
-import os
 from http.client import HTTPConnection
 
 import pytest
 
 from repro.serve import DEFAULT_PATHS, LoadStats, ReproApp, ReproServer, run_load
+
+#: The acceptance floor for cached serving, in requests per second.
+MIN_REQUESTS_PER_SECOND = 1_000
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,6 @@ def test_cached_report_roundtrip(benchmark, served) -> None:
 
 def test_sustained_cached_throughput(benchmark, served) -> None:
     """4 clients x 250 requests over the cached default mix."""
-    floor = float(os.environ.get("REPRO_BENCH_SERVE_MIN_RPS", "1000"))
     stats: LoadStats = benchmark.pedantic(
         run_load,
         args=(served.host, served.port),
@@ -77,9 +76,9 @@ def test_sustained_cached_throughput(benchmark, served) -> None:
         print(f"  {line}")
     assert stats.errors == 0
     assert stats.requests == 1000
-    assert stats.requests_per_second >= floor, (
+    assert stats.requests_per_second >= MIN_REQUESTS_PER_SECOND, (
         f"sustained {stats.requests_per_second:,.0f} req/s is below the"
-        f" {floor:,.0f} req/s floor"
+        f" {MIN_REQUESTS_PER_SECOND:,} req/s floor"
     )
     benchmark.extra_info["requests_per_second"] = round(
         stats.requests_per_second, 1

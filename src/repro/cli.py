@@ -74,6 +74,14 @@ __all__ = ["main", "build_parser"]
 _log = get_logger("cli")
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for count flags: a non-positive count is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_command(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
     """Attach subcommand ``name``; parsing it selects ``handler``."""
     subparser = subparsers.add_parser(name, **kwargs)
@@ -151,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     crawl.add_argument(
         "--checkpoint-every",
         metavar="N",
-        type=int,
+        type=_positive_int,
         default=25,
         help="snapshot every N work units (pages/wallets/tokens)",
     )
@@ -218,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--load-gen",
         metavar="N",
-        type=int,
+        type=_positive_int,
         default=None,
         help="load-generation mode: serve, fire N requests per client,"
         " print throughput/latency stats, then shut down",
     )
     serve.add_argument(
         "--clients",
-        type=int,
+        type=_positive_int,
         default=4,
         help="concurrent load-generation clients (with --load-gen)",
     )
@@ -241,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         subparsers, "sweep", _cmd_sweep,
         help="multi-seed robustness sweep of the headline metrics",
     )
-    sweep.add_argument("--domains", type=int, default=500)
+    sweep.add_argument("--domains", type=_positive_int, default=500)
     sweep.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
 
     dataset = subparsers.add_parser(
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dataset_stream.add_argument(
         "--batches",
-        type=int,
+        type=_positive_int,
         default=8,
         help="number of block-batches to slice the scenario into",
     )
@@ -301,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_ls = obs_sub.add_parser("ls", help="list recent ledger runs")
     obs_ls.add_argument(
-        "-n", "--limit", type=int, default=15, help="show the newest N runs"
+        "-n", "--limit", type=_positive_int, default=15,
+        help="show the newest N runs",
     )
     obs_show = obs_sub.add_parser(
         "show", help="render one run: header, SLOs, metrics, trace tree"
@@ -323,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         (simulate, 1000), (crawl, 1000), (report, 1000),
         (serve, 300), (dataset_stream, 300),
     ):
-        subparser.add_argument("--domains", type=int, default=domains)
+        subparser.add_argument("--domains", type=_positive_int, default=domains)
         subparser.add_argument("--seed", type=int, default=7)
     for subparser in (analyze, report):
         subparser.add_argument(
@@ -369,8 +378,8 @@ class _RunObservability:
     ``finish`` evaluates the command's built-in SLO set, appends a
     :class:`~repro.obs.RunRecord` to the run ledger (unless
     ``--no-ledger``) and prints the span tree under ``--trace``. The
-    record is the run's one telemetry artifact: ``repro obs`` and the
-    bench-regression gate read it back.
+    record is the run's one telemetry artifact: ``repro obs`` reads it
+    back.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str]) -> None:

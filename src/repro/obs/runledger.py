@@ -6,8 +6,9 @@ SLO verdicts, regressions and drift are invisible — you can only
 compare a run against the one you remember. Every CLI invocation
 appends one :class:`RunRecord` (schema-versioned JSON, atomic
 write-then-link so a crash never leaves a torn entry), and
-``repro obs ls / show / diff`` plus ``tools/check_bench_regression.py
---ledger`` read the history back.
+``repro obs ls / show / diff`` read the history back: ``obs diff``
+compares two runs and exits non-zero when an SLO that passed in the
+first fails in the second.
 
 This module is part of :mod:`repro.obs` and is therefore the one layer
 allowed to read the wall clock (`det-wall-clock` exempts the telemetry
@@ -266,13 +267,16 @@ class RunLedger:
     def records(self, limit: int | None = None) -> list[RunRecord]:
         """All records oldest-first (the newest ``limit`` files when given).
 
-        A file that is not a readable record is skipped with a
-        ``ledger.unreadable`` warning, so one torn or foreign file
-        cannot hide the rest of the history.
+        ``limit=0`` selects no file; a negative ``limit`` raises
+        :class:`ValueError`. A file that is not a readable record is
+        skipped with a ``ledger.unreadable`` warning, so one torn or
+        foreign file cannot hide the rest of the history.
         """
         paths = self._entry_paths()
         if limit is not None:
-            paths = paths[-limit:]
+            if limit < 0:
+                raise ValueError(f"limit must be >= 0, got {limit}")
+            paths = paths[-limit:] if limit else []
         records = []
         for path in paths:
             try:

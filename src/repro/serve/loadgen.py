@@ -3,9 +3,8 @@
 Drives N concurrent keep-alive clients against a running server with a
 fixed request schedule and reports throughput plus latency percentiles.
 Shared by the CLI's ``repro serve --load-gen`` mode (whose stats feed
-the run ledger, giving ``tools/check_bench_regression.py --ledger
---command serve`` something to gate on) and by
-``benchmarks/bench_serve_throughput.py``.
+the run ledger, where ``repro obs diff`` compares two runs' request
+latency and error SLOs) and by ``benchmarks/bench_serve_throughput.py``.
 
 Timing goes through :class:`~repro.obs.tracing.Tracer` spans — the one
 sanctioned clock outside :mod:`repro.obs` — so the determinism lint

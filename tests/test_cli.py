@@ -45,6 +45,21 @@ HANDLER_IDS = [
 #: The subcommands that run observed: every one but ``obs``.
 OBSERVED_ARGV = [entry for entry in COMMAND_ARGV if entry[0][0] != "obs"]
 
+#: Every count flag, each after the arguments its subcommand requires.
+COUNT_FLAG_ARGV = [
+    ["simulate", "--out", "d", "--domains"],
+    ["crawl", "--domains"],
+    ["crawl", "--checkpoint-every"],
+    ["report", "--domains"],
+    ["serve", "--domains"],
+    ["serve", "--load-gen"],
+    ["serve", "--load-gen", "5", "--clients"],
+    ["sweep", "--domains"],
+    ["dataset", "stream", "--out", "d", "--domains"],
+    ["dataset", "stream", "--out", "d", "--batches"],
+    ["obs", "ls", "-n"],
+]
+
 
 class TestParser:
     def test_requires_command(self) -> None:
@@ -113,6 +128,18 @@ class TestArgumentChecks:
             main(["serve", "--watch", "--no-ledger", *extra])
         assert excinfo.value.code == 2
         assert "--watch requires" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv", COUNT_FLAG_ARGV, ids=[" ".join(argv) for argv in COUNT_FLAG_ARGV]
+    )
+    def test_count_flags_reject_non_positive_values(
+        self, argv, value, capsys
+    ) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*argv, value])
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-1]}" in capsys.readouterr().err
 
 
 class TestSimulate:
