@@ -38,6 +38,7 @@ is the built-in :func:`~repro.obs.default_slos`.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,7 +52,13 @@ from .crawler import (
     pack_dataset,
     save_dataset,
 )
-from .crawler.storage import COLUMNAR_FILE, append_delta, load_deltas
+from .crawler.storage import (
+    COLUMNAR_FILE,
+    DatasetFormatError,
+    DatasetNotFoundError,
+    append_delta,
+    load_deltas,
+)
 from .datasets import ColumnarDataset, ColumnarFormatError
 from .faults import CrawlKilled, load_plan
 from .obs import (
@@ -79,6 +86,30 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _open_fraction(text: str) -> float:
+    """Argparse type for ``--test-fraction``: a share strictly inside (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
+def _port(text: str) -> int:
+    """Argparse type for ``--port``: 0 (ephemeral) through 65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """Argparse type for intervals: a finite number of seconds above zero."""
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {text}")
     return value
 
 
@@ -181,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="train the re-registration risk predictor",
     )
     predict.add_argument("dataset", help="dataset directory")
-    predict.add_argument("--test-fraction", type=float, default=0.3)
+    predict.add_argument("--test-fraction", type=_open_fraction, default=0.3)
     predict.add_argument("--seed", type=int, default=0)
 
     report = _add_command(
@@ -205,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8321,
         help="listening port (0 picks an ephemeral port)",
     )
@@ -219,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--watch-interval",
         metavar="SECONDS",
-        type=float,
+        type=_positive_seconds,
         default=0.5,
         help="delta-log poll interval for --watch (default 0.5s)",
     )
@@ -1009,7 +1040,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if "no_ledger" not in vars(args):  # obs: not an observed run
         return args.handler(args)
     obs = _RunObservability(args, raw)
-    exit_code = args.handler(args, obs)
+    try:
+        exit_code = args.handler(args, obs)
+    except (DatasetNotFoundError, DatasetFormatError) as exc:
+        # a missing or corrupt dataset directory is a usage error
+        print(f"{args.parser.prog}: {exc}", file=sys.stderr)
+        exit_code = 2
     obs.finish(exit_code)
     return exit_code
 

@@ -45,6 +45,8 @@ from ..obs.log import get_logger
 __all__ = [
     "COLUMNAR_FILE",
     "DELTAS_FILE",
+    "DatasetFormatError",
+    "DatasetNotFoundError",
     "append_delta",
     "load_deltas",
     "save_dataset",
@@ -72,6 +74,14 @@ _DIGEST_SECTION_MARKERS = {
 }
 
 _log = get_logger("crawler.storage")
+
+
+class DatasetNotFoundError(FileNotFoundError):
+    """The directory holds no dataset: it, or its ``meta.json``, is missing."""
+
+
+class DatasetFormatError(ValueError):
+    """A dataset file (``meta.json`` or a JSONL record) does not parse."""
 
 
 def _serialized(
@@ -120,8 +130,9 @@ def _read_jsonl(path: Path, parse: Callable[[dict[str, Any]], Any]) -> list[Any]
             try:
                 records.append(parse(json.loads(line)))
             except (json.JSONDecodeError, KeyError) as exc:
-                raise ValueError(
-                    f"{path.name}:{line_number}: malformed record ({exc})"
+                raise DatasetFormatError(
+                    f"{path.parent}: {path.name}:{line_number}: malformed"
+                    f" record ({exc})"
                 ) from exc
     return records
 
@@ -320,13 +331,19 @@ def load_dataset(
         )
     meta_path = directory / _META_FILE
     if not meta_path.exists():
-        raise FileNotFoundError(f"{directory} does not contain a dataset (no meta.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    dataset = ENSDataset(
-        coinbase_addresses=set(meta["coinbaseAddresses"]),
-        custodial_addresses=set(meta["custodialAddresses"]),
-        crawl_timestamp=meta["crawlTimestamp"],
-    )
+        reason = "no meta.json" if directory.is_dir() else "no such directory"
+        raise DatasetNotFoundError(f"{directory}: {reason}")
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        dataset = ENSDataset(
+            coinbase_addresses=set(meta["coinbaseAddresses"]),
+            custodial_addresses=set(meta["custodialAddresses"]),
+            crawl_timestamp=meta["crawlTimestamp"],
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DatasetFormatError(
+            f"{directory}: malformed {_META_FILE} ({exc})"
+        ) from exc
     for domain in _read_jsonl(directory / _DOMAINS_FILE, DomainRecord.from_dict):
         dataset.add_domain(domain)
     dataset.add_transactions(

@@ -15,7 +15,4 @@ from . import (  # noqa: F401  (imports register the checkers)
     retry_discipline,
 )
 
-__all__ = [
-    "determinism",
-    "layering",
-]
+__all__ = ["layering"]

@@ -15,6 +15,11 @@ seed. Three ways a diff can creep in:
   (``for``, ``list()``, ``",".join()``) without ``sorted()``. Set
   order varies across processes (string-hash randomization), so it can
   never feed a report, a file, or an RNG.
+
+``det-unseeded-random`` and ``det-wall-clock`` resolve the file's
+import aliases first, so ``import time as t; t.time()`` and ``from
+time import perf_counter as pc; pc()`` are the same violation as
+``time.time()``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Iterator
 
 from ..findings import Finding, Rule
 from ..registry import Checker, register
-from ..source import SourceFile
+from ..source import SourceFile, dotted_parts, import_map
 
 __all__ = []
 
@@ -102,9 +107,10 @@ class DeterminismChecker(Checker):
         if source.tree is None:
             return
         obs_exempt = bool(source.module and source.module.startswith("repro.obs"))
+        imports = import_map(source.tree, source.package)
         for node in ast.walk(source.tree):
             if isinstance(node, ast.Call):
-                yield from self._check_call(source, node, obs_exempt)
+                yield from self._check_call(source, node, imports, obs_exempt)
             elif isinstance(node, ast.ImportFrom):
                 yield from self._check_import_from(source, node)
             elif isinstance(node, ast.For):
@@ -116,7 +122,11 @@ class DeterminismChecker(Checker):
     # -- rule bodies -----------------------------------------------------------
 
     def _check_call(
-        self, source: SourceFile, node: ast.Call, obs_exempt: bool
+        self,
+        source: SourceFile,
+        node: ast.Call,
+        imports: dict[str, str],
+        obs_exempt: bool,
     ) -> Iterator[Finding]:
         """Global-RNG and wall-clock calls, plus order-sensitive consumers."""
         func = node.func
@@ -130,38 +140,45 @@ class DeterminismChecker(Checker):
                 source, "det-set-order", node.lineno, node.col_offset,
                 "str.join() over a set has no stable order; wrap in sorted()",
             )
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            owner, attr = func.value.id, func.attr
-            if (
-                self.enabled("det-unseeded-random")
-                and owner == "random"
-                and attr in GLOBAL_RNG_FUNCTIONS
-            ):
-                yield self.finding(
-                    source, "det-unseeded-random", node.lineno, node.col_offset,
-                    f"random.{attr}() uses the shared global RNG;"
-                    " draw from an explicit random.Random(seed)",
-                )
-            if (
-                self.enabled("det-wall-clock")
-                and not obs_exempt
-                and (owner, attr) in WALL_CLOCK_CALLS
-            ):
-                yield self.finding(
-                    source, "det-wall-clock", node.lineno, node.col_offset,
-                    f"{owner}.{attr}() reads the wall clock outside repro.obs;"
-                    " simulated time must come from the chain or VirtualClock",
-                )
-        elif isinstance(func, ast.Name):
-            if (
-                self.enabled("det-set-order")
-                and func.id in ORDER_SENSITIVE
-                and any(_is_set_like(arg) for arg in node.args)
-            ):
-                yield self.finding(
-                    source, "det-set-order", node.lineno, node.col_offset,
-                    f"{func.id}() over a set has no stable order; wrap in sorted()",
-                )
+        if (
+            self.enabled("det-set-order")
+            and isinstance(func, ast.Name)
+            and func.id in ORDER_SENSITIVE
+            and any(_is_set_like(arg) for arg in node.args)
+        ):
+            yield self.finding(
+                source, "det-set-order", node.lineno, node.col_offset,
+                f"{func.id}() over a set has no stable order; wrap in sorted()",
+            )
+        parts = dotted_parts(func)
+        if parts is None:
+            return
+        if parts[0] in imports:
+            parts = imports[parts[0]].split(".") + parts[1:]
+        if len(parts) < 2:
+            return
+        owner, attr = parts[-2:]
+        if (
+            self.enabled("det-unseeded-random")
+            and parts == ["random", attr]
+            and attr in GLOBAL_RNG_FUNCTIONS
+        ):
+            yield self.finding(
+                source, "det-unseeded-random", node.lineno, node.col_offset,
+                f"random.{attr}() uses the shared global RNG;"
+                " draw from an explicit random.Random(seed)",
+            )
+        if (
+            self.enabled("det-wall-clock")
+            and not obs_exempt
+            and parts[0] in ("time", "datetime", "date")
+            and (owner, attr) in WALL_CLOCK_CALLS
+        ):
+            yield self.finding(
+                source, "det-wall-clock", node.lineno, node.col_offset,
+                f"{owner}.{attr}() reads the wall clock outside repro.obs;"
+                " simulated time must come from the chain or VirtualClock",
+            )
 
     def _check_import_from(
         self, source: SourceFile, node: ast.ImportFrom

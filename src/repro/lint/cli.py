@@ -11,12 +11,11 @@ Two modes, each defaulting to the scope CI gates:
 * **per-file** (default, :data:`PER_FILE_SCOPE`) — the registered
   checkers of :mod:`repro.lint.checkers` plus runner rules
   (``parse-error``, ``lint-stale-ignore``);
-* **whole-program** (``--flow``, :data:`FLOW_SCOPE`) — the
-  interprocedural passes of :mod:`repro.lint.flow` (``flow-det-taint``,
-  ``flow-exc-escape``, ``flow-dead-api``) plus ``lint-stale-ignore``
-  for suppressions naming ``flow-*`` rules. The scope holds every
-  consumer of the library, so a use from a test, an example or the
-  repository benchmark keeps an export alive.
+* **whole-program** (``--flow``, :data:`FLOW_SCOPE`) — the dead
+  public API pass of :mod:`repro.lint.flow` (``flow-dead-api``) plus
+  ``lint-stale-ignore`` for suppressions naming ``flow-*`` rules. The
+  scope holds every consumer of the library, so a use from a test, an
+  example or the repository benchmark keeps an export alive.
 
 A finding is accepted only by a ``# lint: ignore[rule-id] reason``
 comment on its line.
@@ -47,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description="static analysis for the repro tree: determinism,"
         " layering, obs hygiene, mutable defaults, public-API coverage,"
-        " and whole-program flow passes (--flow)",
+        " and the whole-program dead-API pass (--flow)",
     )
     parser.add_argument(
         "paths",
@@ -71,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--flow",
         action="store_true",
-        help="whole-program analysis: determinism taint, exception"
-        " escape, dead public API (see docs/LINTING.md)",
+        help="whole-program analysis: dead public API (see"
+        " docs/LINTING.md)",
     )
     return parser
 

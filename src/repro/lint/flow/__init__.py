@@ -1,20 +1,12 @@
-"""Whole-program flow analysis: ``python -m repro.lint --flow``.
+"""Whole-program analysis: ``python -m repro.lint --flow``.
 
 Where the per-file checkers see one AST at a time, this subpackage
-parses the tree *once* into a module/import graph and a name-resolved
-call graph (:mod:`~repro.lint.flow.graph`), then runs three
-interprocedural passes over it:
+parses the tree *once* into per-module facts and an import index
+(:mod:`~repro.lint.flow.graph`), then runs one cross-module pass:
+``flow-dead-api`` (:mod:`~repro.lint.flow.deadcode`) — exported names
+never referenced outside their defining module.
 
-* ``flow-det-taint`` (:mod:`~repro.lint.flow.taint`) — nondeterminism
-  sources laundered through helpers must not reach report/ledger/
-  golden-output sinks,
-* ``flow-exc-escape`` (:mod:`~repro.lint.flow.exceptions`) — transient
-  endpoint failures must not escape crawler calls that bypass the
-  :mod:`repro.faults` retry layer,
-* ``flow-dead-api`` (:mod:`~repro.lint.flow.deadcode`) — exported
-  names never referenced outside their defining module.
-
-A deliberate finding carries an inline ``# lint: ignore[flow-...]
+A deliberate finding carries an inline ``# lint: ignore[flow-dead-api]
 reason`` comment, and a suppression naming only ``flow-*`` rules that
 silenced nothing is reported as ``lint-stale-ignore``. See
 ``docs/LINTING.md`` ("Whole-program analysis") for the workflow.
@@ -29,14 +21,12 @@ from ..findings import Finding, Rule, Severity
 from ..runner import LintResult, discover_files, stale_ignore_finding
 from ..source import module_name_for
 from .deadcode import RULE_DEAD_API, run_deadcode_pass
-from .exceptions import RULE_EXC_ESCAPE, run_exception_pass
 from .graph import ModuleFacts, ProgramGraph, extract_facts
-from .taint import RULE_DET_TAINT, run_taint_pass
 
 __all__ = ["FLOW_RULES", "ProgramGraph", "analyze_paths"]
 
 #: The catalogue of rules the flow engine can emit.
-FLOW_RULES: tuple[Rule, ...] = (RULE_DET_TAINT, RULE_EXC_ESCAPE, RULE_DEAD_API)
+FLOW_RULES: tuple[Rule, ...] = (RULE_DEAD_API,)
 
 
 class FlowAnalysis:
@@ -79,7 +69,7 @@ def _load_facts(path: Path) -> ModuleFacts:
 def flow_sources(
     facts_list: list[ModuleFacts],
 ) -> tuple[LintResult, ProgramGraph]:
-    """Run the three passes over already-extracted module facts."""
+    """Run the dead-API pass over already-extracted module facts."""
     result = LintResult(files_checked=len(facts_list))
     for facts in facts_list:
         if facts.parse_error is not None:
@@ -94,8 +84,6 @@ def flow_sources(
                 )
             )
     graph = ProgramGraph(facts_list)
-    result.findings.extend(run_taint_pass(graph))
-    result.findings.extend(run_exception_pass(graph))
     result.findings.extend(run_deadcode_pass(graph))
     result.findings.extend(_stale_flow_suppressions(graph))
     result.findings.sort(key=lambda finding: finding.sort_key)
@@ -106,10 +94,10 @@ def _stale_flow_suppressions(graph: ProgramGraph) -> list[Finding]:
     """``lint-stale-ignore`` for flow-only suppressions that silenced nothing.
 
     The per-file runner leaves suppressions naming ``flow-*`` rules to
-    this engine; one the passes never used to drop a finding (or a
-    taint source) is dead. Runs after every pass, so each use is
-    already recorded in :attr:`ModuleFacts.silenced`; modules that
-    failed to parse are not in the graph and are not judged.
+    this engine; one the pass never used to drop a finding is dead.
+    Runs after the pass, so each use is already recorded in
+    :attr:`ModuleFacts.silenced`; modules that failed to parse are not
+    in the graph and are not judged.
     """
     stale: list[Finding] = []
     for facts in graph.modules.values():

@@ -157,7 +157,7 @@ def _stale_suppressions(
     cannot prove a suppression dead), skips files that failed to parse
     (their finding set is unknowable), and skips suppressions naming
     rules outside the per-file catalogue — a ``# lint:
-    ignore[flow-det-taint]`` is judged by the ``--flow`` run
+    ignore[flow-dead-api]`` is judged by the ``--flow`` run
     (:func:`repro.lint.flow.flow_sources`). These findings are emitted
     *after* suppression handling, so a stale ignore cannot suppress its
     own staleness report.

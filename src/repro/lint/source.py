@@ -79,6 +79,71 @@ def module_name_for(path: Path) -> str | None:
     return None
 
 
+def package_of(module: str | None, path: str) -> str | None:
+    """A module's enclosing package (itself for ``__init__`` files)."""
+    if module is None:
+        return None
+    if Path(path).stem == "__init__":
+        return module
+    parent, _, _ = module.rpartition(".")
+    return parent or module
+
+
+def dotted_parts(node: ast.expr) -> list[str] | None:
+    """``a.b.c`` -> ``["a", "b", "c"]``; None for anything fancier."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    parts.reverse()
+    return parts
+
+
+def import_map(tree: ast.AST, package: str | None) -> dict[str, str]:
+    """Every name an import binds in ``tree`` -> the dotted target it names.
+
+    ``import time as t`` maps ``t`` to ``time``, ``from time import
+    perf_counter as pc`` maps ``pc`` to ``time.perf_counter``, and
+    relative imports resolve against ``package`` (skipped when it is
+    None or they climb past the root). Star imports bind nothing.
+    """
+    imports: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    imports[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    imports[root] = root
+        elif isinstance(node, ast.ImportFrom):
+            base = _import_base(node, package)
+            if base is None:
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    imports[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return imports
+
+
+def _import_base(node: ast.ImportFrom, package: str | None) -> str | None:
+    """Dotted package an ``ImportFrom`` pulls names out of."""
+    if node.level == 0:
+        return node.module
+    if package is None:
+        return None
+    parts = package.split(".")
+    if node.level - 1 >= len(parts):
+        return None
+    base = parts[: len(parts) - (node.level - 1)]
+    if node.module:
+        base += node.module.split(".")
+    return ".".join(base)
+
+
 @dataclass
 class SourceFile:
     """One file's text plus everything checkers derive from it."""
@@ -131,12 +196,7 @@ class SourceFile:
     @property
     def package(self) -> str | None:
         """The module's enclosing package (itself for ``__init__`` files)."""
-        if self.module is None:
-            return None
-        if Path(self.path).stem == "__init__":
-            return self.module
-        parent, _, _ = self.module.rpartition(".")
-        return parent or self.module
+        return package_of(self.module, self.path)
 
     def is_suppressed(self, line: int, rule: str) -> bool:
         """True if ``rule`` is silenced on ``line`` by an ignore comment."""

@@ -159,8 +159,6 @@ class TestLintCli:
         lint_main(["--list-rules"])
         out = capsys.readouterr().out
         for rule_id in (
-            "flow-det-taint",
-            "flow-exc-escape",
             "flow-dead-api",
             "parse-error",
             "lint-stale-ignore",
@@ -194,7 +192,7 @@ class TestFlowCli:
 
     def test_rules_cannot_narrow_a_flow_run(self, capsys) -> None:
         with pytest.raises(SystemExit) as excinfo:
-            lint_main(["--flow", "--rules", "flow-det-taint", "src"])
+            lint_main(["--flow", "--rules", "flow-dead-api", "src"])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert "--rules" in captured.err

@@ -29,6 +29,14 @@ class TestUnseededRandom:
             """
         )
 
+    def test_flags_aliased_module(self, rule_ids) -> None:
+        assert rule_ids(
+            """
+            import random as r
+            pick = r.sample(items, 2)
+            """
+        ) == ["det-unseeded-random"]
+
     def test_allows_seeded_instance(self, rule_ids) -> None:
         assert rule_ids(
             """
@@ -68,11 +76,47 @@ class TestWallClock:
             """
         )
 
+    def test_flags_aliased_module(self, rule_ids) -> None:
+        assert rule_ids(
+            """
+            import time as t
+            started = t.time()
+            """
+        ) == ["det-wall-clock"]
+
+    def test_flags_from_imported_and_aliased_functions(self, rule_ids) -> None:
+        assert rule_ids(
+            """
+            from time import time, perf_counter as pc
+            started = time()
+            tick = pc()
+            """
+        ) == ["det-wall-clock", "det-wall-clock"]
+
+    def test_flags_aliased_datetime_class(self, rule_ids) -> None:
+        assert rule_ids(
+            """
+            from datetime import datetime as dt
+            stamp = dt.now()
+            """
+        ) == ["det-wall-clock"]
+
+    def test_allows_unrelated_names_bound_to_clock_words(self, rule_ids) -> None:
+        # the rule keys on what the name is imported from, not its spelling
+        assert rule_ids(
+            """
+            from repro.simulation import clock as time
+            started = time.time()
+            """
+        ) == []
+
     def test_obs_package_is_exempt(self, rule_ids) -> None:
         assert rule_ids(
             """
             import time
+            from time import perf_counter as pc
             started = time.perf_counter()
+            tick = pc()
             """,
             module="repro.obs.tracing",
             path="src/repro/obs/tracing.py",

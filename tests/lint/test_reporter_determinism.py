@@ -35,10 +35,10 @@ FILES = {
 
 FLOW_MODULES = {
     "repro.core.report": """
-        import time
+        __all__ = ["build_report"]
 
         def build_report():
-            return {"at": time.time()}
+            return {}
         """,
     "repro.core.metrics": """
         __all__ = ["unused"]

@@ -49,7 +49,7 @@ class TestStaleIgnore:
         # per-file runs cannot prove a flow suppression dead — the flow
         # engine owns that judgement
         result = lint_text(
-            "x = 1  # lint: ignore[flow-det-taint] judged by --flow\n"
+            "x = 1  # lint: ignore[flow-dead-api] judged by --flow\n"
         )
         assert result.findings == []
 
@@ -97,22 +97,9 @@ class TestStaleFlowIgnore:
         assert "flow-dead-api" in finding.message
         assert result.exit_code == 1
 
-    def test_suppressed_taint_source_is_not_stale(self, flow_run) -> None:
-        # a source line the taint pass consulted counts as used, even
-        # when no sink is reached through it
-        result = flow_run(
-            {
-                "repro.core.clock": """
-                import time
-
-                def stamp():
-                    return time.time()  # lint: ignore[flow-det-taint] fixture clock
-                """
-            }
-        )
-        assert result.findings == []
-
     def test_stale_taint_and_escape_suppressions(self, flow_rule_ids) -> None:
+        # both rules are gone from the flow engine, so a leftover
+        # suppression naming either one silences nothing
         assert flow_rule_ids(
             {
                 "repro.core.report": """

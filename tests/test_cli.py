@@ -60,6 +60,27 @@ COUNT_FLAG_ARGV = [
     ["obs", "ls", "-n"],
 ]
 
+#: Range-checked flags with out-of-range values, each after the
+#: arguments its subcommand requires.
+RANGE_FLAG_ARGV = [
+    ["predict", "d", "--test-fraction", "1.5"],
+    ["predict", "d", "--test-fraction", "0"],
+    ["serve", "--port", "70000"],
+    ["serve", "--port", "-1"],
+    ["serve", "--watch-interval", "0"],
+    ["serve", "--watch-interval", "-0.5"],
+]
+
+#: Every subcommand that loads a dataset directory, with the extra
+#: arguments it requires after that directory.
+DATASET_COMMANDS = {
+    "analyze": [],
+    "predict": [],
+    "figures": ["--out", "o"],
+    "serve": [],
+    "dataset pack": [],
+}
+
 
 class TestParser:
     def test_requires_command(self) -> None:
@@ -141,6 +162,33 @@ class TestArgumentChecks:
         assert excinfo.value.code == 2
         assert f"argument {argv[-1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", RANGE_FLAG_ARGV, ids=[" ".join(argv) for argv in RANGE_FLAG_ARGV]
+    )
+    def test_range_flags_reject_out_of_range_values(self, argv, capsys) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
+class TestUnloadableDataset:
+    """A missing or corrupt dataset is one usage line and exit 2."""
+
+    @pytest.mark.parametrize("problem", ["missing", "corrupt"])
+    @pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+    def test_is_a_usage_error(self, command, problem, tmp_path, capsys) -> None:
+        directory = tmp_path / "crawl"
+        if problem == "corrupt":
+            directory.mkdir()
+            (directory / "meta.json").write_text('{"coinbaseAddresses": [')
+        argv = [*command.split(), str(directory), *DATASET_COMMANDS[command]]
+        assert main([*argv, "--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"repro {command}: {directory}: ")
+
 
 class TestSimulate:
     def test_writes_dataset(self, saved_dataset, capsys) -> None:
@@ -156,10 +204,6 @@ class TestAnalyze:
         assert "re-registered:" in output
         assert "misdirected txs:" in output
         assert "profitable catchers:" in output
-
-    def test_missing_dataset_raises(self, tmp_path) -> None:
-        with pytest.raises(FileNotFoundError):
-            main(["analyze", str(tmp_path / "nope")])
 
 
 class TestPredict:
