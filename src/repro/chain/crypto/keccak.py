@@ -7,17 +7,25 @@ labelhash, namehash, token ids — is defined over this function, so we
 implement the full Keccak-f[1600] permutation here and verify it against
 the published test vectors in the test suite.
 
-The implementation favours clarity over raw speed: the sponge operates on
-a 5x5 lane matrix of 64-bit integers, one permutation call per 136-byte
-rate block. That is ample for the workloads in this repository (hundreds
-of thousands of short names).
+Two paths compute the same digests. The serial sponge
+(:func:`keccak_256`, :class:`Keccak256`) runs one code-generated,
+unrolled permutation per 136-byte rate block. :func:`keccak_256_many`
+hashes many single-block messages at once: lane *i* of up to
+``_BATCH_CHUNK`` states is packed into one Python int, so each
+permutation step acts on every state in a single big-int operation.
+The measured cost of each path is in ``docs/PERFORMANCE.md``
+("Substrate: batched keccak"). The ENS memos use the batch to hash a
+scenario's labels and ``.eth`` nodes at setup. The keccak counters
+count digests, absorbed bytes and permutation calls identically on
+both paths.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable
 
-__all__ = ["keccak_256", "keccak_256_hex", "Keccak256"]
+__all__ = ["keccak_256", "keccak_256_hex", "keccak_256_many", "Keccak256"]
 
 _KECCAK_ROUNDS = 24
 _RATE_BYTES = 136  # 1088-bit rate for a 256-bit capacity-512 sponge
@@ -194,9 +202,105 @@ def keccak_256_hex(data: bytes | bytearray | memoryview) -> str:
     return keccak_256(data).hex()
 
 
-def keccak_256_concat(parts: Iterable[bytes]) -> bytes:
-    """Hash the concatenation of ``parts`` without building one big buffer."""
-    hasher = Keccak256()
-    for part in parts:
-        hasher.update(part)
-    return hasher.digest()
+# -- batched hashing ---------------------------------------------------------
+
+#: States per lane-sliced permutation; bounds each lane int to 8 KiB.
+_BATCH_CHUNK = 1024
+
+# rho + pi as (source lane, target lane, rotation), and chi's row partners.
+_RHO_PI = tuple(
+    (x + 5 * y, y + 5 * ((2 * x + 3 * y) % 5), _ROTATION[x][y])
+    for x in range(5)
+    for y in range(5)
+)
+_CHI = tuple(
+    (x + y, (x + 1) % 5 + y, (x + 2) % 5 + y) for y in range(0, 25, 5) for x in range(5)
+)
+
+
+def _f1600_sliced(lanes: list[int], n: int) -> list[int]:
+    """Keccak-f[1600] on ``n`` states at once, lane-sliced.
+
+    ``lanes[i]`` packs lane ``i`` of every state into one int: state
+    ``s`` holds bits ``64*s`` to ``64*s + 63``. XOR and AND then act on
+    all ``n`` states per operation. A rotation is two shifts, each
+    masked to its own 64-bit words; NOT is an XOR with all ones; iota
+    XORs the round constant repeated in every word.
+    """
+
+    def repeated(word: int) -> int:
+        return int.from_bytes(word.to_bytes(8, "little") * n, "little")
+
+    ones = repeated(_LANE_MASK)
+    masks = {
+        shift: (repeated(_LANE_MASK ^ ((1 << shift) - 1)), repeated((1 << shift) - 1))
+        for shift in sorted({1, *(shift for _, _, shift in _RHO_PI)} - {0})
+    }
+    high1, low1 = masks[1]
+    a = lanes
+    b = [0] * 25
+    for round_constant in map(repeated, _ROUND_CONSTANTS):
+        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
+        d = []
+        for x in range(5):
+            right = c[(x + 1) % 5]
+            d.append(c[(x - 1) % 5] ^ (((right << 1) & high1) | ((right >> 63) & low1)))
+        for source, target, shift in _RHO_PI:
+            lane = a[source] ^ d[source % 5]
+            if shift:
+                high, low = masks[shift]
+                lane = ((lane << shift) & high) | ((lane >> (64 - shift)) & low)
+            b[target] = lane
+        a = [b[i] ^ ((b[j] ^ ones) & b[k]) for i, j, k in _CHI]
+        a[0] ^= round_constant
+    return a
+
+
+def _keccak_256_blocks(messages: list[bytes]) -> list[bytes]:
+    """Digests of messages shorter than one rate block, in one permutation."""
+    n = len(messages)
+    padded = bytearray(_RATE_BYTES * n)
+    for offset, message in zip(range(0, len(padded), _RATE_BYTES), messages):
+        padded[offset : offset + len(message)] = message
+        padded[offset + len(message)] ^= 0x01
+        padded[offset + _RATE_BYTES - 1] ^= 0x80
+    # array slicing moves whole 8-byte words, so the byte order of the host
+    # never enters: words[i::17] is lane i of every state, in state order
+    words = array("Q", padded)
+    rate_lanes = _RATE_BYTES // 8
+    lanes = [
+        int.from_bytes(words[i::rate_lanes].tobytes(), "little")
+        for i in range(rate_lanes)
+    ]
+    state = _f1600_sliced(lanes + [0] * (25 - rate_lanes), n)
+    squeezed = array("Q", bytes(32 * n))
+    for i in range(4):
+        squeezed[i::4] = array("Q", state[i].to_bytes(8 * n, "little"))
+    raw = squeezed.tobytes()
+    return [raw[offset : offset + 32] for offset in range(0, len(raw), 32)]
+
+
+def keccak_256_many(messages: Iterable[bytes]) -> list[bytes]:
+    """Return ``[keccak_256(m) for m in messages]``, many digests per permutation.
+
+    Messages shorter than one rate block (at most 135 bytes, such as a
+    generated label or a 64-byte ``parent ‖ labelhash``) are hashed
+    ``_BATCH_CHUNK`` at a time by the lane-sliced permutation. Longer
+    messages take the serial sponge. The counters move exactly as for
+    one serial call per message.
+    """
+    messages = [bytes(message) for message in messages]
+    digests: list[bytes | None] = [None] * len(messages)
+    short = [i for i, message in enumerate(messages) if len(message) < _RATE_BYTES]
+    for start in range(0, len(short), _BATCH_CHUNK):
+        chunk = short[start : start + _BATCH_CHUNK]
+        batch = [messages[i] for i in chunk]
+        for i, digest in zip(chunk, _keccak_256_blocks(batch)):
+            digests[i] = digest
+        _M_BYTES.inc(sum(map(len, batch)))
+        _M_PERMUTATIONS.inc(len(batch))
+        _M_DIGESTS.inc(len(batch))
+    return [
+        Keccak256(message).digest() if digest is None else digest
+        for digest, message in zip(digests, messages)
+    ]

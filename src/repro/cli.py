@@ -42,7 +42,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import build_report, report_json, train_reregistration_predictor
 from .crawler import (
@@ -410,13 +410,15 @@ class _RunObservability:
     :class:`~repro.obs.RunRecord` to the run ledger (unless
     ``--no-ledger``) and prints the span tree under ``--trace``. The
     record is the run's one telemetry artifact: ``repro obs`` reads it
-    back.
+    back. A handler sets ``fingerprint`` to a thunk returning the
+    dataset digest; it is called only when a record is written, so a
+    ``--no-ledger`` run never pays for :func:`dataset_digest`.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str]) -> None:
         self.registry = MetricsRegistry()
         self.tracer = Tracer(registry=self.registry)
-        self.dataset_fingerprint: str | None = None
+        self.fingerprint: Callable[[], str] | None = None
         self._args = args
         self._argv = argv
         self._started: float = wall_now()
@@ -443,7 +445,7 @@ class _RunObservability:
             registries=[self.registry, global_registry()],
             tracer=self.tracer,
             started_at=self._started,
-            dataset_fingerprint=self.dataset_fingerprint,
+            dataset_fingerprint=self.fingerprint() if self.fingerprint else None,
             slo_results=slo_results,
             extra={"exit_code": exit_code},
         )
@@ -523,7 +525,7 @@ def _cmd_simulate(args: argparse.Namespace, obs: _RunObservability) -> int:
                 registry=obs.registry,
                 tracer=obs.tracer,
             )
-    obs.dataset_fingerprint = dataset_digest(dataset)
+    obs.fingerprint = lambda: dataset_digest(dataset)
     simulate_span = obs.tracer.find("simulate")
     elapsed = simulate_span.duration if simulate_span else 0.0
     print(f"  {crawl.domains_crawled} domains crawled"
@@ -563,8 +565,9 @@ def _cmd_crawl(args: argparse.Namespace, obs: _RunObservability) -> int:
         f" {crawl.transactions_crawled} transactions,"
         f" {crawl.market_events_crawled} market events"
     )
-    obs.dataset_fingerprint = dataset_digest(dataset)
-    print(f"  dataset digest {obs.dataset_fingerprint}")
+    digest = dataset_digest(dataset)
+    obs.fingerprint = lambda: digest
+    print(f"  dataset digest {digest}")
     if args.out:
         directory = save_dataset(
             dataset,
@@ -581,7 +584,7 @@ def _cmd_analyze(args: argparse.Namespace, obs: _RunObservability) -> int:
     from .core.descriptive import describe_dataset
 
     dataset = _load_store(args, obs, validate=True)
-    obs.dataset_fingerprint = dataset_digest(dataset)
+    obs.fingerprint = lambda: dataset_digest(dataset)
     print("--- dataset ---")
     for line in describe_dataset(dataset).lines():
         print(line)
@@ -626,7 +629,7 @@ def _cmd_predict(args: argparse.Namespace, obs: _RunObservability) -> int:
 def _cmd_report(args: argparse.Namespace, obs: _RunObservability) -> int:
     world, dataset, _ = _scenario_dataset(args, obs)
     dataset = _in_store(args, obs, dataset)
-    obs.dataset_fingerprint = dataset_digest(dataset)
+    obs.fingerprint = lambda: dataset_digest(dataset)
     report = build_report(
         dataset,
         world.oracle,
@@ -649,7 +652,9 @@ def _cmd_serve(args: argparse.Namespace, obs: _RunObservability) -> int:
         world, dataset, _ = _scenario_dataset(args, obs)
         dataset = _in_store(args, obs, dataset)
         oracle = world.oracle
-    obs.dataset_fingerprint = dataset_digest(dataset)
+    # a watcher applies deltas in place: record the starting dataset
+    digest = dataset_digest(dataset)
+    obs.fingerprint = lambda: digest
     app = ReproApp(
         dataset,
         oracle,
@@ -752,14 +757,14 @@ def _cmd_dataset_stream(args: argparse.Namespace, obs: _RunObservability) -> int
                 label=delta.label,
                 records=delta.record_count,
             )
-        final = stream.replay()
-        obs.dataset_fingerprint = dataset_digest(final)
+        digest = dataset_digest(stream.replay())
+        obs.fingerprint = lambda: digest
     skipped = f" (skipped {done} already streamed)" if done else ""
     print(
         f"  appended {appended} deltas to {args.out}/deltas.jsonl"
         f"{skipped}"
     )
-    print(f"  final dataset digest {obs.dataset_fingerprint}")
+    print(f"  final dataset digest {digest}")
     return 0
 
 

@@ -35,7 +35,7 @@ from ..crawler.subgraph_client import SubgraphClient
 from ..datasets.dataset import ENSDataset
 from ..datasets.schema import ResolutionRecord
 from ..ens.deployment import ENSDeployment
-from ..ens.namehash import labelhash
+from ..ens.namehash import ETH_NODE, child_nodes, labelhash, labelhashes
 from ..ens.premium import GRACE_PERIOD_DAYS, PREMIUM_PERIOD_DAYS
 from ..explorer.api import EtherscanAPI, VirtualClock
 from ..explorer.database import ExplorerDatabase
@@ -370,6 +370,9 @@ class _ScenarioEngine:
                     and rng.random() < config.retail_noise_prob
                 ):
                     self._schedule_noise(sender.address, count=1)
+        # every domain is registered, so hash its label and .eth node now,
+        # many digests per keccak permutation; the memos serve the events
+        child_nodes(ETH_NODE, labelhashes([s.name.label for s in self.scripts]))
 
     def _schedule_noise(self, sender: Address, count: int) -> None:
         """Payments to random catcher wallets that have nothing to do

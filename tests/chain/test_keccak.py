@@ -1,8 +1,10 @@
-"""Keccak-256: published vectors, reference-vs-unrolled equivalence."""
+"""Keccak-256: published vectors, reference-vs-unrolled equivalence,
+and the batched path against the serial one."""
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,14 @@ from hypothesis import strategies as st
 
 from repro.chain.crypto._f1600_unrolled import f1600_unrolled
 from repro.chain.crypto.keccak import (
+    _BATCH_CHUNK,
     Keccak256,
     _keccak_f1600,
     keccak_256,
     keccak_256_hex,
+    keccak_256_many,
 )
+from repro.obs import global_registry
 
 # Published Keccak-256 digests (the Ethereum variant, NOT SHA3-256).
 KNOWN_VECTORS = {
@@ -101,3 +106,48 @@ def test_distinct_messages_distinct_digests(a: bytes, b: bytes) -> None:
     # Collision resistance sanity at property-test scale.
     if a != b:
         assert keccak_256(a) != keccak_256(b)
+
+
+def test_known_vectors_through_the_batch() -> None:
+    messages = sorted(KNOWN_VECTORS)
+    assert [digest.hex() for digest in keccak_256_many(messages)] == [
+        KNOWN_VECTORS[message] for message in messages
+    ]
+
+
+def _random_messages(rng: random.Random, count: int) -> list[bytes]:
+    # lengths 0-200 straddle the 135-byte single-block limit
+    return [rng.randbytes(rng.randrange(201)) for _ in range(count)]
+
+
+@given(st.integers(min_value=0, max_value=2_000), st.integers(min_value=0))
+@settings(max_examples=8, deadline=None)
+def test_batch_matches_serial(count: int, seed: int) -> None:
+    messages = _random_messages(random.Random(seed), count)
+    assert keccak_256_many(messages) == [keccak_256(m) for m in messages]
+
+
+def test_batch_crossing_a_chunk_boundary() -> None:
+    # one full chunk of single-block messages and one more, then the first
+    # length that takes the serial sponge
+    rng = random.Random(7)
+    messages = [rng.randbytes(rng.randrange(136)) for _ in range(_BATCH_CHUNK + 1)]
+    messages[0] = b"a" * 135
+    messages.append(b"a" * 136)
+    assert keccak_256_many(messages) == [keccak_256(m) for m in messages]
+
+
+def test_batch_moves_the_counters_like_serial_calls() -> None:
+    names = (
+        "keccak_digests_total",
+        "keccak_bytes_total",
+        "keccak_permutations_total",
+    )
+    messages = _random_messages(random.Random(3), 50) + [b"x" * 300]
+
+    def deltas(hash_all) -> list[float]:
+        before = [global_registry().value(name) for name in names]
+        hash_all(messages)
+        return [global_registry().value(name) - b for name, b in zip(names, before)]
+
+    assert deltas(keccak_256_many) == deltas(lambda ms: [keccak_256(m) for m in ms])

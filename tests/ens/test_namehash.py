@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.chain.errors import InvalidName
 from repro.ens import ETH_NODE, ROOT_NODE, labelhash, namehash
-from repro.ens.namehash import child_node
+from repro.ens.namehash import child_node, child_nodes, labelhashes
 
 # Vectors straight from EIP-137.
 EIP137_VECTORS = {
@@ -27,6 +27,56 @@ def test_eip137_vectors(name: str, expected: str) -> None:
 def test_child_node_derives_each_vector_from_its_parent(name: str) -> None:
     label, _, parent = name.partition(".")
     assert child_node(namehash(parent), labelhash(label)).hex == EIP137_VECTORS[name]
+
+
+@pytest.mark.parametrize("name", sorted(name for name in EIP137_VECTORS if name))
+def test_batch_derives_each_vector_from_its_parent(name: str) -> None:
+    # empty memos, so the lane-sliced keccak computes the label and the node
+    labelhash.cache_clear()
+    child_node.cache_clear()
+    label, _, parent = name.partition(".")
+    node = child_nodes(namehash(parent), labelhashes([label]))[0]
+    assert node.hex == EIP137_VECTORS[name]
+
+
+def test_batch_fills_the_memos_and_hashes_each_miss_once() -> None:
+    from repro.ens.namehash import _handoff
+    from repro.obs import global_registry
+
+    def digests() -> float:
+        return global_registry().value("keccak_digests_total")
+
+    labelhash.cache_clear()
+    child_node.cache_clear()
+    labelhash("gold")  # already memoized: the batch must not hash it again
+    labels = ["gold", "silver", "bronze", "copper", "silver"]
+    before = digests()
+    nodes = child_nodes(ETH_NODE, labelhashes(labels))
+    assert digests() - before == 3 + 4  # new labels + distinct nodes
+    assert _handoff.digests == {}
+    assert nodes == [namehash(f"{label}.eth") for label in labels]
+    before = digests()
+    assert child_nodes(ETH_NODE, labelhashes(labels)) == nodes
+    assert digests() == before
+
+
+def test_a_running_batch_is_invisible_to_other_threads() -> None:
+    import threading
+
+    from repro.chain.crypto.keccak import keccak_256
+    from repro.ens.namehash import _PENDING, _handoff
+
+    labelhash.cache_clear()
+    # this thread is mid-batch on "gold": its memo probe would raise
+    _handoff.digests[b"gold"] = _PENDING
+    results = []
+    try:
+        worker = threading.Thread(target=lambda: results.append(labelhash("gold")))
+        worker.start()
+        worker.join()
+    finally:
+        _handoff.digests.clear()
+    assert [h.raw for h in results] == [keccak_256(b"gold")]
 
 
 def test_child_node_addr_reverse() -> None:

@@ -121,20 +121,15 @@ class TestRegistrableLabel:
 def test_http_paths_never_reach_a_memo() -> None:
     """The serve layer canonicalizes untrusted paths with the unmemoized
     ``normalize_name``; no request may grow the ENS memos."""
-    from repro.ens import namehash
+    from repro.ens.namehash import _handoff, child_node, labelhash, namehash
     from repro.serve.query import canonical_query
 
-    before = (
-        namehash.cache_info().currsize,
-        registrable_label.cache_info().currsize,
-    )
+    memos = (namehash, registrable_label, labelhash, child_node)
+    before = [memo.cache_info().currsize for memo in memos]
     for i in range(1_000):
         assert canonical_query(f"/domain/Visitor{i}.eth") == f"/domain/visitor{i}.eth"
-    after = (
-        namehash.cache_info().currsize,
-        registrable_label.cache_info().currsize,
-    )
-    assert after == before
+    assert [memo.cache_info().currsize for memo in memos] == before
+    assert _handoff.digests == {}
     # the functions HTTP input does reach hold no memo at all
     assert not hasattr(normalize_name, "cache_info")
     assert not hasattr(normalize_label, "cache_info")

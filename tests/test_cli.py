@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.crawler import dataset_digest, load_dataset
 from repro.obs import RunLedger, RunRecord
 
 
@@ -239,12 +240,14 @@ class TestReport:
         )
         monkeypatch.setattr(cli, "report_json", counted("json", cli.report_json))
         out = tmp_path / "report.json"
-        assert main([
-            "report", "--domains", "60", "--seed", "3",
-            "--json-out", str(out), "--no-ledger",
-        ]) == 0
-        assert calls == ["digest", "json"]
+        argv = ["report", "--domains", "60", "--seed", "3", "--json-out", str(out)]
+        assert main([*argv, "--ledger-dir", str(tmp_path / "ledger")]) == 0
+        # the fingerprint is computed when the ledger record is written
+        assert calls == ["json", "digest"]
         assert out.read_text(encoding="utf-8").startswith("{")
+        calls.clear()
+        assert main([*argv, "--no-ledger"]) == 0
+        assert calls == ["json"]
 
     def test_store_choice_is_invisible_in_output(self, tmp_path, capsys) -> None:
         argv = ["report", "--domains", "120", "--seed", "5"]
@@ -399,6 +402,20 @@ class TestRunLedger:
             ["crawl", "--domains", "120", "--seed", "3", "--ledger-dir", ledger]
             + list(extra)
         )
+
+    def test_recorded_fingerprint_is_the_dataset_digest(self, tmp_path, capsys) -> None:
+        ledger, out = str(tmp_path / "ledger"), tmp_path / "crawl"
+        scenario = ["--domains", "60", "--seed", "3", "--ledger-dir", ledger]
+        assert main(["simulate", *scenario, "--out", str(out)]) == 0
+        assert main(["analyze", str(out), "--ledger-dir", ledger]) == 0
+        assert main(["report", *scenario]) == 0
+        capsys.readouterr()
+        records = [
+            json.loads(path.read_text())
+            for path in (tmp_path / "ledger").glob("run-*.json")
+        ]
+        expected = dataset_digest(load_dataset(out))
+        assert [record["dataset_fingerprint"] for record in records] == [expected] * 3
 
     def test_run_appends_a_ledger_record(self, tmp_path, capsys) -> None:
         ledger = tmp_path / "ledger"
