@@ -612,9 +612,14 @@ def _write_report_json(args: argparse.Namespace, report) -> None:
 def _cmd_predict(args: argparse.Namespace, obs: _RunObservability) -> int:
     with obs.tracer.span("predict"):
         dataset = load_dataset(args.dataset)
-        report = train_reregistration_predictor(
-            dataset, EthUsdOracle(), test_fraction=args.test_fraction, seed=args.seed
-        )
+        try:
+            report = train_reregistration_predictor(
+                dataset, EthUsdOracle(),
+                test_fraction=args.test_fraction, seed=args.seed,
+            )
+        except ValueError as exc:  # too few rows to hold out a test split
+            print(f"{args.parser.prog}: {args.dataset}: {exc}", file=sys.stderr)
+            return 2
     print(f"train/test: {report.train_size}/{report.metrics.test_size}")
     print(f"accuracy={report.metrics.accuracy:.1%}"
           f" precision={report.metrics.precision:.1%}"

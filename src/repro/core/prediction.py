@@ -16,20 +16,17 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import groupby
+from operator import mul
 
 from ..datasets.dataset import ENSDataset
 from ..oracle.ethusd import EthUsdOracle
 from .comparison import DomainFeatureRow, feature_rows_for
 from .control import study_groups
 
-__all__ = [
-    "LogisticModel",
-    "build_feature_matrix",
-    "train_reregistration_predictor",
-]
+__all__ = ["LogisticModel", "build_feature_matrix", "train_reregistration_predictor"]
 
 FEATURE_NAMES: tuple[str, ...] = (
     "log_income_usd",
@@ -66,44 +63,62 @@ def _row_vector(row: DomainFeatureRow) -> list[float]:
 
 def build_feature_matrix(
     dataset: ENSDataset, oracle: EthUsdOracle, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[list[float]], list[float]]:
     """(X, y) over the re-registered (1) and control (0) groups."""
     reregistered, control = study_groups(dataset, seed=seed)
     rows = feature_rows_for(dataset, reregistered, oracle)
     rows += feature_rows_for(dataset, control, oracle)
     labels = [1.0] * len(reregistered) + [0.0] * len(control)
-    features = np.array([_row_vector(row) for row in rows], dtype=float)
-    return features, np.array(labels, dtype=float)
+    return [_row_vector(row) for row in rows], labels
+
+
+def _sigmoid(logit: float) -> float:
+    return 1.0 / (1.0 + math.exp(-min(60.0, max(-60.0, logit))))
+
+
+def _dot(left: Sequence[float], right: Sequence[float]) -> float:
+    return sum(map(mul, left, right))
+
+
+def _standardize(
+    features: Sequence[Sequence[float]], means: list[float], scales: list[float]
+) -> list[list[float]]:
+    moments = list(zip(means, scales))
+    return [
+        [(float(x) - mean) / scale for x, (mean, scale) in zip(row, moments)]
+        for row in features
+    ]
 
 
 @dataclass
 class LogisticModel:
     """A trained, standardized logistic regression."""
 
-    weights: np.ndarray          # per standardized feature
+    weights: list[float]         # per standardized feature
     bias: float
-    feature_means: np.ndarray
-    feature_scales: np.ndarray
+    feature_means: list[float]
+    feature_scales: list[float]
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+    def predict_proba(self, features: Sequence[Sequence[float]]) -> list[float]:
         """P(re-registered) for each row of raw (unstandardized) features."""
-        standardized = (features - self.feature_means) / self.feature_scales
-        logits = standardized @ self.weights + self.bias
-        return 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
+        rows = _standardize(features, self.feature_means, self.feature_scales)
+        return [_sigmoid(_dot(row, self.weights) + self.bias) for row in rows]
 
-    def predict(self, features: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    def predict(
+        self, features: Sequence[Sequence[float]], threshold: float = 0.5
+    ) -> list[float]:
         """Binary predictions at ``threshold`` over the probabilities."""
-        return (self.predict_proba(features) >= threshold).astype(float)
+        return [float(p >= threshold) for p in self.predict_proba(features)]
 
     def feature_weights(self) -> dict[str, float]:
         """Standardized weights keyed by feature name (interpretable)."""
-        return dict(zip(FEATURE_NAMES, (float(w) for w in self.weights)))
+        return dict(zip(FEATURE_NAMES, self.weights))
 
     @classmethod
     def fit(
         cls,
-        features: np.ndarray,
-        labels: np.ndarray,
+        features: Sequence[Sequence[float]],
+        labels: Sequence[float],
         learning_rate: float = 0.5,
         epochs: int = 400,
         l2: float = 1e-3,
@@ -111,27 +126,28 @@ class LogisticModel:
         """Full-batch gradient descent with L2 regularization."""
         if len(features) != len(labels) or len(features) == 0:
             raise ValueError("features and labels must be non-empty and aligned")
-        means = features.mean(axis=0)
-        scales = features.std(axis=0)
-        scales[scales == 0.0] = 1.0
-        standardized = (features - means) / scales
-        count, dims = standardized.shape
-        weights = np.zeros(dims)
-        bias = 0.0
+        targets = [float(label) for label in labels]
+        count = len(targets)
+        columns = [[float(x) for x in column] for column in zip(*features)]
+        means = [sum(column) / count for column in columns]
+        scales = [  # population std; a constant feature keeps scale 1
+            math.sqrt(sum((value - mean) ** 2 for value in column) / count) or 1.0
+            for column, mean in zip(columns, means)
+        ]
+        rows = _standardize(features, means, scales)
+        columns = list(zip(*rows))
+        weights, bias = [0.0] * len(columns), 0.0
         for _ in range(epochs):
-            logits = standardized @ weights + bias
-            probabilities = 1.0 / (1.0 + np.exp(-np.clip(logits, -60, 60)))
-            error = probabilities - labels
-            gradient = standardized.T @ error / count + l2 * weights
-            bias_gradient = float(error.mean())
-            weights -= learning_rate * gradient
-            bias -= learning_rate * bias_gradient
-        return cls(
-            weights=weights,
-            bias=bias,
-            feature_means=means,
-            feature_scales=scales,
-        )
+            error = [
+                _sigmoid(_dot(row, weights) + bias) - target
+                for row, target in zip(rows, targets)
+            ]
+            weights = [
+                weight - learning_rate * (_dot(column, error) / count + l2 * weight)
+                for column, weight in zip(columns, weights)
+            ]
+            bias -= learning_rate * (sum(error) / count)
+        return cls(weights, bias, means, scales)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,56 +161,38 @@ class PredictionMetrics:
     test_size: int
 
 
-def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+def _rank_auc(scores: Sequence[float], labels: Sequence[float]) -> float:
     """AUC via the Mann-Whitney rank statistic (ties get mid-ranks)."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=float)
-    sorted_scores = scores[order]
-    index = 0
-    position = 1.0
-    while index < len(scores):
-        tie_end = index
-        while (
-            tie_end + 1 < len(scores)
-            and sorted_scores[tie_end + 1] == sorted_scores[index]
-        ):
-            tie_end += 1
-        mid_rank = (position + position + (tie_end - index)) / 2.0
-        for tie_index in range(index, tie_end + 1):
-            ranks[order[tie_index]] = mid_rank
-        position += tie_end - index + 1
-        index = tie_end + 1
-    positives = labels == 1.0
-    n_pos = int(positives.sum())
-    n_neg = len(labels) - n_pos
+    scores = [float(score) for score in scores]
+    ranks = [0.0] * len(scores)
+    below = 0
+    order = sorted(range(len(scores)), key=scores.__getitem__)  # stable
+    for _, group in groupby(order, key=scores.__getitem__):
+        tied = list(group)
+        for index in tied:
+            ranks[index] = below + (len(tied) + 1) / 2.0
+        below += len(tied)
+    positives = [rank for rank, label in zip(ranks, labels) if label == 1.0]
+    n_pos, n_neg = len(positives), len(ranks) - len(positives)
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    rank_sum = ranks[positives].sum()
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return (sum(positives) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate(model: LogisticModel, features: np.ndarray, labels: np.ndarray) -> PredictionMetrics:
+def evaluate(
+    model: LogisticModel, features: Sequence[Sequence[float]], labels: Sequence[float]
+) -> PredictionMetrics:
     """Score a model on a held-out set."""
+    labels = [float(label) for label in labels]
     probabilities = model.predict_proba(features)
-    predictions = (probabilities >= 0.5).astype(float)
-    true_positive = float(((predictions == 1) & (labels == 1)).sum())
-    false_positive = float(((predictions == 1) & (labels == 0)).sum())
-    false_negative = float(((predictions == 0) & (labels == 1)).sum())
-    accuracy = float((predictions == labels).mean())
-    precision = (
-        true_positive / (true_positive + false_positive)
-        if true_positive + false_positive
-        else 0.0
-    )
-    recall = (
-        true_positive / (true_positive + false_negative)
-        if true_positive + false_negative
-        else 0.0
-    )
+    pairs = [(float(p >= 0.5), label) for p, label in zip(probabilities, labels)]
+    true_positive = float(pairs.count((1.0, 1.0)))
+    predicted_positive = true_positive + pairs.count((1.0, 0.0))
+    actual_positive = true_positive + pairs.count((0.0, 1.0))
     return PredictionMetrics(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
+        accuracy=sum(predicted == label for predicted, label in pairs) / len(pairs),
+        precision=true_positive / predicted_positive if predicted_positive else 0.0,
+        recall=true_positive / actual_positive if actual_positive else 0.0,
         auc=_rank_auc(probabilities, labels),
         test_size=len(labels),
     )
@@ -230,6 +228,8 @@ def train_reregistration_predictor(
     train_idx, test_idx = indices[:split], indices[split:]
     if not test_idx:
         raise ValueError("dataset too small to hold out a test split")
-    model = LogisticModel.fit(features[train_idx], labels[train_idx])
-    metrics = evaluate(model, features[test_idx], labels[test_idx])
+    train = [features[i] for i in train_idx], [labels[i] for i in train_idx]
+    test = [features[i] for i in test_idx], [labels[i] for i in test_idx]
+    model = LogisticModel.fit(*train)
+    metrics = evaluate(model, *test)
     return PredictorReport(model=model, metrics=metrics, train_size=len(train_idx))

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.core.prediction import (
+    FEATURE_NAMES,
     LogisticModel,
+    PredictionMetrics,
     _rank_auc,
     build_feature_matrix,
     evaluate,
@@ -57,7 +61,7 @@ class TestLogisticModel:
         labels = np.array([0.0, 1.0, 0.0])
         model = LogisticModel.fit(features, labels, epochs=50)
         probabilities = model.predict_proba(features)
-        assert np.all((probabilities >= 0) & (probabilities <= 1))
+        assert all(0 <= probability <= 1 for probability in probabilities)
 
     def test_constant_feature_does_not_crash(self) -> None:
         features = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
@@ -94,8 +98,8 @@ class TestEndToEnd:
     def test_feature_matrix_shape(self) -> None:
         dataset = _separable_world()
         features, labels = build_feature_matrix(dataset, FLAT)
-        assert features.shape == (60, 12)
-        assert labels.sum() == 30
+        assert [len(row) for row in features] == [12] * 60
+        assert sum(labels) == 30
 
     def test_predictor_separates_clean_world(self) -> None:
         dataset = _separable_world()
@@ -119,6 +123,19 @@ class TestEndToEnd:
         dataset = _separable_world()
         with pytest.raises(ValueError):
             train_reregistration_predictor(dataset, FLAT, test_fraction=0.0)
+
+    def test_results_are_builtin_floats(self) -> None:
+        dataset = _separable_world()
+        report = train_reregistration_predictor(dataset, FLAT, seed=3)
+        weights = report.model.feature_weights()
+        assert list(weights) == list(FEATURE_NAMES)
+        metrics = [
+            getattr(report.metrics, field.name)
+            for field in fields(PredictionMetrics)
+            if field.type == "float"
+        ]
+        assert len(metrics) == 4
+        assert all(type(value) is float for value in [*metrics, *weights.values()])
 
     def test_top_features_sorted_by_magnitude(self) -> None:
         dataset = _separable_world()

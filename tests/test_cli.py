@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.crawler import dataset_digest, load_dataset
 from repro.obs import RunLedger, RunRecord
@@ -207,12 +212,64 @@ class TestAnalyze:
         assert "profitable catchers:" in output
 
 
+#: ``repro predict`` stdout on ``saved_dataset``, pinned byte for byte. It was
+#: captured from the numpy implementation the standard-library one replaced.
+PREDICT_GOLDEN = """\
+train/test: 26/12
+accuracy=66.7% precision=50.0% recall=75.0% auc=0.906
+strongest features:
+  log_income_usd               +3.134
+  contains_dictionary_word     +2.675
+  contains_digit               -2.453
+  is_numeric                   +1.986
+  is_dictionary_word           +1.322
+  contains_underscore          -1.272
+"""
+
+
 class TestPredict:
     def test_prints_metrics(self, saved_dataset, capsys) -> None:
         assert main(["predict", str(saved_dataset)]) == 0
         output = capsys.readouterr().out
         assert "auc=" in output
         assert "log_income_usd" in output
+
+    def test_stdout_matches_golden(self, saved_dataset, capsys) -> None:
+        assert main(["predict", str(saved_dataset), "--no-ledger"]) == 0
+        assert capsys.readouterr().out == PREDICT_GOLDEN
+
+    def test_too_small_for_a_split_is_a_usage_error(self, tmp_path, capsys) -> None:
+        crawl, ledger = tmp_path / "crawl", tmp_path / "ledger"
+        argv = ["--domains", "3", "--seed", "1", "--out", str(crawl), "--no-ledger"]
+        assert main(["simulate", *argv]) == 0
+        capsys.readouterr()
+        assert main(["predict", str(crawl), "--ledger-dir", str(ledger)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = [
+            line for line in captured.err.splitlines() if "ledger.appended" not in line
+        ]
+        assert line == (
+            f"repro predict: {crawl}: dataset too small to hold out a test split"
+        )
+        (entry,) = ledger.glob("run-*.json")
+        record = json.loads(entry.read_text())
+        assert (record["command"], record["extra"]) == ("predict", {"exit_code": 2})
+
+
+def test_cli_import_loads_no_numeric_stack() -> None:
+    """The runtime is the standard library: numpy and scipy stay unloaded."""
+    src = Path(repro.__file__).resolve().parents[1]
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted({'numpy', 'scipy'} & {name.split('.')[0] for name in sys.modules}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 class TestReport:
