@@ -96,9 +96,10 @@ def _keccak_f1600(state: list[int]) -> None:
         state[0] ^= round_constant
 
 
-# The production permutation: code-generated straight-line version of the
-# reference loop above (see _f1600_unrolled for the rationale). Tests pin
-# both implementations to each other and to published digests.
+# The production permutation: a committed straight-line version of the
+# reference loop above, written by tools/gen_keccak_permutation.py (its
+# docstring has the rationale). Tests pin both implementations to each
+# other and to published digests, and the committed file to the generator.
 from ._f1600_unrolled import f1600_unrolled as _f1600_fast
 
 # Process-global hash-effort counters, bound once at import so the per-

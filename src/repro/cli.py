@@ -38,6 +38,8 @@ is the built-in :func:`~repro.obs.default_slos`.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import math
 import os
 import sys
@@ -413,6 +415,14 @@ class _RunObservability:
     back. A handler sets ``fingerprint`` to a thunk returning the
     dataset digest; it is called only when a record is written, so a
     ``--no-ledger`` run never pays for :func:`dataset_digest`.
+
+    From construction until :meth:`close` a ``gc.callbacks`` hook counts
+    the cyclic collector's passes (``gc_collections_total{generation}``)
+    and their pause time on the tracer's clock
+    (``gc_pause_seconds_total``). No span covers a collection, so these
+    two counters are where its cost shows. The hook only adds to
+    counters bound here, so a pass that fires inside registry code
+    cannot reenter it.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str]) -> None:
@@ -422,6 +432,28 @@ class _RunObservability:
         self._args = args
         self._argv = argv
         self._started: float = wall_now()
+        collections = self.registry.counter(
+            "gc_collections_total",
+            "cyclic-collector passes during the run",
+            labels=("generation",),
+        )
+        self._gc_passes = [collections.labels(generation=g) for g in range(3)]
+        self._gc_pause = self.registry.counter(
+            "gc_pause_seconds_total", "seconds the cyclic collector ran"
+        )
+        self._gc_began = 0.0
+        gc.callbacks.append(self._on_gc)
+
+    def _on_gc(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._gc_began = self.tracer.clock()
+            return
+        self._gc_pause.inc(self.tracer.clock() - self._gc_began)
+        self._gc_passes[info["generation"]].inc()
+
+    def close(self) -> None:
+        """Detach the collector hook."""
+        gc.callbacks.remove(self._on_gc)
 
     def _evaluate_and_record(self, exit_code: int) -> None:
         slo_results = evaluate_slos(
@@ -467,22 +499,46 @@ class _RunObservability:
                 print(line)
 
 
+@contextlib.contextmanager
+def _world_built_once():
+    """Build the simulated world with the cyclic collector held off.
+
+    The world is a large, long-lived object graph that holds almost no
+    garbage, yet each automatic collection during the build re-walks
+    all of it (``docs/PERFORMANCE.md``, "Substrate: the collector and
+    the built world"). So the collector pauses while the block runs,
+    and on exit every object alive is frozen into the permanent
+    generation before the collector comes back (if it was on), so later
+    passes skip the world. It stays referenced until the command exits;
+    :func:`main` unfreezes the heap on the way out.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.freeze()
+        if was_enabled:
+            gc.enable()
+
+
 def _scenario_dataset(args: argparse.Namespace, obs: _RunObservability, **crawl):
     """Simulate the ``--domains``/``--seed`` scenario and crawl it.
 
     Returns ``(world, dataset, crawl_report)``; ``crawl`` passes the
     fault plan and checkpoint options through to ``run_crawl``.
     """
-    world = run_scenario(
-        ScenarioConfig(n_domains=args.domains, seed=args.seed),
-        registry=obs.registry,
-        tracer=obs.tracer,
-    )
-    dataset, crawl_report = world.run_crawl(
-        registry=obs.registry,
-        tracer=obs.tracer,
-        **crawl,
-    )
+    with _world_built_once():
+        world = run_scenario(
+            ScenarioConfig(n_domains=args.domains, seed=args.seed),
+            registry=obs.registry,
+            tracer=obs.tracer,
+        )
+        dataset, crawl_report = world.run_crawl(
+            registry=obs.registry,
+            tracer=obs.tracer,
+            **crawl,
+        )
     return world, dataset, crawl_report
 
 
@@ -657,9 +713,10 @@ def _cmd_serve(args: argparse.Namespace, obs: _RunObservability) -> int:
         world, dataset, _ = _scenario_dataset(args, obs)
         dataset = _in_store(args, obs, dataset)
         oracle = world.oracle
-    # a watcher applies deltas in place: record the starting dataset
-    digest = dataset_digest(dataset)
-    obs.fingerprint = lambda: digest
+    if not args.no_ledger:
+        # a watcher applies deltas in place: record the starting dataset
+        digest = dataset_digest(dataset)
+        obs.fingerprint = lambda: digest
     app = ReproApp(
         dataset,
         oracle,
@@ -718,12 +775,13 @@ def _cmd_dataset_stream(args: argparse.Namespace, obs: _RunObservability) -> int
     with obs.tracer.span(
         "dataset.stream", domains=args.domains, batches=args.batches
     ):
-        stream = stream_scenario(
-            ScenarioConfig(n_domains=args.domains, seed=args.seed),
-            batches=args.batches,
-            registry=obs.registry,
-            tracer=obs.tracer,
-        )
+        with _world_built_once():
+            stream = stream_scenario(
+                ScenarioConfig(n_domains=args.domains, seed=args.seed),
+                batches=args.batches,
+                registry=obs.registry,
+                tracer=obs.tracer,
+            )
         done = 0
         if args.resume:
             if not (Path(args.out) / "meta.json").is_file():
@@ -1056,6 +1114,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a missing or corrupt dataset directory is a usage error
         print(f"{args.parser.prog}: {exc}", file=sys.stderr)
         exit_code = 2
+    finally:
+        # leave the collector as an in-process caller had it
+        obs.close()
+        gc.unfreeze()
     obs.finish(exit_code)
     return exit_code
 

@@ -4,7 +4,10 @@ and the batched path against the serial one."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +101,17 @@ def test_unrolled_permutation_matches_reference(lanes: list[int]) -> None:
     reference = list(lanes)
     _keccak_f1600(reference)
     assert f1600_unrolled(list(lanes)) == reference
+
+
+def test_committed_permutation_is_the_generator_output() -> None:
+    # the unrolled module is committed source written by a tool script
+    tool = Path(__file__).resolve().parents[2] / "tools" / "gen_keccak_permutation.py"
+    spec = importlib.util.spec_from_file_location("gen_keccak_permutation", tool)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    committed = Path(sys.modules[f1600_unrolled.__module__].__file__).resolve()
+    assert committed == generator.TARGET
+    assert committed.read_bytes() == generator.generate().encode("utf-8")
 
 
 @given(st.binary(max_size=64), st.binary(max_size=64))

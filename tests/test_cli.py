@@ -314,6 +314,34 @@ class TestReport:
         assert capsys.readouterr().out == object_out
 
 
+class TestServe:
+    LOAD_GEN = ["--port", "0", "--load-gen", "2", "--clients", "1"]
+
+    def test_no_ledger_run_skips_the_dataset_digest(
+        self, monkeypatch, capsys
+    ) -> None:
+        # the fingerprint feeds only the ledger record
+        import repro.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "dataset_digest", calls.append)
+        argv = ["serve", "--domains", "40", "--seed", "3", *self.LOAD_GEN]
+        assert main([*argv, "--no-ledger"]) == 0
+        assert calls == []
+
+    def test_ledger_records_the_starting_dataset_digest(
+        self, saved_dataset, tmp_path, capsys
+    ) -> None:
+        ledger = tmp_path / "ledger"
+        argv = ["serve", str(saved_dataset), *self.LOAD_GEN]
+        assert main([*argv, "--ledger-dir", str(ledger)]) == 0
+        (entry,) = ledger.glob("run-*.json")
+        record = json.loads(entry.read_text())
+        assert record["dataset_fingerprint"] == dataset_digest(
+            load_dataset(saved_dataset)
+        )
+
+
 class TestDatasetSubcommand:
     def test_crawl_with_columnar_store_writes_rcol(
         self, tmp_path, capsys
