@@ -12,7 +12,7 @@ from .account import AccountState
 from .block import Block
 from .chain import Blockchain
 from .contract import CallContext, Contract
-from .crypto.keccak import Keccak256, keccak_256, keccak_256_hex
+from .crypto.keccak import keccak_256
 from .errors import (
     InsufficientFunds,
     InvalidName,
@@ -50,7 +50,6 @@ __all__ = [
     "InternalTransfer",
     "InvalidName",
     "InvalidTransaction",
-    "Keccak256",
     "Log",
     "NameNotRegistered",
     "NameUnavailable",
@@ -68,5 +67,4 @@ __all__ = [
     "ether",
     "from_wei",
     "keccak_256",
-    "keccak_256_hex",
 ]

@@ -1,5 +1,5 @@
 """Cryptographic primitives (pure-Python Keccak-256)."""
 
-from .keccak import Keccak256, keccak_256, keccak_256_hex
+from .keccak import keccak_256
 
-__all__ = ["Keccak256", "keccak_256", "keccak_256_hex"]
+__all__ = ["keccak_256"]

@@ -7,27 +7,27 @@ labelhash, namehash, token ids — is defined over this function, so we
 implement the full Keccak-f[1600] permutation here and verify it against
 the published test vectors in the test suite.
 
-Two paths compute the same digests. The serial sponge
-(:func:`keccak_256`, :class:`Keccak256`) runs one code-generated,
-unrolled permutation per 136-byte rate block. :func:`keccak_256_many`
-hashes many single-block messages at once: lane *i* of up to
-``_BATCH_CHUNK`` states is packed into one Python int, so each
-permutation step acts on every state in a single big-int operation.
-The measured cost of each path is in ``docs/PERFORMANCE.md``
-("Substrate: batched keccak"). The ENS memos use the batch to hash a
-scenario's labels and ``.eth`` nodes at setup. The keccak counters
-count digests, absorbed bytes and permutation calls identically on
-both paths.
+One sponge serves both entry points. It runs a lane-sliced permutation:
+lane *i* of up to ``_BATCH_CHUNK`` states is packed into one Python int,
+so each permutation step acts on every state in a single big-int
+operation. :func:`keccak_256` is the one-message case, where the packed
+lanes are a plain 25-lane state. :func:`keccak_256_many` groups messages
+by padded length and hashes each group a chunk at a time. The ENS memos
+use it to hash a scenario's labels and ``.eth`` nodes at setup. The
+measured costs are in ``docs/PERFORMANCE.md`` ("Substrate: batched
+keccak", "Substrate: one permutation"). The reference loop
+:func:`_keccak_f1600` is the readable form of the permutation that the
+tests check the production one against.
 """
 
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from typing import Iterable
 
-__all__ = ["keccak_256", "keccak_256_hex", "keccak_256_many", "Keccak256"]
+__all__ = ["keccak_256", "keccak_256_many"]
 
-_KECCAK_ROUNDS = 24
 _RATE_BYTES = 136  # 1088-bit rate for a 256-bit capacity-512 sponge
 _LANE_MASK = (1 << 64) - 1
 
@@ -96,15 +96,9 @@ def _keccak_f1600(state: list[int]) -> None:
         state[0] ^= round_constant
 
 
-# The production permutation: a committed straight-line version of the
-# reference loop above, written by tools/gen_keccak_permutation.py (its
-# docstring has the rationale). Tests pin both implementations to each
-# other and to published digests, and the committed file to the generator.
-from ._f1600_unrolled import f1600_unrolled as _f1600_fast
-
 # Process-global hash-effort counters, bound once at import so the per-
-# digest overhead is a single float addition (the permutation itself is
-# thousands of integer operations).
+# call overhead is a few float additions (the permutation itself is
+# thousands of big-int operations).
 from ...obs.metrics import global_registry as _global_registry
 
 _M_DIGESTS = _global_registry().counter(
@@ -117,98 +111,12 @@ _M_PERMUTATIONS = _global_registry().counter(
     "keccak_permutations_total", "Keccak-f[1600] permutation calls"
 )
 
-
-class Keccak256:
-    """Incremental Keccak-256 hasher with a hashlib-like interface.
-
-    >>> h = Keccak256()
-    >>> h.update(b"abc")
-    >>> h.hexdigest()
-    '4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45'
-    """
-
-    digest_size = 32
-    block_size = _RATE_BYTES
-
-    def __init__(self, data: bytes = b"") -> None:
-        self._state = [0] * 25
-        self._buffer = bytearray()
-        self._finalized: bytes | None = None
-        if data:
-            self.update(data)
-
-    def update(self, data: bytes) -> None:
-        """Absorb more message bytes. Raises if the digest was already read."""
-        if self._finalized is not None:
-            raise ValueError("cannot update a finalized Keccak256 hasher")
-        _M_BYTES.inc(len(data))
-        self._buffer.extend(data)
-        while len(self._buffer) >= _RATE_BYTES:
-            self._absorb_block(bytes(self._buffer[:_RATE_BYTES]))
-            del self._buffer[:_RATE_BYTES]
-
-    def _absorb_block(self, block: bytes) -> None:
-        for lane_index in range(_RATE_BYTES // 8):
-            lane = int.from_bytes(block[lane_index * 8 : lane_index * 8 + 8], "little")
-            self._state[lane_index] ^= lane
-        self._state = _f1600_fast(self._state)
-        _M_PERMUTATIONS.inc()
-
-    def digest(self) -> bytes:
-        """Return the 32-byte digest; the hasher may not be updated afterwards."""
-        if self._finalized is None:
-            # Multi-rate padding: 0x01 ... 0x80 (Keccak, not SHA-3's 0x06).
-            padded = bytearray(self._buffer)
-            pad_length = _RATE_BYTES - (len(padded) % _RATE_BYTES)
-            padded.extend(b"\x00" * pad_length)
-            padded[len(self._buffer)] ^= 0x01
-            padded[-1] ^= 0x80
-            state = list(self._state)
-            for offset in range(0, len(padded), _RATE_BYTES):
-                block = padded[offset : offset + _RATE_BYTES]
-                for lane_index in range(_RATE_BYTES // 8):
-                    lane = int.from_bytes(
-                        block[lane_index * 8 : lane_index * 8 + 8], "little"
-                    )
-                    state[lane_index] ^= lane
-                state = _f1600_fast(state)
-                _M_PERMUTATIONS.inc()
-            squeezed = b"".join(
-                state[lane_index].to_bytes(8, "little") for lane_index in range(4)
-            )
-            self._finalized = squeezed
-            _M_DIGESTS.inc()
-        return self._finalized
-
-    def hexdigest(self) -> str:
-        """Return the digest as a 64-character lowercase hex string."""
-        return self.digest().hex()
-
-    def copy(self) -> "Keccak256":
-        """Return an independent copy of the current hasher state."""
-        clone = Keccak256()
-        clone._state = list(self._state)
-        clone._buffer = bytearray(self._buffer)
-        clone._finalized = self._finalized
-        return clone
-
-
-def keccak_256(data: bytes | bytearray | memoryview) -> bytes:
-    """Return the 32-byte Keccak-256 digest of ``data``."""
-    return Keccak256(bytes(data)).digest()
-
-
-def keccak_256_hex(data: bytes | bytearray | memoryview) -> str:
-    """Return the Keccak-256 digest of ``data`` as lowercase hex."""
-    return keccak_256(data).hex()
-
-
-# -- batched hashing ---------------------------------------------------------
-
 #: States per lane-sliced permutation; bounds each lane int to 8 KiB.
 _BATCH_CHUNK = 1024
 
-# rho + pi as (source lane, target lane, rotation), and chi's row partners.
+# theta's column partners, rho + pi as (source lane, target lane, rotation),
+# and chi's row partners.
+_THETA = tuple(((x - 1) % 5, (x + 1) % 5) for x in range(5))
 _RHO_PI = tuple(
     (x + 5 * y, y + 5 * ((2 * x + 3 * y) % 5), _ROTATION[x][y])
     for x in range(5)
@@ -219,6 +127,30 @@ _CHI = tuple(
 )
 
 
+@lru_cache(maxsize=2)
+def _sliced_constants(n: int) -> tuple:
+    """What ``_f1600_sliced`` needs at width ``n``, each 64-bit word
+    repeated ``n`` times: the all-ones mask, theta's rotation by one,
+    rho + pi with each rotation's shifts and word masks, and the round
+    constants. The last two widths are kept, so a run of one-message
+    calls builds them once."""
+
+    def repeated(word: int) -> int:
+        return int.from_bytes(word.to_bytes(8, "little") * n, "little")
+
+    def rotation(shift: int) -> tuple[int, int, int, int]:
+        # rotation by 0 keeps every bit: all-ones high mask, empty low one
+        low = (1 << shift) - 1
+        return shift, 64 - shift, repeated(_LANE_MASK ^ low), repeated(low)
+
+    rho_pi = tuple(
+        (source, target, source % 5, *rotation(shift))
+        for source, target, shift in _RHO_PI
+    )
+    round_constants = [repeated(constant) for constant in _ROUND_CONSTANTS]
+    return repeated(_LANE_MASK), rotation(1)[2:], rho_pi, round_constants
+
+
 def _f1600_sliced(lanes: list[int], n: int) -> list[int]:
     """Keccak-f[1600] on ``n`` states at once, lane-sliced.
 
@@ -226,82 +158,87 @@ def _f1600_sliced(lanes: list[int], n: int) -> list[int]:
     ``s`` holds bits ``64*s`` to ``64*s + 63``. XOR and AND then act on
     all ``n`` states per operation. A rotation is two shifts, each
     masked to its own 64-bit words; NOT is an XOR with all ones; iota
-    XORs the round constant repeated in every word.
+    XORs the round constant repeated in every word. With ``n == 1``,
+    ``lanes`` is a plain 25-lane state.
     """
-
-    def repeated(word: int) -> int:
-        return int.from_bytes(word.to_bytes(8, "little") * n, "little")
-
-    ones = repeated(_LANE_MASK)
-    masks = {
-        shift: (repeated(_LANE_MASK ^ ((1 << shift) - 1)), repeated((1 << shift) - 1))
-        for shift in sorted({1, *(shift for _, _, shift in _RHO_PI)} - {0})
-    }
-    high1, low1 = masks[1]
+    ones, (high1, low1), rho_pi, round_constants = _sliced_constants(n)
     a = lanes
     b = [0] * 25
-    for round_constant in map(repeated, _ROUND_CONSTANTS):
+    for round_constant in round_constants:
         c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
-        d = []
-        for x in range(5):
-            right = c[(x + 1) % 5]
-            d.append(c[(x - 1) % 5] ^ (((right << 1) & high1) | ((right >> 63) & low1)))
-        for source, target, shift in _RHO_PI:
-            lane = a[source] ^ d[source % 5]
-            if shift:
-                high, low = masks[shift]
-                lane = ((lane << shift) & high) | ((lane >> (64 - shift)) & low)
-            b[target] = lane
+        d = [
+            c[left] ^ (((c[right] << 1) & high1) | ((c[right] >> 63) & low1))
+            for left, right in _THETA
+        ]
+        for source, target, column, shift, back, high, low in rho_pi:
+            lane = a[source] ^ d[column]
+            b[target] = ((lane << shift) & high) | ((lane >> back) & low)
         a = [b[i] ^ ((b[j] ^ ones) & b[k]) for i, j, k in _CHI]
         a[0] ^= round_constant
     return a
 
 
-def _keccak_256_blocks(messages: list[bytes]) -> list[bytes]:
-    """Digests of messages shorter than one rate block, in one permutation."""
+def _pad(message: bytes) -> bytearray:
+    """Multi-rate padding to whole rate blocks: 0x01 ... 0x80 (Keccak, not
+    SHA-3's 0x06). A message of exactly one block gains a full block."""
+    padded = bytearray(message)
+    padded.extend(bytes(_RATE_BYTES - len(message) % _RATE_BYTES))
+    padded[len(message)] ^= 0x01
+    padded[-1] ^= 0x80
+    return padded
+
+
+def _sponge(messages: list[bytes]) -> list[bytes]:
+    """Digests of messages that pad to the same number of rate blocks.
+
+    All states absorb block *k* together, so each block is one
+    lane-sliced permutation over every message. The counters move as
+    for one digest per message.
+    """
     n = len(messages)
-    padded = bytearray(_RATE_BYTES * n)
-    for offset, message in zip(range(0, len(padded), _RATE_BYTES), messages):
-        padded[offset : offset + len(message)] = message
-        padded[offset + len(message)] ^= 0x01
-        padded[offset + _RATE_BYTES - 1] ^= 0x80
-    # array slicing moves whole 8-byte words, so the byte order of the host
-    # never enters: words[i::17] is lane i of every state, in state order
-    words = array("Q", padded)
+    padded = [_pad(message) for message in messages]
+    blocks = len(padded[0]) // _RATE_BYTES
     rate_lanes = _RATE_BYTES // 8
-    lanes = [
-        int.from_bytes(words[i::rate_lanes].tobytes(), "little")
-        for i in range(rate_lanes)
-    ]
-    state = _f1600_sliced(lanes + [0] * (25 - rate_lanes), n)
+    state = [0] * 25
+    for block in range(blocks):
+        start = block * _RATE_BYTES
+        # array slicing moves whole 8-byte words, so the byte order of the
+        # host never enters: words[i::17] is lane i of every state, in order
+        words = array("Q", b"".join(p[start : start + _RATE_BYTES] for p in padded))
+        for i in range(rate_lanes):
+            state[i] ^= int.from_bytes(words[i::rate_lanes].tobytes(), "little")
+        state = _f1600_sliced(state, n)
     squeezed = array("Q", bytes(32 * n))
     for i in range(4):
         squeezed[i::4] = array("Q", state[i].to_bytes(8 * n, "little"))
     raw = squeezed.tobytes()
+    _M_BYTES.inc(sum(map(len, messages)))
+    _M_PERMUTATIONS.inc(blocks * n)
+    _M_DIGESTS.inc(n)
     return [raw[offset : offset + 32] for offset in range(0, len(raw), 32)]
+
+
+def keccak_256(data: bytes | bytearray | memoryview) -> bytes:
+    """Return the 32-byte Keccak-256 digest of ``data``."""
+    return _sponge([bytes(data)])[0]
 
 
 def keccak_256_many(messages: Iterable[bytes]) -> list[bytes]:
     """Return ``[keccak_256(m) for m in messages]``, many digests per permutation.
 
-    Messages shorter than one rate block (at most 135 bytes, such as a
-    generated label or a 64-byte ``parent ‖ labelhash``) are hashed
-    ``_BATCH_CHUNK`` at a time by the lane-sliced permutation. Longer
-    messages take the serial sponge. The counters move exactly as for
-    one serial call per message.
+    Messages that pad to the same number of rate blocks (every message
+    of at most 135 bytes, such as a generated label or a 64-byte
+    ``parent ‖ labelhash``, pads to one) are hashed ``_BATCH_CHUNK`` at a
+    time. The counters move exactly as for one call per message.
     """
     messages = [bytes(message) for message in messages]
-    digests: list[bytes | None] = [None] * len(messages)
-    short = [i for i, message in enumerate(messages) if len(message) < _RATE_BYTES]
-    for start in range(0, len(short), _BATCH_CHUNK):
-        chunk = short[start : start + _BATCH_CHUNK]
-        batch = [messages[i] for i in chunk]
-        for i, digest in zip(chunk, _keccak_256_blocks(batch)):
-            digests[i] = digest
-        _M_BYTES.inc(sum(map(len, batch)))
-        _M_PERMUTATIONS.inc(len(batch))
-        _M_DIGESTS.inc(len(batch))
-    return [
-        Keccak256(message).digest() if digest is None else digest
-        for digest, message in zip(digests, messages)
-    ]
+    groups: dict[int, list[int]] = {}
+    for index, message in enumerate(messages):
+        groups.setdefault(len(message) // _RATE_BYTES, []).append(index)
+    digests: list[bytes] = [b""] * len(messages)
+    for indices in groups.values():
+        for start in range(0, len(indices), _BATCH_CHUNK):
+            chunk = indices[start : start + _BATCH_CHUNK]
+            for index, digest in zip(chunk, _sponge([messages[i] for i in chunk])):
+                digests[index] = digest
+    return digests

@@ -43,13 +43,28 @@ def _ensure_configured() -> None:
         configure()
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted, as
+    the standard library's last-resort handler does, so replacing (and
+    closing) ``sys.stderr`` after the first log line loses nothing."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self) -> TextIO:
+        return sys.stderr
+
+
 def configure(
     level: int | str = logging.INFO, stream: TextIO | None = None
 ) -> logging.Logger:
     """Attach the structured handler to the ``repro`` logger.
 
-    Re-invoking only replaces the handler when ``stream`` is given;
-    otherwise it just adjusts the level.
+    Without ``stream`` the handler writes to the current ``sys.stderr``
+    at each record; an explicit ``stream`` is bound once. Re-invoking
+    only replaces the handler when ``stream`` is given; otherwise it
+    just adjusts the level.
     """
     global _configured
     root = logging.getLogger(_ROOT_NAME)
@@ -58,7 +73,7 @@ def configure(
         return root
     for handler in list(root.handlers):
         root.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = logging.StreamHandler(stream) if stream is not None else _StderrHandler()
     handler.setFormatter(
         logging.Formatter(
             "%(asctime)s %(levelname)s %(name)s %(message)s",

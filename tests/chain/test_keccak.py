@@ -1,25 +1,20 @@
-"""Keccak-256: published vectors, reference-vs-unrolled equivalence,
-and the batched path against the serial one."""
+"""Keccak-256: published vectors, the lane-sliced permutation against
+the reference loop, and the batched path against the serial one."""
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.crypto._f1600_unrolled import f1600_unrolled
 from repro.chain.crypto.keccak import (
     _BATCH_CHUNK,
-    Keccak256,
+    _f1600_sliced,
     _keccak_f1600,
     keccak_256,
-    keccak_256_hex,
     keccak_256_many,
 )
 from repro.obs import global_registry
@@ -36,7 +31,7 @@ KNOWN_VECTORS = {
 
 @pytest.mark.parametrize("message,expected", sorted(KNOWN_VECTORS.items()))
 def test_known_vectors(message: bytes, expected: str) -> None:
-    assert keccak_256_hex(message) == expected
+    assert keccak_256(message).hex() == expected
 
 
 def test_keccak_is_not_sha3() -> None:
@@ -51,67 +46,52 @@ def test_digest_length_and_type() -> None:
     assert len(digest) == 32
 
 
+def _reference_keccak_256(message: bytes) -> bytes:
+    """A plain sponge over the reference permutation, one block at a time."""
+    padded = bytearray(message + b"\x01")
+    padded.extend(bytes(-len(padded) % 136))
+    padded[-1] ^= 0x80
+    state = [0] * 25
+    for offset in range(0, len(padded), 136):
+        for lane in range(17):
+            start = offset + 8 * lane
+            state[lane] ^= int.from_bytes(padded[start : start + 8], "little")
+        _keccak_f1600(state)
+    return b"".join(lane.to_bytes(8, "little") for lane in state[:4])
+
+
 def test_exact_rate_block_boundary() -> None:
-    # 136 bytes is exactly one rate block: padding must add a full block.
-    for size in (135, 136, 137, 272):
-        one_shot = keccak_256(b"a" * size)
-        incremental = Keccak256()
-        for offset in range(size):
-            incremental.update(b"a")
-        assert incremental.digest() == one_shot
-
-
-def test_update_after_digest_rejected() -> None:
-    hasher = Keccak256(b"abc")
-    hasher.digest()
-    with pytest.raises(ValueError):
-        hasher.update(b"more")
-
-
-def test_digest_idempotent() -> None:
-    hasher = Keccak256(b"abc")
-    assert hasher.digest() == hasher.digest()
-    assert hasher.hexdigest() == KNOWN_VECTORS[b"abc"]
-
-
-def test_copy_is_independent() -> None:
-    hasher = Keccak256(b"The quick brown fox ")
-    clone = hasher.copy()
-    hasher.update(b"jumps over the lazy dog")
-    clone.update(b"jumps over the lazy dog")
-    assert hasher.digest() == clone.digest()
-    clone2 = Keccak256(b"x").copy()
-    clone2.update(b"y")
-    assert clone2.digest() == keccak_256(b"xy")
+    # 136 bytes is exactly one rate block: padding must add a full block
+    for size in (0, 135, 136, 137, 271, 272, 273):
+        message = bytes(i % 251 for i in range(size))
+        assert keccak_256(message) == _reference_keccak_256(message)
 
 
 @given(st.binary(min_size=0, max_size=600))
 @settings(max_examples=60, deadline=None)
 def test_incremental_matches_one_shot(message: bytes) -> None:
-    chunked = Keccak256()
-    for offset in range(0, len(message), 7):
-        chunked.update(message[offset : offset + 7])
-    assert chunked.digest() == keccak_256(message)
+    # the reference sponge absorbs one rate block at a time
+    assert keccak_256(message) == _reference_keccak_256(message)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
-                min_size=25, max_size=25))
+_LANE = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+@given(st.sampled_from((1, 3, 64)).flatmap(
+    lambda n: st.lists(st.lists(_LANE, min_size=25, max_size=25), min_size=n, max_size=n)
+))
 @settings(max_examples=30, deadline=None)
-def test_unrolled_permutation_matches_reference(lanes: list[int]) -> None:
-    reference = list(lanes)
-    _keccak_f1600(reference)
-    assert f1600_unrolled(list(lanes)) == reference
-
-
-def test_committed_permutation_is_the_generator_output() -> None:
-    # the unrolled module is committed source written by a tool script
-    tool = Path(__file__).resolve().parents[2] / "tools" / "gen_keccak_permutation.py"
-    spec = importlib.util.spec_from_file_location("gen_keccak_permutation", tool)
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
-    committed = Path(sys.modules[f1600_unrolled.__module__].__file__).resolve()
-    assert committed == generator.TARGET
-    assert committed.read_bytes() == generator.generate().encode("utf-8")
+def test_sliced_permutation_matches_reference(states: list[list[int]]) -> None:
+    # pack lane i of every state into one int, 64 bits per state
+    n = len(states)
+    lanes = [
+        sum(state[i] << (64 * s) for s, state in enumerate(states)) for i in range(25)
+    ]
+    permuted = _f1600_sliced(lanes, n)
+    for s, state in enumerate(states):
+        reference = list(state)
+        _keccak_f1600(reference)
+        assert [(lane >> (64 * s)) & ((1 << 64) - 1) for lane in permuted] == reference
 
 
 @given(st.binary(max_size=64), st.binary(max_size=64))
@@ -143,7 +123,7 @@ def test_batch_matches_serial(count: int, seed: int) -> None:
 
 def test_batch_crossing_a_chunk_boundary() -> None:
     # one full chunk of single-block messages and one more, then the first
-    # length that takes the serial sponge
+    # length that pads to two blocks
     rng = random.Random(7)
     messages = [rng.randbytes(rng.randrange(136)) for _ in range(_BATCH_CHUNK + 1)]
     messages[0] = b"a" * 135

@@ -9,6 +9,12 @@ import sys
 import pytest
 
 from repro.obs import configure, get_logger
+from repro.obs import log as log_module
+
+
+def _restore_defaults() -> None:
+    log_module._configured = False
+    configure(level=logging.INFO)
 
 
 @pytest.fixture()
@@ -16,7 +22,7 @@ def captured():
     stream = io.StringIO()
     configure(level=logging.DEBUG, stream=stream)
     yield stream
-    configure(level=logging.INFO, stream=sys.stderr)  # restore defaults
+    _restore_defaults()
 
 
 class TestStructuredLogger:
@@ -46,3 +52,18 @@ class TestStructuredLogger:
     def test_namespacing(self) -> None:
         assert get_logger("crawler")._logger.name == "repro.crawler"
         assert get_logger("repro.core")._logger.name == "repro.core"
+
+
+class TestDefaultHandler:
+    def test_follows_sys_stderr_when_it_is_replaced(self, monkeypatch) -> None:
+        first, second = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stderr", first)
+        _restore_defaults()
+        get_logger("x").info("before.swap")
+        # a test harness or a daemonizing caller swaps stderr and closes it
+        monkeypatch.setattr(sys, "stderr", second)
+        first.close()
+        get_logger("x").info("after.swap", n=1)
+        text = second.getvalue()
+        assert "INFO repro.x after.swap n=1" in text
+        assert "--- Logging error ---" not in text

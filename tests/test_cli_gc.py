@@ -150,7 +150,8 @@ def test_seed_one_substrate_counts_are_unchanged(tmp_path) -> None:
 
     The counts of a seed-1, 1,000-domain ``repro report`` in a fresh
     process (the perfbench ``report_cold`` scenario size): keccak digests,
-    chain transactions and scenario events.
+    permutations and absorbed bytes, chain transactions and scenario
+    events.
     """
     src = Path(repro.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -166,5 +167,7 @@ def test_seed_one_substrate_counts_are_unchanged(tmp_path) -> None:
     (entry,) = ledger.glob("run-*.json")
     metrics = json.loads(entry.read_text())["metrics"]
     assert _metric_total(metrics, "keccak_digests_total") == 2347
+    assert _metric_total(metrics, "keccak_permutations_total") == 2347
+    assert _metric_total(metrics, "keccak_bytes_total") == 92679
     assert _metric_total(metrics, "chain_transactions_total") == 20837
     assert _metric_total(metrics, "scenario_events_total") == 20355
