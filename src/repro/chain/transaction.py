@@ -93,19 +93,6 @@ class InternalTransfer:
     timestamp: int
     index: int
 
-    def as_api_dict(self) -> dict[str, object]:
-        """Etherscan-style ``txlistinternal`` row for this transfer."""
-        return {
-            "hash": self.tx_hash.hex,
-            "blockNumber": str(self.block_number),
-            "timeStamp": str(self.timestamp),
-            "from": self.source.hex,
-            "to": self.recipient.hex,
-            "value": str(self.value),
-            "isError": "0",
-            "type": "call",
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class Log:

@@ -72,11 +72,6 @@ class DomainRecord:
     registrations: list[RegistrationRecord] = field(default_factory=list)
 
     @property
-    def registration_count(self) -> int:
-        """Number of registration events for this domain."""
-        return len(self.registrations)
-
-    @property
     def unique_registrants(self) -> list[str]:
         """Distinct registrants in chronological order of first appearance."""
         seen: list[str] = []

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..chain.chain import Blockchain
+from ..chain.errors import InvalidName
 from ..chain.transaction import Receipt
-from ..chain.types import Address, Hash32, Wei, ZERO_ADDRESS
+from ..chain.types import Address, Wei, ZERO_ADDRESS
 from ..oracle.ethusd import EthUsdOracle
 from .namehash import ETH_NODE, ROOT_NODE, labelhash, namehash
 from .normalize import registrable_label
@@ -253,10 +254,6 @@ class ENSDeployment:
             return None
         return addr
 
-    def node_of(self, name: str) -> Hash32:
-        """The namehash node for ``name`` (convenience re-export)."""
-        return namehash(name)
-
     # -- reverse resolution -----------------------------------------------
 
     def set_reverse_name(self, sender: Address, name: str) -> Receipt:
@@ -274,13 +271,14 @@ class ENSDeployment:
         Returns the reverse record only if the claimed name forward-
         resolves back to the same address. After a dropcatch the old
         owner's claim fails this check (the name now resolves to the
-        catcher), so verifying clients silently stop showing it.
+        catcher), so verifying clients silently stop showing it. A claim
+        that does not normalise names no node, so it verifies nothing.
         """
         claimed = self.reverse_name(address)
         if claimed is None:
             return None
         try:
             forward = self.resolve(claimed)
-        except Exception:
+        except InvalidName:
             return None
         return claimed if forward == address else None

@@ -107,11 +107,6 @@ class BaseRegistrar(Contract):
             raise NameNotRegistered(f"token {label_hash} has expired")
         return registration.owner
 
-    def registrant_of_record(self, ctx: CallContext, label_hash: Hash32) -> Address:
-        """Last registrant regardless of expiry (registry-style residue)."""
-        registration = self._registrations.get(label_hash)
-        return registration.owner if registration else ZERO_ADDRESS
-
     # -- controller-only mutations -----------------------------------------------
 
     def register_name(

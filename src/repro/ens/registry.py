@@ -97,8 +97,3 @@ class ENSRegistry(Contract):
         """Resolver of ``node`` (zero address when unset)."""
         record = self._records.get(node)
         return record.resolver if record else ZERO_ADDRESS
-
-    def record_exists(self, ctx: CallContext, node: Hash32) -> bool:
-        """Whether ``node`` has a record with a non-zero owner."""
-        record = self._records.get(node)
-        return record is not None and record.owner != ZERO_ADDRESS

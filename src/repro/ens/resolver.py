@@ -67,7 +67,3 @@ class PublicResolver(Contract):
     def text(self, ctx: CallContext, node: Hash32, key: str) -> str:
         """ERC-634 text record for ``node``/``key`` (empty when unset)."""
         return self._texts.get(node, {}).get(key, "")
-
-    def has_addr(self, ctx: CallContext, node: Hash32) -> bool:
-        """Whether ``node`` has a forward address record."""
-        return node in self._addresses

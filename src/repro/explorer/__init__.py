@@ -7,7 +7,7 @@ from .api import (
     RateLimitError,
     VirtualClock,
 )
-from .database import ExplorerDatabase, TxEntry
+from .database import ExplorerDatabase
 from .labels import (
     CATEGORY_COINBASE,
     CATEGORY_CUSTODIAL_EXCHANGE,
@@ -23,6 +23,5 @@ __all__ = [
     "LabelRegistry",
     "MAX_TXLIST_WINDOW",
     "RateLimitError",
-    "TxEntry",
     "VirtualClock",
 ]

@@ -9,14 +9,20 @@ against:
 
 Time is a :class:`VirtualClock` so tests and benchmarks exercise the
 throttle/backoff logic deterministically without real sleeps.
+
+This module is the one place the Etherscan row format is written:
+:func:`_tx_row` formats a chain receipt for ``txlist`` and point lookups,
+:func:`_internal_row` an internal transfer for ``txlistinternal``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..chain.types import Address
-from .database import ExplorerDatabase, TxEntry
+from ..chain.errors import UnknownAccount
+from ..chain.transaction import InternalTransfer, Receipt
+from ..chain.types import Address, Hash32
+from .database import ExplorerDatabase
 from .labels import LabelRegistry
 
 __all__ = [
@@ -40,6 +46,45 @@ class RateLimitError(ApiError):
     """Raised in place of Etherscan's 'Max rate limit reached' reply."""
 
 
+def _tx_row(receipt: Receipt) -> dict[str, object]:
+    """Etherscan-style stringly-typed row for one transaction."""
+    tx = receipt.transaction
+    return {
+        "hash": receipt.tx_hash.hex,
+        "blockNumber": str(receipt.block_number),
+        "timeStamp": str(receipt.timestamp),
+        "from": tx.from_address.hex,
+        "to": tx.to_address.hex,
+        "value": str(tx.value),
+        "isError": "0" if receipt.success else "1",
+        "functionName": tx.payload.method if tx.payload else "",
+    }
+
+
+def _internal_row(transfer: InternalTransfer) -> dict[str, object]:
+    """Etherscan-style ``txlistinternal`` row for one internal transfer."""
+    return {
+        "hash": transfer.tx_hash.hex,
+        "blockNumber": str(transfer.block_number),
+        "timeStamp": str(transfer.timestamp),
+        "from": transfer.source.hex,
+        "to": transfer.recipient.hex,
+        "value": str(transfer.value),
+        "isError": "0",
+        "type": "call",
+    }
+
+
+def _address(address: Address | str) -> Address:
+    """The queried address; malformed hex is a bad request."""
+    if isinstance(address, Address):
+        return address
+    try:
+        return Address.from_hex(address)
+    except ValueError as exc:
+        raise ApiError(f"invalid address {address!r}") from exc
+
+
 @dataclass
 class VirtualClock:
     """A manually-advanced wall clock shared by API and client."""
@@ -57,10 +102,6 @@ class VirtualClock:
             raise ValueError("cannot sleep a negative duration")
         self._now += seconds
         self.slept_total += seconds
-
-    def advance(self, seconds: float) -> None:
-        """Alias for :meth:`sleep`."""
-        self.sleep(seconds)
 
 
 @dataclass
@@ -117,14 +158,14 @@ class EtherscanAPI:
             )
         if sort not in ("asc", "desc"):
             raise ApiError(f"unknown sort order {sort!r}")
-        entries = [
-            entry
-            for entry in self.database.transactions_of(address)
-            if startblock <= entry.block_number <= endblock
+        receipts = [
+            receipt
+            for receipt in self.database.transactions_of(_address(address))
+            if startblock <= receipt.block_number <= endblock
         ]
-        entries.sort(key=lambda e: e.block_number, reverse=(sort == "desc"))
-        window = entries[(page - 1) * offset : page * offset]
-        return [entry.as_api_dict() for entry in window]
+        receipts.sort(key=lambda r: r.block_number, reverse=(sort == "desc"))
+        window = receipts[(page - 1) * offset : page * offset]
+        return [_tx_row(receipt) for receipt in window]
 
     def txlistinternal(
         self,
@@ -150,39 +191,27 @@ class EtherscanAPI:
             )
         entries = [
             internal
-            for internal in self.database.internal_transfers_of(address)
+            for internal in self.database.internal_transfers_of(_address(address))
             if startblock <= internal.block_number <= endblock
         ]
         entries.sort(key=lambda e: (e.block_number, e.index))
         window = entries[(page - 1) * offset : page * offset]
-        return [internal.as_api_dict() for internal in window]
+        return [_internal_row(internal) for internal in window]
 
     def get_transaction(self, tx_hash: str) -> dict[str, object] | None:
         """Point lookup of one transaction by hash (proxy.eth_getTransaction)."""
         self._throttle()
         self.database.sync()
-        from ..chain.types import Hash32
-
         try:
             receipt = self.database.chain.get_receipt(Hash32.from_hex(tx_hash))
-        except Exception:
+        except (ValueError, UnknownAccount):
             return None
-        return {
-            "hash": receipt.tx_hash.hex,
-            "blockNumber": str(receipt.block_number),
-            "timeStamp": str(receipt.timestamp),
-            "from": receipt.from_address.hex,
-            "to": receipt.to_address.hex,
-            "value": str(receipt.value),
-            "isError": "0" if receipt.success else "1",
-        }
+        return _tx_row(receipt)
 
     def get_block(self, number: int) -> dict[str, object] | None:
         """Block header lookup (proxy.eth_getBlockByNumber)."""
         self._throttle()
         self.database.sync()
-        from ..chain.errors import UnknownAccount
-
         try:
             block = self.database.chain.get_block(number)
         except UnknownAccount:
@@ -194,12 +223,6 @@ class EtherscanAPI:
             "parentHash": block.parent_hash.hex,
             "transactionCount": str(block.transaction_count),
         }
-
-    def balance_like_count(self, address: Address | str) -> int:
-        """Number of indexed transactions for an address (cheap probe)."""
-        self._throttle()
-        self.database.sync()
-        return len(self.database.transactions_of(address))
 
     # -- label module (scrape-equivalent) -----------------------------------------
 

@@ -1,55 +1,29 @@
 """Address-indexed transaction database (the explorer's backend).
 
-Continuously ingests receipts from a :class:`~repro.chain.Blockchain`
-and maintains the per-address incoming/outgoing indexes that power the
-Etherscan-style ``txlist`` API the paper crawls (§3.2).
+Continuously ingests blocks from a :class:`~repro.chain.Blockchain` and
+keeps, per address, the chain's own :class:`~repro.chain.Receipt`
+objects and internal transfers. A receipt is final once the chain seals
+it into a block, and only sealed blocks are ingested, so the index
+shares the receipts instead of copying them. The Etherscan-style rows
+the paper crawls (§3.2) are formatted from them by :mod:`.api`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 from ..chain.chain import Blockchain
+from ..chain.transaction import InternalTransfer, Receipt
 from ..chain.types import Address
 
-__all__ = ["TxEntry", "ExplorerDatabase"]
-
-
-@dataclass(frozen=True, slots=True)
-class TxEntry:
-    """One indexed transaction, in explorer response shape."""
-
-    tx_hash: str
-    block_number: int
-    timestamp: int
-    from_address: str
-    to_address: str
-    value_wei: int
-    is_error: bool
-    method: str | None
-
-    def as_api_dict(self) -> dict[str, object]:
-        """Etherscan-style stringly-typed response row."""
-        return {
-            "hash": self.tx_hash,
-            "blockNumber": str(self.block_number),
-            "timeStamp": str(self.timestamp),
-            "from": self.from_address,
-            "to": self.to_address,
-            "value": str(self.value_wei),
-            "isError": "1" if self.is_error else "0",
-            "functionName": self.method or "",
-        }
+__all__ = ["ExplorerDatabase"]
 
 
 class ExplorerDatabase:
-    """Ingests blocks and serves per-address transaction lists."""
+    """Ingests blocks and serves per-address receipt lists."""
 
     def __init__(self, chain: Blockchain) -> None:
         self._chain = chain
-        self._by_address: dict[str, list[TxEntry]] = {}
-        self._internal_by_address: dict[str, list] = {}
+        self._by_address: dict[Address, list[Receipt]] = {}
+        self._internal_by_address: dict[Address, list[InternalTransfer]] = {}
         self._total_entries = 0
         self._total_internal = 0
         self._next_block = 0
@@ -58,39 +32,27 @@ class ExplorerDatabase:
 
     def sync(self) -> int:
         """Index all blocks mined since the last sync; returns new tx count."""
+        by_address = self._by_address
+        internal_by_address = self._internal_by_address
         indexed = 0
         while self._next_block <= self._chain.height:
             block = self._chain.get_block(self._next_block)
             for receipt in block.receipts:
-                entry = TxEntry(
-                    tx_hash=receipt.tx_hash.hex,
-                    block_number=receipt.block_number,
-                    timestamp=receipt.timestamp,
-                    from_address=receipt.from_address.hex,
-                    to_address=receipt.to_address.hex,
-                    value_wei=receipt.value,
-                    is_error=not receipt.success,
-                    method=(
-                        receipt.transaction.payload.method
-                        if receipt.transaction.payload
-                        else None
-                    ),
-                )
-                self._by_address.setdefault(entry.from_address, []).append(entry)
-                if entry.to_address != entry.from_address:
-                    self._by_address.setdefault(entry.to_address, []).append(entry)
-                self._total_entries += 1
+                sender = receipt.transaction.from_address
+                recipient = receipt.transaction.to_address
+                by_address.setdefault(sender, []).append(receipt)
+                if recipient != sender:
+                    by_address.setdefault(recipient, []).append(receipt)
                 indexed += 1
                 for internal in receipt.internal_transfers:
-                    self._internal_by_address.setdefault(
-                        internal.source.hex, []
-                    ).append(internal)
+                    internal_by_address.setdefault(internal.source, []).append(internal)
                     if internal.recipient != internal.source:
-                        self._internal_by_address.setdefault(
-                            internal.recipient.hex, []
+                        internal_by_address.setdefault(
+                            internal.recipient, []
                         ).append(internal)
                     self._total_internal += 1
             self._next_block += 1
+        self._total_entries += indexed
         return indexed
 
     # -- queries -----------------------------------------------------------------
@@ -105,31 +67,15 @@ class ExplorerDatabase:
         """Distinct transactions indexed (not per-address rows)."""
         return self._total_entries
 
-    def transactions_of(self, address: Address | str) -> list[TxEntry]:
-        """All transactions touching ``address``, oldest first."""
-        key = address.hex if isinstance(address, Address) else address
-        return list(self._by_address.get(key, ()))
-
-    def incoming(self, address: Address | str) -> list[TxEntry]:
-        """Indexed transactions received by ``address``."""
-        key = address.hex if isinstance(address, Address) else address
-        return [e for e in self._by_address.get(key, ()) if e.to_address == key]
-
-    def outgoing(self, address: Address | str) -> list[TxEntry]:
-        """Indexed transactions sent by ``address``."""
-        key = address.hex if isinstance(address, Address) else address
-        return [e for e in self._by_address.get(key, ()) if e.from_address == key]
+    def transactions_of(self, address: Address) -> list[Receipt]:
+        """Receipts of all transactions touching ``address``, oldest first."""
+        return list(self._by_address.get(address, ()))
 
     @property
     def total_internal_transfers(self) -> int:
         """Number of internal transfers indexed so far."""
         return self._total_internal
 
-    def internal_transfers_of(self, address: Address | str) -> list:
+    def internal_transfers_of(self, address: Address) -> list[InternalTransfer]:
         """Internal (contract-initiated) transfers touching ``address``."""
-        key = address.hex if isinstance(address, Address) else address
-        return list(self._internal_by_address.get(key, ()))
-
-    def known_addresses(self) -> Iterator[str]:
-        """Iterate every address the explorer has indexed."""
-        return iter(self._by_address)
+        return list(self._internal_by_address.get(address, ()))

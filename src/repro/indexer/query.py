@@ -14,7 +14,9 @@ i.e. top-level entity collections with ``first``/``skip`` pagination,
 ``where`` filters (equality plus ``_gt/_gte/_lt/_lte/_ne/_not/_in``
 suffixes), ordering, and nested field projection. Anything outside the
 subset raises :class:`GraphQLError` with a position, like a real
-endpoint's error payload.
+endpoint's error payload. So does a malformed number literal, and so does
+nesting deeper than :data:`MAX_DEPTH` — the text is untrusted input, and
+no query may end in a ``ValueError`` or ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-__all__ = ["GraphQLError", "parse_query", "execute_query"]
+__all__ = ["GraphQLError", "MAX_DEPTH", "parse_query", "execute_query"]
+
+#: Deepest nesting of selection sets, objects and lists a query may use.
+#: The crawl's deepest query is three levels deep; the parser recurses once per
+#: level, so the bound keeps hostile input far from the interpreter's
+#: recursion limit.
+MAX_DEPTH = 32
 
 
 class GraphQLError(ValueError):
@@ -66,10 +74,13 @@ def _tokenize(text: str) -> list[_Token]:
             while index < length and (text[index].isdigit() or text[index] == "."):
                 index += 1
             literal = text[start:index]
-            if "." in literal:
-                tokens.append(_Token("float", float(literal), start))
-            else:
-                tokens.append(_Token("int", int(literal), start))
+            try:
+                if "." in literal:
+                    tokens.append(_Token("float", float(literal), start))
+                else:
+                    tokens.append(_Token("int", int(literal), start))
+            except ValueError:
+                raise GraphQLError(f"malformed number {literal!r} at {start}") from None
             continue
         if char.isalpha() or char == "_":
             start = index
@@ -121,13 +132,20 @@ class _Parser:
         if token is not None and token.kind == "name" and token.value == "query":
             self._next()
         self._expect_punct("{")
-        fields = self._parse_selections()
+        fields = self._parse_selections(1)
         if self._peek() is not None:
             extra = self._peek()
             raise GraphQLError(f"trailing content at {extra.position}")
         return fields
 
-    def _parse_selections(self) -> list[FieldNode]:
+    @staticmethod
+    def _check_depth(depth: int, token: _Token) -> None:
+        if depth > MAX_DEPTH:
+            raise GraphQLError(
+                f"nested deeper than {MAX_DEPTH} levels at {token.position}"
+            )
+
+    def _parse_selections(self, depth: int) -> list[FieldNode]:
         fields: list[FieldNode] = []
         while True:
             token = self._peek()
@@ -138,9 +156,9 @@ class _Parser:
                 if not fields:
                     raise GraphQLError("empty selection set")
                 return fields
-            fields.append(self._parse_field())
+            fields.append(self._parse_field(depth))
 
-    def _parse_field(self) -> FieldNode:
+    def _parse_field(self, depth: int) -> FieldNode:
         token = self._next()
         if token.kind != "name":
             raise GraphQLError(f"expected field name at {token.position}")
@@ -148,14 +166,14 @@ class _Parser:
         peeked = self._peek()
         if peeked is not None and peeked.kind == "punct" and peeked.value == "(":
             self._next()
-            node.arguments = self._parse_arguments()
+            node.arguments = self._parse_arguments(depth)
         peeked = self._peek()
         if peeked is not None and peeked.kind == "punct" and peeked.value == "{":
-            self._next()
-            node.selections = self._parse_selections()
+            self._check_depth(depth + 1, self._next())
+            node.selections = self._parse_selections(depth + 1)
         return node
 
-    def _parse_arguments(self) -> dict[str, Any]:
+    def _parse_arguments(self, depth: int) -> dict[str, Any]:
         arguments: dict[str, Any] = {}
         while True:
             token = self._next()
@@ -164,10 +182,11 @@ class _Parser:
             if token.kind != "name":
                 raise GraphQLError(f"expected argument name at {token.position}")
             self._expect_punct(":")
-            arguments[token.value] = self._parse_value()
+            arguments[token.value] = self._parse_value(depth + 1)
 
-    def _parse_value(self) -> Any:
+    def _parse_value(self, depth: int) -> Any:
         token = self._next()
+        self._check_depth(depth, token)
         if token.kind in ("int", "float", "string"):
             return token.value
         if token.kind == "name":
@@ -187,7 +206,7 @@ class _Parser:
                 if inner.kind != "name":
                     raise GraphQLError(f"expected object key at {inner.position}")
                 self._expect_punct(":")
-                obj[inner.value] = self._parse_value()
+                obj[inner.value] = self._parse_value(depth + 1)
         if token.kind == "punct" and token.value == "[":
             items: list[Any] = []
             while True:
@@ -195,7 +214,7 @@ class _Parser:
                 if peeked is not None and peeked.kind == "punct" and peeked.value == "]":
                     self._next()
                     return items
-                items.append(self._parse_value())
+                items.append(self._parse_value(depth + 1))
         raise GraphQLError(f"unexpected value at {token.position}")
 
 

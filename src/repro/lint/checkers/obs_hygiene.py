@@ -10,8 +10,10 @@ Three rules:
   (``tools/``, ``benchmarks/``) are scripts and may print.
 * ``obs-swallowed-exception`` — a bare ``except:`` anywhere, or an
   ``except Exception:`` / ``except BaseException:`` handler whose body
-  is only ``pass``/``...``. Either would silently eat crawler retry
-  failures that the metrics layer is supposed to count.
+  is only ``pass``/``...`` or only ``return <constant>``. Either would
+  silently eat crawler retry failures that the metrics layer is
+  supposed to count; a constant return also turns a bug into an
+  ordinary-looking answer ("no such transaction").
 * ``obs-span-unclosed`` — a ``.span(...)`` call used outside a ``with``
   statement. A span opened without the context manager never records
   its end instant, so it has no duration: it is missing from the
@@ -41,16 +43,27 @@ PRINT_EXEMPT_PACKAGES = ("repro.obs",)
 _BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})
 
 
-def _is_noop_body(body: list[ast.stmt]) -> bool:
-    """True when a handler body is only ``pass`` / ``...`` statements."""
-    for stmt in body:
-        if isinstance(stmt, ast.Pass):
-            continue
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-            if stmt.value.value is Ellipsis:
-                continue
-        return False
-    return True
+def _is_noop(stmt: ast.stmt) -> bool:
+    """True for ``pass`` and a bare ``...``."""
+    if isinstance(stmt, ast.Pass):
+        return True
+    return (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Constant)
+        and stmt.value.value is Ellipsis
+    )
+
+
+def _swallows(body: list[ast.stmt]) -> bool:
+    """True when a handler body does nothing but, at most, return a constant."""
+    rest = [stmt for stmt in body if not _is_noop(stmt)]
+    if not rest:
+        return True
+    return (
+        len(rest) == 1
+        and isinstance(rest[0], ast.Return)
+        and (rest[0].value is None or isinstance(rest[0].value, ast.Constant))
+    )
 
 
 @register
@@ -65,7 +78,8 @@ class ObsHygieneChecker(Checker):
         ),
         Rule(
             "obs-swallowed-exception",
-            "bare except or pass-only broad handler swallows failures",
+            "bare except, or a broad handler that only passes or returns"
+            " a constant, swallows failures",
         ),
         Rule(
             "obs-span-unclosed",
@@ -130,7 +144,7 @@ class ObsHygieneChecker(Checker):
     def _check_handler(
         self, source: SourceFile, node: ast.ExceptHandler
     ) -> Iterator[Finding]:
-        """Bare ``except:`` always; broad types only when the body is a no-op."""
+        """Bare ``except:`` always; broad types only when the body swallows."""
         if node.type is None:
             yield self.finding(
                 source, "obs-swallowed-exception", node.lineno, node.col_offset,
@@ -141,10 +155,10 @@ class ObsHygieneChecker(Checker):
         if (
             isinstance(node.type, ast.Name)
             and node.type.id in _BROAD_EXCEPTIONS
-            and _is_noop_body(node.body)
+            and _swallows(node.body)
         ):
             yield self.finding(
                 source, "obs-swallowed-exception", node.lineno, node.col_offset,
-                f"except {node.type.id}: pass swallows the failure;"
-                " log it or narrow the type",
+                f"except {node.type.id}: with a pass or constant-return body"
+                " swallows the failure; log it or narrow the type",
             )

@@ -7,9 +7,9 @@ p99), a counter or gauge value, or a named span's wall-clock duration —
 and :func:`evaluate_slos` turns the current registry + tracer state into
 pass/fail :class:`SLOResult` records. Every CLI run evaluates its SLO
 set and writes the verdicts into the run ledger
-(:mod:`repro.obs.runledger`), which is what lets ``repro obs diff`` and
-the bench-regression tool flag *regressions* — a run that newly violates
-an objective an earlier run met — instead of only absolute failures.
+(:mod:`repro.obs.runledger`), which is what lets ``repro obs diff`` flag
+*regressions* — a run that newly violates an objective an earlier run
+met — instead of only absolute failures.
 
 Each command's objectives are its built-in set (:func:`default_slos`):
 loose bounds meant to catch order-of-magnitude regressions, not to

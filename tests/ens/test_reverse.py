@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain import SECONDS_PER_DAY, SECONDS_PER_YEAR
+from repro.chain import SECONDS_PER_DAY, SECONDS_PER_YEAR, Address, UnknownAccount
 from repro.ens import GRACE_PERIOD_SECONDS, namehash, reverse_node_of
 
 YEAR = SECONDS_PER_YEAR
@@ -63,6 +63,26 @@ class TestForwardVerification:
     def test_invalid_claimed_name_fails_closed(self, chain, ens, alice) -> None:
         ens.set_reverse_name(alice, "not a valid name!!")
         assert ens.primary_name(alice) is None
+
+    @pytest.mark.parametrize("claimed", ["vault..eth", "ab--cd.eth", ".eth"])
+    def test_unnormalisable_claim_is_none(self, chain, ens, alice, claimed) -> None:
+        ens.register(alice, "vault", YEAR, set_addr_to=alice)
+        ens.set_reverse_name(alice, claimed)
+        assert ens.reverse_name(alice) == claimed
+        assert ens.primary_name(alice) is None
+
+    def test_resolution_fault_is_not_hidden(self, chain, ens, alice) -> None:
+        # Only an unnormalisable claim verifies to None; a resolver that
+        # is not a contract is a broken world and must surface.
+        ens.register(alice, "vault", YEAR)
+        receipt = chain.call(
+            alice, ens.registry.address, "set_resolver",
+            node=namehash("vault.eth"), resolver=Address.derive("no-contract"),
+        )
+        assert receipt.success, receipt.error
+        ens.set_reverse_name(alice, "vault.eth")
+        with pytest.raises(UnknownAccount):
+            ens.primary_name(alice)
 
     def test_dropcatch_breaks_old_owner_verification(
         self, chain, ens, alice, bob

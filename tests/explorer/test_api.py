@@ -76,6 +76,20 @@ class TestTxList:
         with pytest.raises(ApiError):
             api.txlist(a, sort="sideways")
 
+    def test_string_address_is_parsed(self, chain, api, busy_pair) -> None:
+        a, _ = busy_pair
+        rows = api.txlist(a)
+        assert api.txlist(a.hex) == rows
+        assert api.txlist(a.hex.upper().replace("0X", "0x")) == rows
+        assert api.txlist(a.checksum) == rows
+
+    @pytest.mark.parametrize("bad", ["garbage", "0x1234", "0x" + "zz" * 20, ""])
+    def test_malformed_address_is_an_api_error(self, chain, api, bad) -> None:
+        with pytest.raises(ApiError, match="invalid address"):
+            api.txlist(bad)
+        with pytest.raises(ApiError, match="invalid address"):
+            api.txlistinternal(bad)
+
     def test_auto_syncs_new_blocks(self, chain, api, busy_pair) -> None:
         a, b = busy_pair
         before = len(api.txlist(a))
@@ -111,6 +125,11 @@ class TestPointLookups:
         assert row["value"] == str(ether(2))
         assert row["from"] == a.hex
         assert row["isError"] == "0"
+
+    def test_point_lookup_row_is_the_txlist_row(self, chain, api, busy_pair) -> None:
+        a, _ = busy_pair
+        for row in api.txlist(a, page=1, offset=3):
+            assert api.get_transaction(row["hash"]) == row
 
     def test_get_transaction_unknown(self, chain, api) -> None:
         assert api.get_transaction("0x" + "ab" * 32) is None

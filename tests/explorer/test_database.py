@@ -1,11 +1,11 @@
-"""Explorer database: ingestion and per-address indexes."""
+"""Explorer database: ingestion and per-address receipt indexes."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.chain import Address, Blockchain, ether
-from repro.explorer import ExplorerDatabase
+from repro.explorer import EtherscanAPI, ExplorerDatabase, LabelRegistry
 
 
 @pytest.fixture()
@@ -52,32 +52,49 @@ class TestIndexes:
         chain.transfer(a, c, ether(3))
         db = ExplorerDatabase(chain)
         db.sync()
-        assert len(db.outgoing(a)) == 2
-        assert len(db.incoming(a)) == 1
-        assert len(db.incoming(c)) == 1
-        assert db.outgoing(c) == []
+
+        def sent(address):
+            return [r for r in db.transactions_of(address) if r.from_address == address]
+
+        def received(address):
+            return [r for r in db.transactions_of(address) if r.to_address == address]
+
+        assert len(sent(a)) == 2
+        assert len(received(a)) == 1
+        assert len(received(c)) == 1
+        assert sent(c) == []
 
     def test_both_parties_see_transaction(self, chain, actors) -> None:
         a, b, _ = actors
         receipt = chain.transfer(a, b, ether(1))
         db = ExplorerDatabase(chain)
         db.sync()
-        hashes_a = {e.tx_hash for e in db.transactions_of(a)}
-        hashes_b = {e.tx_hash for e in db.transactions_of(b)}
-        assert receipt.tx_hash.hex in hashes_a
-        assert receipt.tx_hash.hex in hashes_b
+        assert receipt in db.transactions_of(a)
+        assert receipt in db.transactions_of(b)
+
+    def test_index_shares_the_chain_receipts(self, chain, actors) -> None:
+        a, b, _ = actors
+        receipt = chain.transfer(a, b, ether(1))
+        db = ExplorerDatabase(chain)
+        db.sync()
+        (indexed,) = db.transactions_of(b)
+        assert indexed is receipt
+
+    def test_self_transfer_indexed_once(self, chain, actors) -> None:
+        a, _, _ = actors
+        chain.transfer(a, a, ether(1))
+        db = ExplorerDatabase(chain)
+        db.sync()
+        assert len(db.transactions_of(a)) == 1
 
     def test_failed_tx_flagged(self, chain, actors, ens) -> None:
         a, _, _ = actors
         receipt = ens.register(a, "vault", 10)  # below min duration → revert
         assert not receipt.success
-        db = ExplorerDatabase(chain)
-        db.sync()
-        entry = next(
-            e for e in db.transactions_of(a) if e.tx_hash == receipt.tx_hash.hex
-        )
-        assert entry.is_error
-        assert entry.method == "register"
+        api = EtherscanAPI(database=ExplorerDatabase(chain), labels=LabelRegistry())
+        row = next(r for r in api.txlist(a) if r["hash"] == receipt.tx_hash.hex)
+        assert row["isError"] == "1"
+        assert row["functionName"] == "register"
 
     def test_unknown_address_empty(self, chain) -> None:
         db = ExplorerDatabase(chain)
@@ -87,9 +104,10 @@ class TestIndexes:
     def test_api_dict_is_stringly_typed(self, chain, actors) -> None:
         a, b, _ = actors
         chain.transfer(a, b, ether(1))
-        db = ExplorerDatabase(chain)
-        db.sync()
-        row = db.transactions_of(a)[0].as_api_dict()
+        api = EtherscanAPI(database=ExplorerDatabase(chain), labels=LabelRegistry())
+        (row,) = api.txlist(a)
+        assert all(isinstance(value, str) for value in row.values())
         assert row["value"] == str(ether(1))
         assert row["isError"] == "0"
         assert row["from"] == a.hex
+        assert row["functionName"] == ""

@@ -239,3 +239,35 @@ class TestEndpoint:
         ens.register(alice, "cachetest", YEAR)
         after = endpoint.query("{ domains { id } }")["data"]["domains"]
         assert len(after) == len(before) + 1
+
+
+class TestHostileQueryText:
+    """Untrusted query text ends in the error envelope, never a traceback."""
+
+    def test_malformed_number_is_a_query_error(self, chain, ens, subgraph) -> None:
+        endpoint = SubgraphEndpoint(subgraph, indexing_gap_rate=0.0)
+        result = endpoint.query("{domains(where:{x: 0..1}){id}}")
+        assert "malformed number '0..1'" in result["errors"][0]["message"]
+
+    def test_deep_list_nesting_is_a_query_error(self, chain, ens, subgraph) -> None:
+        endpoint = SubgraphEndpoint(subgraph, indexing_gap_rate=0.0)
+        value = "[" * 3000 + "]" * 3000
+        result = endpoint.query("{domains(where:{id_in: %s}){id}}" % value)
+        assert "nested deeper than" in result["errors"][0]["message"]
+
+    def test_deep_selection_nesting_is_a_query_error(self, chain, ens, subgraph) -> None:
+        endpoint = SubgraphEndpoint(subgraph, indexing_gap_rate=0.0)
+        result = endpoint.query("{" + "domains {" * 3000 + "id" + "}" * 3001)
+        assert "nested deeper than" in result["errors"][0]["message"]
+
+    def test_nesting_up_to_the_limit_parses(self) -> None:
+        from repro.indexer.query import MAX_DEPTH, parse_query
+
+        # arguments sit one level below their field, so a list value at
+        # the top field can open MAX_DEPTH - 1 brackets
+        value = "[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1)
+        expected: list = []
+        for _ in range(MAX_DEPTH - 2):
+            expected = [expected]
+        node = parse_query("{domains(where: %s){id}}" % value)[0]
+        assert node.arguments["where"] == expected
