@@ -32,8 +32,9 @@ golden-equivalence tests assert exactly that.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from ..datasets.dataset import ENSDataset
 from ..datasets.schema import MarketEventRecord, TxRecord
@@ -134,6 +135,7 @@ class AnalysisContext:
         )
         self._fingerprint: tuple[int, int, int, int] | None = None
         self._cursor: int = 0
+        self._pinned = False
         self._events: "list[ReRegistration] | None" = None
         self._events_by_domain: "dict[str, tuple[ReRegistration, ...]] | None" = None
         self._intervals: dict[str, tuple[OwnershipInterval, ...]] = {}
@@ -184,9 +186,9 @@ class AnalysisContext:
           consumer older than the retained log) — drops every cache
           like the classic invalidation path and returns ``None``.
 
-        Every query method calls this, so the delta path is transparent
-        to existing callers; delta-aware consumers call it directly to
-        learn what changed.
+        Every query method calls this outside :meth:`synced`, so the
+        delta path is transparent to existing callers; delta-aware
+        consumers call it directly to learn what changed.
         """
         fingerprint = self._current_fingerprint()
         if fingerprint == self._fingerprint:
@@ -286,8 +288,26 @@ class AnalysisContext:
                 for event in by_domain.get(domain.domain_id, ())
             ]
 
+    @contextmanager
+    def synced(self) -> Iterator[DeltaImpact | None]:
+        """:meth:`sync` once, then answer every query in the block
+        without re-checking the fingerprint.
+
+        For a caller that holds the dataset still for the whole block,
+        as :meth:`~repro.core.increport.IncrementalReportBuilder.refresh`
+        does for one report; queries outside the block sync as before.
+        Yields what :meth:`sync` returned.
+        """
+        impact = self.sync()
+        self._pinned = True
+        try:
+            yield impact
+        finally:
+            self._pinned = False
+
     def _ensure_fresh(self) -> None:
-        self.sync()
+        if not self._pinned:
+            self.sync()
 
     # -- derived artifacts -------------------------------------------------
 
@@ -485,9 +505,10 @@ class ScanAccess:
         self.dataset = dataset
         self.oracle = oracle
 
-    def sync(self) -> None:
+    @contextmanager
+    def synced(self) -> Iterator[None]:
         """Nothing is cached, so every report refresh is a full rebuild."""
-        return None
+        yield None
 
     def reregistrations(self) -> "list[ReRegistration]":
         """Recompute the dropcatch events from scratch."""

@@ -179,11 +179,14 @@ class IncrementalReportBuilder:
         calls run under ``delta.apply``: O(delta + dirty items) when the
         dataset moved through logged deltas, a full (memo-repopulating)
         rebuild when the delta chain is broken, and the previous report
-        object when nothing moved.
+        object when nothing moved. The dataset's fingerprint is checked
+        once, on entry (:meth:`AnalysisContext.synced`): no pass can
+        move the dataset, so the passes' queries skip the check.
         """
         cold = self._report is None
-        with self._tracer.span("analyze" if cold else "delta.apply") as span:
-            impact = self.context.sync()
+        with self._tracer.span(
+            "analyze" if cold else "delta.apply"
+        ) as span, self.context.synced() as impact:
             if cold or impact is None:
                 self._reset_memos()
                 impact = _FULL

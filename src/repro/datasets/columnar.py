@@ -36,13 +36,19 @@ import os
 import struct
 from array import array
 from collections.abc import Mapping, Sequence
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator
 
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, global_registry
 from ..obs.tracing import Tracer
-from .dataset import ENSDataset
+from .dataset import (
+    DatasetIntegrityError,
+    ENSDataset,
+    validate_domains,
+    validate_label_sets,
+)
 from .schema import DomainRecord, MarketEventRecord, RegistrationRecord, TxRecord
 
 __all__ = [
@@ -80,6 +86,13 @@ _CASTS = {b"q": "q", b"Q": "Q", b"I": "I", b"B": "B"}
 
 #: struct.calcsize per cast format, for directory validation.
 _ITEM_SIZES = {"q": 8, "Q": 8, "I": 4, "B": 1}
+
+#: The transaction columns, in :class:`TxRecord` field order (the wei
+#: value takes two). :meth:`ColumnarDataset.tx_at` binds them once.
+_TX_COLUMNS = (
+    "tx_hash", "tx_block", "tx_ts", "tx_from", "tx_to",
+    "tx_val_hi", "tx_val_lo", "tx_err",
+)
 
 POOL_HITS_METRIC = "columnar_pool_hits_total"
 POOL_MISSES_METRIC = "columnar_pool_misses_total"
@@ -393,8 +406,9 @@ class _DomainsView(Mapping):
 
     def __iter__(self) -> Iterator[str]:
         store = self._store
+        ids = store.col("dom_id")
         for row in range(store.domain_count):
-            yield store.pool_str(store.col("dom_id")[row])
+            yield store.pool_str(ids[row])
 
     def __getitem__(self, domain_id: str) -> DomainRecord:
         row = self._store.domain_row(domain_id)
@@ -470,15 +484,10 @@ class ColumnarDataset:
         self._n_domains = int(counts.get("domains", 0))
         self._n_txs = int(counts.get("transactions", 0))
         self._n_events = int(counts.get("marketEvents", 0))
-        self._pool_cache: dict[int, str] = {}
+        self._strings: list[str] | None = None
+        self._tx_columns: tuple[memoryview, ...] | None = None
         self._domain_cache: dict[int, DomainRecord] = {}
         self.crawl_timestamp = int(self._meta.get("crawlTimestamp", 0))
-        self.coinbase_addresses = frozenset(
-            self.pool_str(i) for i in self._meta.get("coinbase", ())
-        )
-        self.custodial_addresses = frozenset(
-            self.pool_str(i) for i in self._meta.get("custodial", ())
-        )
         self._domain_rows: dict[str, int] | None = None
         self._name_rows: dict[str, int] | None = None
         self._incoming_rows: dict[int, list[int]] | None = None
@@ -581,20 +590,46 @@ class ColumnarDataset:
 
     # -- pool --------------------------------------------------------------
 
+    def _pool(self) -> list[str]:
+        """Every pooled string, decoded once on first access.
+
+        ``pool_str`` and the reverse index both read this one list, so
+        the open stays O(1) and the pool is decoded at most once.
+        """
+        if self._strings is None:
+            bounds = self.col("pool_offs").tolist()
+            blob = bytes(self._section_view("pool_blob"))
+            if bounds != sorted(bounds) or (bounds and bounds[-1] > len(blob)):
+                raise ColumnarFormatError("pool offsets do not fit pool_blob")
+            try:
+                self._strings = [
+                    blob[start:stop].decode("utf-8")
+                    for start, stop in zip(bounds, bounds[1:])
+                ]
+            except UnicodeDecodeError as exc:
+                raise ColumnarFormatError(
+                    f"string pool is not valid UTF-8: {exc}"
+                ) from exc
+        return self._strings
+
     def pool_str(self, pool_id: int) -> str | None:
         """The pooled string for ``pool_id`` (None for the null id)."""
-        if pool_id == _NULL_ID:
-            return None
-        cached = self._pool_cache.get(pool_id)
-        if cached is not None:
-            return cached
-        offsets = self.col("pool_offs")
-        if pool_id + 1 >= len(offsets):
-            raise ColumnarFormatError(f"pool id {pool_id} out of range")
-        blob = self._section_view("pool_blob")
-        text = bytes(blob[offsets[pool_id]:offsets[pool_id + 1]]).decode("utf-8")
-        self._pool_cache[pool_id] = text
-        return text
+        try:
+            return (self._strings or self._pool())[pool_id]
+        except IndexError:
+            if pool_id == _NULL_ID:
+                return None
+            raise ColumnarFormatError(f"pool id {pool_id} out of range") from None
+
+    @cached_property
+    def coinbase_addresses(self) -> frozenset[str]:
+        """The Coinbase label set (decoded on first access)."""
+        return frozenset(self.pool_str(i) for i in self._meta.get("coinbase", ()))
+
+    @cached_property
+    def custodial_addresses(self) -> frozenset[str]:
+        """The non-Coinbase custodial label set (decoded on first access)."""
+        return frozenset(self.pool_str(i) for i in self._meta.get("custodial", ()))
 
     @property
     def pool_size(self) -> int:
@@ -642,15 +677,20 @@ class ColumnarDataset:
 
     def tx_at(self, row: int) -> TxRecord:
         """The :class:`TxRecord` of one row (materialized per call)."""
+        if self._tx_columns is None:
+            self._tx_columns = tuple(self.col(name) for name in _TX_COLUMNS)
+        hashes, blocks, stamps, senders, recipients, high, low, errors = (
+            self._tx_columns
+        )
+        text = self.pool_str
         return TxRecord(
-            tx_hash=self.pool_str(self.col("tx_hash")[row]),
-            block_number=self.col("tx_block")[row],
-            timestamp=self.col("tx_ts")[row],
-            from_address=self.pool_str(self.col("tx_from")[row]),
-            to_address=self.pool_str(self.col("tx_to")[row]),
-            value_wei=(self.col("tx_val_hi")[row] << 64)
-            | self.col("tx_val_lo")[row],
-            is_error=bool(self.col("tx_err")[row]),
+            tx_hash=text(hashes[row]),
+            block_number=blocks[row],
+            timestamp=stamps[row],
+            from_address=text(senders[row]),
+            to_address=text(recipients[row]),
+            value_wei=(high[row] << 64) | low[row],
+            is_error=bool(errors[row]),
         )
 
     def event_at(self, row: int) -> MarketEventRecord:
@@ -773,13 +813,8 @@ class ColumnarDataset:
     def _pool_id_of(self, text: str) -> int | None:
         """Reverse pool lookup, lazily indexed over the whole pool."""
         if self._reverse_pool is None:
-            offsets = self.col("pool_offs")
-            blob = self._section_view("pool_blob")
-            reverse: dict[str, int] = {}
-            for pool_id in range(len(offsets) - 1):
-                value = bytes(blob[offsets[pool_id]:offsets[pool_id + 1]])
-                reverse[value.decode("utf-8")] = pool_id
-            self._reverse_pool = reverse
+            strings = self._pool()
+            self._reverse_pool = dict(zip(strings, range(len(strings))))
         return self._reverse_pool.get(text)
 
     def incoming_of(self, address: str) -> list[TxRecord]:
@@ -829,8 +864,24 @@ class ColumnarDataset:
     # -- integrity / introspection -----------------------------------------
 
     def validate(self) -> None:
-        """Structural validation, same invariants as the object store."""
-        ENSDataset.validate(self)  # type: ignore[arg-type]
+        """Structural validation over the columns: the invariants, the
+        messages and the first failure of :meth:`ENSDataset.validate`.
+
+        The domains are checked on the cached :meth:`domain_at` records
+        the analyses read next; transaction hashes are checked off the
+        ``tx_hash`` column, so no :class:`TxRecord` is built. There is
+        no negative-value check: ``write_columnar`` cannot store one.
+        """
+        validate_domains(self.iter_domains())
+        ids = self.col("tx_hash")[: self._n_txs]
+        hashes = [self.pool_str(pool_id) for pool_id in ids]
+        if len(set(hashes)) != len(hashes):
+            seen: set[str | None] = set()
+            for tx_hash in hashes:
+                if tx_hash in seen:
+                    raise DatasetIntegrityError(f"duplicate transaction {tx_hash}")
+                seen.add(tx_hash)
+        validate_label_sets(self.coinbase_addresses, self.custodial_addresses)
 
     @property
     def nbytes(self) -> int:

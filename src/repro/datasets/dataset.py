@@ -14,7 +14,7 @@ the invalidation contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .delta import AppliedDelta, DatasetDelta
 from .schema import DomainRecord, MarketEventRecord, TxRecord
@@ -313,29 +313,7 @@ class ENSDataset:
 
     def validate(self) -> None:
         """Raise :class:`DatasetIntegrityError` on structural violations."""
-        for domain in self.domains.values():
-            if not domain.registrations:
-                raise DatasetIntegrityError(
-                    f"domain {domain.domain_id} has no registrations"
-                )
-            dates = [r.registration_date for r in domain.registrations]
-            if dates != sorted(dates):
-                raise DatasetIntegrityError(
-                    f"domain {domain.domain_id} registrations out of order"
-                )
-            for registration in domain.registrations:
-                if registration.expiry_date <= registration.registration_date:
-                    raise DatasetIntegrityError(
-                        f"registration {registration.registration_id} expires"
-                        " before it starts"
-                    )
-                if registration.cost_wei != (
-                    registration.base_cost_wei + registration.premium_wei
-                ):
-                    raise DatasetIntegrityError(
-                        f"registration {registration.registration_id} cost"
-                        " split does not add up"
-                    )
+        validate_domains(self.domains.values())
         seen_hashes: set[str] = set()
         for tx in self.transactions:
             if tx.tx_hash in seen_hashes:
@@ -343,8 +321,43 @@ class ENSDataset:
             seen_hashes.add(tx.tx_hash)
             if tx.value_wei < 0:
                 raise DatasetIntegrityError(f"negative value in {tx.tx_hash}")
-        overlap = self.coinbase_addresses & self.custodial_addresses
-        if overlap:
+        validate_label_sets(self.coinbase_addresses, self.custodial_addresses)
+
+
+def validate_domains(domains: Iterable[DomainRecord]) -> None:
+    """The per-domain invariants of :meth:`ENSDataset.validate`, shared
+    with the columnar store so both raise the same first failure."""
+    for domain in domains:
+        if not domain.registrations:
             raise DatasetIntegrityError(
-                f"{len(overlap)} addresses are both Coinbase and non-Coinbase"
+                f"domain {domain.domain_id} has no registrations"
             )
+        dates = [r.registration_date for r in domain.registrations]
+        if dates != sorted(dates):
+            raise DatasetIntegrityError(
+                f"domain {domain.domain_id} registrations out of order"
+            )
+        for registration in domain.registrations:
+            if registration.expiry_date <= registration.registration_date:
+                raise DatasetIntegrityError(
+                    f"registration {registration.registration_id} expires"
+                    " before it starts"
+                )
+            if registration.cost_wei != (
+                registration.base_cost_wei + registration.premium_wei
+            ):
+                raise DatasetIntegrityError(
+                    f"registration {registration.registration_id} cost"
+                    " split does not add up"
+                )
+
+
+def validate_label_sets(
+    coinbase: AbstractSet[str], custodial: AbstractSet[str]
+) -> None:
+    """No address may be both Coinbase and non-Coinbase custodial."""
+    overlap = coinbase & custodial
+    if overlap:
+        raise DatasetIntegrityError(
+            f"{len(overlap)} addresses are both Coinbase and non-Coinbase"
+        )

@@ -229,7 +229,7 @@ class EtherscanAPI:
     def get_label(self, address: Address | str) -> dict[str, str] | None:
         """Public name tag for an address, if any."""
         self._throttle()
-        label = self.labels.get(address)
+        label = self.labels.get(_address(address))
         if label is None:
             return None
         return {"name": label.name, "category": label.category}

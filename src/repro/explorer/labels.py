@@ -35,7 +35,11 @@ class LabelRegistry:
 
     @staticmethod
     def _key(address: Address | str) -> str:
-        return address.hex if isinstance(address, Address) else address
+        """The lowercase hex key; a string is parsed, so a checksummed
+        form finds the same label and malformed hex is a ``ValueError``."""
+        if isinstance(address, str):
+            address = Address.from_hex(address)
+        return address.hex
 
     def tag(self, address: Address | str, name: str, category: str) -> None:
         """Attach a label; re-tagging an address overwrites."""

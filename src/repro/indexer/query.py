@@ -14,13 +14,15 @@ i.e. top-level entity collections with ``first``/``skip`` pagination,
 ``where`` filters (equality plus ``_gt/_gte/_lt/_lte/_ne/_not/_in``
 suffixes), ordering, and nested field projection. Anything outside the
 subset raises :class:`GraphQLError` with a position, like a real
-endpoint's error payload. So does a malformed number literal, and so does
-nesting deeper than :data:`MAX_DEPTH` — the text is untrusted input, and
-no query may end in a ``ValueError`` or ``RecursionError``.
+endpoint's error payload. So does a string escape other than ``\\"``
+and ``\\\\``, a malformed number literal, and nesting deeper than
+:data:`MAX_DEPTH` — the text is untrusted input, and no query may end
+in a ``ValueError`` or ``RecursionError``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -40,6 +42,11 @@ class GraphQLError(ValueError):
 # -- lexer -------------------------------------------------------------------
 
 _PUNCTUATION = set("{}():,[]")
+
+#: A string literal: ``\"`` and ``\\`` are its only escapes, the
+#: quoting subgraph clients send (a name may contain a ``"``).
+_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,11 +69,18 @@ def _tokenize(text: str) -> list[_Token]:
             index += 1
             continue
         if char == '"':
-            end = text.find('"', index + 1)
-            if end == -1:
+            match = _STRING.match(text, index)
+            if match is None:
                 raise GraphQLError(f"unterminated string at {index}")
-            tokens.append(_Token("string", text[index + 1 : end], index))
-            index = end + 1
+            body = match.group(1)
+            for escape in _ESCAPE.finditer(body):
+                if escape.group(1) not in '"\\':
+                    raise GraphQLError(
+                        f"unsupported escape {escape.group()!r}"
+                        f" at {match.start(1) + escape.start()}"
+                    )
+            tokens.append(_Token("string", _ESCAPE.sub(r"\1", body), index))
+            index = match.end()
             continue
         if char.isdigit() or (char == "-" and index + 1 < length and text[index + 1].isdigit()):
             start = index

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +14,12 @@ from repro.datasets import (
     ColumnarDataset,
     ColumnarFormatError,
     ColumnarImmutableError,
+    DatasetIntegrityError,
     ENSDataset,
     encode_dataset,
     write_columnar,
 )
+from repro.oracle import EthUsdOracle
 from repro.simulation import ScenarioConfig, run_scenario
 
 from ..core.helpers import (
@@ -194,6 +198,66 @@ class TestFormatErrors:
     def test_empty_buffer(self) -> None:
         with pytest.raises(ColumnarFormatError):
             ColumnarDataset.from_bytes(b"")
+
+    def test_negative_value_rejected_at_write(self, tmp_path) -> None:
+        dataset = _small_dataset()
+        dataset.transactions = [
+            make_tx("0xaa", "0xbb", 130, value_wei=-1, tx_hash="0xneg")
+        ]
+        with pytest.raises(ColumnarFormatError, match="value_wei"):
+            write_columnar(dataset, tmp_path / "d.rcol")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_invalid_utf8_in_pool_is_a_format_error(self) -> None:
+        blob = encode_dataset(_small_dataset())
+        start, _ = _pool_blob_span(blob)
+        corrupt = bytearray(blob)
+        corrupt[start] = 0xFF  # never valid in UTF-8
+        store = ColumnarDataset.from_bytes(bytes(corrupt))
+        with pytest.raises(ColumnarFormatError, match="UTF-8"):
+            store.validate()
+
+
+def _pool_blob_span(blob: bytes) -> tuple[int, int]:
+    """Byte range of the ``pool_blob`` section: the pooled strings in id
+    order, which the pool's own public reads give back."""
+    store = ColumnarDataset.from_bytes(blob)
+    pooled = "".join(
+        store.pool_str(pool_id) for pool_id in range(store.pool_size)
+    ).encode("utf-8")
+    assert len(pooled) == store.stats()["sections"]["pool_blob"]["bytes"]
+    start = blob.index(pooled)
+    return start, start + len(pooled)
+
+
+@functools.cache
+def _scenario_rcol() -> tuple[bytes, int, int]:
+    """A small crawled world's RCOL bytes and its pool's byte range."""
+    world = run_scenario(ScenarioConfig(n_domains=60, seed=3))
+    dataset, _ = world.run_crawl()
+    blob = encode_dataset(dataset)
+    return (blob, *_pool_blob_span(blob))
+
+
+class TestPoolCorruption:
+    """A flipped byte in the string pool is input the program does not
+    control: it ends in a typed error or in a report, never a traceback."""
+
+    @given(
+        offset=st.integers(min_value=0, max_value=2**32),
+        mask=st.integers(min_value=1, max_value=255),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flipped_pool_byte_is_typed_or_harmless(self, offset, mask) -> None:
+        blob, start, stop = _scenario_rcol()
+        corrupt = bytearray(blob)
+        corrupt[start + offset % (stop - start)] ^= mask
+        try:
+            store = ColumnarDataset.from_bytes(bytes(corrupt))
+            store.validate()
+            build_report(store, EthUsdOracle())
+        except (ColumnarFormatError, DatasetIntegrityError):
+            pass
 
 
 class TestPersistenceAndSharing:

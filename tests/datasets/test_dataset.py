@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import (
+    ColumnarDataset,
     DatasetIntegrityError,
     DomainRecord,
     ENSDataset,
@@ -138,6 +139,83 @@ class TestNameIndex:
         assert dataset.domain_by_name("dup.eth") is first
 
 
+def _without_registrations() -> ENSDataset:
+    domain = make_domain("d", [make_registration("0xa", 100, 465)])
+    domain.registrations = []
+    dataset = ENSDataset()
+    dataset.add_domain(domain)
+    return dataset
+
+
+def _out_of_order_registrations() -> ENSDataset:
+    domain = make_domain("d", [
+        make_registration("0xa", 600, 965, ordinal=0),
+        make_registration("0xb", 100, 465, ordinal=1),
+    ])
+    dataset = ENSDataset()
+    dataset.add_domain(domain)
+    return dataset
+
+
+def _with_bad_registration(
+    *, start: int, end: int, cost: int, base: int, premium: int
+) -> ENSDataset:
+    bad = RegistrationRecord(
+        registration_id="r", registrant="0xa",
+        registration_date=start, expiry_date=end,
+        cost_wei=cost, base_cost_wei=base, premium_wei=premium,
+    )
+    domain = make_domain("d", [make_registration("0xa", 100, 465)])
+    domain.registrations = [bad]
+    dataset = ENSDataset()
+    dataset.add_domain(domain)
+    return dataset
+
+
+def _inverted_expiry() -> ENSDataset:
+    return _with_bad_registration(start=1000, end=500, cost=0, base=0, premium=0)
+
+
+def _cost_split_mismatch() -> ENSDataset:
+    return _with_bad_registration(start=100, end=500, cost=10, base=3, premium=4)
+
+
+def _overlapping_label_sets() -> ENSDataset:
+    dataset = make_dataset(
+        [make_domain("d", [make_registration("0xa", 100, 465)])]
+    )
+    dataset.coinbase_addresses = {"0xboth"}
+    dataset.custodial_addresses = {"0xboth"}
+    return dataset
+
+
+def _duplicate_transactions() -> ENSDataset:
+    """Two hashes repeat; the first one seen again is ``0xsecond``."""
+    dataset = make_dataset(
+        [make_domain("d", [make_registration("0xa", 100, 465)])]
+    )
+    first = make_tx("0xs", "0xa", 200, tx_hash="0xfirst")
+    second = make_tx("0xs", "0xa", 201, tx_hash="0xsecond")
+    # add_transactions drops duplicates; replacing the list does not
+    dataset.transactions = [first, second, second, first]
+    return dataset
+
+
+#: Every invalid dataset with the message its first failure must carry.
+_INVALID = [
+    pytest.param(_without_registrations, "no registrations", id="no-registrations"),
+    pytest.param(_out_of_order_registrations, "out of order", id="out-of-order"),
+    pytest.param(_inverted_expiry, "expires", id="inverted-expiry"),
+    pytest.param(_cost_split_mismatch, "cost", id="cost-split"),
+    pytest.param(_overlapping_label_sets, "both", id="overlapping-labels"),
+    pytest.param(
+        _duplicate_transactions,
+        "duplicate transaction 0xsecond$",
+        id="duplicate-transaction",
+    ),
+]
+
+
 class TestValidation:
     def test_valid_dataset_passes(self) -> None:
         dataset = make_dataset(
@@ -147,57 +225,47 @@ class TestValidation:
         dataset.validate()
 
     def test_domain_without_registrations_rejected(self) -> None:
-        domain = make_domain("d", [make_registration("0xa", 100, 465)])
-        domain.registrations = []
-        dataset = ENSDataset()
-        dataset.add_domain(domain)
         with pytest.raises(DatasetIntegrityError, match="no registrations"):
-            dataset.validate()
+            _without_registrations().validate()
 
     def test_out_of_order_registrations_rejected(self) -> None:
-        domain = make_domain("d", [
-            make_registration("0xa", 600, 965, ordinal=0),
-            make_registration("0xb", 100, 465, ordinal=1),
-        ])
-        dataset = ENSDataset()
-        dataset.add_domain(domain)
         with pytest.raises(DatasetIntegrityError, match="out of order"):
-            dataset.validate()
+            _out_of_order_registrations().validate()
 
     def test_inverted_expiry_rejected(self) -> None:
-        bad = RegistrationRecord(
-            registration_id="r", registrant="0xa",
-            registration_date=1000, expiry_date=500,
-            cost_wei=0, base_cost_wei=0, premium_wei=0,
-        )
-        domain = make_domain("d", [make_registration("0xa", 100, 465)])
-        domain.registrations = [bad]
-        dataset = ENSDataset()
-        dataset.add_domain(domain)
         with pytest.raises(DatasetIntegrityError, match="expires"):
-            dataset.validate()
+            _inverted_expiry().validate()
 
     def test_cost_split_mismatch_rejected(self) -> None:
-        bad = RegistrationRecord(
-            registration_id="r", registrant="0xa",
-            registration_date=100, expiry_date=500,
-            cost_wei=10, base_cost_wei=3, premium_wei=4,
-        )
-        domain = make_domain("d", [make_registration("0xa", 100, 465)])
-        domain.registrations = [bad]
-        dataset = ENSDataset()
-        dataset.add_domain(domain)
         with pytest.raises(DatasetIntegrityError, match="cost"):
-            dataset.validate()
+            _cost_split_mismatch().validate()
 
     def test_overlapping_label_sets_rejected(self) -> None:
-        dataset = make_dataset(
-            [make_domain("d", [make_registration("0xa", 100, 465)])]
-        )
-        dataset.coinbase_addresses = {"0xboth"}
-        dataset.custodial_addresses = {"0xboth"}
         with pytest.raises(DatasetIntegrityError, match="both"):
+            _overlapping_label_sets().validate()
+
+    def test_negative_value_rejected(self) -> None:
+        dataset = make_dataset(
+            [make_domain("d", [make_registration("0xa", 100, 465)])],
+            [make_tx("0xs", "0xa", 200, value_wei=-1, tx_hash="0xneg")],
+        )
+        with pytest.raises(DatasetIntegrityError, match="negative value in 0xneg"):
             dataset.validate()
+
+
+class TestValidationParity:
+    """The columnar store checks the same invariants off its columns and
+    fails with the object store's message."""
+
+    @pytest.mark.parametrize("build,message", _INVALID)
+    def test_both_stores_raise_the_same_first_failure(self, build, message) -> None:
+        dataset = build()
+        with pytest.raises(DatasetIntegrityError, match=message) as from_objects:
+            dataset.validate()
+        columnar = ColumnarDataset.from_dataset(dataset)
+        with pytest.raises(DatasetIntegrityError) as from_columns:
+            columnar.validate()
+        assert str(from_columns.value) == str(from_objects.value)
 
 
 class TestRecordRoundTrips:

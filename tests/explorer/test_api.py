@@ -157,6 +157,20 @@ class TestLabels:
     def test_unknown_label_is_none(self, chain, api) -> None:
         assert api.get_label(Address.derive("nobody")) is None
 
+    def test_string_forms_find_the_same_label(self, chain, api) -> None:
+        addr = Address.derive("exchange-hot-wallet")
+        api.labels.tag(addr.checksum, "Binance 14", CATEGORY_CUSTODIAL_EXCHANGE)
+        assert addr.checksum != addr.hex
+        assert api.get_label(addr.checksum) == api.get_label(addr.hex)
+        assert api.get_label(addr.hex) == api.get_label(addr)
+        assert api.get_label(addr) is not None
+
+    def test_malformed_address_is_an_api_error(self, chain, api) -> None:
+        with pytest.raises(ApiError, match="invalid address"):
+            api.txlist("garbage")
+        with pytest.raises(ApiError, match="invalid address"):
+            api.get_label("garbage")
+
     def test_category_lists(self, chain, api) -> None:
         registry = api.labels
         for i in range(3):

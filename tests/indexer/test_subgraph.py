@@ -260,6 +260,27 @@ class TestHostileQueryText:
         result = endpoint.query("{" + "domains {" * 3000 + "id" + "}" * 3001)
         assert "nested deeper than" in result["errors"][0]["message"]
 
+    def test_escaped_quote_in_a_name_is_queryable(self, chain, ens, alice, subgraph) -> None:
+        ens.register(alice, "vault", YEAR)
+        endpoint = SubgraphEndpoint(subgraph, indexing_gap_rate=0.0)
+        result = endpoint.query(
+            r'{domains(where: {name_in: ["vault.eth", "a\"b.eth", "c\\d.eth"]})'
+            " { name } }"
+        )
+        assert "errors" not in result
+        assert result["data"]["domains"] == [{"name": "vault.eth"}]
+
+    def test_escaped_quote_reaches_the_filter(self) -> None:
+        from repro.indexer.query import parse_query
+
+        (node,) = parse_query(r'{domains(where: {name: "a\"b\\c"}) { id }}')
+        assert node.arguments["where"]["name"] == 'a"b\\c'
+
+    def test_unknown_escape_is_a_query_error(self, chain, ens, subgraph) -> None:
+        endpoint = SubgraphEndpoint(subgraph, indexing_gap_rate=0.0)
+        result = endpoint.query(r'{domains(where: {name: "a\nb"}) { id }}')
+        assert "unsupported escape" in result["errors"][0]["message"]
+
     def test_nesting_up_to_the_limit_parses(self) -> None:
         from repro.indexer.query import MAX_DEPTH, parse_query
 
