@@ -11,7 +11,10 @@ effectively O(analyses × events × senders × txs); at paper scale
 consumer from the cache:
 
 * window queries (``incoming_window``) bisect a parallel timestamp
-  vector instead of scanning the address's full history;
+  vector instead of scanning the address's full history, and answer
+  with parallel timestamp/value/sender lists: a
+  :class:`~repro.datasets.schema.TxRecord` is built only for the
+  positions a caller keeps (:meth:`IncomingTransfers.tx`);
 * the §4.4 common-sender heuristic reads pre-grouped
   (sender → recipient) payment lists;
 * censoring slices a timestamp-ordered permutation of the transaction
@@ -34,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterator, Sequence
 
 from ..datasets.dataset import ENSDataset
 from ..datasets.schema import MarketEventRecord, TxRecord
@@ -92,6 +95,104 @@ class OwnershipInterval:
     next_start: int | None
 
 
+class IncomingTransfers:
+    """A selection of the successful transfers one address received,
+    oldest first, as parallel lists.
+
+    ``stamps``, ``values`` and ``senders`` hold each transfer's
+    timestamp, wei value and sender address; :meth:`tx` returns the
+    full record of one position. Every selection of one address shares
+    one record list, in which a columnar store leaves the transaction
+    row number until :meth:`tx` first asks for it: a pass that reads
+    only the lists builds no record, and no row is built twice. A
+    selection stays valid until the dataset next changes.
+    """
+
+    __slots__ = ("stamps", "values", "senders", "_records", "_positions", "_build")
+
+    def __init__(
+        self,
+        stamps: list[int],
+        values: list[int],
+        senders: list[str],
+        records: "list[TxRecord | int]",
+        positions: Sequence[int] | None = None,
+        build: Callable[[int], TxRecord] | None = None,
+    ) -> None:
+        self.stamps = stamps
+        self.values = values
+        self.senders = senders
+        self._records = records
+        self._positions = range(len(stamps)) if positions is None else positions
+        self._build = build
+
+    @classmethod
+    def of_records(cls, txs: list[TxRecord]) -> "IncomingTransfers":
+        """The transfers of already-built records, in their order (the
+        selection keeps ``txs`` itself, not a copy)."""
+        return cls(
+            [tx.timestamp for tx in txs],
+            [tx.value_wei for tx in txs],
+            [tx.from_address for tx in txs],
+            txs,
+        )
+
+    def __len__(self) -> int:
+        return len(self.stamps)
+
+    def tx(self, position: int) -> TxRecord:
+        """The :class:`TxRecord` at ``position``, built on first use."""
+        index = self._positions[position]
+        record = self._records[index]
+        if type(record) is int:
+            record = self._records[index] = self._build(record)
+        return record
+
+    def txs(self) -> list[TxRecord]:
+        """Every record of the selection, in order."""
+        return [self.tx(position) for position in range(len(self.stamps))]
+
+    def window(self, start: int | None, end: int | None) -> "IncomingTransfers":
+        """The transfers with ``start <= timestamp <= end`` (``None``
+        bounds are open): two bisects and three slices."""
+        stamps = self.stamps
+        lo = 0 if start is None else bisect_left(stamps, start)
+        hi = len(stamps) if end is None else bisect_right(stamps, end)
+        return IncomingTransfers(
+            stamps[lo:hi],
+            self.values[lo:hi],
+            self.senders[lo:hi],
+            self._records,
+            self._positions[lo:hi],
+            self._build,
+        )
+
+    def select(self, positions: list[int]) -> "IncomingTransfers":
+        """The transfers at ``positions`` (ascending)."""
+        return IncomingTransfers(
+            [self.stamps[p] for p in positions],
+            [self.values[p] for p in positions],
+            [self.senders[p] for p in positions],
+            self._records,
+            [self._positions[p] for p in positions],
+            self._build,
+        )
+
+    def insert(self, tx: TxRecord) -> None:
+        """Insert an appended record into every list of a whole history.
+
+        Appended records come after every equal timestamp already
+        present (stable-sort order), so ``bisect_right`` lands them
+        exactly where a rebuild would.
+        """
+        position = bisect_right(self.stamps, tx.timestamp)
+        self.stamps.insert(position, tx.timestamp)
+        self.values.insert(position, tx.value_wei)
+        self.senders.insert(position, tx.from_address)
+        self._records.insert(position, tx)
+        self._positions = range(len(self.stamps))
+
+
 class AnalysisContext:
     """Invalidation-aware cache of derived analysis artifacts.
 
@@ -139,8 +240,8 @@ class AnalysisContext:
         self._events: "list[ReRegistration] | None" = None
         self._events_by_domain: "dict[str, tuple[ReRegistration, ...]] | None" = None
         self._intervals: dict[str, tuple[OwnershipInterval, ...]] = {}
-        self._incoming: dict[str, tuple[list[TxRecord], list[int]]] = {}
-        self._payments: dict[str, dict[str, list[TxRecord]]] = {}
+        self._incoming: dict[str, IncomingTransfers] = {}
+        self._payments: dict[str, tuple[IncomingTransfers, dict[str, list[int]]]] = {}
         self._tx_order: tuple[list[int], list[int]] | None = None
         self._event_order: tuple[list[int], list[int]] | None = None
 
@@ -224,14 +325,7 @@ class AnalysisContext:
                     addresses.add(tx.to_address)
                     entry = self._incoming.get(tx.to_address)
                     if entry is not None:
-                        # Appended records come after every equal
-                        # timestamp already present (stable-sort order),
-                        # so bisect_right lands them exactly where a
-                        # rebuild would.
-                        txs, stamps = entry
-                        position = bisect_right(stamps, tx.timestamp)
-                        txs.insert(position, tx)
-                        stamps.insert(position, tx.timestamp)
+                        entry.insert(tx)
                 if self._tx_order is not None:
                     order, stamps = self._tx_order
                     position = bisect_right(stamps, tx.timestamp)
@@ -362,7 +456,7 @@ class AnalysisContext:
         self._intervals[domain_id] = intervals
         return intervals
 
-    def _incoming_entry(self, address: str) -> tuple[list[TxRecord], list[int]]:
+    def _incoming_entry(self, address: str) -> IncomingTransfers:
         cached = self._incoming.get(address)
         if cached is not None:
             self._hit["incoming"].inc()
@@ -370,27 +464,25 @@ class AnalysisContext:
         self._miss["incoming"].inc()
         fast = getattr(self.dataset, "incoming_entry", None)
         if fast is not None:
-            # Columnar stores serve (txs, stamps) in one call, reading
-            # the timestamp vector off the raw column instead of off
-            # materialized records. Same values, same order.
-            entry = fast(address)
+            # Columnar stores read the lists straight off the columns and
+            # hand back row numbers; a record is built per row on demand.
+            stamps, values, senders, rows = fast(address)
+            entry = IncomingTransfers(
+                stamps, values, senders, rows, build=self.dataset.tx_at
+            )
         else:
-            txs = self.dataset.incoming_of(address)
-            entry = (txs, [tx.timestamp for tx in txs])
+            entry = IncomingTransfers.of_records(self.dataset.incoming_of(address))
         self._incoming[address] = entry
         return entry
 
     def incoming_window(
         self, address: str, start: int | None, end: int | None
-    ) -> list[TxRecord]:
+    ) -> IncomingTransfers:
         """Successful transfers received by ``address`` with
         ``start <= timestamp <= end`` (``None`` bounds are open), oldest
-        first — a bisect slice of the cached timestamp vector."""
+        first — a bisect slice of the cached parallel lists."""
         self._ensure_fresh()
-        txs, stamps = self._incoming_entry(address)
-        lo = 0 if start is None else bisect_left(stamps, start)
-        hi = len(stamps) if end is None else bisect_right(stamps, end)
-        return txs[lo:hi]
+        return self._incoming_entry(address).window(start, end)
 
     def senders_in_window(
         self,
@@ -402,28 +494,47 @@ class AnalysisContext:
         """Distinct senders to ``address`` within the window."""
         window = self.incoming_window(address, start, end)
         if positive_only:
-            return {tx.from_address for tx in window if tx.value_wei > 0}
-        return {tx.from_address for tx in window}
+            return {
+                sender
+                for sender, value in zip(window.senders, window.values)
+                if value > 0
+            }
+        return set(window.senders)
 
-    def payments(self, sender: str, recipient: str) -> list[TxRecord]:
+    def _payment_groups(
+        self, recipient: str
+    ) -> tuple[IncomingTransfers, dict[str, list[int]]]:
+        """``recipient``'s history and the positions of each sender's
+        positive-value payments in it, grouped once and memoized."""
+        self._ensure_fresh()
+        cached = self._payments.get(recipient)
+        if cached is not None:
+            self._hit["payments"].inc()
+            return cached
+        self._miss["payments"].inc()
+        entry = self._incoming_entry(recipient)
+        grouped: dict[str, list[int]] = {}
+        for position, (sender, value) in enumerate(
+            zip(entry.senders, entry.values)
+        ):
+            if value > 0:
+                grouped.setdefault(sender, []).append(position)
+        self._payments[recipient] = (entry, grouped)
+        return entry, grouped
+
+    def payments(self, sender: str, recipient: str) -> IncomingTransfers:
         """Positive-value ``sender → recipient`` transfers, oldest first.
 
         Grouped once per recipient and memoized; repeated candidate
-        probes in the §4.4 detector become dict lookups.
+        probes in the §4.4 detector become dict lookups, and a record
+        is built only where the caller asks for one.
         """
-        self._ensure_fresh()
-        grouped = self._payments.get(recipient)
-        if grouped is not None:
-            self._hit["payments"].inc()
-        else:
-            self._miss["payments"].inc()
-            txs, _ = self._incoming_entry(recipient)
-            grouped = {}
-            for tx in txs:
-                if tx.value_wei > 0:
-                    grouped.setdefault(tx.from_address, []).append(tx)
-            self._payments[recipient] = grouped
-        return grouped.get(sender, [])
+        entry, grouped = self._payment_groups(recipient)
+        return entry.select(grouped.get(sender, []))
+
+    def payers(self, recipient: str) -> AbstractSet[str]:
+        """Every sender with a positive-value transfer to ``recipient``."""
+        return self._payment_groups(recipient)[1].keys()
 
     @staticmethod
     def _ordered(records: list) -> tuple[list[int], list[int]]:
@@ -536,14 +647,16 @@ class ScanAccess:
 
     def incoming_window(
         self, address: str, start: int | None, end: int | None
-    ) -> list[TxRecord]:
+    ) -> IncomingTransfers:
         """Full scan of the address's incoming history."""
-        return [
-            tx
-            for tx in self.dataset.incoming_of(address)
-            if (start is None or tx.timestamp >= start)
-            and (end is None or tx.timestamp <= end)
-        ]
+        return IncomingTransfers.of_records(
+            [
+                tx
+                for tx in self.dataset.incoming_of(address)
+                if (start is None or tx.timestamp >= start)
+                and (end is None or tx.timestamp <= end)
+            ]
+        )
 
     def senders_in_window(
         self,
@@ -561,13 +674,19 @@ class ScanAccess:
             and (not positive_only or tx.value_wei > 0)
         }
 
-    def payments(self, sender: str, recipient: str) -> list[TxRecord]:
+    def payments(self, sender: str, recipient: str) -> IncomingTransfers:
         """Positive-value sender → recipient transfers, by full scan."""
-        return [
-            tx
-            for tx in self.dataset.incoming_of(recipient)
-            if tx.from_address == sender and tx.value_wei > 0
-        ]
+        return IncomingTransfers.of_records(
+            [
+                tx
+                for tx in self.dataset.incoming_of(recipient)
+                if tx.from_address == sender and tx.value_wei > 0
+            ]
+        )
+
+    def payers(self, recipient: str) -> AbstractSet[str]:
+        """Every positive-value sender to ``recipient``, by full scan."""
+        return self.senders_in_window(recipient, None, None)
 
     def transactions_until(self, cutoff: int) -> list[TxRecord]:
         """Filter the transaction log in insertion order."""

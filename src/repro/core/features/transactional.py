@@ -45,15 +45,14 @@ def extract_transactional(
     start = registration.registration_date
     end = window_end if window_end is not None else registration.expiry_date
     access = context if context is not None else AnalysisContext(dataset, oracle)
+    window = access.incoming_window(wallet, start, end)
+    # A left-to-right loop, not sum(): from Python 3.12 sum() of floats
+    # is compensated, which would move the report bytes across versions.
     income = 0.0
-    senders: set[str] = set()
-    count = 0
-    for tx in access.incoming_window(wallet, start, end):
-        income += oracle.wei_to_usd(tx.value_wei, tx.timestamp)
-        senders.add(tx.from_address)
-        count += 1
+    for value, stamp in zip(window.values, window.stamps):
+        income += oracle.wei_to_usd(value, stamp)
     return TransactionalFeatures(
         income_usd=income,
-        num_unique_senders=len(senders),
-        num_transactions=count,
+        num_unique_senders=len(set(window.senders)),
+        num_transactions=len(window),
     )

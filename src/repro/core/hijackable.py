@@ -126,14 +126,14 @@ def domain_windows(
             )
         # release is exclusive: with integer timestamps, ts > release
         # is the closed window starting at release + 1
+        window = access.incoming_window(wallet, release + 1, window_end)
         exposed = tuple(
-            tx
-            for tx in access.incoming_window(wallet, release + 1, window_end)
-            if tx.value_wei > 0
-            and (
-                not require_prior_relationship
-                or tx.from_address in prior_senders
+            window.tx(position)
+            for position, (value, sender) in enumerate(
+                zip(window.values, window.senders)
             )
+            if value > 0
+            and (not require_prior_relationship or sender in prior_senders)
         )
         if exposed:
             windows.append(

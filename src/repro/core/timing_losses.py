@@ -98,9 +98,12 @@ def detect_losses_by_timing(
         if not prior_senders:
             continue
         hits: dict[str, list[TxRecord]] = {}
-        for tx in access.incoming_window(a2, caught_at, caught_at + window_seconds):
-            if tx.value_wei > 0 and tx.from_address in prior_senders:
-                hits.setdefault(tx.from_address, []).append(tx)
+        window = access.incoming_window(a2, caught_at, caught_at + window_seconds)
+        for position, (value, sender) in enumerate(
+            zip(window.values, window.senders)
+        ):
+            if value > 0 and sender in prior_senders:
+                hits.setdefault(sender, []).append(window.tx(position))
         for sender, txs in sorted(hits.items()):
             flows.append(
                 TimingFlow(

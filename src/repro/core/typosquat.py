@@ -14,7 +14,7 @@ The edit distance is Damerau-Levenshtein (insert / delete / substitute
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, MutableMapping
 
 from ..datasets.dataset import ENSDataset
 from ..datasets.schema import DomainRecord
@@ -27,8 +27,10 @@ __all__ = [
     "damerau_levenshtein",
     "within_edit_distance",
     "popular_target_rows",
+    "screen_catches",
     "screen_event",
     "target_income",
+    "TargetIndex",
     "TyposquatCandidate",
     "TyposquatReport",
     "find_typosquat_catches",
@@ -166,31 +168,18 @@ def find_typosquat_catches(
     access = context if context is not None else AnalysisContext(dataset, oracle)
     if events is None:
         events = access.reregistrations()
-    target_rows = popular_target_rows(
-        (
-            (domain.label_name, target_income(dataset, domain, oracle, access))
-            for domain in dataset.iter_domains()
+    targets = TargetIndex(
+        popular_target_rows(
+            (
+                (domain.label_name, target_income(dataset, domain, oracle, access))
+                for domain in dataset.iter_domains()
+            ),
+            min_target_income_usd,
         ),
-        min_target_income_usd,
+        max_distance,
     )
-    candidates: list[TyposquatCandidate] = []
-    screened = 0
-    for event in events:
-        if event.name is None:
-            continue
-        screened += 1
-        candidate = screen_event(
-            event,
-            target_rows,
-            max_distance=max_distance,
-            exclude_numeric_pairs=exclude_numeric_pairs,
-        )
-        if candidate is not None:
-            candidates.append(candidate)
-    return TyposquatReport(
-        candidates=tuple(candidates),
-        catches_screened=screened,
-        popular_targets=len(target_rows),
+    return screen_catches(
+        events, targets, exclude_numeric_pairs=exclude_numeric_pairs
     )
 
 
@@ -235,28 +224,80 @@ def popular_target_rows(
     ]
 
 
+def _deletion_variants(label: str, depth: int) -> set[str]:
+    """``label`` and every string it reaches by at most ``depth``
+    single-character deletions."""
+    variants = {label}
+    frontier = variants
+    for _ in range(depth):
+        frontier = {
+            text[:i] + text[i + 1:] for text in frontier for i in range(len(text))
+        }
+        variants |= frontier
+    return variants
+
+
+class TargetIndex:
+    """The popular-target rows, indexed by deletion neighbourhood.
+
+    Two labels within restricted Damerau-Levenshtein distance ``k``
+    reach a common string by at most ``k`` single-character deletions
+    each: an insertion or deletion costs one deletion on one side, a
+    substitution or an adjacent transposition one on each. So every
+    target within ``max_distance`` of a label shares a deletion variant
+    with it, and a screen checks only those rows instead of the whole
+    table. Built once per target table.
+    """
+
+    __slots__ = ("rows", "max_distance", "_rows_by_variant")
+
+    def __init__(
+        self,
+        rows: list[tuple[str, float, bool]],
+        max_distance: int = MAX_DISTANCE,
+    ) -> None:
+        self.rows = rows
+        self.max_distance = max_distance
+        by_variant: dict[str, list[int]] = {}
+        for row, (label, _, _) in enumerate(rows):
+            for variant in _deletion_variants(label, max_distance):
+                by_variant.setdefault(variant, []).append(row)
+        self._rows_by_variant = by_variant
+
+    def candidates(self, label: str) -> list[int]:
+        """Rows that may lie within ``max_distance`` of ``label``, in
+        row order (a superset of the true matches)."""
+        by_variant = self._rows_by_variant
+        rows: set[int] = set()
+        for variant in _deletion_variants(label, self.max_distance):
+            rows.update(by_variant.get(variant, ()))
+        return sorted(rows)
+
+
 def screen_event(
     event: ReRegistration,
-    target_rows: list[tuple[str, float, bool]],
+    targets: TargetIndex,
     *,
-    max_distance: int = MAX_DISTANCE,
     exclude_numeric_pairs: bool = EXCLUDE_NUMERIC_PAIRS,
 ) -> TyposquatCandidate | None:
     """Screen one named dropcatch against the popular-target rows.
 
     Returns the candidate for the FIRST matching target (target-row
-    order is significant), or ``None``. Depends only on the event and
-    the rows, so incremental rebuilds memoize per event and invalidate
-    on any target-table change.
+    order is significant), or ``None``. Only the index's candidate rows
+    are checked, lowest row first. Depends only on the event and the
+    rows, so incremental rebuilds memoize per event and invalidate on
+    any target-table change.
     """
     caught_label = event.name.removesuffix(".eth")
     caught_is_digit = caught_label.isdigit()
-    for target_label, income, target_is_digit in target_rows:
+    rows = targets.rows
+    for row in targets.candidates(caught_label):
+        target_label, income, target_is_digit = rows[row]
         if target_label == caught_label:
             continue
         if exclude_numeric_pairs and caught_is_digit and target_is_digit:
             continue
-        if within_edit_distance(caught_label, target_label, max_distance):
+        if within_edit_distance(caught_label, target_label, targets.max_distance):
             return TyposquatCandidate(
                 caught_label=caught_label,
                 target_label=target_label,
@@ -265,3 +306,36 @@ def screen_event(
                 new_owner=event.new_owner,
             )
     return None
+
+
+def screen_catches(
+    events: Iterable[ReRegistration],
+    targets: TargetIndex,
+    *,
+    exclude_numeric_pairs: bool = EXCLUDE_NUMERIC_PAIRS,
+    memo: MutableMapping[ReRegistration, TyposquatCandidate | None] | None = None,
+) -> TyposquatReport:
+    """Screen every named dropcatch against one target table.
+
+    ``memo`` caches per-event results across calls; it must be dropped
+    whenever the table changes.
+    """
+    memo = {} if memo is None else memo
+    candidates: list[TyposquatCandidate] = []
+    screened = 0
+    for event in events:
+        if event.name is None:
+            continue
+        screened += 1
+        if event not in memo:
+            memo[event] = screen_event(
+                event, targets, exclude_numeric_pairs=exclude_numeric_pairs
+            )
+        candidate = memo[event]
+        if candidate is not None:
+            candidates.append(candidate)
+    return TyposquatReport(
+        candidates=tuple(candidates),
+        catches_screened=screened,
+        popular_targets=len(targets.rows),
+    )

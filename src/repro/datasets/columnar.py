@@ -94,6 +94,16 @@ _TX_COLUMNS = (
     "tx_val_hi", "tx_val_lo", "tx_err",
 )
 
+#: Typed-section name prefix -> the meta ``counts`` entry its element
+#: count must equal; an ``*_offs`` section holds one bound more.
+_COUNT_FAMILIES = (
+    ("pool_", "poolStrings"),
+    ("dom_", "domains"),
+    ("reg_", "registrations"),
+    ("tx_", "transactions"),
+    ("ev_", "marketEvents"),
+)
+
 POOL_HITS_METRIC = "columnar_pool_hits_total"
 POOL_MISSES_METRIC = "columnar_pool_misses_total"
 BYTES_PER_DOMAIN_METRIC = "columnar_bytes_per_domain"
@@ -480,10 +490,10 @@ class ColumnarDataset:
             self._meta = json.loads(bytes(self._section_view("meta")).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ColumnarFormatError(f"unreadable meta section: {exc}") from exc
-        counts = self._meta.get("counts", {})
-        self._n_domains = int(counts.get("domains", 0))
-        self._n_txs = int(counts.get("transactions", 0))
-        self._n_events = int(counts.get("marketEvents", 0))
+        counts = self._checked_counts()
+        self._n_domains = counts["domains"]
+        self._n_txs = counts["transactions"]
+        self._n_events = counts["marketEvents"]
         self._strings: list[str] | None = None
         self._tx_columns: tuple[memoryview, ...] | None = None
         self._domain_cache: dict[int, DomainRecord] = {}
@@ -565,6 +575,31 @@ class ColumnarDataset:
             if data_offset + nbytes > len(view):
                 raise ColumnarFormatError(f"section {name} overruns the buffer")
             self._sections[name] = (dtype, view[data_offset:data_offset + nbytes], elements)
+
+    def _checked_counts(self) -> dict[str, int]:
+        """The meta row counts, checked against every typed section's
+        element count (O(sections)): a column shorter than its count
+        would fail mid-analysis, a longer one would hide rows."""
+        try:
+            counts = self._meta.get("counts", {})
+            checked = {key: int(counts.get(key, 0)) for _, key in _COUNT_FAMILIES}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ColumnarFormatError(f"unreadable meta counts: {exc}") from exc
+        for name, (dtype, raw, elements) in self._sections.items():
+            cast = _CASTS.get(dtype)
+            family = next(
+                (key for prefix, key in _COUNT_FAMILIES if name.startswith(prefix)),
+                None,
+            )
+            if cast is None or family is None:
+                continue
+            expected = checked[family] + name.endswith("_offs")
+            if elements != expected or len(raw) != expected * _ITEM_SIZES[cast]:
+                raise ColumnarFormatError(
+                    f"section {name} holds {elements} elements ({len(raw)} bytes);"
+                    f" meta counts {family}={checked[family]} need {expected}"
+                )
+        return checked
 
     def _sections_get(self, name: str) -> tuple[bytes, memoryview, int]:
         entry = self._sections.get(name)
@@ -835,14 +870,26 @@ class ColumnarDataset:
             if not err[row]
         ]
 
-    def incoming_entry(self, address: str) -> tuple[list[TxRecord], list[int]]:
-        """(error-free incoming txs, their timestamps) straight off the
-        columns — the :class:`~repro.core.context.AnalysisContext` fast
-        path that skips per-record attribute reads for the stamp vector."""
+    def incoming_entry(
+        self, address: str
+    ) -> tuple[list[int], list[int], list[str | None], list[int]]:
+        """``address``'s error-free incoming history, oldest first, as
+        parallel (stamps, values, senders, rows) lists read straight off
+        the columns — the :class:`~repro.core.context.AnalysisContext`
+        fast path. ``rows`` are transaction rows for :meth:`tx_at`; no
+        record is built here."""
         err = self.col("tx_err")
-        stamps = self.col("tx_ts")
         rows = [row for row in self._address_rows(address, "in") if not err[row]]
-        return [self.tx_at(row) for row in rows], [stamps[row] for row in rows]
+        stamps, senders, high, low = (
+            self.col(name) for name in ("tx_ts", "tx_from", "tx_val_hi", "tx_val_lo")
+        )
+        text = self.pool_str
+        return (
+            [stamps[row] for row in rows],
+            [(high[row] << 64) | low[row] for row in rows],
+            [text(senders[row]) for row in rows],
+            rows,
+        )
 
     def ordered_by_timestamp(self, kind: str) -> tuple[list[int], list[int]]:
         """Timestamp-sorted permutation + sorted stamps of one log.

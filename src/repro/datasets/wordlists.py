@@ -88,30 +88,48 @@ swinger voyeur kinky lustful sensual xrated redlight bordello
 _MIN_SUBSTRING_WORD_LENGTH = 3
 
 
+def _substring_index(words: frozenset[str]) -> tuple[frozenset[str], tuple[int, ...]]:
+    """The words long enough for substring search, and their lengths."""
+    kept = frozenset(
+        word for word in words if len(word) >= _MIN_SUBSTRING_WORD_LENGTH
+    )
+    return kept, tuple(sorted({len(word) for word in kept}))
+
+
+_DICTIONARY_INDEX = _substring_index(DICTIONARY_WORDS)
+_BRAND_INDEX = _substring_index(BRAND_NAMES)
+_ADULT_INDEX = _substring_index(ADULT_WORDS)
+
+
 def is_dictionary_word(label: str) -> bool:
     """Exact dictionary membership (the ``is_dictionary_word`` feature)."""
     return label.lower() in DICTIONARY_WORDS
 
 
-def _contains_word_from(label: str, words: frozenset[str]) -> bool:
+def _contains_word_from(
+    label: str, index: tuple[frozenset[str], tuple[int, ...]]
+) -> bool:
+    """True when a word of ``index`` is a substring of ``label``
+    (case-insensitive): each substring of a word length is looked up."""
     lowered = label.lower()
+    words, lengths = index
     return any(
-        word in lowered
-        for word in words
-        if len(word) >= _MIN_SUBSTRING_WORD_LENGTH
+        lowered[start:start + length] in words
+        for length in lengths
+        for start in range(len(lowered) - length + 1)
     )
 
 
 def contains_dictionary_word(label: str) -> bool:
     """True when any dictionary word appears as a substring."""
-    return _contains_word_from(label, DICTIONARY_WORDS)
+    return _contains_word_from(label, _DICTIONARY_INDEX)
 
 
 def contains_brand_name(label: str) -> bool:
     """True when any known brand appears as a substring."""
-    return _contains_word_from(label, BRAND_NAMES)
+    return _contains_word_from(label, _BRAND_INDEX)
 
 
 def contains_adult_word(label: str) -> bool:
     """True when any adult term appears as a substring."""
-    return _contains_word_from(label, ADULT_WORDS)
+    return _contains_word_from(label, _ADULT_INDEX)

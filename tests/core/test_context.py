@@ -37,24 +37,46 @@ def _fixture_dataset():
     return make_dataset([caught, keeper], txs=txs)
 
 
+def _lists(transfers):
+    """The parallel lists and the records of an answer, for comparison."""
+    return transfers.stamps, transfers.values, transfers.senders, transfers.txs()
+
+
 QUERIES = (
-    lambda access: access.incoming_window("0xa2", 620 * DAY, 1200 * DAY),
-    lambda access: access.incoming_window("0xa1", None, 400 * DAY),
-    lambda access: access.incoming_window("0xa1", 250 * DAY, None),
-    lambda access: access.incoming_window("0xnobody", None, None),
+    lambda access: _lists(access.incoming_window("0xa2", 620 * DAY, 1200 * DAY)),
+    lambda access: _lists(access.incoming_window("0xa1", None, 400 * DAY)),
+    lambda access: _lists(access.incoming_window("0xa1", 250 * DAY, None)),
+    lambda access: _lists(access.incoming_window("0xnobody", None, None)),
     lambda access: access.senders_in_window("0xa2", 620 * DAY, 1200 * DAY),
     lambda access: access.senders_in_window(
         "0xa1", None, 500 * DAY, positive_only=False
     ),
-    lambda access: access.payments("0xc", "0xa2"),
-    lambda access: access.payments("0xd", "0xa2"),
-    lambda access: access.payments("0xmissing", "0xa2"),
+    lambda access: _lists(access.payments("0xc", "0xa2")),
+    lambda access: _lists(access.payments("0xd", "0xa2")),
+    lambda access: _lists(access.payments("0xmissing", "0xa2")),
     lambda access: access.reregistrations(),
     lambda access: access.ownership_intervals("0xdomain-alpha"),
     lambda access: access.ownership_intervals("0xdomain-missing"),
     lambda access: access.transactions_until(500 * DAY),
     lambda access: access.market_events_until(500 * DAY),
+    lambda access: set(access.payers("0xa2")),
+    lambda access: set(access.payers("0xnobody")),
+    lambda access: _lists(access.incoming_window("0xa2", None, None)),
 )
+
+
+def _delta():
+    """Appends that land inside and at the ends of existing histories."""
+    from repro.datasets.delta import DatasetDelta
+
+    return DatasetDelta(
+        transactions=(
+            make_tx("0xf", "0xa2", 700),   # ties an existing stamp
+            make_tx("0xc", "0xa2", 1300),  # after every existing stamp
+            make_tx("0xd", "0xa1", 100),   # before every existing stamp
+            make_tx("0xf", "0xnobody", 10, value_wei=0),
+        )
+    )
 
 
 class TestQueryEquivalence:
@@ -74,19 +96,30 @@ class TestQueryEquivalence:
             AnalysisContext(dataset)
         )
 
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_matches_scan_access_after_delta(self, query) -> None:
+        """A warm context patched in place by a delta answers like a scan."""
+        dataset = _fixture_dataset()
+        context = AnalysisContext(dataset)
+        before = [query(context) for query in QUERIES]
+        assert before == [query(ScanAccess(dataset)) for query in QUERIES]
+        dataset.apply_delta(_delta())
+        assert context.sync() is not None  # patched, not rebuilt
+        assert query(context) == query(ScanAccess(dataset))
+
     def test_window_is_time_sorted_slice(self) -> None:
         dataset = _fixture_dataset()
         context = AnalysisContext(dataset)
         window = context.incoming_window("0xa1", None, None)
-        assert [tx.timestamp for tx in window] == sorted(
-            tx.timestamp for tx in window
+        assert window.stamps == sorted(window.stamps)
+        assert all(
+            not window.tx(position).is_error for position in range(len(window))
         )
-        assert all(not tx.is_error for tx in window)
 
     def test_payments_exclude_zero_value(self) -> None:
         dataset = _fixture_dataset()
         context = AnalysisContext(dataset)
-        assert len(context.payments("0xd", "0xa2")) == 1
+        assert context.payments("0xd", "0xa2").values == [10**18]
 
     def test_transactions_until_preserves_insertion_order(self) -> None:
         # insertion order deliberately differs from timestamp order

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.typosquat import (
+    TargetIndex,
     damerau_levenshtein,
     find_typosquat_catches,
+    screen_event,
     within_edit_distance,
 )
 from repro.oracle import EthUsdOracle
@@ -85,6 +89,50 @@ class TestOneEditFastPath:
         for i in range(len(word) - 1):
             swapped = word[:i] + word[i + 1] + word[i] + word[i + 2 :]
             assert within_edit_distance(word, swapped, 1)
+
+
+def _first_match(caught: str, labels: list[str], k: int, exclude: bool) -> int | None:
+    """The screen's definition: the first target row within ``k`` edits."""
+    for row, label in enumerate(labels):
+        if label == caught:
+            continue
+        if exclude and caught.isdigit() and label.isdigit():
+            continue
+        if within_edit_distance(caught, label, k):
+            return row
+    return None
+
+
+class TestIndexedScreen:
+    """The deletion-neighbourhood index finds exactly the first match a
+    scan of the whole target table finds."""
+
+    @given(
+        labels=st.lists(st.text(alphabet="ab1", max_size=6), max_size=12),
+        caught=st.text(alphabet="ab1", max_size=6),
+        k=st.sampled_from([1, 2]),
+        exclude=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_full_scan(self, labels, caught, k, exclude) -> None:
+        rows = [(label, float(row), label.isdigit()) for row, label in enumerate(labels)]
+        event = SimpleNamespace(name=caught + ".eth", new_owner="0xnew")
+        candidate = screen_event(
+            event, TargetIndex(rows, k), exclude_numeric_pairs=exclude
+        )
+        expected = _first_match(caught, labels, k, exclude)
+        if expected is None:
+            assert candidate is None
+        else:
+            assert candidate is not None
+            assert candidate.target_income_usd == float(expected)
+            assert candidate.distance == damerau_levenshtein(caught, labels[expected])
+
+    def test_candidates_are_a_small_superset(self) -> None:
+        index = TargetIndex([(label, 0.0, False) for label in ("gold", "mint", "golf")])
+        assert index.candidates("gold") == [0, 2]
+        assert index.candidates("glod") == [0]
+        assert index.candidates("zebra") == []
 
 
 class TestScreening:

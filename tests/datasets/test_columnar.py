@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -129,10 +130,15 @@ class TestViews:
             assert store.outgoing_of(address) == dataset.outgoing_of(address)
 
     def test_incoming_entry_parallel_lists(self) -> None:
-        store = ColumnarDataset.from_dataset(_small_dataset())
-        txs, stamps = store.incoming_entry("0xaa")
-        assert stamps == [tx.timestamp for tx in txs]
-        assert all(not tx.is_error for tx in txs)
+        dataset = _small_dataset()
+        store = ColumnarDataset.from_dataset(dataset)
+        for address in ("0xaa", "0xbb", "0xcc", "0xnobody"):
+            stamps, values, senders, rows = store.incoming_entry(address)
+            txs = [store.tx_at(row) for row in rows]
+            assert txs == dataset.incoming_of(address)  # errored tx dropped
+            assert stamps == [tx.timestamp for tx in txs]
+            assert values == [tx.value_wei for tx in txs]
+            assert senders == [tx.from_address for tx in txs]
 
     def test_ordered_by_timestamp(self) -> None:
         store = ColumnarDataset.from_dataset(_small_dataset())
@@ -216,6 +222,62 @@ class TestFormatErrors:
         store = ColumnarDataset.from_bytes(bytes(corrupt))
         with pytest.raises(ColumnarFormatError, match="UTF-8"):
             store.validate()
+
+
+def _with_meta(blob: bytes, edit) -> bytes:
+    """``blob`` with its meta JSON rewritten in place by ``edit``.
+
+    The meta section is the container's last; the compact rewrite keeps
+    its byte length (padding with spaces), so the directory stays valid
+    and only the counts lie.
+    """
+    size = ColumnarDataset.from_bytes(blob).stats()["sections"]["meta"]["bytes"]
+    old = blob[-size:]
+    meta = json.loads(old)
+    edit(meta)
+    new = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    assert len(new) <= len(old)
+    return blob[:-size] + new.ljust(len(old))
+
+
+class TestMetaCounts:
+    """The meta row counts must match the columns they describe."""
+
+    @pytest.mark.parametrize(
+        "key,delta",
+        [
+            ("transactions", 5),
+            ("transactions", -1),
+            ("domains", 1),
+            ("registrations", 2),
+            ("marketEvents", -1),
+            ("poolStrings", 3),
+        ],
+    )
+    def test_miscounted_family_is_rejected_at_open(self, key, delta) -> None:
+        blob, _, _ = _scenario_rcol()
+
+        def miscount(meta: dict) -> None:
+            meta["counts"][key] += delta
+
+        corrupt = _with_meta(blob, miscount)
+        with pytest.raises(ColumnarFormatError, match="meta counts"):
+            ColumnarDataset.from_bytes(corrupt)
+
+    def test_unreadable_counts_are_rejected(self) -> None:
+        blob, _, _ = _scenario_rcol()
+
+        def garble(meta: dict) -> None:
+            meta["counts"]["domains"] = "x"
+
+        with pytest.raises(ColumnarFormatError, match="meta counts"):
+            ColumnarDataset.from_bytes(_with_meta(blob, garble))
+
+    def test_true_counts_open_and_analyse(self) -> None:
+        blob, _, _ = _scenario_rcol()
+        store = ColumnarDataset.from_bytes(_with_meta(blob, lambda meta: None))
+        assert len(store.transactions) == len(list(store.transactions))
+        store.validate()
 
 
 def _pool_blob_span(blob: bytes) -> tuple[int, int]:

@@ -3,8 +3,9 @@
 Re-analysis of a saved crawl (``validate`` then ``build_report``) reads
 the transaction columns directly wherever it can. These gates count
 :meth:`ColumnarDataset.tx_at` calls, so they hold on any machine:
-``validate`` builds no :class:`TxRecord`, and a report builds at most
-one per transaction row.
+``validate`` builds no :class:`TxRecord`, and a report builds one only
+where a result keeps it (a loss flow's payments, a hijackable window's
+transfers), never the same row twice.
 """
 
 from __future__ import annotations
@@ -47,7 +48,18 @@ def test_report_builds_each_transaction_at_most_once(crawl, tx_at_calls) -> None
     dataset, oracle = crawl
     store = ColumnarDataset.from_dataset(dataset)
     store.validate()
-    columnar = report_json(build_report(store, oracle))
-    assert tx_at_calls
+    report = build_report(store, oracle)
+    columnar = report_json(report)
+    kept = {
+        tx.tx_hash
+        for losses in (report.losses_with_coinbase, report.losses_noncustodial)
+        for flow in losses.flows
+        for tx in flow.txs_to_new
+    } | {tx.tx_hash for window in report.hijackable.windows for tx in window.txs}
+    # the income windows, sender sets and payment checks read the
+    # columns: 92 of the 2,392 rows end up in a result, and only those
+    # are built
+    assert len(dataset.transactions) == 2392
+    assert len(tx_at_calls) == len(kept) == 92
     assert len(set(tx_at_calls)) == len(tx_at_calls)  # no row built twice
     assert columnar == report_json(build_report(dataset, oracle))
