@@ -1,4 +1,4 @@
-"""Index scaling: the shared AnalysisContext vs the index-free reference.
+"""Index scaling: the shared AnalysisContext vs the memo-free reference.
 
 The tentpole claim of the perf work is that `build_report` stops being
 O(analyses x events x senders x txs) once every analysis reads the
@@ -144,7 +144,8 @@ def test_report_indexed(benchmark, sized_world) -> None:
 
 
 def test_report_scan_reference(benchmark, sized_world) -> None:
-    """The unindexed path: every query is a full scan. The floor to beat."""
+    """The memo-free path: every query scans its address's whole incoming
+    history, as the store groups it, or the raw log. The floor to beat."""
     dataset, oracle = sized_world
 
     def _scan_report():

@@ -25,10 +25,18 @@ Caches key on a cheap dataset fingerprint — the monotonic
 collection sizes — and drop themselves whenever it moves, so a mutated
 dataset can never serve stale windows (see ``docs/PERFORMANCE.md``).
 
-:class:`ScanAccess` implements the same query protocol with direct
-scans over the raw dataset — no indexes, no memoization. It is the
-executable specification: ``build_report(..., context=ScanAccess(ds))``
-must produce byte-identical output to the indexed default, and the
+Both stores answer the same three transaction reads —
+``incoming_entry`` (an address's error-free incoming history, as the
+store groups it with :func:`~repro.datasets.dataset.group_incoming`),
+``tx_at`` and ``ordered_by_timestamp`` — so the context never asks
+which store it holds.
+
+:class:`ScanAccess` implements the same query protocol without
+memoization, bisects or grouped payments: each query scans the whole
+incoming history of its address, as the store groups it, and the
+censoring queries scan the raw logs. It is the executable
+specification: ``build_report(..., context=ScanAccess(ds))`` must
+produce byte-identical output to the indexed default, and the
 golden-equivalence tests assert exactly that.
 """
 
@@ -102,10 +110,10 @@ class IncomingTransfers:
     ``stamps``, ``values`` and ``senders`` hold each transfer's
     timestamp, wei value and sender address; :meth:`tx` returns the
     full record of one position. Every selection of one address shares
-    one record list, in which a columnar store leaves the transaction
-    row number until :meth:`tx` first asks for it: a pass that reads
-    only the lists builds no record, and no row is built twice. A
-    selection stays valid until the dataset next changes.
+    one record list, which holds the store's row number until :meth:`tx`
+    first asks for the record: a pass that reads only the lists builds
+    no record, and no row is built twice. A selection stays valid until
+    the dataset next changes.
     """
 
     __slots__ = ("stamps", "values", "senders", "_records", "_positions", "_build")
@@ -462,16 +470,10 @@ class AnalysisContext:
             self._hit["incoming"].inc()
             return cached
         self._miss["incoming"].inc()
-        fast = getattr(self.dataset, "incoming_entry", None)
-        if fast is not None:
-            # Columnar stores read the lists straight off the columns and
-            # hand back row numbers; a record is built per row on demand.
-            stamps, values, senders, rows = fast(address)
-            entry = IncomingTransfers(
-                stamps, values, senders, rows, build=self.dataset.tx_at
-            )
-        else:
-            entry = IncomingTransfers.of_records(self.dataset.incoming_of(address))
+        stamps, values, senders, rows = self.dataset.incoming_entry(address)
+        entry = IncomingTransfers(
+            stamps, values, senders, rows, build=self.dataset.tx_at
+        )
         self._incoming[address] = entry
         return entry
 
@@ -536,32 +538,12 @@ class AnalysisContext:
         """Every sender with a positive-value transfer to ``recipient``."""
         return self._payment_groups(recipient)[1].keys()
 
-    @staticmethod
-    def _ordered(records: list) -> tuple[list[int], list[int]]:
-        """Timestamp-sorted permutation of ``records`` plus the sorted
-        timestamps; keeping *indices* (not records) lets cutoff slices
-        map back to exact insertion order."""
-        order = sorted(range(len(records)), key=lambda i: records[i].timestamp)
-        stamps = [records[i].timestamp for i in order]
-        return (order, stamps)
-
-    def _log_order(self, kind: str) -> tuple[list[int], list[int]]:
-        """The ordered permutation of one log, via the columnar fast
-        path when the dataset offers one (sorting raw timestamp columns
-        without materializing records) and via ``_ordered`` otherwise.
-        Both produce identical permutations — stable sort on timestamp."""
-        fast = getattr(self.dataset, "ordered_by_timestamp", None)
-        if fast is not None:
-            return fast(kind)
-        records = getattr(self.dataset, kind)
-        return self._ordered(records)
-
     def transactions_until(self, cutoff: int) -> list[TxRecord]:
         """Transactions with ``timestamp <= cutoff``, in insertion order."""
         self._ensure_fresh()
         if self._tx_order is None:
             self._miss["tx_order"].inc()
-            self._tx_order = self._log_order("transactions")
+            self._tx_order = self.dataset.ordered_by_timestamp("transactions")
         else:
             self._hit["tx_order"].inc()
         order, stamps = self._tx_order
@@ -574,7 +556,7 @@ class AnalysisContext:
         self._ensure_fresh()
         if self._event_order is None:
             self._miss["tx_order"].inc()
-            self._event_order = self._log_order("market_events")
+            self._event_order = self.dataset.ordered_by_timestamp("market_events")
         else:
             self._hit["tx_order"].inc()
         order, stamps = self._event_order
@@ -601,13 +583,17 @@ class AnalysisContext:
 
 
 class ScanAccess:
-    """Index-free reference implementation of the context protocol.
+    """Memo-free reference implementation of the context protocol.
 
-    Answers every query with a direct scan over the raw dataset, exactly
-    the way the pre-index analyses did. Exists so equivalence is a
-    one-line assertion: the same analysis body run against
-    :class:`ScanAccess` and :class:`AnalysisContext` must agree
-    byte-for-byte.
+    Answers every transfer query by scanning the address's whole
+    incoming history — the store's ``incoming_entry`` rows, read
+    through ``tx_at`` on every query — with no bisect, window slice or
+    payment grouping, and the censoring queries by filtering the raw
+    logs. The history itself is the store's grouping
+    (:func:`~repro.datasets.dataset.group_incoming`), which the indexed
+    context shares. Exists so equivalence is a one-line assertion: the
+    same analysis body run against :class:`ScanAccess` and
+    :class:`AnalysisContext` must agree byte-for-byte.
     """
 
     def __init__(
@@ -645,6 +631,11 @@ class ScanAccess:
             for position, registration in enumerate(registrations)
         )
 
+    def _history(self, address: str) -> list[TxRecord]:
+        """Every record of ``address``'s incoming history, oldest first."""
+        rows = self.dataset.incoming_entry(address)[3]
+        return [self.dataset.tx_at(row) for row in rows]
+
     def incoming_window(
         self, address: str, start: int | None, end: int | None
     ) -> IncomingTransfers:
@@ -652,7 +643,7 @@ class ScanAccess:
         return IncomingTransfers.of_records(
             [
                 tx
-                for tx in self.dataset.incoming_of(address)
+                for tx in self._history(address)
                 if (start is None or tx.timestamp >= start)
                 and (end is None or tx.timestamp <= end)
             ]
@@ -668,7 +659,7 @@ class ScanAccess:
         """Distinct senders within the window, by full scan."""
         return {
             tx.from_address
-            for tx in self.dataset.incoming_of(address)
+            for tx in self._history(address)
             if (start is None or tx.timestamp >= start)
             and (end is None or tx.timestamp <= end)
             and (not positive_only or tx.value_wei > 0)
@@ -679,7 +670,7 @@ class ScanAccess:
         return IncomingTransfers.of_records(
             [
                 tx
-                for tx in self.dataset.incoming_of(recipient)
+                for tx in self._history(recipient)
                 if tx.from_address == sender and tx.value_wei > 0
             ]
         )

@@ -31,21 +31,21 @@ def extract_transactional(
     dataset: ENSDataset,
     registration: RegistrationRecord,
     oracle: EthUsdOracle,
-    window_end: int | None = None,
     context: AnalysisContext | None = None,
 ) -> TransactionalFeatures:
-    """Income profile of ``registration``'s wallet during its tenure.
+    """Income profile of ``registration``'s wallet during its tenure,
+    from registration to expiry (both inclusive).
 
-    ``window_end`` defaults to the registration's expiry; pass a later
-    timestamp to include the residual-resolution window. Callers that
-    extract features for many registrations should pass the shared
-    ``context`` so repeated wallets hit the cached per-address index.
+    Callers that extract features for many registrations should pass
+    the shared ``context`` so repeated wallets hit the cached
+    per-address index.
     """
-    wallet = registration.registrant
-    start = registration.registration_date
-    end = window_end if window_end is not None else registration.expiry_date
     access = context if context is not None else AnalysisContext(dataset, oracle)
-    window = access.incoming_window(wallet, start, end)
+    window = access.incoming_window(
+        registration.registrant,
+        registration.registration_date,
+        registration.expiry_date,
+    )
     # A left-to-right loop, not sum(): from Python 3.12 sum() of floats
     # is compensated, which would move the report bytes across versions.
     income = 0.0

@@ -253,7 +253,7 @@ def build_report(
     its cold :meth:`~repro.core.increport.IncrementalReportBuilder.refresh`.
     ``context`` defaults to a fresh :class:`AnalysisContext` wired to
     ``registry`` (cache hit/miss counters land in the metrics export);
-    pass :class:`~repro.core.context.ScanAccess` to force the index-free
+    pass :class:`~repro.core.context.ScanAccess` to force the memo-free
     reference path — the output must be identical either way.
     """
     from .increport import IncrementalReportBuilder

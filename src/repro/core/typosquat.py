@@ -37,11 +37,16 @@ __all__ = [
 ]
 
 
-#: Defaults of the screen: "popular" means at least this much USD
-#: income in the target's first registration period, "typo" means at
-#: most this many edits, and pure-digit pairs are not typosquats.
+#: The screen's fixed bounds: "popular" means at least this much USD
+#: income in the target's first registration period, and "typo" means
+#: at most this many edits (the one-edit check and the one-deletion
+#: index below decide exactly this bound).
 MIN_TARGET_INCOME_USD = 10_000.0
 MAX_DISTANCE = 1
+
+#: Pure-digit pairs are not typosquats: the short numeric "clubs" are
+#: all one edit apart by construction, which is proximity, not
+#: typosquatting.
 EXCLUDE_NUMERIC_PAIRS = True
 
 
@@ -76,17 +81,20 @@ def damerau_levenshtein(first: str, second: str) -> int:
     return previous[len_b]
 
 
-def _within_one_edit(first: str, second: str) -> bool:
-    """O(n) decision for restricted Damerau-Levenshtein distance <= 1.
+def within_edit_distance(first: str, second: str) -> bool:
+    """O(n) decision for restricted Damerau-Levenshtein distance <=
+    :data:`MAX_DISTANCE`.
 
     Distance <= 1 admits exactly four shapes — equality, one
     substitution, one adjacent transposition (equal lengths), or one
     insertion/deletion (lengths differing by one) — each checkable by
     scanning to the first mismatch, without the quadratic DP table.
     """
+    len_a, len_b = len(first), len(second)
+    if abs(len_a - len_b) > MAX_DISTANCE:
+        return False
     if first == second:
         return True
-    len_a, len_b = len(first), len(second)
     if len_a == len_b:
         i = 0
         while first[i] == second[i]:
@@ -99,26 +107,11 @@ def _within_one_edit(first: str, second: str) -> bool:
         return (
             j == i + 1 and first[i] == second[j] and first[j] == second[i]
         )  # adjacent transposition
-    if abs(len_a - len_b) != 1:
-        return False
     longer, shorter = (first, second) if len_a > len_b else (second, first)
     i = 0
     while i < len(shorter) and longer[i] == shorter[i]:
         i += 1
     return longer[i + 1 :] == shorter[i:]  # single insertion/deletion
-
-
-def within_edit_distance(first: str, second: str, k: int = 1) -> bool:
-    """Bounded check with a cheap length prefilter.
-
-    The common screening bound ``k=1`` takes a linear fast path; wider
-    bounds fall back to the full DP.
-    """
-    if abs(len(first) - len(second)) > k:
-        return False
-    if k == 1:
-        return _within_one_edit(first, second)
-    return damerau_levenshtein(first, second) <= k
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,18 +145,14 @@ def find_typosquat_catches(
     dataset: ENSDataset,
     oracle: EthUsdOracle,
     events: list[ReRegistration] | None = None,
-    min_target_income_usd: float = MIN_TARGET_INCOME_USD,
-    max_distance: int = MAX_DISTANCE,
-    exclude_numeric_pairs: bool = EXCLUDE_NUMERIC_PAIRS,
     context: AnalysisContext | None = None,
 ) -> TyposquatReport:
     """Match dropcaught labels against high-income target names.
 
-    ``min_target_income_usd`` defines "popular": total USD received by
-    the name's wallet during its (first) registration period.
-    ``exclude_numeric_pairs`` drops matches where both labels are pure
-    digits — the short numeric "clubs" are all one edit apart by
-    construction, which is proximity, not typosquatting.
+    A target is "popular" when its wallet received at least
+    :data:`MIN_TARGET_INCOME_USD` during the name's first registration
+    period; a catch matches when its label is one edit away from a
+    popular label and the two are not both pure digits.
     """
     access = context if context is not None else AnalysisContext(dataset, oracle)
     if events is None:
@@ -173,14 +162,10 @@ def find_typosquat_catches(
             (
                 (domain.label_name, target_income(dataset, domain, oracle, access))
                 for domain in dataset.iter_domains()
-            ),
-            min_target_income_usd,
-        ),
-        max_distance,
+            )
+        )
     )
-    return screen_catches(
-        events, targets, exclude_numeric_pairs=exclude_numeric_pairs
-    )
+    return screen_catches(events, targets)
 
 
 def target_income(
@@ -206,79 +191,62 @@ def target_income(
 
 def popular_target_rows(
     incomes: Iterable[tuple[str, float | None]],
-    min_target_income_usd: float = MIN_TARGET_INCOME_USD,
 ) -> list[tuple[str, float, bool]]:
     """The popular-target table from ``(label, income)`` pairs.
 
-    Keeps labels whose income reaches ``min_target_income_usd``; a
+    Keeps labels whose income reaches :data:`MIN_TARGET_INCOME_USD`; a
     repeated label keeps its FIRST position and its LAST income. Each
     row hoists the ``label.isdigit()`` predicate for the screen. Row
     order is significant: a candidate keeps the first matching target.
     """
     targets: dict[str, float] = {}
     for label, income in incomes:
-        if income is not None and income >= min_target_income_usd:
+        if income is not None and income >= MIN_TARGET_INCOME_USD:
             targets[label] = income
     return [
         (label, income, label.isdigit()) for label, income in targets.items()
     ]
 
 
-def _deletion_variants(label: str, depth: int) -> set[str]:
-    """``label`` and every string it reaches by at most ``depth``
-    single-character deletions."""
-    variants = {label}
-    frontier = variants
-    for _ in range(depth):
-        frontier = {
-            text[:i] + text[i + 1:] for text in frontier for i in range(len(text))
-        }
-        variants |= frontier
-    return variants
+def _deletion_variants(label: str) -> set[str]:
+    """``label`` and every string one character deletion makes of it."""
+    return {label} | {label[:i] + label[i + 1:] for i in range(len(label))}
 
 
 class TargetIndex:
-    """The popular-target rows, indexed by deletion neighbourhood.
+    """The popular-target rows, indexed by one-deletion neighbourhood.
 
-    Two labels within restricted Damerau-Levenshtein distance ``k``
-    reach a common string by at most ``k`` single-character deletions
-    each: an insertion or deletion costs one deletion on one side, a
-    substitution or an adjacent transposition one on each. So every
-    target within ``max_distance`` of a label shares a deletion variant
-    with it, and a screen checks only those rows instead of the whole
-    table. Built once per target table.
+    Two labels within restricted Damerau-Levenshtein distance 1 reach a
+    common string by at most one single-character deletion each: an
+    insertion or deletion costs one deletion on one side, a substitution
+    or an adjacent transposition one on each. So every target within
+    :data:`MAX_DISTANCE` of a label shares a deletion variant with it,
+    and a screen checks only those rows instead of the whole table.
+    Built once per target table.
     """
 
-    __slots__ = ("rows", "max_distance", "_rows_by_variant")
+    __slots__ = ("rows", "_rows_by_variant")
 
-    def __init__(
-        self,
-        rows: list[tuple[str, float, bool]],
-        max_distance: int = MAX_DISTANCE,
-    ) -> None:
+    def __init__(self, rows: list[tuple[str, float, bool]]) -> None:
         self.rows = rows
-        self.max_distance = max_distance
         by_variant: dict[str, list[int]] = {}
         for row, (label, _, _) in enumerate(rows):
-            for variant in _deletion_variants(label, max_distance):
+            for variant in _deletion_variants(label):
                 by_variant.setdefault(variant, []).append(row)
         self._rows_by_variant = by_variant
 
     def candidates(self, label: str) -> list[int]:
-        """Rows that may lie within ``max_distance`` of ``label``, in
-        row order (a superset of the true matches)."""
+        """Rows that may lie within one edit of ``label``, in row order
+        (a superset of the true matches)."""
         by_variant = self._rows_by_variant
         rows: set[int] = set()
-        for variant in _deletion_variants(label, self.max_distance):
+        for variant in _deletion_variants(label):
             rows.update(by_variant.get(variant, ()))
         return sorted(rows)
 
 
 def screen_event(
-    event: ReRegistration,
-    targets: TargetIndex,
-    *,
-    exclude_numeric_pairs: bool = EXCLUDE_NUMERIC_PAIRS,
+    event: ReRegistration, targets: TargetIndex
 ) -> TyposquatCandidate | None:
     """Screen one named dropcatch against the popular-target rows.
 
@@ -295,9 +263,9 @@ def screen_event(
         target_label, income, target_is_digit = rows[row]
         if target_label == caught_label:
             continue
-        if exclude_numeric_pairs and caught_is_digit and target_is_digit:
+        if EXCLUDE_NUMERIC_PAIRS and caught_is_digit and target_is_digit:
             continue
-        if within_edit_distance(caught_label, target_label, targets.max_distance):
+        if within_edit_distance(caught_label, target_label):
             return TyposquatCandidate(
                 caught_label=caught_label,
                 target_label=target_label,
@@ -312,7 +280,6 @@ def screen_catches(
     events: Iterable[ReRegistration],
     targets: TargetIndex,
     *,
-    exclude_numeric_pairs: bool = EXCLUDE_NUMERIC_PAIRS,
     memo: MutableMapping[ReRegistration, TyposquatCandidate | None] | None = None,
 ) -> TyposquatReport:
     """Screen every named dropcatch against one target table.
@@ -328,9 +295,7 @@ def screen_catches(
             continue
         screened += 1
         if event not in memo:
-            memo[event] = screen_event(
-                event, targets, exclude_numeric_pairs=exclude_numeric_pairs
-            )
+            memo[event] = screen_event(event, targets)
         candidate = memo[event]
         if candidate is not None:
             candidates.append(candidate)

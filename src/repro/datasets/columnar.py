@@ -15,10 +15,12 @@ atomically and opened via :mod:`mmap`:
 * **Identical analysis output** — :class:`ColumnarDataset` implements
   the read surface of :class:`~repro.datasets.dataset.ENSDataset`
   (``domains`` mapping, ``transactions`` / ``market_events``
-  sequences, ``incoming_of`` / ``outgoing_of``, ``iter_domains`` …),
-  materializing record dataclasses lazily, in the same order, with the
-  same values — ``build_report`` over either store is byte-identical,
-  and the CI determinism gate asserts exactly that.
+  sequences, ``iter_domains`` …, and the three transaction reads
+  ``incoming_entry`` / ``tx_at`` / ``ordered_by_timestamp``, answered
+  off the integer columns), materializing record dataclasses lazily,
+  in the same order, with the same values — ``build_report`` over
+  either store is byte-identical, and the CI determinism gate asserts
+  exactly that.
 
 Wei amounts may exceed 64 bits (total ETH supply is ~1.2e26 wei), so
 every ``*_wei`` column is stored as a ``(hi, lo)`` pair of unsigned
@@ -46,6 +48,8 @@ from ..obs.tracing import Tracer
 from .dataset import (
     DatasetIntegrityError,
     ENSDataset,
+    group_incoming,
+    timestamp_order,
     validate_domains,
     validate_label_sets,
 )
@@ -464,7 +468,7 @@ class ColumnarDataset:
 
     Backed either by an ``mmap`` of an RCOL file (:meth:`open`) or by an
     in-memory bytes buffer (:meth:`from_bytes` / :meth:`from_dataset`).
-    All secondary indexes (address grouping, id lookups) are built
+    All secondary indexes (incoming grouping, id lookups) are built
     lazily from the integer columns on first use; the open itself reads
     only the header, directory, and meta section — O(1) in row count.
 
@@ -501,7 +505,6 @@ class ColumnarDataset:
         self._domain_rows: dict[str, int] | None = None
         self._name_rows: dict[str, int] | None = None
         self._incoming_rows: dict[int, list[int]] | None = None
-        self._outgoing_rows: dict[int, list[int]] | None = None
         self._reverse_pool: dict[str, int] | None = None
         self.domains = _DomainsView(self)
         self.transactions = _RecordColumn(self, "tx", self._n_txs)
@@ -800,11 +803,6 @@ class ColumnarDataset:
         row = self._name_rows.get(name)
         return None if row is None else self.domain_at(row)
 
-    def registrant_addresses(self) -> set[str]:
-        """Every address that ever registered a domain."""
-        distinct = set(self.col("reg_registrant"))
-        return {self.pool_str(pool_id) for pool_id in distinct}
-
     def wallet_addresses(self) -> set[str]:
         """Registrants plus the wallets domains resolve(d) to."""
         distinct = set(self.col("reg_registrant"))
@@ -812,38 +810,7 @@ class ColumnarDataset:
         distinct.discard(_NULL_ID)
         return {self.pool_str(pool_id) for pool_id in distinct}
 
-    # -- dataset protocol: per-address transaction indexes -----------------
-
-    def _grouped(self, column: str) -> dict[int, list[int]]:
-        """Row indexes grouped by an address column, time-ordered.
-
-        Grouping and the stable timestamp sort run over plain integer
-        columns — no record is materialized. Matches the object
-        dataset's ``_build_indexes`` ordering exactly (stable sort on
-        timestamp, insertion order preserved among equal stamps).
-        """
-        groups: dict[int, list[int]] = {}
-        addresses = self.col(column)
-        for row in range(self._n_txs):
-            groups.setdefault(addresses[row], []).append(row)
-        stamps = self.col("tx_ts")
-        for rows in groups.values():
-            rows.sort(key=stamps.__getitem__)
-        return groups
-
-    def _address_rows(self, address: str, direction: str) -> list[int]:
-        if direction == "in":
-            if self._incoming_rows is None:
-                self._incoming_rows = self._grouped("tx_to")
-            groups = self._incoming_rows
-        else:
-            if self._outgoing_rows is None:
-                self._outgoing_rows = self._grouped("tx_from")
-            groups = self._outgoing_rows
-        pool_id = self._pool_id_of(address)
-        if pool_id is None:
-            return []
-        return groups.get(pool_id, [])
+    # -- dataset protocol: transaction reads -------------------------------
 
     def _pool_id_of(self, text: str) -> int | None:
         """Reverse pool lookup, lazily indexed over the whole pool."""
@@ -852,34 +819,19 @@ class ColumnarDataset:
             self._reverse_pool = dict(zip(strings, range(len(strings))))
         return self._reverse_pool.get(text)
 
-    def incoming_of(self, address: str) -> list[TxRecord]:
-        """Successful value transfers received by ``address``, oldest first."""
-        err = self.col("tx_err")
-        return [
-            self.tx_at(row)
-            for row in self._address_rows(address, "in")
-            if not err[row]
-        ]
-
-    def outgoing_of(self, address: str) -> list[TxRecord]:
-        """Successful outgoing transactions of ``address``."""
-        err = self.col("tx_err")
-        return [
-            self.tx_at(row)
-            for row in self._address_rows(address, "out")
-            if not err[row]
-        ]
-
     def incoming_entry(
         self, address: str
     ) -> tuple[list[int], list[int], list[str | None], list[int]]:
         """``address``'s error-free incoming history, oldest first, as
         parallel (stamps, values, senders, rows) lists read straight off
-        the columns — the :class:`~repro.core.context.AnalysisContext`
-        fast path. ``rows`` are transaction rows for :meth:`tx_at`; no
-        record is built here."""
-        err = self.col("tx_err")
-        rows = [row for row in self._address_rows(address, "in") if not err[row]]
+        the columns; ``rows`` are transaction rows for :meth:`tx_at`, and
+        no record is built here. The lists are the caller's own."""
+        if self._incoming_rows is None:
+            self._incoming_rows = group_incoming(
+                self.col("tx_to"), self.col("tx_ts"), self.col("tx_err")
+            )
+        # An address outside the pool has no id and so no history.
+        rows = list(self._incoming_rows.get(self._pool_id_of(address), ()))
         stamps, senders, high, low = (
             self.col(name) for name in ("tx_ts", "tx_from", "tx_val_hi", "tx_val_lo")
         )
@@ -892,21 +844,14 @@ class ColumnarDataset:
         )
 
     def ordered_by_timestamp(self, kind: str) -> tuple[list[int], list[int]]:
-        """Timestamp-sorted permutation + sorted stamps of one log.
-
-        ``kind`` is ``"transactions"`` or ``"market_events"``. Computed
-        from the raw timestamp column (stable sort), so the result is
-        exactly what ``AnalysisContext._ordered`` derives from the
-        materialized records — without materializing any.
-        """
+        """:func:`~repro.datasets.dataset.timestamp_order` of one log's
+        timestamp column, ``"transactions"`` or ``"market_events"``;
+        no record is built."""
         if kind == "transactions":
-            stamps = self.col("tx_ts")
-        elif kind == "market_events":
-            stamps = self.col("ev_ts")
-        else:
-            raise ValueError(f"unknown log kind {kind!r}")
-        order = sorted(range(len(stamps)), key=stamps.__getitem__)
-        return order, [stamps[i] for i in order]
+            return timestamp_order(self.col("tx_ts"))
+        if kind == "market_events":
+            return timestamp_order(self.col("ev_ts"))
+        raise ValueError(f"unknown log kind {kind!r}")
 
     # -- integrity / introspection -----------------------------------------
 

@@ -1,9 +1,11 @@
 """The assembled study dataset: domains + transactions + market + labels.
 
 The crawler produces one :class:`ENSDataset`; every analysis in
-:mod:`repro.core` consumes one. Builds the secondary indexes the
-analyses need (transactions by address/direction, registrant activity)
-once, up front.
+:mod:`repro.core` consumes one, through the same three transaction
+reads the columnar store answers: :meth:`ENSDataset.incoming_entry`
+(an address's error-free incoming history, grouped once by
+:func:`group_incoming`), :meth:`ENSDataset.tx_at` and
+:meth:`ENSDataset.ordered_by_timestamp`.
 
 Every mutator bumps :attr:`ENSDataset.version`, a monotonic counter
 that derived-artifact caches (:class:`repro.core.context.AnalysisContext`)
@@ -14,12 +16,14 @@ the invalidation contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .delta import AppliedDelta, DatasetDelta
 from .schema import DomainRecord, MarketEventRecord, TxRecord
 
 __all__ = ["DELTA_LOG_LIMIT", "ENSDataset", "DatasetIntegrityError"]
+
+_Address = TypeVar("_Address", bound=Hashable)
 
 
 class DatasetIntegrityError(ValueError):
@@ -34,7 +38,7 @@ DELTA_LOG_LIMIT = 256
 
 #: Data attributes whose wholesale replacement (``dataset.transactions =
 #: [...]``, still used by legacy call sites) must invalidate every
-#: derived structure: version, direction indexes, dedup set, name index.
+#: derived structure: version, incoming index, dedup set, name index.
 _TRACKED_FIELDS = frozenset(
     {
         "domains",
@@ -57,13 +61,9 @@ class ENSDataset:
     custodial_addresses: set[str] = field(default_factory=set)  # non-Coinbase
     crawl_timestamp: int = 0
 
-    _incoming: dict[str, list[TxRecord]] = field(
-        default_factory=dict, repr=False, compare=False
+    _incoming: dict[str, list[int]] | None = field(
+        default=None, repr=False, compare=False
     )
-    _outgoing: dict[str, list[TxRecord]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _indexed: bool = field(default=False, repr=False, compare=False)
     _version: int = field(default=0, repr=False, compare=False)
     _tx_hashes: set[str] = field(default_factory=set, repr=False, compare=False)
     _tx_dirty: bool = field(default=False, repr=False, compare=False)
@@ -88,7 +88,7 @@ class ENSDataset:
             # version so AnalysisContext fingerprints change, and flag
             # every lazily derived structure for rebuild.
             object.__setattr__(self, "_version", self._version + 1)
-            object.__setattr__(self, "_indexed", False)
+            object.__setattr__(self, "_incoming", None)
             object.__setattr__(self, "_tx_dirty", True)
             object.__setattr__(self, "_names", None)
 
@@ -140,7 +140,7 @@ class ENSDataset:
             if record.tx_hash not in known:
                 known.add(record.tx_hash)
                 self.transactions.append(record)
-        self._indexed = False
+        self._incoming = None
         object.__setattr__(self, "_version", self._version + 1)
 
     def add_market_events(self, records: Iterable[MarketEventRecord]) -> None:
@@ -233,30 +233,44 @@ class ENSDataset:
             return None  # unlogged mutation after the newest delta
         return tuple(entries)
 
-    # -- indexes -------------------------------------------------------------------
+    # -- transaction reads ---------------------------------------------------------
 
-    def _build_indexes(self) -> None:
-        self._incoming.clear()
-        self._outgoing.clear()
-        for tx in self.transactions:
-            self._outgoing.setdefault(tx.from_address, []).append(tx)
-            self._incoming.setdefault(tx.to_address, []).append(tx)
-        for index in (self._incoming, self._outgoing):
-            for records in index.values():
-                records.sort(key=lambda tx: tx.timestamp)
-        self._indexed = True
+    def incoming_entry(
+        self, address: str
+    ) -> tuple[list[int], list[int], list[str], list[int]]:
+        """``address``'s error-free incoming history, oldest first, as
+        parallel (stamps, values, senders, rows) lists; ``rows`` are
+        positions for :meth:`tx_at`. The lists are the caller's own."""
+        if self._incoming is None:
+            txs = self.transactions
+            self._incoming = group_incoming(
+                [tx.to_address for tx in txs],
+                [tx.timestamp for tx in txs],
+                [tx.is_error for tx in txs],
+            )
+        rows = list(self._incoming.get(address, ()))
+        records = [self.transactions[row] for row in rows]
+        return (
+            [tx.timestamp for tx in records],
+            [tx.value_wei for tx in records],
+            [tx.from_address for tx in records],
+            rows,
+        )
 
-    def incoming_of(self, address: str) -> list[TxRecord]:
-        """Successful value transfers received by ``address``, oldest first."""
-        if not self._indexed:
-            self._build_indexes()
-        return [tx for tx in self._incoming.get(address, ()) if not tx.is_error]
+    def tx_at(self, row: int) -> TxRecord:
+        """The transaction at position ``row``."""
+        return self.transactions[row]
 
-    def outgoing_of(self, address: str) -> list[TxRecord]:
-        """Successful outgoing transactions of ``address``."""
-        if not self._indexed:
-            self._build_indexes()
-        return [tx for tx in self._outgoing.get(address, ()) if not tx.is_error]
+    def ordered_by_timestamp(self, kind: str) -> tuple[list[int], list[int]]:
+        """:func:`timestamp_order` of one log, ``"transactions"`` or
+        ``"market_events"``."""
+        if kind == "transactions":
+            records: list = self.transactions
+        elif kind == "market_events":
+            records = self.market_events
+        else:
+            raise ValueError(f"unknown log kind {kind!r}")
+        return timestamp_order([record.timestamp for record in records])
 
     # -- views ----------------------------------------------------------------------
 
@@ -292,19 +306,13 @@ class ENSDataset:
         """Number of transaction records."""
         return len(self.transactions)
 
-    def registrant_addresses(self) -> set[str]:
-        """Every address that ever registered a domain."""
+    def wallet_addresses(self) -> set[str]:
+        """Addresses relevant to transaction crawling: registrants plus
+        the wallets domains resolve(d) to."""
         addresses: set[str] = set()
         for domain in self.domains.values():
             for registration in domain.registrations:
                 addresses.add(registration.registrant)
-        return addresses
-
-    def wallet_addresses(self) -> set[str]:
-        """Addresses relevant to transaction crawling: registrants plus
-        the wallets domains resolve(d) to."""
-        addresses = self.registrant_addresses()
-        for domain in self.domains.values():
             if domain.resolved_address:
                 addresses.add(domain.resolved_address)
         return addresses
@@ -322,6 +330,34 @@ class ENSDataset:
             if tx.value_wei < 0:
                 raise DatasetIntegrityError(f"negative value in {tx.tx_hash}")
         validate_label_sets(self.coinbase_addresses, self.custodial_addresses)
+
+
+def group_incoming(
+    recipients: Sequence[_Address],
+    stamps: Sequence[int],
+    errors: Sequence[object],
+) -> dict[_Address, list[int]]:
+    """Every address's incoming history: the rows of the error-free
+    transactions grouped by recipient, each group stable-sorted by
+    timestamp (equal stamps keep row order).
+
+    The one definition of that history; both stores build their
+    ``incoming_entry`` index with it, from parallel per-row columns.
+    """
+    groups: dict[_Address, list[int]] = {}
+    for row, (recipient, error) in enumerate(zip(recipients, errors)):
+        if not error:
+            groups.setdefault(recipient, []).append(row)
+    for rows in groups.values():
+        rows.sort(key=stamps.__getitem__)
+    return groups
+
+
+def timestamp_order(stamps: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The stable timestamp-sorted permutation of a log's rows, and the
+    sorted stamps: the ``ordered_by_timestamp`` read of both stores."""
+    order = sorted(range(len(stamps)), key=stamps.__getitem__)
+    return order, [stamps[row] for row in order]
 
 
 def validate_domains(domains: Iterable[DomainRecord]) -> None:

@@ -58,7 +58,6 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 from ..chain.errors import InvalidName
 from ..core.context import AnalysisContext
 from ..core.dropcatch import ReRegistration
-from ..core.hijackable import find_hijackable
 from ..core.increport import IncrementalReportBuilder
 from ..core.report import HeadlineReport, canonical_json, report_json
 from ..datasets.delta import DatasetDelta
@@ -468,7 +467,7 @@ class ReproApp:
         if path == "/query/dropcatch":
             return self._dropcatch(params)
         if path == "/query/hijackable":
-            return self._hijackable(params)
+            return self._hijackable(params, token)
         return _error(404, f"no such endpoint: {path}")
 
     def _domain(self, name: str) -> Response:
@@ -515,9 +514,12 @@ class ReproApp:
             }
         )
 
-    def _hijackable(self, params: dict[str, str]) -> Response:
-        """``/query/hijackable``: exposure windows with USD totals."""
-        report = find_hijackable(self.dataset, self.oracle, context=self.context)
+    def _hijackable(
+        self, params: dict[str, str], token: tuple[int, ...]
+    ) -> Response:
+        """``/query/hijackable``: exposure windows with USD totals, read
+        off the headline report's Figure 7 windows."""
+        report = self._report_for(token).hijackable
         windows = [window for window in report.windows if window.txs]
         windows, limited = self._limit(windows, params)
         if windows is None:

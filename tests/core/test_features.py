@@ -90,13 +90,18 @@ class TestTransactional:
         assert features.num_unique_senders == 2
         assert features.income_usd == pytest.approx(4 * 2000.0)
 
-    def test_extended_window(self) -> None:
-        dataset, domain = self._setup()
-        features = extract_transactional(
-            dataset, domain.registrations[0], FLAT, window_end=600 * 86_400
-        )
-        assert features.num_transactions == 4
-        assert features.num_unique_senders == 3
+    def test_window_includes_registration_and_expiry(self) -> None:
+        domain = make_domain("gold", [make_registration("0xowner", 100, 465)])
+        txs = [
+            make_tx("0xs1", "0xowner", 99),    # the day before registration
+            make_tx("0xs2", "0xowner", 100),   # at registration
+            make_tx("0xs3", "0xowner", 465),   # at expiry
+            make_tx("0xs4", "0xowner", 466),   # the day after expiry
+        ]
+        dataset = make_dataset([domain], txs)
+        features = extract_transactional(dataset, domain.registrations[0], FLAT)
+        assert features.num_transactions == 2
+        assert features.num_unique_senders == 2
 
     def test_no_income(self) -> None:
         domain = make_domain("quiet", [make_registration("0xq", 100, 465)])

@@ -41,9 +41,9 @@ def _per_event_counts(n_domains: int, monkeypatch) -> dict[str, float]:
     event_flows = increport.event_flows
     in_losses = [False]
 
-    def counted_within(first: str, second: str, k: int = 1) -> bool:
+    def counted_within(first: str, second: str) -> bool:
         counts["edit_checks"] += 1
-        return within(first, second, k)
+        return within(first, second)
 
     def counted_payments(self, sender: str, recipient: str):
         counts["payment_probes"] += 1

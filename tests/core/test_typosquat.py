@@ -46,9 +46,9 @@ class TestDistance:
         assert distance <= max(len(a), len(b))             # upper bound
 
     def test_within_bound_prefilter(self) -> None:
-        assert within_edit_distance("gold", "golde", 1)
-        assert not within_edit_distance("gold", "goldies", 1)
-        assert not within_edit_distance("gold", "mint", 1)
+        assert within_edit_distance("gold", "golde")
+        assert not within_edit_distance("gold", "goldies")
+        assert not within_edit_distance("gold", "mint")
 
 
 class TestOneEditFastPath:
@@ -71,34 +71,35 @@ class TestOneEditFastPath:
         ("abab", "baba"),      # needs two transpositions
     ])
     def test_directed_cases(self, a: str, b: str) -> None:
-        assert within_edit_distance(a, b, 1) == (damerau_levenshtein(a, b) <= 1)
+        assert within_edit_distance(a, b) == (damerau_levenshtein(a, b) <= 1)
 
     @given(st.text(alphabet="abc", max_size=8), st.text(alphabet="abc", max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_dp(self, a: str, b: str) -> None:
-        assert within_edit_distance(a, b, 1) == (damerau_levenshtein(a, b) <= 1)
+        assert within_edit_distance(a, b) == (damerau_levenshtein(a, b) <= 1)
 
     @given(st.text(alphabet="ab", max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_every_single_edit_is_within_one(self, word: str) -> None:
         for i in range(len(word) + 1):
-            assert within_edit_distance(word, word[:i] + "c" + word[i:], 1)
+            assert within_edit_distance(word, word[:i] + "c" + word[i:])
         for i in range(len(word)):
-            assert within_edit_distance(word, word[:i] + word[i + 1 :], 1)
-            assert within_edit_distance(word, word[:i] + "c" + word[i + 1 :], 1)
+            assert within_edit_distance(word, word[:i] + word[i + 1 :])
+            assert within_edit_distance(word, word[:i] + "c" + word[i + 1 :])
         for i in range(len(word) - 1):
             swapped = word[:i] + word[i + 1] + word[i] + word[i + 2 :]
-            assert within_edit_distance(word, swapped, 1)
+            assert within_edit_distance(word, swapped)
 
 
-def _first_match(caught: str, labels: list[str], k: int, exclude: bool) -> int | None:
-    """The screen's definition: the first target row within ``k`` edits."""
+def _first_match(caught: str, labels: list[str]) -> int | None:
+    """The screen's definition: the first target row within one edit,
+    skipping the caught label itself and pure-digit pairs."""
     for row, label in enumerate(labels):
         if label == caught:
             continue
-        if exclude and caught.isdigit() and label.isdigit():
+        if caught.isdigit() and label.isdigit():
             continue
-        if within_edit_distance(caught, label, k):
+        if within_edit_distance(caught, label):
             return row
     return None
 
@@ -110,17 +111,13 @@ class TestIndexedScreen:
     @given(
         labels=st.lists(st.text(alphabet="ab1", max_size=6), max_size=12),
         caught=st.text(alphabet="ab1", max_size=6),
-        k=st.sampled_from([1, 2]),
-        exclude=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_a_full_scan(self, labels, caught, k, exclude) -> None:
+    def test_matches_a_full_scan(self, labels, caught) -> None:
         rows = [(label, float(row), label.isdigit()) for row, label in enumerate(labels)]
         event = SimpleNamespace(name=caught + ".eth", new_owner="0xnew")
-        candidate = screen_event(
-            event, TargetIndex(rows, k), exclude_numeric_pairs=exclude
-        )
-        expected = _first_match(caught, labels, k, exclude)
+        candidate = screen_event(event, TargetIndex(rows))
+        expected = _first_match(caught, labels)
         if expected is None:
             assert candidate is None
         else:
@@ -135,21 +132,29 @@ class TestIndexedScreen:
         assert index.candidates("zebra") == []
 
 
+def _catch(label: str, *, previous: str = "0xa", new_owner: str = "0xsquat"):
+    """A domain that expired and was caught by ``new_owner``."""
+    return make_domain(label, [
+        make_registration(previous, 100, 465, ordinal=0),
+        make_registration(new_owner, 600, 965, ordinal=1),
+    ])
+
+
+def _rich(label: str, income_eth: int = 100):
+    """A target whose first period earns ``income_eth`` ETH ($2,000 each)."""
+    domain = make_domain(label, [make_registration("0xrich", 100, 3000)])
+    tx = make_tx("0xs", "0xrich", 200, value_wei=income_eth * 10**18)
+    return domain, tx
+
+
 class TestScreening:
     def _world(self):
         # rich target "gold", its typo "golb" gets dropcaught,
         # plus an unrelated catch "zebra"
-        target = make_domain("gold", [make_registration("0xrich", 100, 3000)])
-        typo = make_domain("golb", [
-            make_registration("0xa", 100, 465, ordinal=0),
-            make_registration("0xsquat", 600, 965, ordinal=1),
-        ])
-        unrelated = make_domain("zebra", [
-            make_registration("0xb", 100, 465, ordinal=0),
-            make_registration("0xother", 600, 965, ordinal=1),
-        ])
-        txs = [make_tx("0xs", "0xrich", 200, value_wei=100 * 10**18)]
-        return make_dataset([target, typo, unrelated], txs, crawl_day=1200)
+        target, tx = _rich("gold")
+        typo = _catch("golb")
+        unrelated = _catch("zebra", previous="0xb", new_owner="0xother")
+        return make_dataset([target, typo, unrelated], [tx], crawl_day=1200)
 
     def test_typo_catch_flagged(self) -> None:
         report = find_typosquat_catches(self._world(), FLAT)
@@ -164,11 +169,13 @@ class TestScreening:
         assert report.candidate_fraction == pytest.approx(0.5)
 
     def test_threshold_excludes_poor_targets(self) -> None:
-        report = find_typosquat_catches(
-            self._world(), FLAT, min_target_income_usd=10**9
-        )
-        assert report.popular_targets == 0
-        assert report.candidates == ()
+        # the bound is $10,000: $12,000 is popular, $8,000 is not
+        for income_eth, popular in ((6, 1), (4, 0)):
+            target, tx = _rich("gold", income_eth)
+            world = make_dataset([target, _catch("golb")], [tx], crawl_day=1200)
+            report = find_typosquat_catches(world, FLAT)
+            assert report.popular_targets == popular
+            assert len(report.candidates) == popular
 
     def test_exact_match_not_a_typo(self) -> None:
         # a re-registration of the rich name itself is not typosquatting
@@ -185,22 +192,24 @@ class TestScreening:
         assert "gold" not in labels
 
     def test_distance_two_screening(self) -> None:
-        report = find_typosquat_catches(self._world(), FLAT, max_distance=2)
-        assert len(report.candidates) >= 1
+        # "golbs" is two edits from "gold": not a typo at the one-edit bound
+        target, tx = _rich("gold")
+        world = make_dataset([target, _catch("golbs")], [tx], crawl_day=1200)
+        report = find_typosquat_catches(world, FLAT)
+        assert damerau_levenshtein("golbs", "gold") == 2
+        assert report.popular_targets == 1
+        assert report.catches_screened == 1
+        assert report.candidates == ()
 
     def test_empty_dataset(self) -> None:
         report = find_typosquat_catches(make_dataset([]), FLAT)
         assert report.candidate_fraction == 0.0
 
     def test_numeric_pairs_excluded_by_default(self) -> None:
-        rich = make_domain("151", [make_registration("0xrich", 100, 3000)])
-        near = make_domain("153", [
-            make_registration("0xa", 100, 465, ordinal=0),
-            make_registration("0xsquat", 600, 965, ordinal=1),
-        ])
-        txs = [make_tx("0xs", "0xrich", 200, value_wei=100 * 10**18)]
-        world = make_dataset([rich, near], txs, crawl_day=1200)
-        strict = find_typosquat_catches(world, FLAT)
-        assert strict.candidates == ()
-        loose = find_typosquat_catches(world, FLAT, exclude_numeric_pairs=False)
-        assert len(loose.candidates) == 1
+        # "153" is one edit from the popular "151", but both are digits
+        target, tx = _rich("151")
+        world = make_dataset([target, _catch("153")], [tx], crawl_day=1200)
+        report = find_typosquat_catches(world, FLAT)
+        assert report.popular_targets == 1
+        assert report.catches_screened == 1
+        assert report.candidates == ()

@@ -1,4 +1,5 @@
-"""Dataset model: indexes, integrity checks, record round trips."""
+"""Dataset model: the transaction reads, integrity checks, record round
+trips."""
 
 from __future__ import annotations
 
@@ -14,7 +15,49 @@ from repro.datasets import (
     TxRecord,
 )
 
-from ..core.helpers import make_dataset, make_domain, make_registration, make_tx
+from ..core.helpers import (
+    DAY,
+    make_dataset,
+    make_domain,
+    make_registration,
+    make_sale_event,
+    make_tx,
+)
+
+
+def scan_incoming(
+    dataset: ENSDataset, address: str
+) -> tuple[list[int], list[int], list[str], list[TxRecord]]:
+    """``address``'s incoming history by its definition: a literal scan of
+    ``dataset.transactions`` for error-free transfers to it, stable-sorted
+    by timestamp (equal stamps keep insertion order)."""
+    txs = sorted(
+        (
+            tx
+            for tx in dataset.transactions
+            if tx.to_address == address and not tx.is_error
+        ),
+        key=lambda tx: tx.timestamp,
+    )
+    return (
+        [tx.timestamp for tx in txs],
+        [tx.value_wei for tx in txs],
+        [tx.from_address for tx in txs],
+        txs,
+    )
+
+
+def read_incoming(
+    store, address: str
+) -> tuple[list[int], list[int], list[str], list[TxRecord]]:
+    """``store.incoming_entry(address)`` with its rows read through
+    ``tx_at``, comparable with :func:`scan_incoming`."""
+    stamps, values, senders, rows = store.incoming_entry(address)
+    return stamps, values, senders, [store.tx_at(row) for row in rows]
+
+
+def _both_stores(dataset: ENSDataset) -> list:
+    return [dataset, ColumnarDataset.from_dataset(dataset)]
 
 
 class TestIndexes:
@@ -22,16 +65,54 @@ class TestIndexes:
         txs = [
             make_tx("0xa", "0xb", 300),
             make_tx("0xa", "0xb", 100),
-            make_tx("0xa", "0xb", 200, is_error=True),
+            make_tx("0xa", "0xb", 200, is_error=True),  # errored: dropped
+            make_tx("0xc", "0xb", 300, value_wei=7),  # ties the first tx
         ]
         dataset = make_dataset([], txs)
-        incoming = dataset.incoming_of("0xb")
-        assert [tx.timestamp for tx in incoming] == [100 * 86_400, 300 * 86_400]
+        for store in _both_stores(dataset):
+            stamps, values, senders, _ = store.incoming_entry("0xb")
+            assert stamps == [100 * DAY, 300 * DAY, 300 * DAY]
+            assert senders == ["0xa", "0xa", "0xc"]  # insertion order kept
+            assert values == [10**18, 10**18, 7]
+            for address in ("0xa", "0xb", "0xc"):
+                assert read_incoming(store, address) == scan_incoming(
+                    dataset, address
+                )
 
-    def test_outgoing(self) -> None:
+    def test_unknown_address_reads_empty(self) -> None:
         dataset = make_dataset([], [make_tx("0xa", "0xb", 100)])
-        assert len(dataset.outgoing_of("0xa")) == 1
-        assert dataset.outgoing_of("0xb") == []
+        for store in _both_stores(dataset):
+            assert store.incoming_entry("0xnobody") == ([], [], [], [])
+            assert store.incoming_entry("0xa") == ([], [], [], [])
+
+    def test_entry_lists_are_the_callers_own(self) -> None:
+        dataset = make_dataset([], [make_tx("0xa", "0xb", 100)])
+        for store in _both_stores(dataset):
+            store.incoming_entry("0xb")[3].append(99)
+            assert store.incoming_entry("0xb")[3] == [0]
+
+    def test_ordered_by_timestamp_agrees_across_stores(self) -> None:
+        dataset = make_dataset(
+            [],
+            [
+                make_tx("0xa", "0xb", day, value_wei=row + 1)
+                for row, day in enumerate((300, 100, 300, 200))
+            ],
+            [
+                make_sale_event("gold", "listing", 210, "0xaa"),
+                make_sale_event("gold", "sale", 200, "0xaa", taker="0xbb"),
+            ],
+        )
+        obj, col = _both_stores(dataset)
+        for kind in ("transactions", "market_events"):
+            assert obj.ordered_by_timestamp(kind) == col.ordered_by_timestamp(kind)
+        assert obj.ordered_by_timestamp("transactions") == (
+            [1, 3, 0, 2],
+            [100 * DAY, 200 * DAY, 300 * DAY, 300 * DAY],
+        )
+        for store in (obj, col):
+            with pytest.raises(ValueError):
+                store.ordered_by_timestamp("domains")
 
     def test_duplicate_hashes_dropped_on_add(self) -> None:
         tx = make_tx("0xa", "0xb", 100)
@@ -73,10 +154,15 @@ class TestIndexes:
         assert dataset.version == v0 + 3
 
     def test_index_rebuilt_after_append(self) -> None:
-        dataset = make_dataset([], [make_tx("0xa", "0xb", 100)])
-        assert len(dataset.incoming_of("0xb")) == 1
-        dataset.add_transactions([make_tx("0xa", "0xb", 200)])
-        assert len(dataset.incoming_of("0xb")) == 2
+        dataset = make_dataset([], [make_tx("0xa", "0xb", 200)])
+        assert read_incoming(dataset, "0xb") == scan_incoming(dataset, "0xb")
+        dataset.add_transactions(
+            [make_tx("0xc", "0xb", 100), make_tx("0xd", "0xb", 200)]
+        )
+        _, _, senders, rows = dataset.incoming_entry("0xb")
+        assert senders == ["0xc", "0xa", "0xd"]
+        assert rows == [1, 0, 2]
+        assert read_incoming(dataset, "0xb") == scan_incoming(dataset, "0xb")
 
     def test_wallet_addresses_cover_registrants_and_resolved(self) -> None:
         domain = make_domain("d", [make_registration("0xreg", 100, 465)])

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.core import find_hijackable
 from repro.crawler.storage import append_delta, load_dataset, save_dataset
 from repro.datasets.delta import DatasetDelta
 from repro.obs import MetricsRegistry
@@ -127,6 +128,39 @@ class TestCacheMigration:
         app, _ = _app(ColumnarDataset.from_dataset(dataset), stream)
         with pytest.raises(TypeError, match="mutable"):
             app.apply_deltas([_tx_only_delta(dataset, 2)])
+
+
+class TestHijackableQuery:
+    def test_tx_delta_matches_cold_app(self, stream) -> None:
+        """The query reads the refreshed report's windows: after a payment
+        lands in an exposure window, the body equals a cold app's."""
+        dataset = stream.replay()
+        app, _ = _app(dataset, stream)
+        before = app.handle("GET", "/query/hijackable").body
+        window = next(
+            window
+            for window in find_hijackable(dataset, stream.oracle).windows
+            if window.txs
+        )
+        paid = window.txs[0]
+        assert paid.timestamp + 1 <= window.window_end
+        delta = DatasetDelta(
+            transactions=(
+                dataclasses.replace(
+                    paid,
+                    tx_hash="0xserve-hijack-delta",
+                    timestamp=paid.timestamp + 1,
+                ),
+            ),
+            label="tx-into-window",
+        )
+        app.apply_deltas([delta])
+        after = app.handle("GET", "/query/hijackable").body
+        cold_dataset = stream.replay()
+        cold_dataset.apply_delta(delta)
+        cold_app, _ = _app(cold_dataset, stream)
+        assert after != before
+        assert after == cold_app.handle("GET", "/query/hijackable").body
 
 
 class TestHttpConditional:
