@@ -50,6 +50,7 @@ class Blockchain:
         self.contracts: dict[Address, Contract] = {}
         self.receipts_by_hash: dict[Hash32, Receipt] = {}
         self._timestamp = genesis_timestamp
+        self._view_ctx: CallContext | None = None
         self._executing: Receipt | None = None
         self._log_subscribers: list[Callable[[Log], None]] = []
         # Hot-path instrumentation: samples are bound once here so each
@@ -82,6 +83,7 @@ class Blockchain:
         if seconds < 0:
             raise ValueError("time can only move forward")
         self._timestamp += seconds
+        self._view_ctx = None
 
     def set_time(self, timestamp: int) -> None:
         """Jump the clock to an absolute time (must not go backwards)."""
@@ -90,6 +92,7 @@ class Blockchain:
                 f"cannot rewind chain time from {self._timestamp} to {timestamp}"
             )
         self._timestamp = timestamp
+        self._view_ctx = None
 
     @property
     def height(self) -> int:
@@ -139,18 +142,28 @@ class Blockchain:
         tx = Transaction(sender, contract_address, value, self._next_nonce(sender), payload, fee)
         return self._execute(tx)
 
+    def view_context(self) -> CallContext:
+        """The read-only call context at the current block and time.
+
+        Built once per (height, clock) pair and shared by every view in
+        between: sealing a block or moving the clock drops it.
+        """
+        ctx = self._view_ctx
+        if ctx is None:
+            ctx = self._view_ctx = CallContext(
+                sender=ZERO_ADDRESS,
+                value=0,
+                timestamp=self._timestamp,
+                block_number=self.height,
+            )
+        return ctx
+
     def view(self, contract_address: Address, method: str, **kwargs: Any) -> Any:
         """Read-only contract call: no transaction, no state mutation expected."""
         contract = self.contracts.get(contract_address)
         if contract is None:
             raise UnknownAccount(f"no contract at {contract_address}")
-        ctx = CallContext(
-            sender=ZERO_ADDRESS,
-            value=0,
-            timestamp=self._timestamp,
-            block_number=self.height,
-        )
-        return contract.invoke(ctx, method, kwargs)
+        return contract.invoke(self.view_context(), method, kwargs)
 
     def _next_nonce(self, sender: Address) -> int:
         return self.state.get(sender).nonce
@@ -230,6 +243,7 @@ class Blockchain:
             receipts=[receipt],
         )
         self.blocks.append(block)
+        self._view_ctx = None
         self._tip = block.hash()
         self.receipts_by_hash[tx_hash] = receipt
         self._m_blocks.inc()

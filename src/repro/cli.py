@@ -33,6 +33,17 @@ leaves no record. That record is the run's one telemetry artifact.
 metrics, ``diff <a> <b>`` prints deltas and exits non-zero when an
 objective that passed in ``a`` fails in ``b``. Each command's SLO set
 is the built-in :func:`~repro.obs.default_slos`.
+
+The process entry point is :func:`run` (``repro`` and ``python -m
+repro.cli``). When :func:`main` returns an exit code, every file a
+command wrote is already closed, so :func:`run` flushes stdout, stderr
+and the ``repro`` log handler and ends the process with
+:func:`os._exit`. That skips tearing down the interpreter, which for a
+built world means deallocating it object by object: about 0.2 s of a
+1,000-domain report. A ``SystemExit`` (usage errors), an uncaught
+exception or a flush that fails (a closed pipe) takes the normal exit
+instead, so its tracebacks, messages and exit codes are unchanged.
+:func:`main` itself always returns, for in-process callers.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import logging
 import math
 import os
 import sys
@@ -78,7 +90,7 @@ from .obs.runledger import DEFAULT_LEDGER_DIR, LedgerRecordError, wall_now
 from .oracle import EthUsdOracle
 from .simulation import ScenarioConfig, run_scenario
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 _log = get_logger("cli")
 
@@ -1122,5 +1134,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     return exit_code
 
 
+def run(argv: Sequence[str] | None = None) -> int:
+    """Process entry point: :func:`main`, then exit without teardown.
+
+    After a normal return, flushes stdout, stderr and the ``repro`` log
+    handlers and calls :func:`os._exit` with the exit code. If a flush
+    raises, returns the code for the caller's ``sys.exit`` instead,
+    which is the normal exit. Exceptions from :func:`main`,
+    ``SystemExit`` included, propagate.
+    """
+    exit_code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for handler in logging.getLogger("repro").handlers:
+            handler.flush()
+    except Exception:
+        # the normal exit reports the failing stream as it always has
+        return exit_code
+    os._exit(exit_code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -15,6 +15,7 @@ the invalidation contract.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -131,16 +132,29 @@ class ENSDataset:
         (``_tx_dirty``, set by ``__setattr__``) — a signal that, unlike
         the old length comparison, also fires when the replacement list
         happens to preserve the length.
+
+        A built incoming index is kept: each new error-free row joins its
+        recipient's group after every equal stamp, where a stable regroup
+        by :func:`group_incoming` would put it. A resync drops the index
+        instead, since rows it never saw may have joined the list.
         """
         if self._tx_dirty or len(self._tx_hashes) != len(self.transactions):
             self._tx_hashes = {tx.tx_hash for tx in self.transactions}
             self._tx_dirty = False
+            self._incoming = None
         known = self._tx_hashes
+        txs = self.transactions
+        incoming = self._incoming
         for record in records:
             if record.tx_hash not in known:
                 known.add(record.tx_hash)
-                self.transactions.append(record)
-        self._incoming = None
+                txs.append(record)
+                if incoming is not None and not record.is_error:
+                    insort(
+                        incoming.setdefault(record.to_address, []),
+                        len(txs) - 1,
+                        key=lambda row: txs[row].timestamp,
+                    )
         object.__setattr__(self, "_version", self._version + 1)
 
     def add_market_events(self, records: Iterable[MarketEventRecord]) -> None:

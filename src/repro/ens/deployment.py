@@ -146,9 +146,13 @@ class ENSDeployment:
         return self.chain.view(self.controller.address, "available", label=label)
 
     def name_expires(self, label: str) -> int:
-        """Expiry timestamp of ``label`` (registrar view)."""
-        return self.chain.view(
-            self.base.address, "name_expires", label_hash=labelhash(registrable_label(label))
+        """Expiry timestamp of ``label`` (registrar view).
+
+        Reads the registrar's own state directly, as ``chain.view(base,
+        "name_expires", ...)`` would, without the dispatch.
+        """
+        return self.base.name_expires(
+            self.chain.view_context(), labelhash(registrable_label(label))
         )
 
     def register(
@@ -242,11 +246,14 @@ class ENSDeployment:
         Deliberately performs **no expiry check** — this is the exact
         behaviour the paper shows all seven wallets share (Appendix B),
         and the reason expired names silently keep resolving.
+
+        The registry hop reads the deployed registry directly. The
+        resolver hop stays a ``chain.view``: a record may point at any
+        address, and one with no contract raises
+        :class:`~repro.chain.errors.UnknownAccount`.
         """
         node = namehash(name)
-        resolver_address = self.chain.view(
-            self.registry.address, "resolver", node=node
-        )
+        resolver_address = self.registry.resolver(self.chain.view_context(), node)
         if resolver_address == ZERO_ADDRESS:
             return None
         addr = self.chain.view(resolver_address, "addr", node=node)

@@ -411,13 +411,18 @@ class _ScenarioEngine:
         if self.current_holder.get(label) != script.owner:
             return
         parent = namehash(f"{label}.eth")
-        for sub_label in self.rng.sample(self._SUBDOMAIN_LABELS, min(count, 7)):
+        sub_labels = self.rng.sample(self._SUBDOMAIN_LABELS, min(count, 7))
+        label_hashes = labelhashes(sub_labels)
+        # one batch for every node this call creates; the registry and
+        # the indexer then read them from the memo
+        child_nodes(parent, label_hashes)
+        for label_hash in label_hashes:
             self.chain.call(
                 script.owner,
                 self.ens.registry.address,
                 "set_subnode_owner",
                 node=parent,
-                label=labelhash(sub_label),
+                label=label_hash,
                 owner=script.owner,
             )
 

@@ -11,6 +11,7 @@ from repro.chain import (
     Contract,
     InsufficientFunds,
     Revert,
+    ZERO_ADDRESS,
     ether,
 )
 
@@ -84,6 +85,41 @@ class TestClock:
         receipt = chain.transfer(a, b, 1)
         assert receipt.timestamp == chain.now
         assert chain.get_block(receipt.block_number).timestamp == chain.now
+
+
+class TestViewContext:
+    @staticmethod
+    def assert_current(chain: Blockchain) -> None:
+        ctx = chain.view_context()
+        assert (ctx.timestamp, ctx.block_number) == (chain.now, chain.height)
+        assert (ctx.sender, ctx.value) == (ZERO_ADDRESS, 0)
+
+    def test_shared_until_block_or_clock_moves(self, chain: Blockchain, funded) -> None:
+        a, b = funded
+        ctx = chain.view_context()
+        assert chain.view_context() is ctx
+        chain.transfer(a, b, 1)
+        assert chain.view_context() is not ctx
+
+    def test_tracks_every_move(self, chain: Blockchain, funded, vault) -> None:
+        a, b = funded
+        self.assert_current(chain)
+        chain.transfer(a, b, 1)
+        self.assert_current(chain)
+        chain.call(a, vault.address, "deposit", value=ether(1))
+        self.assert_current(chain)
+        chain.advance_time(30)
+        self.assert_current(chain)
+        chain.set_time(chain.now + 86_400)
+        self.assert_current(chain)
+
+    def test_views_read_it(self, chain: Blockchain, funded, vault) -> None:
+        a, _ = funded
+        seen = []
+        vault.stamp = lambda ctx: seen.append(ctx)
+        chain.advance_time(7)
+        chain.view(vault.address, "stamp")
+        assert seen == [chain.view_context()]
 
 
 class _Vault(Contract):

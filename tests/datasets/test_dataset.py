@@ -4,7 +4,11 @@ trips."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import IncrementalReportBuilder
+from repro.datasets import dataset as dataset_module
 from repro.datasets import (
     ColumnarDataset,
     DatasetIntegrityError,
@@ -14,6 +18,8 @@ from repro.datasets import (
     RegistrationRecord,
     TxRecord,
 )
+from repro.datasets.dataset import group_incoming
+from repro.simulation import ScenarioConfig, stream_scenario
 
 from ..core.helpers import (
     DAY,
@@ -169,6 +175,69 @@ class TestIndexes:
         domain.resolved_address = "0xwallet"
         dataset = make_dataset([domain])
         assert dataset.wallet_addresses() == {"0xreg", "0xwallet"}
+
+
+_BATCHES = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=40),  # hash: repeats dedup
+            st.sampled_from(["0xa", "0xb", "0xc"]),  # recipient
+            st.integers(min_value=1, max_value=6),  # day: many equal stamps
+            st.booleans(),  # is_error
+        ),
+        max_size=12,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestIncomingAcrossAppends:
+    @given(_BATCHES)
+    @settings(max_examples=60, deadline=None)
+    def test_kept_index_equals_a_regroup(self, batches) -> None:
+        """A built index kept across appends reads as a fresh
+        ``group_incoming`` over the whole log."""
+        dataset = ENSDataset()
+        dataset.incoming_entry("0xa")  # build the index before appending
+        for batch in batches:
+            dataset.add_transactions(
+                make_tx("0xs", to, day, value_wei=n, tx_hash=f"0x{n}", is_error=error)
+                for n, to, day, error in batch
+            )
+            regrouped = make_dataset([], list(dataset.transactions))
+            for address in ("0xa", "0xb", "0xc"):
+                assert dataset.incoming_entry(address) == regrouped.incoming_entry(
+                    address
+                )
+
+    def test_resync_drops_the_index(self) -> None:
+        dataset = make_dataset([], [make_tx("0xa", "0xb", 200)])
+        dataset.incoming_entry("0xb")
+        dataset.transactions.append(make_tx("0xc", "0xb", 100))  # unlogged
+        dataset.add_transactions([make_tx("0xd", "0xb", 150)])
+        assert read_incoming(dataset, "0xb") == scan_incoming(dataset, "0xb")
+
+    def test_refresh_groups_no_more_than_the_delta(self, monkeypatch) -> None:
+        """Serving a delta regroups at most that delta's rows, not the log."""
+        grouped: list[int] = []
+
+        def counted(recipients, stamps, errors):
+            grouped.append(len(recipients))
+            return group_incoming(recipients, stamps, errors)
+
+        monkeypatch.setattr(dataset_module, "group_incoming", counted)
+        stream = stream_scenario(ScenarioConfig(n_domains=50, seed=4), batches=4)
+        dataset = stream.empty_dataset()
+        dataset.apply_delta(stream.deltas[0])
+        builder = IncrementalReportBuilder(dataset, stream.oracle, seed=0)
+        builder.refresh()
+        assert grouped, "the report read no incoming history"
+        for delta in stream.deltas[1:]:
+            grouped.clear()
+            dataset.apply_delta(delta)
+            builder.refresh()
+            assert sum(grouped) <= len(delta.transactions)
 
 
 class TestNameIndex:
