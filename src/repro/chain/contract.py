@@ -10,8 +10,7 @@ pieces of EVM context ENS contracts actually read (``msg.sender``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import Revert
 from .types import Address, Wei
@@ -22,9 +21,8 @@ if TYPE_CHECKING:
 __all__ = ["CallContext", "Contract"]
 
 
-@dataclass(frozen=True, slots=True)
-class CallContext:
-    """Per-call EVM context visible to contract code."""
+class CallContext(NamedTuple):
+    """Per-call EVM context visible to contract code (a named tuple)."""
 
     sender: Address
     value: Wei

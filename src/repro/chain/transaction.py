@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Any
+from typing import Any, NamedTuple
 
 from .types import Address, Hash32, Wei
 
@@ -43,9 +43,12 @@ class CallPayload:
         return repr((self.method, self.args)).encode("utf-8")
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    """An Ethereum-style transaction as recorded on chain."""
+class Transaction(NamedTuple):
+    """An Ethereum-style transaction as recorded on chain.
+
+    A named tuple: hashing and equality run in C over the fields, and a
+    transaction equals the plain tuple of its fields.
+    """
 
     from_address: Address
     to_address: Address

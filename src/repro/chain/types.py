@@ -9,9 +9,9 @@ boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from hashlib import blake2b
-from typing import ClassVar
+from operator import itemgetter
+from typing import ClassVar, NoReturn, Self
 
 from .crypto.keccak import keccak_256
 
@@ -55,29 +55,69 @@ def from_wei(amount: Wei) -> float:
     return amount / WEI_PER_ETHER
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Address:
+class _FixedBytes(tuple):
+    """A fixed-length byte string, held as the one-item tuple ``(raw,)``.
+
+    Hashing, equality and ordering are tuple's own, run in C, and
+    ``hash(x) == hash((x.raw,))``: set and dict iteration orders, and
+    with them the report goldens, rest on that value. A value is not
+    iterable, so ``json.dumps`` raises on it instead of emitting an
+    array.
+    """
+
+    __slots__ = ()
+
+    LENGTH: ClassVar[int]
+    _KIND: ClassVar[str]
+
+    def __new__(cls, raw: bytes) -> Self:
+        if not isinstance(raw, bytes) or len(raw) != cls.LENGTH:
+            raise ValueError(f"{cls._KIND} must be exactly {cls.LENGTH} bytes")
+        return tuple.__new__(cls, (raw,))
+
+    raw = property(itemgetter(0), doc="The value's bytes.")
+
+    def __getnewargs__(self) -> tuple[bytes]:
+        # tuple's own would hand ``(raw,)`` to __new__; pickle and copy
+        # rebuild the value from ``raw``
+        return (self[0],)
+
+    def __iter__(self) -> NoReturn:
+        raise TypeError(f"{type(self).__name__!r} object is not iterable")
+
+    @classmethod
+    def from_hex(cls, text: str) -> Self:
+        """Parse a ``0x``-prefixed (or bare) hex string of ``LENGTH`` bytes."""
+        cleaned = text[2:] if text.startswith(("0x", "0X")) else text
+        if len(cleaned) != cls.LENGTH * 2:
+            raise ValueError(
+                f"{cls._KIND} hex must be {cls.LENGTH * 2} digits: {text!r}"
+            )
+        return cls(bytes.fromhex(cleaned))
+
+    @property
+    def hex(self) -> str:
+        """Lowercase ``0x``-prefixed hex form."""
+        return "0x" + self[0].hex()
+
+    def __str__(self) -> str:
+        return self.hex
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.hex})"
+
+
+class Address(_FixedBytes):
     """A 20-byte Ethereum address.
 
     Instances are immutable, hashable, and ordered by raw bytes, so they
     can key dictionaries and sort deterministically in reports.
     """
 
-    raw: bytes
+    __slots__ = ()
 
     LENGTH: ClassVar[int] = 20
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.raw, bytes) or len(self.raw) != self.LENGTH:
-            raise ValueError(f"address must be exactly {self.LENGTH} bytes")
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Address":
-        """Parse a ``0x``-prefixed (or bare) 40-hex-digit address."""
-        cleaned = text[2:] if text.startswith(("0x", "0X")) else text
-        if len(cleaned) != cls.LENGTH * 2:
-            raise ValueError(f"address hex must be {cls.LENGTH * 2} digits: {text!r}")
-        return cls(bytes.fromhex(cleaned))
+    _KIND: ClassVar[str] = "address"
 
     @classmethod
     def derive(cls, seed: str | bytes) -> "Address":
@@ -92,14 +132,9 @@ class Address:
         return cls(blake2b(b"addr:" + data, digest_size=cls.LENGTH).digest())
 
     @property
-    def hex(self) -> str:
-        """Lowercase ``0x``-prefixed hex form."""
-        return "0x" + self.raw.hex()
-
-    @property
     def checksum(self) -> str:
         """EIP-55 mixed-case checksum form."""
-        plain = self.raw.hex()
+        plain = self[0].hex()
         digest = keccak_256(plain.encode("ascii")).hex()
         chars = [
             ch.upper() if ch.isalpha() and int(digest[i], 16) >= 8 else ch
@@ -107,52 +142,23 @@ class Address:
         ]
         return "0x" + "".join(chars)
 
-    def __str__(self) -> str:
-        return self.hex
-
-    def __repr__(self) -> str:
-        return f"Address({self.hex})"
-
 
 ZERO_ADDRESS = Address(b"\x00" * Address.LENGTH)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Hash32:
+class Hash32(_FixedBytes):
     """A 32-byte hash value (transaction ids, namehash nodes, ...)."""
 
-    raw: bytes
+    __slots__ = ()
 
     LENGTH: ClassVar[int] = 32
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.raw, bytes) or len(self.raw) != self.LENGTH:
-            raise ValueError(f"hash must be exactly {self.LENGTH} bytes")
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Hash32":
-        """Parse a 0x-prefixed (or bare) 64-digit hex string."""
-        cleaned = text[2:] if text.startswith(("0x", "0X")) else text
-        if len(cleaned) != cls.LENGTH * 2:
-            raise ValueError(f"hash hex must be {cls.LENGTH * 2} digits: {text!r}")
-        return cls(bytes.fromhex(cleaned))
+    _KIND: ClassVar[str] = "hash"
 
     @classmethod
     def of(cls, data: bytes) -> "Hash32":
         """Keccak-256 of ``data`` as a :class:`Hash32`."""
         return cls(keccak_256(data))
 
-    @property
-    def hex(self) -> str:
-        """0x-prefixed lowercase hex form."""
-        return "0x" + self.raw.hex()
-
     def to_int(self) -> int:
         """Big-endian integer view (NFT token ids are uint256 hashes)."""
-        return int.from_bytes(self.raw, "big")
-
-    def __str__(self) -> str:
-        return self.hex
-
-    def __repr__(self) -> str:
-        return f"Hash32({self.hex})"
+        return int.from_bytes(self[0], "big")

@@ -56,25 +56,11 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .core import build_report, report_json, train_reregistration_predictor
-from .crawler import (
-    CheckpointConfig,
-    dataset_digest,
-    load_dataset,
-    pack_dataset,
-    save_dataset,
-)
-from .crawler.storage import (
-    COLUMNAR_FILE,
-    DatasetFormatError,
-    DatasetNotFoundError,
-    append_delta,
-    load_deltas,
-)
-from .datasets import ColumnarDataset, ColumnarFormatError
-from .faults import CrawlKilled, load_plan
+from .core.report import build_report, report_json
+from .datasets.dataset import DatasetFormatError, DatasetNotFoundError, ENSDataset
+from .faults.errors import CrawlKilled
 from .obs import (
     MetricsRegistry,
     RunLedger,
@@ -90,9 +76,24 @@ from .obs.runledger import DEFAULT_LEDGER_DIR, LedgerRecordError, wall_now
 from .oracle import EthUsdOracle
 from .simulation import ScenarioConfig, run_scenario
 
+if TYPE_CHECKING:
+    from .datasets.columnar import ColumnarDataset
+
 __all__ = ["main", "run", "build_parser"]
 
 _log = get_logger("cli")
+
+
+def dataset_digest(dataset: ENSDataset | ColumnarDataset) -> str:
+    """:func:`repro.crawler.storage.dataset_digest` of ``dataset``.
+
+    Dataset persistence loads on first use: a ``--no-ledger`` report
+    never imports it. Subcommands import what only they run inside
+    their handler for the same reason.
+    """
+    from .crawler.storage import dataset_digest as digest
+
+    return digest(dataset)
 
 
 def _positive_int(text: str) -> int:
@@ -557,6 +558,8 @@ def _scenario_dataset(args: argparse.Namespace, obs: _RunObservability, **crawl)
 def _in_store(args: argparse.Namespace, obs: _RunObservability, dataset):
     """``dataset`` in the ``--store`` substrate, encoded in memory."""
     if args.store == "columnar":
+        from .datasets.columnar import ColumnarDataset
+
         # Same records, array-backed: the analyses must produce
         # byte-identical output (the determinism gate checks this).
         return ColumnarDataset.from_dataset(
@@ -569,6 +572,8 @@ def _load_store(
     args: argparse.Namespace, obs: _RunObservability, *, validate: bool = False
 ):
     """Load ``args.dataset`` in the ``--store`` substrate, spanned."""
+    from .crawler.storage import load_dataset
+
     with obs.tracer.span(f"{args.command}.load", store=args.store):
         dataset = load_dataset(
             args.dataset,
@@ -582,6 +587,8 @@ def _load_store(
 
 
 def _cmd_simulate(args: argparse.Namespace, obs: _RunObservability) -> int:
+    from .crawler.storage import save_dataset
+
     _log.info("simulate.start", domains=args.domains, seed=args.seed)
     with obs.tracer.span("simulate"):
         _, dataset, crawl = _scenario_dataset(args, obs)
@@ -604,6 +611,10 @@ def _cmd_simulate(args: argparse.Namespace, obs: _RunObservability) -> int:
 
 
 def _cmd_crawl(args: argparse.Namespace, obs: _RunObservability) -> int:
+    from .crawler.checkpoint import CheckpointConfig
+    from .crawler.storage import save_dataset
+    from .faults.plan import load_plan
+
     fault_plan = load_plan(args.faults) if args.faults else None
     checkpoint = None
     if args.checkpoint_dir is not None:
@@ -678,6 +689,9 @@ def _write_report_json(args: argparse.Namespace, report) -> None:
 
 
 def _cmd_predict(args: argparse.Namespace, obs: _RunObservability) -> int:
+    from .core.prediction import train_reregistration_predictor
+    from .crawler.storage import load_dataset
+
     with obs.tracer.span("predict"):
         dataset = load_dataset(args.dataset)
         try:
@@ -782,7 +796,8 @@ def _cmd_dataset_stream(args: argparse.Namespace, obs: _RunObservability) -> int
     stream and appends only the batches the log does not hold yet, so a
     driver killed mid-stream continues exactly where it stopped.
     """
-    from .simulation import stream_scenario
+    from .crawler.storage import append_delta, load_deltas, save_dataset
+    from .simulation.stream import stream_scenario
 
     with obs.tracer.span(
         "dataset.stream", domains=args.domains, batches=args.batches
@@ -852,6 +867,9 @@ def _format_bytes(count: float) -> str:
 
 
 def _cmd_dataset_pack(args: argparse.Namespace, obs: _RunObservability) -> int:
+    from .crawler.storage import pack_dataset
+    from .datasets.columnar import ColumnarDataset
+
     with obs.tracer.span("dataset.pack"):
         path = pack_dataset(
             args.dataset,
@@ -874,6 +892,9 @@ def _cmd_dataset_pack(args: argparse.Namespace, obs: _RunObservability) -> int:
 
 
 def _cmd_dataset_info(args: argparse.Namespace, obs: _RunObservability) -> int:
+    from .crawler.storage import COLUMNAR_FILE
+    from .datasets.columnar import ColumnarDataset, ColumnarFormatError
+
     target = Path(args.target)
     if target.is_dir():
         target = target / COLUMNAR_FILE
@@ -918,6 +939,7 @@ def _cmd_dataset_info(args: argparse.Namespace, obs: _RunObservability) -> int:
 
 def _cmd_figures(args: argparse.Namespace, obs: _RunObservability) -> int:
     from .core.export import export_figures
+    from .crawler.storage import load_dataset
 
     with obs.tracer.span("figures"):
         dataset = load_dataset(args.dataset)

@@ -1,11 +1,14 @@
-"""The paper's analyses: dropcatch detection through financial losses."""
+"""The paper's analyses: dropcatch detection through financial losses.
 
+The passes a report runs are imported with the package. The rest load
+on first use of one of their names (:mod:`repro._lazy`): the
+authoritative-loss and timing-loss variants, censoring, the dataset
+description, figure export, the predictor and survival curves.
+"""
+
+from .._lazy import lazy_exports
 from .actors import ActorConcentration, actor_concentration
-from .authoritative import assess_conservative_heuristic, authoritative_losses
-from .censoring import truncate_dataset
 from .context import AnalysisContext, DeltaImpact, ScanAccess
-from .descriptive import describe_dataset
-from .export import export_figures
 from .comparison import (
     DomainFeatureRow,
     FeatureComparison,
@@ -25,34 +28,44 @@ from .dropcatch import (
 from .hijackable import HijackableReport, HijackableWindow, find_hijackable
 from .increport import IncrementalReportBuilder
 from .losses import LossReport, MisdirectedFlow, detect_losses
-from .prediction import (
-    LogisticModel,
-    build_feature_matrix,
-    train_reregistration_predictor,
-)
 from .profit import ProfitReport, analyze_profit
 from .report import HeadlineReport, build_report, canonical_json, report_json
 from .resale import ResaleReport, analyze_resale
 from .stats import TestResult, two_proportion_z_test, welch_t_test
-from .survival import (
-    KaplanMeierCurve,
-    domain_lifetimes,
-    kaplan_meier,
-    survival_by_cohort,
-)
 from .timing import (
     DelayDistribution,
     PREMIUM_END_DAYS,
     delay_distribution,
     monthly_timeline,
 )
-from .timing_losses import detect_losses_by_timing, heuristic_overlap
 from .typosquat import (
     TyposquatCandidate,
     TyposquatReport,
     damerau_levenshtein,
     find_typosquat_catches,
     within_edit_distance,
+)
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "authoritative": ("assess_conservative_heuristic", "authoritative_losses"),
+        "censoring": ("truncate_dataset",),
+        "descriptive": ("describe_dataset",),
+        "export": ("export_figures",),
+        "prediction": (
+            "LogisticModel",
+            "build_feature_matrix",
+            "train_reregistration_predictor",
+        ),
+        "survival": (
+            "KaplanMeierCurve",
+            "domain_lifetimes",
+            "kaplan_meier",
+            "survival_by_cohort",
+        ),
+        "timing_losses": ("detect_losses_by_timing", "heuristic_overlap"),
+    },
 )
 
 __all__ = [

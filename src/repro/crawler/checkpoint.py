@@ -34,7 +34,6 @@ from typing import Any
 
 from ..datasets.dataset import ENSDataset
 from ..obs.log import get_logger
-from .storage import load_dataset, save_dataset
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -138,6 +137,8 @@ class CheckpointStore:
 
     def write(self, state: CrawlState, counters: dict[str, Any]) -> Path:
         """Write one complete snapshot, then atomically commit it."""
+        from .storage import save_dataset
+
         self.directory.mkdir(parents=True, exist_ok=True)
         name = f"ckpt-{state.units_done:06d}"
         snapshot_dir = self.directory / name
@@ -218,6 +219,8 @@ class CheckpointStore:
         if stage not in STAGES:
             _log.warning("checkpoint.unknown_stage", snapshot=name, stage=stage)
             return None
+        from .storage import load_dataset
+
         try:
             dataset = load_dataset(snapshot_dir / _DATASET_DIR)
         except (OSError, ValueError, KeyError, FileNotFoundError) as exc:

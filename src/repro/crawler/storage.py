@@ -30,17 +30,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from ..datasets.columnar import (
-    COLUMNAR_SUFFIX,
-    ColumnarDataset,
-    write_columnar,
-)
-from ..datasets.dataset import ENSDataset
-from ..datasets.delta import DatasetDelta
+from ..datasets.dataset import DatasetFormatError, DatasetNotFoundError, ENSDataset
 from ..datasets.schema import DomainRecord, MarketEventRecord, TxRecord
 from ..obs.log import get_logger
+
+if TYPE_CHECKING:
+    from ..datasets.columnar import ColumnarDataset
+    from ..datasets.delta import DatasetDelta
 
 __all__ = [
     "COLUMNAR_FILE",
@@ -63,8 +61,8 @@ _META_FILE = "meta.json"
 #: Append log of :class:`~repro.datasets.delta.DatasetDelta` lines.
 DELTAS_FILE = "deltas.jsonl"
 
-#: Columnar container inside a dataset directory.
-COLUMNAR_FILE = f"dataset{COLUMNAR_SUFFIX}"
+#: Columnar container inside a dataset directory (``.rcol``: the RCOL format).
+COLUMNAR_FILE = "dataset.rcol"
 
 #: Separators between the row streams in :func:`dataset_digest`'s input.
 _DIGEST_SECTION_MARKERS = {
@@ -74,14 +72,6 @@ _DIGEST_SECTION_MARKERS = {
 }
 
 _log = get_logger("crawler.storage")
-
-
-class DatasetNotFoundError(FileNotFoundError):
-    """The directory holds no dataset: it, or its ``meta.json``, is missing."""
-
-
-class DatasetFormatError(ValueError):
-    """A dataset file (``meta.json`` or a JSONL record) does not parse."""
 
 
 def _serialized(
@@ -182,6 +172,8 @@ def load_deltas(directory: str | Path) -> list[DatasetDelta]:
     path = Path(directory) / DELTAS_FILE
     if not path.exists():
         return []
+    from ..datasets.delta import DatasetDelta
+
     raw = path.read_bytes()
     keep = raw.rfind(b"\n") + 1
     if keep != len(raw):
@@ -228,6 +220,8 @@ def save_dataset(
         _write_jsonl(directory / name, rows)
     (directory / _META_FILE).write_text(json.dumps(meta, indent=2), encoding="utf-8")
     if store == "columnar":
+        from ..datasets.columnar import write_columnar
+
         write_columnar(
             dataset, directory / COLUMNAR_FILE, registry=registry, tracer=tracer
         )
@@ -255,6 +249,8 @@ def pack_dataset(
     as stale. Packing to an external ``out`` leaves the source
     directory untouched.
     """
+    from ..datasets.columnar import write_columnar
+
     directory = Path(directory)
     dataset = load_dataset(directory)
     target = Path(out) if out is not None else directory / COLUMNAR_FILE
@@ -303,6 +299,8 @@ def load_dataset(
         raise ValueError(f"unknown store {store!r} (choose object or columnar)")
     directory = Path(directory)
     if store == "columnar":
+        from ..datasets.columnar import ColumnarDataset
+
         packed = directory / COLUMNAR_FILE
         if packed.exists():
             if load_deltas(directory):

@@ -56,7 +56,6 @@ from .dataset import (
 from .schema import DomainRecord, MarketEventRecord, RegistrationRecord, TxRecord
 
 __all__ = [
-    "COLUMNAR_SUFFIX",
     "ColumnarDataset",
     "ColumnarFormatError",
     "ColumnarImmutableError",
@@ -65,9 +64,6 @@ __all__ = [
 ]
 
 _log = get_logger("datasets.columnar")
-
-#: Conventional file suffix of the columnar container.
-COLUMNAR_SUFFIX = ".rcol"
 
 #: File magic + container version. Bump the version on any layout change;
 #: readers reject versions they do not understand instead of guessing.

@@ -17,18 +17,42 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import AbstractSet, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    Sequence,
+    TypeVar,
+)
 
-from .delta import AppliedDelta, DatasetDelta
 from .schema import DomainRecord, MarketEventRecord, TxRecord
 
-__all__ = ["DELTA_LOG_LIMIT", "ENSDataset", "DatasetIntegrityError"]
+if TYPE_CHECKING:
+    from .delta import AppliedDelta, DatasetDelta
+
+__all__ = [
+    "DELTA_LOG_LIMIT",
+    "ENSDataset",
+    "DatasetFormatError",
+    "DatasetIntegrityError",
+    "DatasetNotFoundError",
+]
 
 _Address = TypeVar("_Address", bound=Hashable)
 
 
 class DatasetIntegrityError(ValueError):
     """The dataset violates a structural invariant."""
+
+
+class DatasetNotFoundError(FileNotFoundError):
+    """The directory holds no dataset: it, or its ``meta.json``, is missing."""
+
+
+class DatasetFormatError(ValueError):
+    """A dataset file (``meta.json`` or a JSONL record) does not parse."""
 
 
 #: Maximum retained append-log entries. A consumer more than this many
@@ -185,6 +209,8 @@ class ENSDataset:
         (the analysis context, the serve watcher) can mirror exactly
         what the dataset gained.
         """
+        from .delta import AppliedDelta, DatasetDelta
+
         version_before = self._version
         replaced = tuple(
             record.domain_id

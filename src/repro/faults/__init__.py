@@ -16,6 +16,7 @@ fault plan produces the same dataset and coverage report as the clean
 crawl, and repeated runs of the same plan are bit-for-bit identical.
 """
 
+from .._lazy import lazy_exports
 from .errors import (
     CorruptPayload,
     CrawlKilled,
@@ -23,21 +24,6 @@ from .errors import (
     EndpointTimeout,
     TransientInjectedError,
     TruncatedPayload,
-)
-from .injectors import (
-    FaultyEtherscanAPI,
-    FaultyOpenSeaAPI,
-    FaultySubgraphEndpoint,
-)
-from .plan import (
-    FAULT_KINDS,
-    EndpointFaultSpec,
-    Fault,
-    FaultPlan,
-    OutageBurst,
-    RateStep,
-    deterministic_uniform,
-    load_plan,
 )
 from .retry import (
     STATE_CLOSED,
@@ -49,6 +35,28 @@ from .retry import (
     RetryExhausted,
     RetryPolicy,
     RetryingCaller,
+)
+
+# a crawl without a fault plan builds no plan and wraps no endpoint
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "injectors": (
+            "FaultyEtherscanAPI",
+            "FaultyOpenSeaAPI",
+            "FaultySubgraphEndpoint",
+        ),
+        "plan": (
+            "FAULT_KINDS",
+            "EndpointFaultSpec",
+            "Fault",
+            "FaultPlan",
+            "OutageBurst",
+            "RateStep",
+            "deterministic_uniform",
+            "load_plan",
+        ),
+    },
 )
 
 __all__ = [

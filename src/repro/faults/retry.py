@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
 from ..obs.metrics import MetricsRegistry
-from .plan import deterministic_uniform
 
 __all__ = [
     "CircuitBreaker",
@@ -129,6 +128,8 @@ class RetryPolicy:
         non-decreasing and never exceeds ``max_backoff`` — while two
         different keys (or seeds) still decorrelate their retry storms.
         """
+        from .plan import deterministic_uniform  # a clean crawl never retries
+
         base = self.base_backoff(attempt)
         span = self.base_backoff(attempt + 1) - base
         draw = deterministic_uniform(self.seed, "backoff", key, attempt)

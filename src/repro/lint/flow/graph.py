@@ -86,6 +86,39 @@ def _exports(tree: ast.Module) -> list[dict] | None:
     return exports
 
 
+def _lazy_imports(tree: ast.Module, package: str | None) -> dict[str, str]:
+    """The bindings a package's lazy export map makes, as import targets.
+
+    ``__getattr__, __dir__ = lazy_exports(__name__, {"survival":
+    ("kaplan_meier",)})`` (:mod:`repro._lazy`) binds ``kaplan_meier``
+    as ``from .survival import kaplan_meier`` would, only on first
+    use, and ``survival`` as the submodule itself. Only a literal map
+    at module level is read.
+    """
+    imports: dict[str, str] = {}
+    if package is None:
+        return imports
+    for node in tree.body:
+        call = node.value if isinstance(node, ast.Assign) else None
+        if not (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "lazy_exports"
+            and len(call.args) == 2
+            and isinstance(call.args[1], ast.Dict)
+        ):
+            continue
+        for key, names in zip(call.args[1].keys, call.args[1].values):
+            if not (isinstance(key, ast.Constant) and isinstance(names, ast.Tuple)):
+                continue
+            module = f"{package}.{key.value}"
+            imports[key.value] = module
+            for name in names.elts:
+                if isinstance(name, ast.Constant):
+                    imports[name.value] = f"{module}.{name.value}"
+    return imports
+
+
 def _refs(tree: ast.Module, imports: dict[str, str]) -> list[str]:
     """Outbound dotted symbol references: import targets and their attributes."""
     refs = set(imports.values())
@@ -110,7 +143,8 @@ def extract_facts(path: str, module: str | None, text: str) -> ModuleFacts:
             "message": exc.msg or "invalid syntax",
         }
         return facts
-    facts.imports = import_map(tree, package_of(module, path))
+    package = package_of(module, path)
+    facts.imports = import_map(tree, package) | _lazy_imports(tree, package)
     facts.exports = _exports(tree)
     facts.refs = _refs(tree, facts.imports)
     return facts

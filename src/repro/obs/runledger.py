@@ -22,7 +22,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,6 +86,8 @@ def wall_now() -> float:
 
 def git_sha(cwd: str | Path | None = None) -> str | None:
     """The current git commit sha, or None outside a repo / without git."""
+    import subprocess  # only a ledger record asks
+
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -1,5 +1,6 @@
 """Calibrated synthetic ENS ecosystem generator."""
 
+from .._lazy import lazy_exports
 from .agents import (
     DomainScript,
     DropcatcherAgent,
@@ -7,11 +8,16 @@ from .agents import (
     SenderProfile,
     TrueCatch,
 )
-from .calibration import PAPER, ratio_close
 from .config import ScenarioConfig
 from .names import GeneratedName, NameGenerator
 from .scenario import ScenarioWorld, run_scenario
-from .stream import stream_scenario
+
+# the paper's calibration targets and the delta stream: tests,
+# benchmarks and ``repro dataset stream``, never a report
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {"calibration": ("PAPER", "ratio_close"), "stream": ("stream_scenario",)},
+)
 
 __all__ = [
     "DomainScript",

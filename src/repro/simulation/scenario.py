@@ -24,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import date
+from typing import TYPE_CHECKING
 
 from ..chain.chain import Blockchain
 from ..chain.types import SECONDS_PER_DAY, Address, Wei
@@ -44,12 +45,6 @@ from ..explorer.labels import (
     CATEGORY_CUSTODIAL_EXCHANGE,
     LabelRegistry,
 )
-from ..faults.injectors import (
-    FaultyEtherscanAPI,
-    FaultyOpenSeaAPI,
-    FaultySubgraphEndpoint,
-)
-from ..faults.plan import FaultPlan
 from ..indexer.endpoint import SubgraphEndpoint
 from ..indexer.subgraph import ENSSubgraph
 from ..marketplace.api import OpenSeaAPI
@@ -70,6 +65,9 @@ from .agents import (
 )
 from .config import ScenarioConfig
 from .names import NameGenerator
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 __all__ = ["ScenarioWorld", "run_scenario"]
 
@@ -132,6 +130,12 @@ class ScenarioWorld:
         etherscan_api = self.etherscan_api
         opensea_api = self.opensea_api
         if fault_plan is not None:
+            from ..faults.injectors import (
+                FaultyEtherscanAPI,
+                FaultyOpenSeaAPI,
+                FaultySubgraphEndpoint,
+            )
+
             endpoint = FaultySubgraphEndpoint(endpoint, fault_plan, registry)
             etherscan_api = FaultyEtherscanAPI(etherscan_api, fault_plan, registry)
             opensea_api = FaultyOpenSeaAPI(opensea_api, fault_plan, registry)

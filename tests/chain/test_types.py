@@ -1,12 +1,26 @@
-"""Value types: addresses, hashes, wei conversion."""
+"""Value types: addresses, hashes, transactions, call contexts, wei conversion."""
 
 from __future__ import annotations
+
+import copy
+import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain import WEI_PER_ETHER, ZERO_ADDRESS, Address, Hash32, ether, from_wei
+from repro.chain import (
+    WEI_PER_ETHER,
+    ZERO_ADDRESS,
+    Address,
+    CallPayload,
+    Hash32,
+    ether,
+    from_wei,
+)
+from repro.chain.contract import CallContext
+from repro.chain.transaction import Transaction
 
 
 class TestAddress:
@@ -83,3 +97,110 @@ class TestEther:
     @settings(max_examples=30, deadline=None)
     def test_round_trip_int(self, amount: int) -> None:
         assert from_wei(ether(amount)) == pytest.approx(amount)
+
+
+# The hot-path value types are tuples: each value below with the plain
+# tuple of its fields. Hashes, reprs and the transaction id are the
+# values the frozen dataclasses these types replaced produced.
+_ALICE = Address(bytes(range(20)))
+_BOB = Address.derive("bob")
+_NODE = Hash32(bytes(32))
+_PAYLOAD = CallPayload.of("setOwner", owner=_BOB, node=_NODE)
+_TX = Transaction(_ALICE, _BOB, 5, 7, _PAYLOAD, 3)
+_CTX = CallContext(_ALICE, 1, 2, 3)
+
+VALUES = [
+    pytest.param(_ALICE, (_ALICE.raw,), id="Address"),
+    pytest.param(_NODE, (_NODE.raw,), id="Hash32"),
+    pytest.param(_TX, (_ALICE, _BOB, 5, 7, _PAYLOAD, 3), id="Transaction"),
+    pytest.param(_CTX, (_ALICE, 1, 2, 3), id="CallContext"),
+]
+
+
+class TestValueContract:
+    @pytest.mark.parametrize("value, fields", VALUES)
+    def test_pickle_round_trip(self, value, fields) -> None:
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(value, protocol=protocol))
+            assert restored == value
+            assert type(restored) is type(value)
+
+    @pytest.mark.parametrize("value, fields", VALUES)
+    def test_deepcopy_round_trip(self, value, fields) -> None:
+        for clone in (copy.deepcopy(value), copy.copy(value)):
+            assert clone == value
+            assert type(clone) is type(value)
+
+    @pytest.mark.parametrize("value, fields", VALUES)
+    def test_hash_is_the_field_tuple_hash(self, value, fields) -> None:
+        # set and dict orders, and so the report goldens, rest on this
+        assert hash(value) == hash(fields)
+
+    @pytest.mark.parametrize("value, fields", VALUES)
+    def test_equals_the_field_tuple(self, value, fields) -> None:
+        assert value == fields
+        assert value == type(value)(*fields)
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [(_ALICE, "raw"), (_NODE, "raw"), (_TX, "value"), (_CTX, "sender")],
+    )
+    def test_fields_are_read_only(self, value, field) -> None:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+    @pytest.mark.parametrize("value, fields", VALUES)
+    def test_json_refuses_the_value(self, value, fields) -> None:
+        # a tuple would otherwise be written as a JSON array
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            json.dumps({"value": value}, indent=1)
+
+    @pytest.mark.parametrize("cls", [Address, Hash32])
+    def test_wrong_length_raises(self, cls) -> None:
+        for size in (0, cls.LENGTH - 1, cls.LENGTH + 1):
+            with pytest.raises(ValueError):
+                cls(b"\x01" * size)
+        with pytest.raises(ValueError):
+            cls("ab" * cls.LENGTH)  # hex text, not bytes
+
+    @pytest.mark.parametrize("cls", [Address, Hash32])
+    def test_not_iterable(self, cls) -> None:
+        with pytest.raises(TypeError):
+            iter(cls(bytes(cls.LENGTH)))
+
+    @given(st.lists(st.binary(min_size=20, max_size=20), max_size=12))
+    @settings(max_examples=50, deadline=None)
+    def test_sorting_sorts_by_raw_bytes(self, raws) -> None:
+        addresses = [Address(raw) for raw in raws]
+        assert [a.raw for a in sorted(addresses)] == sorted(raws)
+
+    def test_reprs_are_unchanged(self) -> None:
+        alice = "Address(0x000102030405060708090a0b0c0d0e0f10111213)"
+        bob = "Address(0xf699e0ecf80980842933cb856961456362d2345e)"
+        node = "Hash32(0x" + "00" * 32 + ")"
+        assert repr(_ALICE) == alice
+        assert str(_ALICE) == _ALICE.hex
+        assert repr(_NODE) == node
+        assert repr(_CTX) == (
+            f"CallContext(sender={alice}, value=1, timestamp=2, block_number=3)"
+        )
+        payload = (
+            f"CallPayload(method='setOwner',"
+            f" args=(('node', {node}), ('owner', {bob})))"
+        )
+        assert repr(_TX) == (
+            f"Transaction(from_address={alice}, to_address={bob}, value=5,"
+            f" nonce=7, payload={payload}, fee=3)"
+        )
+
+    def test_transaction_id_is_unchanged(self) -> None:
+        # CallPayload.encode feeds the reprs into the id the crawled
+        # dataset stores as a transaction's ``hash``
+        assert _PAYLOAD.encode() == (
+            f"('setOwner', (('node', {_NODE!r}), ('owner', {_BOB!r})))"
+        ).encode()
+        assert _TX.hash(11, 2).hex == (
+            "0x662bfba8c0590dcad6259b0d4f1c0308332bdd0a64343f552a2f12816085f1de"
+        )

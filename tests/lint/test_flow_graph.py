@@ -87,6 +87,38 @@ class TestLinking:
         )
         assert "repro.crawler.save_dataset" in user.refs
 
+    def test_lazy_export_map_links_like_an_import(self) -> None:
+        package = make_facts(
+            "repro.crawler",
+            """
+            from .._lazy import lazy_exports
+            __all__ = ["save_dataset"]
+            __getattr__, __dir__ = lazy_exports(
+                __name__, {"storage": ("save_dataset",)}
+            )
+            """,
+            path="src/repro/crawler/__init__.py",
+        )
+        graph = ProgramGraph([package])
+        assert (
+            graph.aliases["repro.crawler.save_dataset"]
+            == "repro.crawler.storage.save_dataset"
+        )
+        assert graph.aliases["repro.crawler.storage"] == "repro.crawler.storage"
+        assert "repro.crawler.storage.save_dataset" in package.refs
+
+    def test_lazy_export_map_must_be_a_literal(self) -> None:
+        package = make_facts(
+            "repro.crawler",
+            """
+            from .._lazy import lazy_exports
+            MAP = {"storage": ("save_dataset",)}
+            __getattr__, __dir__ = lazy_exports(__name__, MAP)
+            """,
+            path="src/repro/crawler/__init__.py",
+        )
+        assert "save_dataset" not in package.imports
+
     def test_parse_error_modules_are_skipped(self) -> None:
         broken = make_facts("repro.core.broken", "def broken(:\n")
         graph = ProgramGraph([broken])

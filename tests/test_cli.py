@@ -272,6 +272,109 @@ def test_cli_import_loads_no_numeric_stack() -> None:
     assert result.stdout == "[]\n"
 
 
+#: Every ``repro`` module ``import repro.cli`` loads: what a report runs.
+CLI_IMPORTS = """
+repro repro._lazy repro.chain repro.chain.account repro.chain.block
+repro.chain.chain repro.chain.contract repro.chain.crypto
+repro.chain.crypto.keccak repro.chain.errors repro.chain.transaction
+repro.chain.types repro.cli repro.core repro.core.actors
+repro.core.comparison repro.core.context repro.core.control
+repro.core.dropcatch repro.core.features repro.core.features.lexical
+repro.core.features.transactional repro.core.hijackable
+repro.core.increport repro.core.losses repro.core.profit
+repro.core.report repro.core.resale repro.core.stats repro.core.timing
+repro.core.typosquat repro.crawler repro.crawler.checkpoint
+repro.crawler.etherscan_client repro.crawler.opensea_client
+repro.crawler.pipeline repro.crawler.subgraph_client repro.datasets
+repro.datasets.dataset repro.datasets.schema repro.datasets.wordlists
+repro.ens repro.ens.deployment repro.ens.namehash repro.ens.normalize
+repro.ens.premium repro.ens.pricing repro.ens.registrar
+repro.ens.registry repro.ens.resolver repro.ens.reverse repro.explorer
+repro.explorer.api repro.explorer.database repro.explorer.labels
+repro.faults repro.faults.errors repro.faults.retry repro.indexer
+repro.indexer.endpoint repro.indexer.entities repro.indexer.query
+repro.indexer.subgraph repro.marketplace repro.marketplace.api
+repro.marketplace.market repro.obs repro.obs.exporters repro.obs.log
+repro.obs.metrics repro.obs.runledger repro.obs.slo repro.obs.tracing
+repro.oracle repro.oracle.ethusd repro.simulation repro.simulation.agents
+repro.simulation.config repro.simulation.names repro.simulation.scenario
+""".split()
+
+#: Package -> the submodules it loads on first use of one of its names.
+LAZY_SUBMODULES = {
+    "repro.core": [
+        "authoritative", "censoring", "descriptive", "export",
+        "prediction", "survival", "timing_losses",
+    ],
+    "repro.crawler": ["storage"],
+    "repro.datasets": ["columnar", "delta"],
+    "repro.faults": ["injectors", "plan"],
+    "repro.simulation": ["calibration", "stream"],
+}
+
+
+def _fresh_python(probe: str, *args: str) -> str:
+    """Run ``probe`` in a new interpreter with ``repro`` importable."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_cli_import_loads_only_what_a_report_runs() -> None:
+    """``import repro.cli`` loads exactly the modules a report calls into."""
+    loaded = json.loads(_fresh_python(
+        "import json, sys, repro.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    ))
+    assert loaded == CLI_IMPORTS
+    deferred = {
+        f"{package}.{name}"
+        for package, names in LAZY_SUBMODULES.items()
+        for name in names
+    }
+    assert not deferred & set(loaded)
+
+
+def test_lazy_package_exports_resolve() -> None:
+    """Every lazily exported name, ``dir()`` entry and submodule resolves."""
+    probe = """
+import importlib, json, sys
+packages = json.loads(sys.argv[1])
+out = {}
+for package, submodules in packages.items():
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if name not in dir(module)]
+    subs = {
+        name: getattr(module, name) is importlib.import_module(f"{package}.{name}")
+        for name in submodules
+    }
+    values = {}
+    for name in module.__all__:
+        value = getattr(module, name)
+        home = sys.modules[getattr(value, "__module__", package) or package]
+        values[name] = getattr(home, name, value) is value
+    try:
+        getattr(module, "no_such_name")
+        unknown = "resolved"
+    except AttributeError:
+        unknown = "AttributeError"
+    out[package] = [missing, subs, values, unknown]
+print(json.dumps(out))
+"""
+    report = json.loads(_fresh_python(probe, json.dumps(LAZY_SUBMODULES)))
+    assert set(report) == set(LAZY_SUBMODULES)
+    for package, (missing, subs, values, unknown) in report.items():
+        assert missing == [], package
+        assert subs == {name: True for name in LAZY_SUBMODULES[package]}, package
+        assert all(values.values()), (package, values)
+        assert unknown == "AttributeError", package
+
+
 class TestReport:
     def test_in_memory_pipeline(self, capsys) -> None:
         assert main(["report", "--domains", "200", "--seed", "3"]) == 0
