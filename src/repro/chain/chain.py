@@ -19,7 +19,7 @@ simulation runtime for no analytical benefit.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..obs.metrics import MetricsRegistry, global_registry
 from .account import AccountState
@@ -321,11 +321,6 @@ class Blockchain:
         if receipt is None:
             raise UnknownAccount(f"no transaction {tx_hash}")
         return receipt
-
-    def iter_receipts(self) -> Iterator[Receipt]:
-        """All receipts in chain order (the explorer's ingestion feed)."""
-        for block in self.blocks:
-            yield from block.receipts
 
     def logs_of(self, contract: Address, event: str | None = None) -> list[Log]:
         """Event logs filtered by emitting contract (and optionally name)."""

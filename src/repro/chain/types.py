@@ -158,7 +158,3 @@ class Hash32(_FixedBytes):
     def of(cls, data: bytes) -> "Hash32":
         """Keccak-256 of ``data`` as a :class:`Hash32`."""
         return cls(keccak_256(data))
-
-    def to_int(self) -> int:
-        """Big-endian integer view (NFT token ids are uint256 hashes)."""
-        return int.from_bytes(self[0], "big")

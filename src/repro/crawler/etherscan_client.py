@@ -5,48 +5,39 @@ two operational hazards of the real Etherscan API: free-tier rate
 limiting and the 10,000-row result window (block-range cursoring for
 deep histories).
 
-All waiting goes through the shared :class:`repro.faults.retry`
-policy — deterministic capped-exponential backoff with seeded jitter on
-the API's virtual clock, a per-call retry *budget* (the crawl can no
-longer sleep unboundedly; exhaustion surfaces as
-``crawler_retry_budget_exhausted_total``), and a circuit breaker with
+All waiting and all call accounting go through the shared
+:class:`~repro.faults.retry.RetryingCaller` — deterministic
+capped-exponential backoff with seeded jitter on the API's virtual
+clock, a per-call retry *budget* (exhaustion surfaces as
+``crawler_retry_budget_exhausted_total``), a circuit breaker with
 half-open probing that trips on consecutive hard failures (rate limits
-are exempt — throttling is flow control, not an outage).
-
-Every operational number — requests, retries, terminal failures,
-backoff time, rows fetched — lives in a :class:`MetricsRegistry`; the
-legacy ``requests_made``-style attributes are read-through properties
-over those counters, so instrumented exports and the
+are exempt — throttling is flow control, not an outage), and the
+request, retry and failure counters. The ``requests_made``-style
+attributes read those counters back, so instrumented exports and the
 :class:`~repro.crawler.pipeline.CrawlReport` can never disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..datasets.schema import TxRecord
 from ..explorer.api import EtherscanAPI, MAX_TXLIST_WINDOW, RateLimitError
 from ..faults.errors import TransientInjectedError
-from ..faults.retry import (
-    CircuitBreaker,
-    RetryError,
-    RetryPolicy,
-    RetryingCaller,
-)
+from ..faults.retry import CircuitBreaker, RetryPolicy, RetryingCaller
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["EtherscanClient", "EtherscanCrawlError"]
+__all__ = ["EtherscanClient"]
 
 CLIENT_LABEL = "explorer"
+
+#: At most 9 attempts per call, backing off from 0.25 s.
+RETRY_POLICY = RetryPolicy()
 
 #: Failures the shared policy retries: organic throttling + injected
 #: transients (timeouts, truncated/corrupt bodies, burst outages).
 RETRYABLE_ERRORS = (RateLimitError, TransientInjectedError)
-
-
-class EtherscanCrawlError(RuntimeError):
-    """The API kept failing past the retry budget."""
 
 
 @dataclass
@@ -55,87 +46,53 @@ class EtherscanClient:
 
     api: EtherscanAPI
     page_size: int = 1000
-    max_retries: int = 8
-    initial_backoff_seconds: float = 0.25
     registry: MetricsRegistry | None = None
-    retry_policy: RetryPolicy | None = None
-    breaker: CircuitBreaker | None = None
-
-    _caller: RetryingCaller = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.registry is None:
             self.registry = MetricsRegistry()
-        if self.retry_policy is None:
-            self.retry_policy = RetryPolicy(
-                max_attempts=self.max_retries + 1,
-                initial_backoff=self.initial_backoff_seconds,
-            )
-        if self.breaker is None:
-            self.breaker = CircuitBreaker(
-                clock=self.api.clock,
-                registry=self.registry,
-                client=CLIENT_LABEL,
-            )
         self._caller = RetryingCaller(
-            policy=self.retry_policy,
+            policy=RETRY_POLICY,
             clock=self.api.clock,
             client=CLIENT_LABEL,
             registry=self.registry,
-            breaker=self.breaker,
+            breaker=CircuitBreaker(
+                clock=self.api.clock, registry=self.registry, client=CLIENT_LABEL
+            ),
         )
-        self._requests = self.registry.counter(
-            "crawler_requests_total", "API calls issued", labels=("client",)
-        ).labels(client=CLIENT_LABEL)
-        self._retries = self.registry.counter(
-            "crawler_retries_total", "Rate-limited calls retried", labels=("client",)
-        ).labels(client=CLIENT_LABEL)
-        self._failures = self.registry.counter(
-            "crawler_failures_total",
-            "Calls abandoned after exhausting the retry budget",
-            labels=("client",),
-        ).labels(client=CLIENT_LABEL)
         self._rows = self.registry.counter(
             "crawler_rows_total", "Rows fetched", labels=("client",)
         ).labels(client=CLIENT_LABEL)
 
-    # -- registry-backed effort counters ------------------------------------
+    def _count(self, name: str) -> int:
+        return int(self.registry.value(name, client=CLIENT_LABEL))
 
     @property
     def requests_made(self) -> int:
-        """API requests issued so far (from the request counter)."""
-        return int(self._requests.value)
+        """API requests issued so far (from the caller's request counter)."""
+        return self._count("crawler_requests_total")
 
     @property
     def retries_performed(self) -> int:
-        """Rate-limit retries performed so far (from the counter)."""
-        return int(self._retries.value)
+        """Retries performed so far (from the caller's retry counter)."""
+        return self._count("crawler_retries_total")
 
     @property
     def failures(self) -> int:
-        """Calls that exhausted the retry budget and raised."""
-        return int(self._failures.value)
+        """Calls that gave up and raised (from the caller's failure counter)."""
+        return self._count("crawler_failures_total")
 
-    # -- backoff -------------------------------------------------------------
-
-    def _call_with_retry(
-        self, fn: Callable[..., list], *, key: str, **kwargs: object
-    ) -> list:
-        """One logical call through the shared retry policy."""
-        try:
-            return self._caller.call(
-                fn,
-                key=key,
-                retryable=RETRYABLE_ERRORS,
-                breaker_exempt=(RateLimitError,),
-                on_attempt=self._requests.inc,
-                **kwargs,
-            )
-        except RetryError as exc:
-            self._failures.inc()
-            raise EtherscanCrawlError(
-                f"gave up after {exc.attempts} attempts: {exc}"
-            ) from exc
+    def _call(self, fn: Callable[..., Any], *, key: str, **kwargs: Any) -> Any:
+        """One logical call through the shared retry policy; counts its rows."""
+        rows = self._caller.call(
+            fn,
+            key=key,
+            retryable=RETRYABLE_ERRORS,
+            breaker_exempt=(RateLimitError,),
+            **kwargs,
+        )
+        self._rows.inc(len(rows))
+        return rows
 
     def fetch_transactions(self, address: str) -> list[TxRecord]:
         """Full history of one address, oldest first.
@@ -155,7 +112,7 @@ class EtherscanClient:
                 if page * self.page_size > MAX_TXLIST_WINDOW:
                     exhausted_window = True
                     break
-                rows = self._call_with_retry(
+                rows = self._call(
                     self.api.txlist,
                     key=f"txlist:{address}:{start_block}:{page}",
                     address=address,
@@ -164,7 +121,6 @@ class EtherscanClient:
                     offset=self.page_size,
                     sort="asc",
                 )
-                self._rows.inc(len(rows))
                 for row in rows:
                     record = TxRecord.from_api_row(row)
                     if record.tx_hash not in seen:
@@ -179,23 +135,10 @@ class EtherscanClient:
             # Deep history: continue from the block after the last row.
             start_block = records[-1].block_number + 1
 
-    def fetch_many(self, addresses: Iterable[str]) -> list[TxRecord]:
-        """Histories of many addresses, de-duplicated across overlaps."""
-        merged: list[TxRecord] = []
-        seen: set[str] = set()
-        for address in addresses:
-            for record in self.fetch_transactions(address):
-                if record.tx_hash not in seen:
-                    seen.add(record.tx_hash)
-                    merged.append(record)
-        return merged
-
     def fetch_label_category(self, category: str) -> list[str]:
         """Address list for a label category (custodial/Coinbase seeds)."""
-        rows = self._call_with_retry(
+        return self._call(
             self.api.labels_in_category,
             key=f"labels:{category}",
             category=category,
         )
-        self._rows.inc(len(rows))
-        return rows

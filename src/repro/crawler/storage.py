@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from ..datasets.dataset import DatasetFormatError, DatasetNotFoundError, ENSDataset
 from ..datasets.schema import DomainRecord, MarketEventRecord, TxRecord
@@ -47,6 +47,7 @@ __all__ = [
     "DatasetNotFoundError",
     "append_delta",
     "load_deltas",
+    "parse_line",
     "save_dataset",
     "load_dataset",
     "dataset_digest",
@@ -72,6 +73,13 @@ _DIGEST_SECTION_MARKERS = {
 }
 
 _log = get_logger("crawler.storage")
+
+_T = TypeVar("_T")
+
+#: What a line that is no record raises: bad UTF-8 or bad JSON a
+#: ValueError, a missing field a KeyError, a JSON value of the wrong
+#: shape (``[1]``, ``{"domains": 5}``) a TypeError or AttributeError.
+_LINE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
 
 def _serialized(
@@ -108,23 +116,31 @@ def _write_jsonl(path: Path, rows: Iterator[dict[str, Any]]) -> int:
     return count
 
 
-def _read_jsonl(path: Path, parse: Callable[[dict[str, Any]], Any]) -> list[Any]:
+def parse_line(
+    path: Path, line_number: int, line: bytes, parse: Callable[[Any], _T]
+) -> _T:
+    """``parse`` applied to UTF-8 JSON ``line``, line ``line_number`` of ``path``.
+
+    Any failure to read the line as a record raises
+    :class:`DatasetFormatError` naming the directory, file and line.
+    """
+    try:
+        return parse(json.loads(line.decode("utf-8")))
+    except _LINE_ERRORS as exc:
+        raise DatasetFormatError(
+            f"{path.parent}: {path.name}:{line_number}: malformed record ({exc})"
+        ) from exc
+
+
+def _read_jsonl(path: Path, parse: Callable[[Any], _T]) -> list[_T]:
     if not path.exists():
         return []
-    records = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(parse(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DatasetFormatError(
-                    f"{path.parent}: {path.name}:{line_number}: malformed"
-                    f" record ({exc})"
-                ) from exc
-    return records
+    with path.open("rb") as handle:
+        return [
+            parse_line(path, line_number, line, parse)
+            for line_number, line in enumerate(handle, start=1)
+            if line.strip()
+        ]
 
 
 def append_delta(directory: str | Path, delta: DatasetDelta) -> int:
@@ -167,7 +183,8 @@ def load_deltas(directory: str | Path) -> list[DatasetDelta]:
 
     Only newline-terminated lines count: an unterminated tail is a torn
     write and is skipped (the next :func:`append_delta` truncates it).
-    A malformed *terminated* line is real corruption and raises.
+    A malformed *terminated* line is real corruption and raises
+    :class:`DatasetFormatError`.
     """
     path = Path(directory) / DELTAS_FILE
     if not path.exists():
@@ -182,19 +199,11 @@ def load_deltas(directory: str | Path) -> list[DatasetDelta]:
             path=str(path),
             dropped_bytes=len(raw) - keep,
         )
-    deltas: list[DatasetDelta] = []
-    for line_number, line in enumerate(
-        raw[:keep].decode("utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            deltas.append(DatasetDelta.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ValueError(
-                f"{path.name}:{line_number}: malformed delta ({exc})"
-            ) from exc
-    return deltas
+    return [
+        parse_line(path, line_number, line, DatasetDelta.from_dict)
+        for line_number, line in enumerate(raw[:keep].split(b"\n"), start=1)
+        if line.strip()
+    ]
 
 
 def save_dataset(

@@ -6,32 +6,30 @@ cursor pagination — the technique that sidesteps The Graph's 5000-row
 Domains the endpoint never returns (its indexing gap) are precisely the
 paper's "34K names unrecoverable due to API limitations".
 
-Error envelopes are retried through the shared
-:class:`repro.faults.retry` policy (deterministic backoff on the
-client's virtual clock, circuit breaker with half-open probing), and
-:meth:`SubgraphClient.fetch_domains_page` exposes one cursor step so
-the checkpointing pipeline can persist crawl progress between pages.
+Error envelopes are retried and counted by the shared
+:class:`~repro.faults.retry.RetryingCaller` (at most 3 attempts per
+page), and :meth:`SubgraphClient.fetch_domains_page` is one cursor
+step, so the checkpointing pipeline can persist crawl progress between
+pages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..datasets.schema import DomainRecord, RegistrationRecord
 from ..explorer.api import VirtualClock
-from ..faults.retry import (
-    CircuitBreaker,
-    RetryError,
-    RetryPolicy,
-    RetryingCaller,
-)
+from ..faults.retry import CircuitBreaker, RetryPolicy, RetryingCaller
 from ..indexer.endpoint import MAX_FIRST, SubgraphEndpoint
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["SubgraphClient", "SubgraphCrawlError"]
+__all__ = ["SubgraphClient"]
 
 CLIENT_LABEL = "subgraph"
+
+#: At most 3 attempts per page query.
+RETRY_POLICY = RetryPolicy(max_attempts=3)
 
 _DOMAIN_QUERY_TEMPLATE = """
 {{
@@ -48,10 +46,6 @@ _DOMAIN_QUERY_TEMPLATE = """
 """
 
 
-class SubgraphCrawlError(RuntimeError):
-    """The endpoint kept returning errors past the retry budget."""
-
-
 class _QueryRejected(RuntimeError):
     """Internal: one query attempt came back as an error envelope."""
 
@@ -62,64 +56,34 @@ class SubgraphClient:
 
     endpoint: SubgraphEndpoint
     page_size: int = MAX_FIRST
-    max_retries: int = 3
     registry: MetricsRegistry | None = None
-    clock: VirtualClock = field(default_factory=VirtualClock)
-    retry_policy: RetryPolicy | None = None
-    breaker: CircuitBreaker | None = None
-
-    _caller: RetryingCaller = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.page_size <= MAX_FIRST:
             raise ValueError(f"page_size must be within 1..{MAX_FIRST}")
         if self.registry is None:
             self.registry = MetricsRegistry()
-        if self.retry_policy is None:
-            # historical semantics: max_retries counts total *attempts*
-            self.retry_policy = RetryPolicy(max_attempts=self.max_retries)
-        if self.breaker is None:
-            self.breaker = CircuitBreaker(
-                clock=self.clock, registry=self.registry, client=CLIENT_LABEL
-            )
+        clock = VirtualClock()
         self._caller = RetryingCaller(
-            policy=self.retry_policy,
-            clock=self.clock,
+            policy=RETRY_POLICY,
+            clock=clock,
             client=CLIENT_LABEL,
             registry=self.registry,
-            breaker=self.breaker,
+            breaker=CircuitBreaker(
+                clock=clock, registry=self.registry, client=CLIENT_LABEL
+            ),
         )
-        self._requests = self.registry.counter(
-            "crawler_requests_total", "API calls issued", labels=("client",)
-        ).labels(client=CLIENT_LABEL)
         self._pages = self.registry.counter(
             "crawler_pages_total", "Result pages fetched", labels=("client",)
-        ).labels(client=CLIENT_LABEL)
-        self._retries = self.registry.counter(
-            "crawler_retries_total", "Rate-limited calls retried", labels=("client",)
-        ).labels(client=CLIENT_LABEL)
-        self._failures = self.registry.counter(
-            "crawler_failures_total",
-            "Calls abandoned after exhausting the retry budget",
-            labels=("client",),
         ).labels(client=CLIENT_LABEL)
         self._rows = self.registry.counter(
             "crawler_rows_total", "Rows fetched", labels=("client",)
         ).labels(client=CLIENT_LABEL)
 
-    # -- registry-backed effort counters ------------------------------------
-
     @property
     def pages_fetched(self) -> int:
         """GraphQL pages fetched so far (from the page counter)."""
         return int(self._pages.value)
-
-    @property
-    def failures(self) -> int:
-        """Queries abandoned after the retry budget."""
-        return int(self._failures.value)
-
-    # -- raw paging ----------------------------------------------------------
 
     def _query_once(self, query: str) -> dict[str, Any]:
         """One attempt; error envelopes become retryable exceptions."""
@@ -127,26 +91,6 @@ class SubgraphClient:
         if "errors" in response:
             raise _QueryRejected(response["errors"][0]["message"])
         return response
-
-    def _fetch_page(self, cursor: str) -> list[dict[str, Any]]:
-        query = _DOMAIN_QUERY_TEMPLATE.format(first=self.page_size, cursor=cursor)
-        try:
-            response = self._caller.call(
-                self._query_once,
-                key=f"domains:{cursor}",
-                retryable=(_QueryRejected,),
-                on_attempt=self._requests.inc,
-                query=query,
-            )
-        except RetryError as exc:
-            self._failures.inc()
-            raise SubgraphCrawlError(f"subgraph query failed: {exc}") from exc
-        self._pages.inc()
-        rows = response["data"]["domains"]
-        self._rows.inc(len(rows))
-        return rows
-
-    # -- record conversion -------------------------------------------------------
 
     @staticmethod
     def _to_record(row: dict[str, Any]) -> DomainRecord:
@@ -173,38 +117,22 @@ class SubgraphClient:
             ],
         )
 
-    # -- the crawl -------------------------------------------------------------------
-
     def fetch_domains_page(self, cursor: str) -> list[DomainRecord]:
         """One ``id_gt`` cursor step: the page of domains after ``cursor``.
 
         Returns an empty list when the enumeration is complete. The next
         cursor is the last returned record's ``domain_id`` — durable
         crawl state the checkpointing pipeline persists between pages.
+        Raises :class:`~repro.faults.retry.CrawlError` when the query
+        keeps failing.
         """
-        return [self._to_record(row) for row in self._fetch_page(cursor)]
-
-    def fetch_all_domains(self) -> list[DomainRecord]:
-        """Enumerate every visible domain via id cursor pagination."""
-        records: list[DomainRecord] = []
-        cursor = ""
-        while True:
-            page = self.fetch_domains_page(cursor)
-            if not page:
-                return records
-            records.extend(page)
-            cursor = page[-1].domain_id
-
-    def fetch_domain(self, domain_id: str) -> DomainRecord | None:
-        """Point lookup of one domain by namehash id."""
-        query = (
-            '{ domains(first: 1, where: {id: "%s"}) {'
-            " id name labelName labelhash createdAt owner resolvedAddress"
-            " subdomainCount registrations { id registrant registrationDate"
-            " expiryDate costWei baseCostWei premiumWei } } }" % domain_id
+        response = self._caller.call(
+            self._query_once,
+            key=f"domains:{cursor}",
+            retryable=(_QueryRejected,),
+            query=_DOMAIN_QUERY_TEMPLATE.format(first=self.page_size, cursor=cursor),
         )
-        response = self.endpoint.query(query)
-        if "errors" in response:
-            raise SubgraphCrawlError(response["errors"][0]["message"])
+        self._pages.inc()
         rows = response["data"]["domains"]
-        return self._to_record(rows[0]) if rows else None
+        self._rows.inc(len(rows))
+        return [self._to_record(row) for row in rows]

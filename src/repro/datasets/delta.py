@@ -58,11 +58,6 @@ class DatasetDelta:
         """Total records carried by this delta."""
         return len(self.domains) + len(self.transactions) + len(self.market_events)
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the delta carries no records at all."""
-        return self.record_count == 0
-
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready encoding (one ``deltas.jsonl`` line)."""
         payload: dict[str, Any] = {}

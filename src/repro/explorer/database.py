@@ -25,7 +25,6 @@ class ExplorerDatabase:
         self._by_address: dict[Address, list[Receipt]] = {}
         self._internal_by_address: dict[Address, list[InternalTransfer]] = {}
         self._total_entries = 0
-        self._total_internal = 0
         self._next_block = 0
 
     # -- ingestion -------------------------------------------------------------
@@ -50,7 +49,6 @@ class ExplorerDatabase:
                         internal_by_address.setdefault(
                             internal.recipient, []
                         ).append(internal)
-                    self._total_internal += 1
             self._next_block += 1
         self._total_entries += indexed
         return indexed
@@ -70,11 +68,6 @@ class ExplorerDatabase:
     def transactions_of(self, address: Address) -> list[Receipt]:
         """Receipts of all transactions touching ``address``, oldest first."""
         return list(self._by_address.get(address, ()))
-
-    @property
-    def total_internal_transfers(self) -> int:
-        """Number of internal transfers indexed so far."""
-        return self._total_internal
 
     def internal_transfers_of(self, address: Address) -> list[InternalTransfer]:
         """Internal (contract-initiated) transfers touching ``address``."""

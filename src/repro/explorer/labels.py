@@ -58,13 +58,6 @@ class LabelRegistry:
         """Whether ``address`` is labelled as the Coinbase exchange."""
         return self.category_of(address) == CATEGORY_COINBASE
 
-    def is_custodial(self, address: Address | str) -> bool:
-        """Custodial = any exchange-operated wallet (Coinbase included)."""
-        return self.category_of(address) in (
-            CATEGORY_COINBASE,
-            CATEGORY_CUSTODIAL_EXCHANGE,
-        )
-
     def addresses_in_category(self, category: str) -> list[str]:
         """Sorted addresses carrying ``category`` labels."""
         return sorted(
@@ -76,10 +69,6 @@ class LabelRegistry:
     def coinbase_addresses(self) -> list[str]:
         """Sorted addresses labelled as Coinbase."""
         return self.addresses_in_category(CATEGORY_COINBASE)
-
-    def non_coinbase_custodial_addresses(self) -> list[str]:
-        """Sorted addresses of other custodial exchanges."""
-        return self.addresses_in_category(CATEGORY_CUSTODIAL_EXCHANGE)
 
     def __len__(self) -> int:
         return len(self._labels)

@@ -30,8 +30,8 @@ from .retry import (
     STATE_HALF_OPEN,
     STATE_OPEN,
     CircuitBreaker,
+    CrawlError,
     RetryBudgetExhausted,
-    RetryError,
     RetryExhausted,
     RetryPolicy,
     RetryingCaller,
@@ -62,6 +62,7 @@ __getattr__, __dir__ = lazy_exports(
 __all__ = [
     "CircuitBreaker",
     "CorruptPayload",
+    "CrawlError",
     "CrawlKilled",
     "EndpointFaultSpec",
     "EndpointOutage",
@@ -75,7 +76,6 @@ __all__ = [
     "OutageBurst",
     "RateStep",
     "RetryBudgetExhausted",
-    "RetryError",
     "RetryExhausted",
     "RetryPolicy",
     "RetryingCaller",

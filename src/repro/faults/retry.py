@@ -1,10 +1,17 @@
 """The shared retry/backoff/circuit-breaker policy of every crawler client.
 
-Before this module each client hand-rolled its own loop (the explorer
-client slept exponentially, the subgraph client retried immediately,
-the marketplace client never retried). Now all three delegate to one
-:class:`RetryingCaller` so the §3 crawl has a single, testable answer
-to "what happens when an endpoint misbehaves":
+Each of the three crawler clients runs its endpoint calls through one
+:class:`RetryingCaller`, so the §3 crawl has a single, testable answer
+to "what happens when an endpoint misbehaves, and how is it counted":
+
+* **The caller does the accounting.** Per ``client`` label it counts
+  every attempt (``crawler_requests_total``), every retry
+  (``crawler_retries_total``), the backoff slept
+  (``crawler_backoff_seconds_total``) and every call that gave up
+  (``crawler_failures_total``). A call that gives up raises
+  :class:`CrawlError` (:class:`RetryExhausted` or
+  :class:`RetryBudgetExhausted`), its message led by the client label.
+  The clients keep only their endpoint logic and row/page counters.
 
 * **Backoff is virtual-clock-driven and deterministic.** Delays come
   from :meth:`RetryPolicy.backoff` — capped exponential growth plus a
@@ -40,8 +47,8 @@ from ..obs.metrics import MetricsRegistry
 
 __all__ = [
     "CircuitBreaker",
+    "CrawlError",
     "RetryBudgetExhausted",
-    "RetryError",
     "RetryExhausted",
     "RetryPolicy",
     "RetryingCaller",
@@ -67,19 +74,19 @@ class Clock(Protocol):
         """Advance time by ``seconds``."""
 
 
-class RetryError(RuntimeError):
-    """Base class: a logical call gave up after retrying."""
+class CrawlError(RuntimeError):
+    """Base class: a crawler call gave up; the message names the client."""
 
     def __init__(self, message: str, attempts: int = 0) -> None:
         super().__init__(message)
         self.attempts = attempts
 
 
-class RetryExhausted(RetryError):
+class RetryExhausted(CrawlError):
     """Every attempt allowed by ``max_attempts`` failed."""
 
 
-class RetryBudgetExhausted(RetryError):
+class RetryBudgetExhausted(CrawlError):
     """The next backoff would exceed the per-call sleep budget."""
 
 
@@ -263,19 +270,25 @@ class RetryingCaller:
     def __post_init__(self) -> None:
         if self.registry is None:
             self.registry = MetricsRegistry()
-        self._retries = self.registry.counter(
-            "crawler_retries_total", "Rate-limited calls retried", labels=("client",)
-        ).labels(client=self.client)
-        self._backoff_seconds = self.registry.counter(
+
+        def counter(name: str, description: str) -> Any:
+            family = self.registry.counter(name, description, labels=("client",))
+            return family.labels(client=self.client)
+
+        self._requests = counter("crawler_requests_total", "API calls issued")
+        self._retries = counter("crawler_retries_total", "Rate-limited calls retried")
+        self._backoff_seconds = counter(
             "crawler_backoff_seconds_total",
             "Total backoff sleep against the API clock",
-            labels=("client",),
-        ).labels(client=self.client)
-        self._budget_exhausted = self.registry.counter(
+        )
+        self._budget_exhausted = counter(
             "crawler_retry_budget_exhausted_total",
             "Logical calls abandoned because the retry sleep budget ran out",
-            labels=("client",),
-        ).labels(client=self.client)
+        )
+        self._failures = counter(
+            "crawler_failures_total",
+            "Calls abandoned after exhausting the retry budget",
+        )
 
     def _wait_for_breaker(self) -> None:
         breaker = self.breaker
@@ -294,23 +307,21 @@ class RetryingCaller:
         key: str,
         retryable: tuple[type[BaseException], ...],
         breaker_exempt: tuple[type[BaseException], ...] = (),
-        on_attempt: Callable[[], None] | None = None,
         **kwargs: Any,
     ) -> Any:
         """Run ``fn(**kwargs)`` retrying ``retryable`` failures.
 
-        ``key`` names the logical call (it seeds the jitter stream);
-        ``on_attempt`` fires before every attempt (clients count
-        requests there). Raises :class:`RetryExhausted` or
-        :class:`RetryBudgetExhausted` when the call gives up, chaining
-        the last underlying error.
+        ``key`` names the logical call (it seeds the jitter stream).
+        Every attempt counts as one request. Raises
+        :class:`RetryExhausted` or :class:`RetryBudgetExhausted` when
+        the call gives up, counting one failure and chaining the last
+        underlying error.
         """
         slept = 0.0
         attempt = 0
         while True:
             self._wait_for_breaker()
-            if on_attempt is not None:
-                on_attempt()
+            self._requests.inc()
             try:
                 result = fn(**kwargs)
             except retryable as exc:
@@ -321,13 +332,19 @@ class RetryingCaller:
                         self.breaker.record_failure()
                 attempt += 1
                 if attempt >= self.policy.max_attempts:
-                    raise RetryExhausted(str(exc), attempts=attempt) from exc
+                    self._failures.inc()
+                    raise RetryExhausted(
+                        f"{self.client}: gave up after {attempt} attempts: {exc}",
+                        attempts=attempt,
+                    ) from exc
                 delay = self.policy.backoff(attempt - 1, key)
                 if slept + delay > self.policy.budget_seconds:
                     self._budget_exhausted.inc()
+                    self._failures.inc()
                     raise RetryBudgetExhausted(
-                        f"retry sleep budget of {self.policy.budget_seconds:g}s"
-                        f" exhausted after {attempt} attempts ({exc})",
+                        f"{self.client}: retry sleep budget of"
+                        f" {self.policy.budget_seconds:g}s exhausted after"
+                        f" {attempt} attempts ({exc})",
                         attempts=attempt,
                     ) from exc
                 self._retries.inc()

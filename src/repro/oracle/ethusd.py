@@ -53,11 +53,6 @@ DEFAULT_ANCHORS: tuple[tuple[str, float], ...] = (
 )
 
 
-def day_of(timestamp: int) -> date:
-    """The UTC calendar date containing ``timestamp``."""
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
-
-
 def timestamp_of_day(day: date) -> int:
     """Unix timestamp of UTC midnight starting ``day``."""
     return int(datetime(day.year, day.month, day.day, tzinfo=timezone.utc).timestamp())

@@ -22,11 +22,10 @@ first poll are never skipped or double-applied.
 
 from __future__ import annotations
 
-import json
 import threading
 from pathlib import Path
 
-from ..crawler.storage import DELTAS_FILE
+from ..crawler.storage import DELTAS_FILE, parse_line
 from ..datasets.delta import DatasetDelta
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
@@ -117,10 +116,12 @@ class DatasetWatcher:
         if keep <= self._offset:
             self._poll_unchanged.inc()
             return 0
-        chunk = raw[self._offset : keep]
+        first_line = raw.count(b"\n", 0, self._offset) + 1
         deltas = [
-            DatasetDelta.from_dict(json.loads(line))
-            for line in chunk.decode("utf-8").splitlines()
+            parse_line(self._path, line_number, line, DatasetDelta.from_dict)
+            for line_number, line in enumerate(
+                raw[self._offset : keep].split(b"\n"), start=first_line
+            )
             if line.strip()
         ]
         self.app.apply_deltas(deltas)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.chain import Address, Blockchain, CallPayload, ether
+from repro.chain import CallPayload
 
 
 class TestCallPayload:
@@ -48,10 +48,3 @@ class TestChainQueries:
             chain.get_block(chain.height + 1)
         with pytest.raises(UnknownAccount):
             chain.get_block(-1)
-
-    def test_iter_receipts_chain_order(self, chain) -> None:
-        a, b = Address.derive("iter:a"), Address.derive("iter:b")
-        chain.fund(a, ether(5))
-        hashes = [chain.transfer(a, b, 1).tx_hash for _ in range(3)]
-        seen = [receipt.tx_hash for receipt in chain.iter_receipts()]
-        assert seen[-3:] == hashes

@@ -73,10 +73,6 @@ class TestHash32:
             "0x4f5b812789fc606be1b3b16908db13fc7a9adf7ca72641f84d75b47069d3d7f0"
         )
 
-    def test_to_int_big_endian(self) -> None:
-        raw = b"\x00" * 31 + b"\x2a"
-        assert Hash32(raw).to_int() == 42
-
     def test_hex_round_trip(self) -> None:
         value = Hash32.of(b"anything")
         assert Hash32.from_hex(value.hex) == value

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain import Address, Blockchain, ether
+from repro.chain import Address, ether
 from repro.crawler import (
+    CrawlError,
     EtherscanClient,
-    EtherscanCrawlError,
     OpenSeaClient,
     SubgraphClient,
 )
@@ -18,8 +18,12 @@ from repro.explorer import (
     LabelRegistry,
     VirtualClock,
 )
+from repro.explorer.api import RateLimitError
 from repro.indexer import ENSSubgraph, SubgraphEndpoint
 from repro.marketplace import OpenSeaAPI, OpenSeaMarket
+from repro.obs.metrics import MetricsRegistry
+
+from .helpers import all_domains
 
 
 class TestSubgraphClient:
@@ -32,7 +36,7 @@ class TestSubgraphClient:
 
     def test_fetch_all_with_tiny_pages(self, endpoint) -> None:
         client = SubgraphClient(endpoint, page_size=2)
-        records = client.fetch_all_domains()
+        records = all_domains(client)
         assert len(records) == 7
         assert client.pages_fetched >= 4
         # ids strictly increasing proves cursor pagination worked
@@ -41,15 +45,9 @@ class TestSubgraphClient:
 
     def test_records_carry_registrations(self, endpoint, alice) -> None:
         client = SubgraphClient(endpoint)
-        record = client.fetch_all_domains()[0]
+        record = all_domains(client)[0]
         assert record.registrations[0].registrant == alice.hex
         assert record.resolved_address == alice.hex
-
-    def test_point_lookup(self, endpoint) -> None:
-        client = SubgraphClient(endpoint)
-        target = client.fetch_all_domains()[3]
-        assert client.fetch_domain(target.domain_id).name == target.name
-        assert client.fetch_domain("0x" + "ab" * 32) is None
 
     def test_page_size_validation(self, endpoint) -> None:
         with pytest.raises(ValueError):
@@ -63,7 +61,7 @@ class TestSubgraphClient:
             ens.register(alice, f"gapname{i}", 365 * 86_400)
         endpoint = SubgraphEndpoint(subgraph, indexing_gap_rate=0.3)
         client = SubgraphClient(endpoint)
-        crawled = client.fetch_all_domains()
+        crawled = all_domains(client)
         missing = endpoint.missing_domain_ids()
         assert len(crawled) + len(missing) == 10
         assert {r.domain_id for r in crawled}.isdisjoint(missing)
@@ -101,30 +99,23 @@ class TestEtherscanClient:
 
     def test_retry_budget_exhausted(self, api) -> None:
         etherscan, a = api
-        # a clock that never advances would loop forever; cap retries small
-        client = EtherscanClient(etherscan, page_size=10, max_retries=0)
-        client.api.rate_limit_per_second = 0
+        client = EtherscanClient(etherscan, page_size=10)
+        client.api.rate_limit_per_second = 0  # every call is throttled
         assert client.failures == 0
-        with pytest.raises(EtherscanCrawlError):
+        with pytest.raises(CrawlError, match="^explorer: gave up after 9 attempts"):
             client.fetch_transactions(a.hex)
         # the terminal failure is recorded, not silently dropped
         assert client.failures == 1
-        assert client.requests_made == 1
+        assert client.requests_made == 9
+        assert client.retries_performed == 8
 
     def test_label_fetch_failure_recorded(self, api) -> None:
         etherscan, _ = api
-        client = EtherscanClient(etherscan, max_retries=0)
+        client = EtherscanClient(etherscan)
         client.api.rate_limit_per_second = 0
-        with pytest.raises(EtherscanCrawlError):
+        with pytest.raises(CrawlError):
             client.fetch_label_category("custodial-exchange")
         assert client.failures == 1
-
-    def test_fetch_many_deduplicates(self, api) -> None:
-        etherscan, a = api
-        client = EtherscanClient(etherscan, page_size=10)
-        b_hex = Address.derive("ec:b").hex
-        merged = client.fetch_many([a.hex, b_hex])
-        assert len(merged) == 35  # every tx touches both parties
 
     def test_deep_history_block_cursoring(self, chain) -> None:
         # an address with more rows than the 10K result window
@@ -186,7 +177,49 @@ class TestOpenSeaClient:
         self._list(chain, ens, market, alice, "aaa")
         self._list(chain, ens, market, alice, "bbb")
         client = OpenSeaClient(OpenSeaAPI(market))
-        events = client.fetch_events_for_tokens(
-            [labelhash("aaa").hex, labelhash("bbb").hex, labelhash("none").hex]
-        )
-        assert len(events) == 2
+        counts = [
+            len(client.fetch_token_events(labelhash(label).hex))
+            for label in ("aaa", "bbb", "none")
+        ]
+        assert counts == [1, 1, 0]
+
+
+class _DownEndpoint:
+    """An endpoint of every kind whose every call fails; counts the calls."""
+
+    def __init__(self) -> None:
+        self.clock = VirtualClock()
+        self.calls = 0
+
+    def query(self, text: str) -> dict:
+        self.calls += 1
+        return {"errors": [{"message": "indexer down"}]}
+
+    def _throttled(self, **kwargs: object) -> None:
+        self.calls += 1
+        raise RateLimitError("Max rate limit reached")
+
+    txlist = labels_in_category = asset_events = _throttled
+
+
+@pytest.mark.parametrize(
+    ("make_client", "fetch", "label", "attempts"),
+    [
+        (SubgraphClient, lambda c: c.fetch_domains_page(""), "subgraph", 3),
+        (EtherscanClient, lambda c: c.fetch_transactions("0xa"), "explorer", 9),
+        (EtherscanClient, lambda c: c.fetch_label_category("x"), "explorer", 9),
+        (OpenSeaClient, lambda c: c.fetch_token_events("0x1"), "opensea", 9),
+    ],
+)
+def test_down_endpoint_gives_up_after_the_policy(
+    make_client, fetch, label, attempts
+) -> None:
+    endpoint = _DownEndpoint()
+    registry = MetricsRegistry()
+    client = make_client(endpoint, registry=registry)
+    with pytest.raises(CrawlError, match=f"^{label}: gave up after {attempts} "):
+        fetch(client)
+    assert endpoint.calls == attempts
+    assert registry.value("crawler_requests_total", client=label) == attempts
+    assert registry.value("crawler_retries_total", client=label) == attempts - 1
+    assert registry.value("crawler_failures_total", client=label) == 1

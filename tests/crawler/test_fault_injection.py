@@ -6,8 +6,13 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.crawler import SubgraphClient, SubgraphCrawlError
+from repro.crawler import CrawlError, SubgraphClient
+from repro.faults import FaultPlan
 from repro.indexer import ENSSubgraph, SubgraphEndpoint
+from repro.obs.metrics import MetricsRegistry
+from repro.simulation import ScenarioConfig, run_scenario
+
+from .helpers import all_domains
 
 
 @dataclass
@@ -42,32 +47,50 @@ def populated_endpoint(chain, ens, alice) -> SubgraphEndpoint:
 class TestTransientFailures:
     def test_retries_through_transient_errors(self, populated_endpoint) -> None:
         flaky = _FlakyEndpoint(populated_endpoint, failures_per_burst=2)
-        client = SubgraphClient(flaky, page_size=2, max_retries=3)
-        records = client.fetch_all_domains()
+        client = SubgraphClient(flaky, page_size=2)
+        records = all_domains(client)
         assert len(records) == 5
         # every page cost the failed attempts plus the success
         assert flaky.queries_seen > client.pages_fetched
 
     def test_persistent_failure_raises_with_message(self, populated_endpoint) -> None:
         flaky = _FlakyEndpoint(populated_endpoint, failures_per_burst=10**9)
-        client = SubgraphClient(flaky, max_retries=3)
-        with pytest.raises(SubgraphCrawlError, match="temporarily unavailable"):
-            client.fetch_all_domains()
+        client = SubgraphClient(flaky)
+        with pytest.raises(CrawlError, match="^subgraph: .*temporarily unavailable"):
+            all_domains(client)
         assert flaky.queries_seen == 3  # exactly the retry budget
 
-    def test_point_lookup_propagates_errors(self, populated_endpoint) -> None:
-        flaky = _FlakyEndpoint(populated_endpoint, failures_per_burst=10**9)
-        client = SubgraphClient(flaky)
-        with pytest.raises(SubgraphCrawlError):
-            client.fetch_domain("0x" + "00" * 32)
-
     def test_exact_retry_budget_boundary(self, populated_endpoint) -> None:
-        # fails max_retries-1 times then succeeds: must still work
+        # fails 2 of the 3 allowed attempts, then succeeds: must still work
         flaky = _FlakyEndpoint(populated_endpoint, failures_per_burst=2)
-        client = SubgraphClient(flaky, max_retries=3)
-        assert len(client.fetch_all_domains()) == 5
-        # fails exactly max_retries times per burst: must give up
+        client = SubgraphClient(flaky)
+        assert len(all_domains(client)) == 5
+        # fails all 3 attempts per burst: must give up
         flaky_fatal = _FlakyEndpoint(populated_endpoint, failures_per_burst=3)
-        fatal_client = SubgraphClient(flaky_fatal, max_retries=3)
-        with pytest.raises(SubgraphCrawlError):
-            fatal_client.fetch_all_domains()
+        fatal_client = SubgraphClient(flaky_fatal)
+        with pytest.raises(CrawlError):
+            all_domains(fatal_client)
+
+
+def test_requests_counter_equals_calls_reaching_each_endpoint() -> None:
+    """Under a seeded uniform fault plan every attempt is one counted request."""
+    world = run_scenario(ScenarioConfig(n_domains=40, seed=3))
+    registry = MetricsRegistry()
+    # plan seed 3 faults at least one call of each client, so every
+    # client retries and its requests exceed its successful calls
+    pipeline = world.build_pipeline(
+        registry=registry, fault_plan=FaultPlan.uniform(0.2, seed=3)
+    )
+    pipeline.run(crawl_timestamp=world.end_timestamp)
+    wrappers = {
+        "subgraph": pipeline.subgraph_client.endpoint,
+        "explorer": pipeline.etherscan_client.api,
+        "opensea": pipeline.opensea_client.api,
+    }
+    for label, wrapper in wrappers.items():
+        assert wrapper.calls_seen > 0
+        assert registry.value("crawler_retries_total", client=label) > 0
+        assert (
+            registry.value("crawler_requests_total", client=label)
+            == wrapper.calls_seen
+        )

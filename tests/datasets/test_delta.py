@@ -138,7 +138,7 @@ class TestSerialization:
 
     def test_empty_delta_encodes_empty_object(self) -> None:
         assert DatasetDelta().as_dict() == {}
-        assert DatasetDelta().is_empty
+        assert DatasetDelta().record_count == 0
 
 
 class TestDeltaLog:

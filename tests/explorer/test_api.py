@@ -179,7 +179,8 @@ class TestLabels:
             registry.tag(
                 Address.derive(f"ex:{i}"), f"Exchange {i}", CATEGORY_CUSTODIAL_EXCHANGE
             )
+        exchanges = registry.addresses_in_category(CATEGORY_CUSTODIAL_EXCHANGE)
         assert len(registry.coinbase_addresses()) == 3
-        assert len(registry.non_coinbase_custodial_addresses()) == 4
-        assert all(registry.is_custodial(a) for a in registry.coinbase_addresses())
-        assert not registry.is_coinbase(registry.non_coinbase_custodial_addresses()[0])
+        assert len(exchanges) == 4
+        assert all(registry.is_coinbase(a) for a in registry.coinbase_addresses())
+        assert not registry.is_coinbase(exchanges[0])

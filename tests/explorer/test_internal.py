@@ -115,4 +115,3 @@ class TestExplorerView:
         api = self._api(chain)
         assert len(api.txlistinternal(splitter.address)) == 1
         assert len(api.txlistinternal(beneficiary)) == 1
-        assert api.database.total_internal_transfers == 1

@@ -7,7 +7,12 @@ import dataclasses
 import pytest
 
 from repro.core import find_hijackable
-from repro.crawler.storage import append_delta, load_dataset, save_dataset
+from repro.crawler.storage import (
+    DatasetFormatError,
+    append_delta,
+    load_dataset,
+    save_dataset,
+)
 from repro.datasets.delta import DatasetDelta
 from repro.obs import MetricsRegistry
 from repro.serve import DatasetWatcher, ReproApp
@@ -228,6 +233,17 @@ class TestDatasetWatcher:
         cursor = app.dataset.delta_cursor
         assert watcher.poll_once() == 0
         assert app.dataset.delta_cursor == cursor
+
+    def test_malformed_line_is_a_format_error(self, stream, tmp_path) -> None:
+        save_dataset(stream.replay(2), tmp_path)
+        append_delta(tmp_path, stream.deltas[2])
+        app, _ = _app(load_dataset(tmp_path), stream)
+        watcher = DatasetWatcher(app, tmp_path)
+        with (tmp_path / "deltas.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write("[1,2]\n")
+        with pytest.raises(DatasetFormatError, match=r"deltas\.jsonl:2: malformed"):
+            watcher.poll_once()
+        assert app.dataset.delta_cursor == 1
 
     def test_background_thread_lifecycle(self, stream, tmp_path) -> None:
         save_dataset(stream.replay(), tmp_path)

@@ -13,7 +13,11 @@ import pytest
 import repro
 from repro.cli import build_parser, main
 from repro.crawler import dataset_digest, load_dataset
+from repro.crawler.storage import append_delta, save_dataset
+from repro.datasets.delta import DatasetDelta
 from repro.obs import RunLedger, RunRecord
+
+from .core.helpers import make_dataset, make_domain, make_registration, make_tx
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +198,39 @@ class TestUnloadableDataset:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"repro {command}: {directory}: ")
+
+    @pytest.mark.parametrize(
+        ("name", "bad_line"),
+        [
+            ("domains.jsonl", b"[1]"),
+            ("domains.jsonl", b"\xff"),
+            ("deltas.jsonl", b"{not json"),
+            ("deltas.jsonl", b'{"domains": 5}'),
+            ("deltas.jsonl", b"[1,2]"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(
+        self, name, bad_line, tmp_path, capsys
+    ) -> None:
+        directory = tmp_path / "crawl"
+        save_dataset(
+            make_dataset(
+                [make_domain("gold", [make_registration("0xa", 10, 400)])],
+                [make_tx("0xa", "0xb", 50)],
+            ),
+            directory,
+        )
+        delta = DatasetDelta(transactions=(make_tx("0xa", "0xb", 60),))
+        append_delta(directory, delta)
+        with (directory / name).open("ab") as handle:
+            handle.write(bad_line + b"\n")  # line 2 of either file
+        assert main(["analyze", str(directory), "--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(
+            f"repro analyze: {directory}: {name}:2: malformed record ("
+        )
 
 
 class TestSimulate:
