@@ -1,4 +1,4 @@
-"""Blocks: ordered receipt batches with a timestamp and parent link."""
+"""Blocks: ordered receipt batches with a timestamp."""
 
 from __future__ import annotations
 
@@ -15,15 +15,20 @@ GENESIS_PARENT = Hash32(b"\x00" * 32)
 
 @dataclass(slots=True)
 class Block:
-    """A mined block: number, timestamp, parent hash, receipts."""
+    """A mined block: number, timestamp, receipts.
+
+    A block's id chains over its parent's, so the block does not hold
+    it: :meth:`~repro.chain.chain.Blockchain.block_hash` computes ids
+    on first read.
+    """
 
     number: int
     timestamp: int
-    parent_hash: Hash32
     receipts: list[Receipt] = field(default_factory=list)
 
-    def hash(self) -> Hash32:
-        """Block id derived from header fields and transaction ids.
+    def hash(self, parent_hash: Hash32) -> Hash32:
+        """Block id derived from header fields, the parent's id
+        (``GENESIS_PARENT`` for block 0) and transaction ids.
 
         Like transaction ids, block ids are identifiers only, so they use
         blake2b (see Transaction.hash for the rationale).
@@ -32,7 +37,7 @@ class Block:
             [
                 self.number.to_bytes(8, "big"),
                 self.timestamp.to_bytes(8, "big"),
-                self.parent_hash.raw,
+                parent_hash.raw,
                 *[receipt.tx_hash.raw for receipt in self.receipts],
             ]
         )

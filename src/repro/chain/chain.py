@@ -49,6 +49,8 @@ class Blockchain:
         self.logs: list[Log] = []
         self.contracts: dict[Address, Contract] = {}
         self.receipts_by_hash: dict[Hash32, Receipt] = {}
+        # ids of blocks 0..len-1, extended on read (see block_hash)
+        self._block_ids: list[Hash32] = []
         self._timestamp = genesis_timestamp
         self._view_ctx: CallContext | None = None
         self._executing: Receipt | None = None
@@ -68,8 +70,7 @@ class Blockchain:
             "chain_logs_total", "Event logs emitted (net of reverts)"
         )
         self._g_height = self.metrics.gauge("chain_height", "Latest block number")
-        genesis = Block(number=0, timestamp=genesis_timestamp, parent_hash=GENESIS_PARENT)
-        self.blocks.append(genesis)
+        self.blocks.append(Block(number=0, timestamp=genesis_timestamp))
 
     # -- clock -------------------------------------------------------------
 
@@ -236,15 +237,10 @@ class Blockchain:
                 for callback in self._log_subscribers:
                     callback(log)
 
-        block = Block(
-            number=block_number,
-            timestamp=self._timestamp,
-            parent_hash=self._tip_hash(),
-            receipts=[receipt],
+        self.blocks.append(
+            Block(number=block_number, timestamp=self._timestamp, receipts=[receipt])
         )
-        self.blocks.append(block)
         self._view_ctx = None
-        self._tip = block.hash()
         self.receipts_by_hash[tx_hash] = receipt
         self._m_blocks.inc()
         (self._m_tx_ok if receipt.success else self._m_tx_reverted).inc()
@@ -252,13 +248,6 @@ class Blockchain:
             self._m_logs.inc(len(receipt.logs))
         self._g_height.set(block_number)
         return receipt
-
-    _tip: Hash32 | None = None
-
-    def _tip_hash(self) -> Hash32:
-        if self._tip is None:
-            self._tip = self.blocks[-1].hash()
-        return self._tip
 
     # -- hooks used by executing contracts -----------------------------------
 
@@ -314,6 +303,22 @@ class Blockchain:
         if not 0 <= number < len(self.blocks):
             raise UnknownAccount(f"no block number {number}")
         return self.blocks[number]
+
+    def block_hash(self, number: int) -> Hash32:
+        """Id of block ``number``; raises for out-of-range numbers.
+
+        Each id chains over its parent's, and only explorer block
+        lookups read them, so sealing a block computes none. The first
+        read computes every missing id up to ``number``, oldest first
+        in a loop, and keeps them: a sealed block never changes.
+        """
+        self.get_block(number)
+        ids = self._block_ids
+        blocks = self.blocks
+        while len(ids) <= number:
+            parent = ids[-1] if ids else GENESIS_PARENT
+            ids.append(blocks[len(ids)].hash(parent))
+        return ids[number]
 
     def get_receipt(self, tx_hash: Hash32) -> Receipt:
         """Receipt by transaction hash; raises if unknown."""

@@ -94,12 +94,17 @@ class EtherscanClient:
         self._rows.inc(len(rows))
         return rows
 
-    def fetch_transactions(self, address: str) -> list[TxRecord]:
+    def fetch_transactions(
+        self, address: str, strings: dict[str, str] | None = None
+    ) -> list[TxRecord]:
         """Full history of one address, oldest first.
 
         Pages through (page, offset) windows; when an address has more
         than 10,000 transactions, restarts pagination from the next
         block past the last row seen (Etherscan's documented recipe).
+        A ``strings`` table shares the rows' ``from``/``to`` strings
+        (see :meth:`TxRecord.from_api_row`); the caller owns it, so its
+        lifetime is the caller's crawl.
         """
         records: list[TxRecord] = []
         seen: set[str] = set()
@@ -122,7 +127,7 @@ class EtherscanClient:
                     sort="asc",
                 )
                 for row in rows:
-                    record = TxRecord.from_api_row(row)
+                    record = TxRecord.from_api_row(row, strings)
                     if record.tx_hash not in seen:
                         seen.add(record.tx_hash)
                         records.append(record)

@@ -269,9 +269,14 @@ class DataCollectionPipeline:
             # 3. transaction histories, one wallet per unit
             with tracer.span("crawl.3_transactions"):
                 if state.stage == STAGE_TRANSACTIONS:
+                    # one string per address across the crawled rows,
+                    # seeded with the domain records' own; dropped on return
+                    strings = {wallet: wallet for wallet in wallets}
                     for wallet in wallets[state.wallets_done :]:
                         dataset.add_transactions(
-                            self.etherscan_client.fetch_transactions(wallet)
+                            self.etherscan_client.fetch_transactions(
+                                wallet, strings
+                            )
                         )
                         state.wallets_done += 1
                         self._unit_done(state)

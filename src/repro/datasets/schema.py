@@ -150,14 +150,25 @@ class TxRecord:
         )
 
     @classmethod
-    def from_api_row(cls, row: dict[str, object]) -> "TxRecord":
-        """Parse an Etherscan txlist row (stringly typed)."""
+    def from_api_row(
+        cls, row: dict[str, object], strings: dict[str, str] | None = None
+    ) -> "TxRecord":
+        """Parse an Etherscan txlist row (stringly typed).
+
+        With a ``strings`` table, each ``from``/``to`` text is replaced
+        by the table's equal string (added when missing), so the records
+        of one crawl hold one string per address.
+        """
+        sender, recipient = str(row["from"]), str(row["to"])
+        if strings is not None:
+            sender = strings.setdefault(sender, sender)
+            recipient = strings.setdefault(recipient, recipient)
         return cls(
             tx_hash=str(row["hash"]),
             block_number=int(str(row["blockNumber"])),
             timestamp=int(str(row["timeStamp"])),
-            from_address=str(row["from"]),
-            to_address=str(row["to"]),
+            from_address=sender,
+            to_address=recipient,
             value_wei=int(str(row["value"])),
             is_error=str(row["isError"]) == "1",
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..chain.block import GENESIS_PARENT
 from ..chain.errors import UnknownAccount
 from ..chain.transaction import InternalTransfer, Receipt
 from ..chain.types import Address, Hash32
@@ -212,15 +213,18 @@ class EtherscanAPI:
         """Block header lookup (proxy.eth_getBlockByNumber)."""
         self._throttle()
         self.database.sync()
+        chain = self.database.chain
         try:
-            block = self.database.chain.get_block(number)
+            block = chain.get_block(number)
         except UnknownAccount:
             return None
         return {
             "number": str(block.number),
             "timestamp": str(block.timestamp),
-            "hash": block.hash().hex,
-            "parentHash": block.parent_hash.hex,
+            "hash": chain.block_hash(number).hex,
+            "parentHash": (
+                chain.block_hash(number - 1) if number else GENESIS_PARENT
+            ).hex,
             "transactionCount": str(block.transaction_count),
         }
 

@@ -276,7 +276,9 @@ class RetryingCaller:
             return family.labels(client=self.client)
 
         self._requests = counter("crawler_requests_total", "API calls issued")
-        self._retries = counter("crawler_retries_total", "Rate-limited calls retried")
+        self._retries = counter(
+            "crawler_retries_total", "Calls retried (any retryable error)"
+        )
         self._backoff_seconds = counter(
             "crawler_backoff_seconds_total",
             "Total backoff sleep against the API clock",

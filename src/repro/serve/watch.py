@@ -15,6 +15,13 @@ derived from the dataset's ``delta_cursor`` — the loader replayed
 exactly that many log lines — so lines appended between load and the
 first poll are never skipped or double-applied.
 
+A malformed terminated line stops the watch for good. The poll that
+meets it applies the lines before it, leaves the offset at the bad
+line, logs ``watch.malformed`` once and raises; later polls apply
+nothing and stay silent. The line is not skipped: the loader rejects
+the same file at restart, so a state built past it is one no reload
+reproduces.
+
 ``poll_once`` is the synchronous unit (tests drive it directly);
 :meth:`start`/:meth:`stop` run it on a background thread for the CLI's
 ``repro serve --watch``.
@@ -25,7 +32,7 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
-from ..crawler.storage import DELTAS_FILE, parse_line
+from ..crawler.storage import DELTAS_FILE, DatasetFormatError, parse_line
 from ..datasets.delta import DatasetDelta
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
@@ -33,7 +40,7 @@ from .app import ReproApp
 
 __all__ = ["DatasetWatcher", "WATCH_POLLS_METRIC"]
 
-#: Watch polls by outcome (``changed`` / ``unchanged``).
+#: Watch polls by outcome (``changed`` / ``unchanged`` / ``malformed``).
 WATCH_POLLS_METRIC = "serve_watch_polls_total"
 
 _log = get_logger("serve.watch")
@@ -81,6 +88,8 @@ class DatasetWatcher:
         )
         self._poll_changed = polls.labels(outcome="changed")
         self._poll_unchanged = polls.labels(outcome="unchanged")
+        self._poll_malformed = polls.labels(outcome="malformed")
+        self._halted = False
         self._path = self.directory / DELTAS_FILE
         self._offset = _offset_of_line(
             self._path, getattr(app.dataset, "delta_cursor", 0)
@@ -95,7 +104,12 @@ class DatasetWatcher:
         replaced underneath us (e.g. compacted by ``repro dataset
         pack``); the watcher cannot reconcile that against the live
         dataset, so it logs and fast-forwards without applying.
+
+        A malformed line raises :class:`DatasetFormatError` once, after
+        the lines before it are applied; every later poll returns 0.
         """
+        if self._halted:
+            return 0
         if not self._path.exists():
             self._poll_unchanged.inc()
             return 0
@@ -116,23 +130,43 @@ class DatasetWatcher:
         if keep <= self._offset:
             self._poll_unchanged.inc()
             return 0
-        first_line = raw.count(b"\n", 0, self._offset) + 1
-        deltas = [
-            parse_line(self._path, line_number, line, DatasetDelta.from_dict)
-            for line_number, line in enumerate(
-                raw[self._offset : keep].split(b"\n"), start=first_line
+        deltas: list[DatasetDelta] = []
+        malformed: DatasetFormatError | None = None
+        start = self._offset
+        line_number = raw.count(b"\n", 0, start)
+        for line in raw[start:keep].split(b"\n")[:-1]:
+            line_number += 1
+            if line.strip():
+                try:
+                    deltas.append(
+                        parse_line(
+                            self._path, line_number, line, DatasetDelta.from_dict
+                        )
+                    )
+                except DatasetFormatError as exc:
+                    malformed = exc
+                    break
+            start += len(line) + 1
+        if deltas:
+            self.app.apply_deltas(deltas)
+            _log.info(
+                "watch.applied",
+                deltas=len(deltas),
+                records=sum(delta.record_count for delta in deltas),
+                offset=start,
             )
-            if line.strip()
-        ]
-        self.app.apply_deltas(deltas)
-        self._offset = keep
+        self._offset = start
+        if malformed is not None:
+            self._halted = True
+            self._poll_malformed.inc()
+            _log.error(
+                "watch.malformed",
+                line=f"{DELTAS_FILE}:{line_number}",
+                error=str(malformed),
+                hint="watching stopped; repair the line and restart serve",
+            )
+            raise malformed
         self._poll_changed.inc()
-        _log.info(
-            "watch.applied",
-            deltas=len(deltas),
-            records=sum(delta.record_count for delta in deltas),
-            offset=self._offset,
-        )
         return len(deltas)
 
     # -- background loop ---------------------------------------------------
@@ -157,6 +191,8 @@ class DatasetWatcher:
         while not self._stop.wait(self.poll_interval):
             try:
                 self.poll_once()
+            except DatasetFormatError:
+                return  # logged once by poll_once; the log cannot move on
             except Exception as exc:  # noqa: BLE001 - keep watching
                 _log.error(
                     "watch.poll_failed",

@@ -27,6 +27,7 @@ from datetime import date
 from typing import TYPE_CHECKING
 
 from ..chain.chain import Blockchain
+from ..chain.transaction import Receipt
 from ..chain.types import SECONDS_PER_DAY, Address, Wei
 from ..crawler.checkpoint import CheckpointConfig
 from ..crawler.etherscan_client import EtherscanClient
@@ -100,10 +101,29 @@ class ScenarioWorld:
     scripts: list[DomainScript]
     dropcatchers: list[DropcatcherAgent]
     truth: GroundTruth
-    resolution_log: list[ResolutionRecord]
+    resolutions: list[tuple[str, Receipt]]
     end_timestamp: int
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     tracer: Tracer = field(default_factory=Tracer)
+
+    @property
+    def resolution_log(self) -> list[ResolutionRecord]:
+        """The wallet-vendor resolution log, one record per ENS-routed payment.
+
+        Built on each read from ``resolutions``, the (label, receipt)
+        pair every ENS-routed payment appends: the payment's receipt
+        already holds who paid whom, when, and in which transaction.
+        """
+        return [
+            ResolutionRecord(
+                name=label + ".eth",
+                sender=receipt.from_address.hex,
+                resolved_to=receipt.to_address.hex,
+                timestamp=receipt.timestamp,
+                tx_hash=receipt.tx_hash.hex,
+            )
+            for label, receipt in self.resolutions
+        ]
 
     def build_pipeline(
         self,
@@ -212,7 +232,7 @@ class _ScenarioEngine:
         )
         self.chain.deploy(self.market)
         self.truth = GroundTruth()
-        self.resolution_log: list[ResolutionRecord] = []
+        self.resolutions: list[tuple[str, Receipt]] = []
         self.names = NameGenerator(self.rng)
         self.events: dict[int, list[tuple]] = {}
         self.scripts: list[DomainScript] = []
@@ -656,15 +676,7 @@ class _ScenarioEngine:
         receipt = self.chain.transfer(sender.address, target, wei)
         if sender.uses_ens:
             # the wallet-vendor resolution log the paper could not obtain
-            self.resolution_log.append(
-                ResolutionRecord(
-                    name=f"{label}.eth",
-                    sender=sender.address.hex,
-                    resolved_to=target.hex,
-                    timestamp=self.chain.now,
-                    tx_hash=receipt.tx_hash.hex,
-                )
-            )
+            self.resolutions.append((label, receipt))
         holder = self.current_holder.get(label)
         expires = self.ens.name_expires(label)
         expired = expires != 0 and self.chain.now > expires
@@ -823,7 +835,7 @@ class _ScenarioEngine:
             scripts=self.scripts,
             dropcatchers=self.dropcatchers,
             truth=self.truth,
-            resolution_log=self.resolution_log,
+            resolutions=self.resolutions,
             end_timestamp=self.chain.now,
             registry=self.registry,
             tracer=self.tracer,

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import logging
+from collections.abc import Iterator
 
 import pytest
 
@@ -20,6 +23,23 @@ from repro.serve.app import NOT_MODIFIED_METRIC
 from repro.serve.query import CACHE_MIGRATED_METRIC
 from repro.serve.watch import WATCH_POLLS_METRIC
 from repro.simulation import ScenarioConfig, stream_scenario
+
+
+@contextlib.contextmanager
+def _watch_log() -> Iterator[list[logging.LogRecord]]:
+    """Every record the watcher logs while the block runs, at any level."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler()
+    handler.emit = records.append  # type: ignore[method-assign]
+    logger = logging.getLogger("repro.serve.watch")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +264,57 @@ class TestDatasetWatcher:
         with pytest.raises(DatasetFormatError, match=r"deltas\.jsonl:2: malformed"):
             watcher.poll_once()
         assert app.dataset.delta_cursor == 1
+
+    @staticmethod
+    def _valid_bad_valid(
+        stream, tmp_path
+    ) -> tuple[DatasetWatcher, ReproApp, MetricsRegistry]:
+        """A watcher over a log of: valid delta, malformed line, valid delta."""
+        save_dataset(stream.replay(2), tmp_path)
+        app, registry = _app(load_dataset(tmp_path), stream)
+        watcher = DatasetWatcher(app, tmp_path, poll_interval=0.01)
+        append_delta(tmp_path, stream.deltas[2])
+        with (tmp_path / "deltas.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write("[1,2]\n")
+        append_delta(tmp_path, stream.deltas[3])
+        return watcher, app, registry
+
+    def test_malformed_line_stops_watching_for_good(self, stream, tmp_path) -> None:
+        watcher, app, registry = self._valid_bad_valid(stream, tmp_path)
+        with _watch_log() as records:
+            with pytest.raises(DatasetFormatError, match=r"deltas\.jsonl:2: malformed"):
+                watcher.poll_once()
+            # the line before the bad one is applied; the offset stays there
+            assert app.dataset.delta_cursor == 1
+            errors = [r.getMessage() for r in records if r.levelno >= logging.ERROR]
+            assert len(errors) == 1
+            assert errors[0].startswith("watch.malformed line=deltas.jsonl:2 ")
+            records.clear()
+            for _ in range(3):
+                assert watcher.poll_once() == 0
+            assert records == []
+        assert app.dataset.delta_cursor == 1
+        assert registry.value(WATCH_POLLS_METRIC, outcome="malformed") == 1.0
+        # not skipped: a restart rejects the same line
+        with pytest.raises(DatasetFormatError, match=r"deltas\.jsonl:2: malformed"):
+            load_dataset(tmp_path)
+
+    def test_background_loop_ends_on_malformed_line(self, stream, tmp_path) -> None:
+        watcher, app, registry = self._valid_bad_valid(stream, tmp_path)
+        with _watch_log() as records:
+            watcher.start()
+            thread = watcher._thread
+            assert thread is not None
+            try:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            finally:
+                watcher.stop()
+        events = [r.getMessage().split(" ", 1)[0] for r in records]
+        assert events.count("watch.malformed") == 1
+        assert "watch.poll_failed" not in events
+        assert app.dataset.delta_cursor == 1
+        assert registry.value(WATCH_POLLS_METRIC, outcome="malformed") == 1.0
 
     def test_background_thread_lifecycle(self, stream, tmp_path) -> None:
         save_dataset(stream.replay(), tmp_path)

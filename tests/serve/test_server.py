@@ -13,6 +13,9 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.core import build_report, report_json
+from repro.crawler import EtherscanClient
+from repro.obs import MetricsRegistry
+from repro.serve import ReproApp
 from repro.serve.app import ERRORS_METRIC, REQUESTS_METRIC
 
 from .harness import ServeHarness, canonical_key, expected_cache_counters
@@ -135,6 +138,20 @@ def test_healthz_and_metrics(harness) -> None:
     assert REQUESTS_METRIC in text
     assert "serve_cache_requests_total" in text
     assert "serve_inflight_requests" in text
+
+
+def test_metrics_help_for_crawler_retries(
+    serve_world, serve_dataset, serve_oracle
+) -> None:
+    # a dataset-less `repro serve` crawls into the registry it serves
+    registry = MetricsRegistry()
+    EtherscanClient(serve_world.etherscan_api, registry=registry)
+    app = ReproApp(serve_dataset, serve_oracle, registry=registry)
+    text = app.handle("GET", "/metrics").body.decode("utf-8")
+    assert (
+        "# HELP crawler_retries_total Calls retried (any retryable error)\n"
+        in text
+    )
 
 
 def test_stop_refuses_new_connections(serve_dataset, serve_oracle) -> None:

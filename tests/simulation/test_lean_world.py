@@ -1,0 +1,129 @@
+"""A built world keeps only what its readers need, with unchanged values.
+
+Block ids are computed when first read, the resolution log is built
+from payment receipts on read, and a crawl shares one string per
+address across its transaction records. The literals below were
+computed when the world still hashed every sealed block and stored
+ready-made resolution records; equal values prove the ids and the log
+did not change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.chain.block import Block
+from repro.core.authoritative import authoritative_losses
+from repro.datasets.schema import ResolutionRecord
+from repro.simulation import ScenarioConfig, run_scenario
+
+#: ``get_block`` (hash, parentHash) of a 40-domain, seed-3 world.
+BLOCK_IDS_40_3 = {
+    0: (
+        "0x05f9c2836a95fbc840560ee30538494ca30a6aa14dae1df60b9f547c82009a65",
+        "0x0000000000000000000000000000000000000000000000000000000000000000",
+    ),
+    1: (
+        "0x0df202885d9854038775170d442825f1f7941b71c956526d73c95d278e49a8b3",
+        "0x05f9c2836a95fbc840560ee30538494ca30a6aa14dae1df60b9f547c82009a65",
+    ),
+    2170: (
+        "0x30d0f5df2b038ecb7eecd07833583d444995b34d20bd17404e4a86f22c9df44b",
+        "0x7f517e612c0383f81f992e5043115d3ca8d4a67b052b367e0c0f316cfd7c123f",
+    ),
+}
+
+#: SHA-256 of the sorted-key JSON of every ``as_dict`` of a 120/5 log.
+RESOLUTION_LOG_DIGEST_120_5 = (
+    "6f42f7fd33df4b4192b168d4034ac805bc2d64edbcad554d5cf3af986d0d3645"
+)
+#: SHA-256 of ``repr(authoritative_losses(log).losses)`` at 120/5.
+AUTHORITATIVE_LOSSES_DIGEST_120_5 = (
+    "81b6882bdd9a5063b4505e4fe1ab540f239aea1dbe5ad49b01ff7955f566e399"
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def counted():
+    """A 120/5 world and its crawl, built while block ids and
+    resolution records are counted."""
+    counts = {"block_ids": 0, "resolution_records": 0}
+
+    def counting(key, method):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Block, "hash", counting("block_ids", Block.hash))
+        patch.setattr(
+            ResolutionRecord,
+            "__init__",
+            counting("resolution_records", ResolutionRecord.__init__),
+        )
+        world = run_scenario(ScenarioConfig(n_domains=120, seed=5))
+        dataset, _ = world.run_crawl()
+    return world, dataset, counts
+
+
+class TestBlockIds:
+    def test_get_block_ids_unchanged(self) -> None:
+        world = run_scenario(ScenarioConfig(n_domains=40, seed=3))
+        assert world.chain.height == 2170
+        # the tip first: every id below it is computed by that one read
+        for number in (2170, 0, 1):
+            block = world.etherscan_api.get_block(number)
+            assert block is not None
+            assert (block["hash"], block["parentHash"]) == BLOCK_IDS_40_3[number]
+
+    def test_scenario_and_crawl_compute_no_block_id(self, counted) -> None:
+        _, _, counts = counted
+        assert counts["block_ids"] == 0
+
+
+class TestResolutionLog:
+    def test_log_unchanged(self, counted) -> None:
+        world, _, _ = counted
+        log = world.resolution_log
+        assert len(log) == 1364
+        payload = json.dumps([record.as_dict() for record in log], sort_keys=True)
+        assert _sha256(payload) == RESOLUTION_LOG_DIGEST_120_5
+
+    def test_authoritative_losses_unchanged(self, counted) -> None:
+        world, _, _ = counted
+        report = authoritative_losses(world.resolution_log)
+        assert report.resolutions_examined == 1364
+        assert (len(report.losses), report.affected_names, report.unique_senders) == (
+            76, 11, 56,
+        )
+        assert _sha256(repr(report.losses)) == AUTHORITATIVE_LOSSES_DIGEST_120_5
+
+    def test_scenario_and_crawl_build_no_record(self, counted) -> None:
+        _, _, counts = counted
+        assert counts["resolution_records"] == 0
+
+
+class TestSharedAddressStrings:
+    def test_one_string_per_crawled_address(self, counted) -> None:
+        _, dataset, _ = counted
+        strings = [
+            text
+            for tx in dataset.transactions
+            for text in (tx.from_address, tx.to_address)
+        ]
+        assert len(strings) == 2 * dataset.transaction_count > 0
+        assert len({id(text) for text in strings}) == len(set(strings))
+
+    def test_rows_share_the_wallet_strings(self, counted) -> None:
+        _, dataset, _ = counted
+        wallets = {id(wallet) for wallet in dataset.wallet_addresses()}
+        assert any(id(tx.from_address) in wallets for tx in dataset.transactions)
