@@ -730,7 +730,7 @@ def _cmd_report(args: argparse.Namespace, obs: _RunObservability) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace, obs: _RunObservability) -> int:
-    from .serve import DatasetWatcher, ReproApp, ReproServer, run_load
+    from .serve import DatasetWatcher, ReproApp, ReproServer
 
     if args.dataset is not None:
         dataset = _load_store(args, obs)
@@ -758,6 +758,8 @@ def _cmd_serve(args: argparse.Namespace, obs: _RunObservability) -> int:
         )
         watcher.start()
     if args.load_gen is not None:
+        from .serve.loadgen import run_load
+
         server.start()
         print(f"serving on http://{server.address} (load-gen mode)")
         with obs.tracer.span(

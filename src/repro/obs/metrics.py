@@ -15,15 +15,18 @@ Design points:
   mismatched type/label names raise — the name is a contract.
 * **Label order never matters.** ``labels(a="x", b="y")`` and
   ``labels(b="y", a="x")`` resolve to the same sample.
-* **Histograms keep raw observations.** At process-local scale this is
-  cheap, and it makes exact percentiles (nearest-rank) possible next to
-  the cumulative Prometheus buckets.
+* **Histograms keep raw observations**, as 8-byte doubles in an
+  ``array('d')`` rather than a list of float objects. That makes exact
+  percentiles (nearest-rank) possible next to the cumulative
+  Prometheus buckets; a resident server still grows 8 bytes per
+  observation.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from typing import Any, Iterator
 
 __all__ = [
@@ -104,7 +107,7 @@ class Histogram:
         self.buckets = tuple(float(b) for b in buckets)
         self.bucket_counts = [0] * len(self.buckets)
         self._sum = 0.0
-        self._values: list[float] = []
+        self._values = array("d")
 
     def observe(self, value: float) -> None:
         """Record one observation."""

@@ -9,8 +9,8 @@ no new dependencies.
 * :mod:`repro.serve.app` — routing, warm state, response construction,
 * :mod:`repro.serve.query` — query canonicalization + the versioned
   response cache,
-* :mod:`repro.serve.server` — the threaded HTTP listener with graceful
-  drain,
+* :mod:`repro.serve.server` — the threaded HTTP/1.1 listener with
+  input limits and graceful drain,
 * :mod:`repro.serve.loadgen` — the threaded load generator behind
   ``--load-gen`` and the throughput benchmark,
 * :mod:`repro.serve.watch` — the ``--watch`` poller feeding on-disk
@@ -19,11 +19,16 @@ no new dependencies.
 See ``docs/SERVING.md`` for endpoints, cache semantics, and SLOs.
 """
 
+from .._lazy import lazy_exports
 from .app import ReproApp
-from .loadgen import DEFAULT_PATHS, LoadStats, run_load
 from .query import QueryCache, canonical_query
 from .server import ReproServer
 from .watch import DatasetWatcher
+
+# a server that generates no load imports no HTTP client
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"loadgen": ("DEFAULT_PATHS", "LoadStats", "run_load")}
+)
 
 __all__ = [
     "DEFAULT_PATHS",

@@ -52,8 +52,9 @@ provably cannot affect — instead of dropping every entry.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import parse_qsl, unquote
 
 from ..chain.errors import InvalidName
 from ..core.context import AnalysisContext
@@ -68,13 +69,15 @@ from ..obs.metrics import MetricsRegistry, global_registry
 from ..obs.exporters import prometheus_text
 from ..obs.tracing import Tracer
 from ..oracle.ethusd import EthUsdOracle
-from .query import QueryCache, canonical_query
+from .query import QueryCache, canonical_query, split_target
 
 __all__ = [
     "ERRORS_METRIC",
     "NOT_MODIFIED_METRIC",
     "REQUESTS_METRIC",
     "ReproApp",
+    "Response",
+    "error_response",
 ]
 
 #: Requests served, by endpoint class and status class.
@@ -123,14 +126,23 @@ class Response:
         return None
 
 
-def _json_response(payload: object, status: int = 200) -> Response:
+def _json_response(
+    payload: object, status: int = 200, headers: tuple[tuple[str, str], ...] = ()
+) -> Response:
     """Canonical-JSON response for any JSON-ready payload."""
-    return Response(status, _JSON, canonical_json(payload).encode("utf-8"))
+    body = canonical_json(payload).encode("utf-8")
+    return Response(status, _JSON, body, headers)
 
 
-def _error(status: int, message: str) -> Response:
+def error_response(
+    status: int, message: str, headers: tuple[tuple[str, str], ...] = ()
+) -> Response:
     """A JSON error body (``{"error": ..., "status": ...}``)."""
-    return _json_response({"error": message, "status": status}, status=status)
+    return _json_response({"error": message, "status": status}, status, headers)
+
+
+#: The ``/query/<name>`` endpoints, each its own endpoint label.
+_QUERY_ENDPOINTS = frozenset({"dropcatch", "hijackable"})
 
 
 def _endpoint_class(path: str) -> str:
@@ -143,7 +155,7 @@ def _endpoint_class(path: str) -> str:
         return "report_section" if len(segments) > 1 else "report"
     if head == "domain":
         return "domain"
-    if head == "query" and len(segments) > 1:
+    if head == "query" and len(segments) > 1 and segments[1] in _QUERY_ENDPOINTS:
         return f"query_{segments[1]}"
     if head in ("healthz", "metrics"):
         return head
@@ -235,6 +247,9 @@ class ReproApp:
         self._inflight = self.registry.gauge(
             "serve_inflight_requests", "Requests currently being handled"
         )
+        #: ``(endpoint, status class)`` -> its request counter and the
+        #: endpoint's latency histogram, bound on first use.
+        self._samples: dict[tuple[str, str], tuple] = {}
         warm_tracer = tracer if tracer is not None else Tracer(registry=self.registry)
         with warm_tracer.span("serve.warmup"):
             self.context = AnalysisContext(
@@ -347,14 +362,16 @@ class ReproApp:
     ) -> Response:
         """Serve one request; always returns a :class:`Response`.
 
-        ``target`` is the raw request target (path plus optional query
-        string); ``headers`` carries the request headers the app acts
-        on (currently ``If-None-Match``). Unexpected exceptions become
-        a 500 — they are logged and counted, never propagated into the
-        listener thread.
+        ``target`` is the raw origin-form request target (path plus
+        optional query string, see
+        :func:`~repro.serve.query.split_target`); ``headers`` carries
+        the request headers the app acts on (currently
+        ``If-None-Match``). Unexpected exceptions become a 500 — they
+        are logged and counted, never propagated into the listener
+        thread.
         """
-        parts = urlsplit(target)
-        endpoint = _endpoint_class(parts.path)
+        path, query = split_target(target)
+        endpoint = _endpoint_class(path)
         if_none_match = None
         if headers:
             for name, value in headers.items():
@@ -362,29 +379,31 @@ class ReproApp:
                     if_none_match = value.strip()
         with self._lock:
             self._inflight.inc()
-        timer = Tracer()
+        started = time.perf_counter()  # lint: ignore[det-wall-clock] request latency metric only
         try:
-            with timer.span("serve.request"):
-                response = self._route(
-                    method, parts.path, parts.query, if_none_match
-                )
+            response = self._route(method, path, query, if_none_match)
         except Exception as exc:  # noqa: BLE001 - boundary: keep serving
             _log.error(
                 "serve.request_failed",
                 target=target,
                 error=f"{type(exc).__name__}: {exc}",
             )
-            response = _error(500, "internal server error")
-        status_class = f"{response.status // 100}xx"
-        duration = timer.roots[0].duration if timer.roots else None
+            response = error_response(500, "internal server error")
+        duration = time.perf_counter() - started  # lint: ignore[det-wall-clock] request latency metric only
+        key = (endpoint, f"{response.status // 100}xx")
         with self._lock:
             self._inflight.dec()
-            self._requests.labels(endpoint=endpoint, status=status_class).inc()
+            samples = self._samples.get(key)
+            if samples is None:
+                samples = self._samples[key] = (
+                    self._requests.labels(endpoint=endpoint, status=key[1]),
+                    self._latency.labels(endpoint=endpoint),
+                )
+            samples[0].inc()
+            samples[1].observe(duration)
+            self._latency_all.observe(duration)
             if response.status >= 500:
                 self._errors.inc()
-            if duration is not None:
-                self._latency.labels(endpoint=endpoint).observe(duration)
-                self._latency_all.observe(duration)
         return response
 
     def _route(
@@ -396,7 +415,9 @@ class ReproApp:
     ) -> Response:
         """Dispatch one parsed request to its endpoint."""
         if method != "GET":
-            return _error(405, f"method {method} not allowed (GET only)")
+            return error_response(
+                405, f"method {method} not allowed (GET only)", (("Allow", "GET"),)
+            )
         if path == "/healthz":
             return Response(200, _TEXT, b"ok\n")
         if path == "/metrics":
@@ -405,7 +426,7 @@ class ReproApp:
         try:
             key = canonical_query(path, query)
         except InvalidName as exc:
-            return _error(400, str(exc))
+            return error_response(400, str(exc))
         with self._lock:
             token = self._token()
             cached = self._cache.lookup(token, key)
@@ -455,7 +476,7 @@ class ReproApp:
             section = segments[1]
             if section not in payload:
                 known = ", ".join(sorted(payload))
-                return _error(
+                return error_response(
                     404, f"unknown report section {section!r} (one of: {known})"
                 )
             body = canonical_json(payload[section]).encode("utf-8")
@@ -468,13 +489,13 @@ class ReproApp:
             return self._dropcatch(params)
         if path == "/query/hijackable":
             return self._hijackable(params, token)
-        return _error(404, f"no such endpoint: {path}")
+        return error_response(404, f"no such endpoint: {path}")
 
     def _domain(self, name: str) -> Response:
         """``/domain/<name>``: record + dropcatch events, O(1) lookup."""
         record = self.dataset.domain_by_name(name)
         if record is None:
-            return _error(404, f"no domain named {name!r}")
+            return error_response(404, f"no domain named {name!r}")
         events = [
             _event_payload(event)
             for event in self.context.reregistrations()
@@ -497,7 +518,7 @@ class ReproApp:
         premium = params.get("premium")
         if premium is not None:
             if premium not in ("true", "false"):
-                return _error(400, "premium must be 'true' or 'false'")
+                return error_response(400, "premium must be 'true' or 'false'")
             events = [
                 event
                 for event in events
@@ -505,7 +526,7 @@ class ReproApp:
             ]
         events, limited = self._limit(events, params)
         if events is None:
-            return _error(400, "limit must be a non-negative integer")
+            return error_response(400, "limit must be a non-negative integer")
         return _json_response(
             {
                 "count": len(events),
@@ -523,7 +544,7 @@ class ReproApp:
         windows = [window for window in report.windows if window.txs]
         windows, limited = self._limit(windows, params)
         if windows is None:
-            return _error(400, "limit must be a non-negative integer")
+            return error_response(400, "limit must be a non-negative integer")
         return _json_response(
             {
                 "count": len(windows),

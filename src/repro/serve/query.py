@@ -32,6 +32,7 @@ __all__ = [
     "DOMAIN_PARAMS",
     "QueryCache",
     "canonical_query",
+    "split_target",
 ]
 
 #: Cache lookups by outcome (``hit`` / ``miss``).
@@ -45,6 +46,18 @@ CACHE_MIGRATED_METRIC = "serve_cache_migrated_entries_total"
 
 #: Query parameters whose values are ENS names (normalized into the key).
 DOMAIN_PARAMS = frozenset({"name", "domain"})
+
+
+def split_target(target: str) -> tuple[str, str]:
+    """``(path, query)`` of an origin-form request target.
+
+    The path is everything before the first ``?``, with leading
+    slashes collapsed to one, so ``//report/summary`` is the path
+    ``/report/summary`` (never a network location); the query is
+    everything after it.
+    """
+    path, _, query = target.partition("?")
+    return "/" + path.lstrip("/"), query
 
 
 def canonical_query(path: str, query: str = "") -> str:

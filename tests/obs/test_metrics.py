@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricError, MetricsRegistry, global_registry
 from repro.obs.metrics import Histogram
@@ -133,6 +136,51 @@ class TestHistogram:
     def test_unsorted_buckets_rejected(self) -> None:
         with pytest.raises(MetricError):
             Histogram(buckets=(5.0, 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            max_size=60,
+        ),
+        st.integers(min_value=0, max_value=100),
+    )
+    def test_reads_equal_a_list_of_observations(self, values, p) -> None:
+        histogram = Histogram(buckets=(-1.0, 0.0, 0.5, 10.0))
+        for value in values:
+            histogram.observe(value)
+        assert histogram.values == tuple(values)
+        assert histogram.count == len(values)
+        total = 0.0
+        for value in values:
+            total += value
+        assert histogram.sum == total
+        ordered = sorted(values)
+        if ordered:
+            rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+            assert histogram.percentile(p) == ordered[rank - 1]
+        else:
+            assert math.isnan(histogram.percentile(p))
+        expected = [
+            (upper, sum(1 for value in values if value <= upper))
+            for upper in (-1.0, 0.0, 0.5, 10.0)
+        ] + [(math.inf, len(values))]
+        assert histogram.cumulative_buckets() == expected
+
+    def test_observations_cost_eight_bytes_each(self) -> None:
+        """A resident server observes every request: 100,000
+        observations stay under 1 MB (a list of floats takes ~3.2 MB)."""
+        histogram = Histogram()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(100_000):
+                histogram.observe(index * 1e-6)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert histogram.count == 100_000
+        assert grown < 1_000_000, grown
 
 
 class TestRegistryExportShape:

@@ -18,11 +18,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from http.client import HTTPConnection
-from urllib.parse import urlsplit
 
 from repro.obs import MetricsRegistry
 from repro.serve import ReproApp, ReproServer, canonical_query
-from repro.serve.query import CACHE_REQUESTS_METRIC
+from repro.serve.query import CACHE_REQUESTS_METRIC, split_target
 
 #: Endpoints the app serves outside the response cache.
 NON_CACHEABLE = frozenset({"/healthz", "/metrics"})
@@ -52,8 +51,7 @@ class ClientResult:
 
 def canonical_key(path: str) -> str:
     """The cache key the server derives for a raw request target."""
-    parts = urlsplit(path)
-    return canonical_query(parts.path, parts.query)
+    return canonical_query(*split_target(path))
 
 
 def expected_cache_counters(
@@ -70,7 +68,7 @@ def expected_cache_counters(
         path
         for client in schedule
         for path in client
-        if urlsplit(path).path not in NON_CACHEABLE
+        if split_target(path)[0] not in NON_CACHEABLE
     ]
     errors = set(error_paths)
     keys = [canonical_key(path) for path in cacheable if path not in errors]
@@ -174,3 +172,60 @@ class ServeHarness:
             self.registry.value(CACHE_REQUESTS_METRIC, outcome="hit"),
             self.registry.value(CACHE_REQUESTS_METRIC, outcome="miss"),
         )
+
+
+@dataclass(frozen=True)
+class RawResponse:
+    """One response parsed off a raw socket: status, headers, body."""
+
+    status: int
+    headers: dict[str, str]
+    body: bytes
+
+
+def raw_exchange(host: str, port: int, payload: bytes) -> bytes:
+    """Send ``payload`` on a new connection; everything the server
+    writes until it closes the connection.
+
+    The payload must make the server close (its last request says
+    ``Connection: close``, or it is input the server rejects); a
+    server that keeps the connection open fails the read with a
+    timeout.
+    """
+    import socket
+
+    with socket.create_connection((host, port), timeout=CLIENT_TIMEOUT) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def parse_responses(
+    data: bytes, head_only: frozenset[int] = frozenset()
+) -> list[RawResponse]:
+    """Split a byte stream into responses, by ``Content-Length``.
+
+    The responses numbered in ``head_only`` (answers to HEAD) and 304s
+    carry no body whatever their ``Content-Length`` says.
+    """
+    responses: list[RawResponse] = []
+    while data:
+        head, separator, data = data.partition(b"\r\n\r\n")
+        assert separator, f"truncated response head: {head[:200]!r}"
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        version, status, _ = status_line.split(" ", 2)
+        assert version == "HTTP/1.1", status_line
+        headers: dict[str, str] = {}
+        for line in lines:
+            name, colon, value = line.partition(":")
+            assert colon and name == name.strip(), line
+            headers[name.lower()] = value.strip()
+        length = int(headers["content-length"])
+        if len(responses) in head_only or status == "304":
+            length = 0
+        assert len(data) >= length, "truncated response body"
+        responses.append(RawResponse(int(status), headers, data[:length]))
+        data = data[length:]
+    return responses

@@ -7,6 +7,10 @@ rather than statistical — see :mod:`tests.serve.harness`.
 
 from __future__ import annotations
 
+import json
+import socket
+import struct
+import sys
 import threading
 from http.client import HTTPConnection
 
@@ -17,8 +21,15 @@ from repro.crawler import EtherscanClient
 from repro.obs import MetricsRegistry
 from repro.serve import ReproApp
 from repro.serve.app import ERRORS_METRIC, REQUESTS_METRIC
+from repro.serve.server import MAX_BODY, MAX_HEADERS, MAX_LINE
 
-from .harness import ServeHarness, canonical_key, expected_cache_counters
+from .harness import (
+    ServeHarness,
+    canonical_key,
+    expected_cache_counters,
+    parse_responses,
+    raw_exchange,
+)
 
 #: A mixed fixed schedule: overlapping queries, equivalent spellings,
 #: and per-client unique ones.
@@ -185,3 +196,181 @@ def test_stop_drains_despite_idle_keepalive_client(
         assert not stopper.is_alive(), "stop() wedged on an idle connection"
     finally:
         conn.close()
+
+
+# -- the HTTP/1.1 transport on raw sockets -------------------------------------
+
+CLOSE_GET = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+
+
+def _raw(harness, payload: bytes, head_only: frozenset[int] = frozenset()):
+    return parse_responses(
+        raw_exchange(harness.host, harness.port, payload), head_only
+    )
+
+
+def _first_domain_name(dataset) -> str:
+    return min(record.name for record in dataset.domains.values() if record.name)
+
+
+@pytest.mark.parametrize(
+    "template",
+    ["//report/summary/", "//domain//{name}", "///query//dropcatch?limit=2"],
+)
+def test_app_reads_targets_as_the_transport_passes_them(
+    harness, serve_dataset, template
+) -> None:
+    """Leading slashes are part of the path, never a network location."""
+    target = template.format(name=_first_domain_name(serve_dataset))
+    local = harness.app.handle("GET", target)
+    served = harness.get(target)
+    assert local.status == served.status == 200
+    assert local.body == served.body
+
+
+def test_request_body_is_drained_before_the_next_request(harness) -> None:
+    payload = (
+        b"POST /report HTTP/1.1\r\nHost: t\r\nContent-Length: 11\r\n\r\n"
+        b"hello=world" + CLOSE_GET
+    )
+    posted, health = _raw(harness, payload)
+    assert posted.status == 405
+    assert json.loads(posted.body)["status"] == 405
+    assert posted.headers["allow"] == "GET"
+    assert "connection" not in posted.headers  # kept alive
+    assert (health.status, health.body) == (200, b"ok\n")
+    assert health.headers["connection"] == "close"
+
+
+def test_head_is_answered_405_with_headers_only(harness) -> None:
+    payload = b"HEAD /report HTTP/1.1\r\nHost: t\r\n\r\n" + CLOSE_GET
+    head, health = _raw(harness, payload, head_only=frozenset({0}))
+    assert head.status == 405
+    assert head.body == b""
+    assert int(head.headers["content-length"]) > 0
+    assert head.headers["content-type"] == "application/json"
+    assert (health.status, health.body) == (200, b"ok\n")
+
+
+def test_every_response_carries_server_and_date(harness) -> None:
+    (health,) = _raw(harness, CLOSE_GET)
+    assert health.headers["server"] == "repro-serve"
+    assert health.headers["date"].endswith(" GMT")
+
+
+def test_http10_closes_unless_asked_to_keep_alive(harness) -> None:
+    (plain,) = _raw(harness, b"GET /healthz HTTP/1.0\r\n\r\n")
+    assert plain.status == 200
+    assert plain.headers["connection"] == "close"
+    kept, closed = _raw(
+        harness,
+        b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    )
+    assert kept.headers["connection"] == "keep-alive"
+    assert (kept.status, closed.status) == (200, 200)
+    assert closed.headers["connection"] == "close"
+
+
+#: Input outside the transport's limits, and the status it gets.
+MALFORMED = {
+    "request line over the limit": (
+        b"GET /" + b"a" * MAX_LINE + b" HTTP/1.1\r\n\r\n", 414
+    ),
+    "request line of two words": (b"GET /healthz\r\n\r\n", 400),
+    "method outside the token set": (b"G(T /healthz HTTP/1.1\r\n\r\n", 400),
+    "malformed version": (b"GET /healthz HTTX/1.1\r\n\r\n", 400),
+    "HTTP/2.0": (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    "HTTP/0.9 version": (b"GET /healthz HTTP/0.9\r\n\r\n", 505),
+    "too many header lines": (
+        b"GET /healthz HTTP/1.1\r\n" + b"X-A: 1\r\n" * (MAX_HEADERS + 1)
+        + b"\r\n",
+        431,
+    ),
+    "header line over the limit": (
+        b"GET /healthz HTTP/1.1\r\nX-A: " + b"a" * MAX_LINE + b"\r\n\r\n", 431
+    ),
+    "header line without a colon": (
+        b"GET /healthz HTTP/1.1\r\nHost t\r\n\r\n", 400
+    ),
+    "whitespace before the colon": (
+        b"GET /healthz HTTP/1.1\r\nHost : t\r\n\r\n", 400
+    ),
+    "obs-fold": (
+        b"GET /healthz HTTP/1.1\r\nX-A: 1\r\n folded\r\n\r\n", 400
+    ),
+    "negative Content-Length": (
+        b"POST /report HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400
+    ),
+    "conflicting Content-Length": (
+        b"POST /report HTTP/1.1\r\nContent-Length: 1\r\n"
+        b"Content-Length: 2\r\n\r\nab",
+        400,
+    ),
+    "Transfer-Encoding": (
+        b"POST /report HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"0\r\n\r\n" + CLOSE_GET,
+        501,
+    ),
+    "body over the limit": (
+        b"POST /report HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        % (MAX_BODY + 1),
+        413,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_gets_its_status_and_a_close(harness, case) -> None:
+    payload, status = MALFORMED[case]
+    (response,) = _raw(harness, payload)  # one answer, then the server closed
+    assert response.status == status
+    assert response.headers["connection"] == "close"
+    assert json.loads(response.body)["status"] == status
+    assert harness.get("/healthz").status == 200
+
+
+def test_client_reset_ends_the_connection_quietly(harness, monkeypatch) -> None:
+    failures = []
+    monkeypatch.setattr(
+        harness.server._httpd,
+        "handle_error",
+        lambda request, address: failures.append(sys.exc_info()[1]),
+    )
+    sock = socket.create_connection((harness.host, harness.port), timeout=30)
+    sock.sendall(b"GET /healthz HTTP/1.1\r\nHost")
+    # SO_LINGER 0: close() sends a reset instead of a FIN
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+    assert harness.get("/healthz").status == 200
+    harness.server.stop()  # joins the handler threads
+    assert failures == []
+
+
+def test_expect_continue_is_answered_before_the_body(harness) -> None:
+    head = (
+        b"POST /report HTTP/1.1\r\nHost: t\r\nContent-Length: 5\r\n"
+        b"Expect: 100-continue\r\n\r\n"
+    )
+    with socket.create_connection((harness.host, harness.port), timeout=30) as sock:
+        sock.sendall(head)
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(1)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(b"hello" + CLOSE_GET)
+        rest = b""
+        while chunk := sock.recv(65536):
+            rest += chunk
+    posted, health = parse_responses(rest)
+    assert (posted.status, health.status) == (405, 200)
+
+
+def test_unknown_query_endpoints_share_one_label(harness) -> None:
+    for name in ("nope-1", "nope-2"):
+        assert harness.get(f"/query/{name}").status == 404
+    assert harness.registry.value(REQUESTS_METRIC, endpoint="other", status="4xx") == 2.0
+    assert harness.get("/query/dropcatch").status == 200
+    assert harness.registry.value(
+        REQUESTS_METRIC, endpoint="query_dropcatch", status="2xx"
+    ) == 1.0

@@ -346,6 +346,7 @@ LAZY_SUBMODULES = {
     "repro.crawler": ["storage"],
     "repro.datasets": ["columnar", "delta"],
     "repro.faults": ["injectors", "plan"],
+    "repro.serve": ["loadgen"],
     "repro.simulation": ["calibration", "stream"],
 }
 
@@ -375,6 +376,40 @@ def test_cli_import_loads_only_what_a_report_runs() -> None:
         for name in names
     }
     assert not deferred & set(loaded)
+
+
+#: The ``repro`` modules ``repro serve`` adds to :data:`CLI_IMPORTS`
+#: before it starts serving.
+SERVE_IMPORTS = """
+repro.crawler.storage repro.datasets.columnar repro.datasets.delta
+repro.serve repro.serve.app repro.serve.query repro.serve.server
+repro.serve.watch
+""".split()
+
+
+def test_serve_starts_without_an_http_library() -> None:
+    """``repro serve`` up to its accept loop loads no ``http.server``,
+    ``http.client`` or ``email``: its transport is ``socketserver``."""
+    probe = """
+import json, sys
+from repro import cli
+from repro.serve.server import ReproServer
+
+def serve_forever(self):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("repro", "http", "email"))
+    sys.stderr.write(json.dumps(loaded) + "\\n")
+
+ReproServer.serve_forever = serve_forever
+cli.main(["serve", "--domains", "20", "--seed", "3", "--port", "0", "--no-ledger"])
+"""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stderr.strip().splitlines()[-1])
+    assert loaded == sorted(CLI_IMPORTS + SERVE_IMPORTS)
 
 
 def test_lazy_package_exports_resolve() -> None:
