@@ -6,7 +6,7 @@ each with the names it re-exports, and binds what
 ``__dir__``::
 
     __getattr__, __dir__ = lazy_exports(__name__, {
-        "survival": ("KaplanMeierCurve", "kaplan_meier"),
+        "survival": ("domain_lifetimes", "kaplan_meier"),
     })
 
 ``from repro.core import kaplan_meier`` then imports

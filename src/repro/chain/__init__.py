@@ -34,7 +34,6 @@ from .types import (
     Hash32,
     Wei,
     ether,
-    from_wei,
 )
 
 __all__ = [
@@ -65,6 +64,5 @@ __all__ = [
     "Wei",
     "ZERO_ADDRESS",
     "ether",
-    "from_wei",
     "keccak_256",
 ]

@@ -48,7 +48,6 @@ class Blockchain:
         self.blocks: list[Block] = []
         self.logs: list[Log] = []
         self.contracts: dict[Address, Contract] = {}
-        self.receipts_by_hash: dict[Hash32, Receipt] = {}
         # ids of blocks 0..len-1, extended on read (see block_hash)
         self._block_ids: list[Hash32] = []
         self._timestamp = genesis_timestamp
@@ -241,7 +240,6 @@ class Blockchain:
             Block(number=block_number, timestamp=self._timestamp, receipts=[receipt])
         )
         self._view_ctx = None
-        self.receipts_by_hash[tx_hash] = receipt
         self._m_blocks.inc()
         (self._m_tx_ok if receipt.success else self._m_tx_reverted).inc()
         if receipt.logs:
@@ -319,13 +317,6 @@ class Blockchain:
             parent = ids[-1] if ids else GENESIS_PARENT
             ids.append(blocks[len(ids)].hash(parent))
         return ids[number]
-
-    def get_receipt(self, tx_hash: Hash32) -> Receipt:
-        """Receipt by transaction hash; raises if unknown."""
-        receipt = self.receipts_by_hash.get(tx_hash)
-        if receipt is None:
-            raise UnknownAccount(f"no transaction {tx_hash}")
-        return receipt
 
     def logs_of(self, contract: Address, event: str | None = None) -> list[Log]:
         """Event logs filtered by emitting contract (and optionally name)."""

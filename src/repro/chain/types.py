@@ -3,8 +3,7 @@
 These model exactly the fields the paper's analyses consume: 20-byte
 addresses, 32-byte hashes, wei amounts, and unix timestamps. Amounts are
 plain ``int`` wei under the hood (Ethereum semantics: no floats on
-chain); the :func:`ether` / :func:`from_wei` helpers convert at the
-boundary.
+chain); the :func:`ether` helper converts at the boundary.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "WEI_PER_ETHER",
     "ZERO_ADDRESS",
     "ether",
-    "from_wei",
     "SECONDS_PER_DAY",
     "SECONDS_PER_YEAR",
 ]
@@ -48,11 +46,6 @@ def ether(amount: float | int | str) -> Wei:
         whole_wei = int(whole or "0") * WEI_PER_ETHER
         return whole_wei + sign * int(frac or "0")
     return int(round(amount * WEI_PER_ETHER))
-
-
-def from_wei(amount: Wei) -> float:
-    """Convert wei to a float ether amount (for reporting only)."""
-    return amount / WEI_PER_ETHER
 
 
 class _FixedBytes(tuple):

@@ -79,7 +79,10 @@ from .simulation import ScenarioConfig, run_scenario
 if TYPE_CHECKING:
     from .datasets.columnar import ColumnarDataset
 
-__all__ = ["main", "run", "build_parser"]
+__all__ = [
+    "main",
+    "run",  # lint: ignore[flow-dead-api] the [project.scripts] entry point
+]
 
 _log = get_logger("cli")
 

@@ -15,7 +15,7 @@ from .comparison import (
     compare_groups,
     feature_rows_for,
 )
-from .control import control_candidates, sample_control_group, study_groups
+from .control import sample_control_group, study_groups
 from .dropcatch import (
     DropcatchSummary,
     ReRegistration,
@@ -38,13 +38,7 @@ from .timing import (
     delay_distribution,
     monthly_timeline,
 )
-from .typosquat import (
-    TyposquatCandidate,
-    TyposquatReport,
-    damerau_levenshtein,
-    find_typosquat_catches,
-    within_edit_distance,
-)
+from .typosquat import TyposquatCandidate, TyposquatReport, find_typosquat_catches
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
@@ -53,17 +47,8 @@ __getattr__, __dir__ = lazy_exports(
         "censoring": ("truncate_dataset",),
         "descriptive": ("describe_dataset",),
         "export": ("export_figures",),
-        "prediction": (
-            "LogisticModel",
-            "build_feature_matrix",
-            "train_reregistration_predictor",
-        ),
-        "survival": (
-            "KaplanMeierCurve",
-            "domain_lifetimes",
-            "kaplan_meier",
-            "survival_by_cohort",
-        ),
+        "prediction": ("train_reregistration_predictor",),
+        "survival": ("domain_lifetimes", "kaplan_meier", "survival_by_cohort"),
         "timing_losses": ("detect_losses_by_timing", "heuristic_overlap"),
     },
 )
@@ -84,16 +69,13 @@ __all__ = [
     "HeadlineReport",
     "HijackableReport",
     "HijackableWindow",
-    "LogisticModel",
     "LossReport",
     "MisdirectedFlow",
-    "build_feature_matrix",
     "train_reregistration_predictor",
     "PREMIUM_END_DAYS",
     "ProfitReport",
     "ReRegistration",
     "ResaleReport",
-    "KaplanMeierCurve",
     "TestResult",
     "TyposquatCandidate",
     "detect_losses_by_timing",
@@ -103,16 +85,13 @@ __all__ = [
     "survival_by_cohort",
     "TyposquatReport",
     "actor_concentration",
-    "damerau_levenshtein",
     "find_typosquat_catches",
-    "within_edit_distance",
     "analyze_profit",
     "analyze_resale",
     "build_report",
     "canonical_json",
     "compare_groups",
     "report_json",
-    "control_candidates",
     "detect_losses",
     "expired_domain_ids",
     "export_figures",

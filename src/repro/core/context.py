@@ -564,23 +564,6 @@ class AnalysisContext:
         events = self.dataset.market_events
         return [events[i] for i in sorted(order[:count])]
 
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The registry receiving the cache hit/miss counters."""
-        return self._registry
-
-    def cache_stats(self) -> dict[str, dict[str, int]]:
-        """``{cache: {"hit": n, "miss": n}}`` snapshot of the counters."""
-        return {
-            name: {
-                "hit": int(self._hit[name].value),
-                "miss": int(self._miss[name].value),
-            }
-            for name in sorted(self._hit)
-        }
-
 
 class ScanAccess:
     """Memo-free reference implementation of the context protocol.

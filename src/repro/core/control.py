@@ -14,7 +14,7 @@ from ..datasets.dataset import ENSDataset
 from ..datasets.schema import DomainRecord
 from .dropcatch import ReRegistration, expired_domain_ids, reregistered_domain_ids
 
-__all__ = ["control_candidates", "sample_control_group", "study_groups"]
+__all__ = ["sample_control_group", "study_groups"]
 
 
 def _caught_ids(

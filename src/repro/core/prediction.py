@@ -26,7 +26,7 @@ from ..oracle.ethusd import EthUsdOracle
 from .comparison import DomainFeatureRow, feature_rows_for
 from .control import study_groups
 
-__all__ = ["LogisticModel", "build_feature_matrix", "train_reregistration_predictor"]
+__all__ = ["train_reregistration_predictor"]
 
 FEATURE_NAMES: tuple[str, ...] = (
     "log_income_usd",

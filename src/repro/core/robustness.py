@@ -18,7 +18,7 @@ from ..simulation.config import ScenarioConfig
 from ..simulation.scenario import run_scenario
 from .report import HeadlineReport, build_report
 
-__all__ = ["MetricSummary", "run_sweep", "HEADLINE_METRICS"]
+__all__ = ["run_sweep"]
 
 
 def _income_ratio(report: HeadlineReport) -> float:

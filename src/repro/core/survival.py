@@ -20,8 +20,6 @@ from ..datasets.dataset import ENSDataset
 from ..datasets.schema import DomainRecord
 
 __all__ = [
-    "LifetimeObservation",
-    "KaplanMeierCurve",
     "kaplan_meier",
     "domain_lifetimes",
     "survival_by_cohort",

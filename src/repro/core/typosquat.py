@@ -24,11 +24,8 @@ from .dropcatch import ReRegistration
 from .features.transactional import extract_transactional
 
 __all__ = [
-    "damerau_levenshtein",
-    "within_edit_distance",
     "popular_target_rows",
     "screen_catches",
-    "screen_event",
     "target_income",
     "TargetIndex",
     "TyposquatCandidate",

@@ -5,7 +5,7 @@ from ..faults.retry import CrawlError
 from .checkpoint import CheckpointConfig, CheckpointStore, CrawlState
 from .etherscan_client import EtherscanClient
 from .opensea_client import OpenSeaClient
-from .pipeline import CrawlReport, DataCollectionPipeline, coverage_fields
+from .pipeline import CrawlReport, DataCollectionPipeline
 from .subgraph_client import SubgraphClient
 
 # persistence: an in-memory crawl never reads or writes a dataset directory
@@ -24,7 +24,6 @@ __all__ = [
     "EtherscanClient",
     "OpenSeaClient",
     "SubgraphClient",
-    "coverage_fields",
     "dataset_digest",
     "load_dataset",
     "pack_dataset",

@@ -59,24 +59,9 @@ from .etherscan_client import EtherscanClient
 from .opensea_client import OpenSeaClient
 from .subgraph_client import SubgraphClient
 
-__all__ = ["CrawlReport", "DataCollectionPipeline", "coverage_fields"]
+__all__ = ["CrawlReport", "DataCollectionPipeline"]
 
 _log = get_logger("crawler.pipeline")
-
-#: CrawlReport fields determined purely by the *data* the crawl covers.
-#: These are invariant under fault injection and resume — the chaos
-#: suite's golden equality is asserted over exactly this set. The
-#: remaining fields measure *effort* (requests, retries, pages), which
-#: injected faults legitimately inflate.
-COVERAGE_FIELDS = (
-    "domains_crawled",
-    "domains_missing",
-    "subdomains_total",
-    "wallet_addresses",
-    "transactions_crawled",
-    "market_events_crawled",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class CrawlReport:
@@ -111,11 +96,6 @@ class CrawlReport:
         rate = self.recovery_rate
         payload["recovery_rate"] = None if math.isnan(rate) else rate
         return payload
-
-
-def coverage_fields(report: CrawlReport) -> dict[str, int]:
-    """The fault-invariant subset of a report (see ``COVERAGE_FIELDS``)."""
-    return {name: getattr(report, name) for name in COVERAGE_FIELDS}
 
 
 @dataclass

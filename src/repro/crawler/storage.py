@@ -133,8 +133,13 @@ def parse_line(
 
 
 def _read_jsonl(path: Path, parse: Callable[[Any], _T]) -> list[_T]:
+    """Every record of one base file :func:`save_dataset` wrote.
+
+    :func:`save_dataset` always writes all three files, so a missing one
+    is a :class:`DatasetFormatError`, never an empty table.
+    """
     if not path.exists():
-        return []
+        raise DatasetFormatError(f"{path.parent}: missing {path.name}")
     with path.open("rb") as handle:
         return [
             parse_line(path, line_number, line, parse)

@@ -8,7 +8,7 @@ types load on first use (:mod:`repro._lazy`).
 """
 
 from .._lazy import lazy_exports
-from .dataset import DELTA_LOG_LIMIT, DatasetIntegrityError, ENSDataset
+from .dataset import DatasetIntegrityError, ENSDataset
 from .schema import DomainRecord, MarketEventRecord, RegistrationRecord, TxRecord
 
 # an in-memory crawl and report use neither the columnar store nor deltas
@@ -18,7 +18,6 @@ __getattr__, __dir__ = lazy_exports(
         "columnar": (
             "ColumnarDataset",
             "ColumnarFormatError",
-            "ColumnarImmutableError",
             "encode_dataset",
             "write_columnar",
         ),
@@ -30,8 +29,6 @@ __all__ = [
     "AppliedDelta",
     "ColumnarDataset",
     "ColumnarFormatError",
-    "ColumnarImmutableError",
-    "DELTA_LOG_LIMIT",
     "DatasetDelta",
     "DatasetIntegrityError",
     "DomainRecord",

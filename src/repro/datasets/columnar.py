@@ -58,7 +58,6 @@ from .schema import DomainRecord, MarketEventRecord, RegistrationRecord, TxRecor
 __all__ = [
     "ColumnarDataset",
     "ColumnarFormatError",
-    "ColumnarImmutableError",
     "encode_dataset",
     "write_columnar",
 ]

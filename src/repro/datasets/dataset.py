@@ -33,7 +33,6 @@ if TYPE_CHECKING:
     from .delta import AppliedDelta, DatasetDelta
 
 __all__ = [
-    "DELTA_LOG_LIMIT",
     "ENSDataset",
     "DatasetFormatError",
     "DatasetIntegrityError",

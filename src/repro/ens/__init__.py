@@ -11,14 +11,7 @@ The public surface downstream code uses:
 
 from .deployment import ENSDeployment
 from .namehash import ETH_NODE, ROOT_NODE, labelhash, namehash
-from .normalize import (
-    MIN_REGISTRABLE_LABEL_LENGTH,
-    is_valid_label,
-    normalize_label,
-    normalize_name,
-    registrable_label,
-    split_name,
-)
+from .normalize import MIN_REGISTRABLE_LABEL_LENGTH, normalize_name, registrable_label
 from .premium import (
     DEFAULT_PREMIUM,
     GRACE_PERIOD_DAYS,
@@ -29,11 +22,10 @@ from .pricing import RentPriceOracle
 from .registrar import GRACE_PERIOD_SECONDS, BaseRegistrar, RegistrarController
 from .registry import ENSRegistry
 from .resolver import PublicResolver
-from .reverse import ReverseRegistrar, reverse_node_of
+from .reverse import ReverseRegistrar
 
 __all__ = [
     "ReverseRegistrar",
-    "reverse_node_of",
     "BaseRegistrar",
     "DEFAULT_PREMIUM",
     "ENSDeployment",
@@ -48,11 +40,8 @@ __all__ = [
     "RegistrarController",
     "RentPriceOracle",
     "ROOT_NODE",
-    "is_valid_label",
     "labelhash",
     "namehash",
-    "normalize_label",
     "normalize_name",
     "registrable_label",
-    "split_name",
 ]

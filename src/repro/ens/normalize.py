@@ -23,10 +23,7 @@ from ..chain.errors import InvalidName
 
 __all__ = [
     "MIN_REGISTRABLE_LABEL_LENGTH",
-    "normalize_label",
     "normalize_name",
-    "split_name",
-    "is_valid_label",
     "registrable_label",
 ]
 
@@ -114,26 +111,12 @@ def normalize_label(label: str) -> str:
     return _normalize_unicode_label(folded, label)
 
 
-def is_valid_label(label: str) -> bool:
-    """True if :func:`normalize_label` would accept ``label``."""
-    try:
-        normalize_label(label)
-    except InvalidName:
-        return False
-    return True
-
-
 def normalize_name(name: str) -> str:
     """Normalize a full dotted ENS name (e.g. ``GOLD.eth`` → ``gold.eth``)."""
     labels = name.split(".")
     if any(not label for label in labels):
         raise InvalidName(f"name {name!r} has an empty label")
     return ".".join(normalize_label(label) for label in labels)
-
-
-def split_name(name: str) -> list[str]:
-    """Normalized labels of ``name``, leftmost first."""
-    return normalize_name(name).split(".")
 
 
 @lru_cache(maxsize=1_000_000)

@@ -68,9 +68,5 @@ class PremiumCurve:
         raw = self.start_usd * 0.5 ** (days_elapsed / self.half_life_days)
         return max(0.0, raw - self._end_offset)
 
-    def is_premium_active(self, seconds_since_release: int) -> bool:
-        """True while any premium is still owed."""
-        return 0 <= seconds_since_release < self.period_seconds
-
 
 DEFAULT_PREMIUM = PremiumCurve()

@@ -20,7 +20,7 @@ from ..chain.contract import CallContext, Contract
 from ..chain.types import Address, Hash32
 from .namehash import child_node, labelhash, namehash
 
-__all__ = ["ReverseRegistrar", "reverse_node_of"]
+__all__ = ["ReverseRegistrar"]
 
 ADDR_REVERSE_NODE = namehash("addr.reverse")
 

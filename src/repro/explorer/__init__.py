@@ -1,12 +1,6 @@
 """Etherscan-like blockchain explorer substrate."""
 
-from .api import (
-    ApiError,
-    EtherscanAPI,
-    MAX_TXLIST_WINDOW,
-    RateLimitError,
-    VirtualClock,
-)
+from .api import MAX_TXLIST_WINDOW, EtherscanAPI, RateLimitError, VirtualClock
 from .database import ExplorerDatabase
 from .labels import (
     CATEGORY_COINBASE,
@@ -15,7 +9,6 @@ from .labels import (
 )
 
 __all__ = [
-    "ApiError",
     "CATEGORY_COINBASE",
     "CATEGORY_CUSTODIAL_EXCHANGE",
     "EtherscanAPI",

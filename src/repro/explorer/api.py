@@ -11,7 +11,7 @@ Time is a :class:`VirtualClock` so tests and benchmarks exercise the
 throttle/backoff logic deterministically without real sleeps.
 
 This module is the one place the Etherscan row format is written:
-:func:`_tx_row` formats a chain receipt for ``txlist`` and point lookups,
+:func:`_tx_row` formats a chain receipt for ``txlist``,
 :func:`_internal_row` an internal transfer for ``txlistinternal``.
 """
 
@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 from ..chain.block import GENESIS_PARENT
 from ..chain.errors import UnknownAccount
 from ..chain.transaction import InternalTransfer, Receipt
-from ..chain.types import Address, Hash32
+from ..chain.types import Address
 from .database import ExplorerDatabase
 from .labels import LabelRegistry
 
 __all__ = [
     "VirtualClock",
     "RateLimitError",
-    "ApiError",
     "EtherscanAPI",
     "MAX_TXLIST_WINDOW",
 ]
@@ -199,16 +198,6 @@ class EtherscanAPI:
         window = entries[(page - 1) * offset : page * offset]
         return [_internal_row(internal) for internal in window]
 
-    def get_transaction(self, tx_hash: str) -> dict[str, object] | None:
-        """Point lookup of one transaction by hash (proxy.eth_getTransaction)."""
-        self._throttle()
-        self.database.sync()
-        try:
-            receipt = self.database.chain.get_receipt(Hash32.from_hex(tx_hash))
-        except (ValueError, UnknownAccount):
-            return None
-        return _tx_row(receipt)
-
     def get_block(self, number: int) -> dict[str, object] | None:
         """Block header lookup (proxy.eth_getBlockByNumber)."""
         self._throttle()
@@ -229,14 +218,6 @@ class EtherscanAPI:
         }
 
     # -- label module (scrape-equivalent) -----------------------------------------
-
-    def get_label(self, address: Address | str) -> dict[str, str] | None:
-        """Public name tag for an address, if any."""
-        self._throttle()
-        label = self.labels.get(_address(address))
-        if label is None:
-            return None
-        return {"name": label.name, "category": label.category}
 
     def labels_in_category(self, category: str) -> list[str]:
         """All addresses carrying a category tag (the paper's 558/25 lists)."""

@@ -45,19 +45,6 @@ class LabelRegistry:
         """Attach a label; re-tagging an address overwrites."""
         self._labels[self._key(address)] = AddressLabel(name=name, category=category)
 
-    def get(self, address: Address | str) -> AddressLabel | None:
-        """Label record for ``address``, or None."""
-        return self._labels.get(self._key(address))
-
-    def category_of(self, address: Address | str) -> str | None:
-        """Label category of ``address``, or None."""
-        label = self.get(address)
-        return label.category if label else None
-
-    def is_coinbase(self, address: Address | str) -> bool:
-        """Whether ``address`` is labelled as the Coinbase exchange."""
-        return self.category_of(address) == CATEGORY_COINBASE
-
     def addresses_in_category(self, category: str) -> list[str]:
         """Sorted addresses carrying ``category`` labels."""
         return sorted(
@@ -65,10 +52,6 @@ class LabelRegistry:
             for address, label in self._labels.items()
             if label.category == category
         )
-
-    def coinbase_addresses(self) -> list[str]:
-        """Sorted addresses labelled as Coinbase."""
-        return self.addresses_in_category(CATEGORY_COINBASE)
 
     def __len__(self) -> int:
         return len(self._labels)

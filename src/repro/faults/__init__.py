@@ -25,17 +25,7 @@ from .errors import (
     TransientInjectedError,
     TruncatedPayload,
 )
-from .retry import (
-    STATE_CLOSED,
-    STATE_HALF_OPEN,
-    STATE_OPEN,
-    CircuitBreaker,
-    CrawlError,
-    RetryBudgetExhausted,
-    RetryExhausted,
-    RetryPolicy,
-    RetryingCaller,
-)
+from .retry import CircuitBreaker, CrawlError, RetryPolicy, RetryingCaller
 
 # a crawl without a fault plan builds no plan and wraps no endpoint
 __getattr__, __dir__ = lazy_exports(
@@ -46,16 +36,7 @@ __getattr__, __dir__ = lazy_exports(
             "FaultyOpenSeaAPI",
             "FaultySubgraphEndpoint",
         ),
-        "plan": (
-            "FAULT_KINDS",
-            "EndpointFaultSpec",
-            "Fault",
-            "FaultPlan",
-            "OutageBurst",
-            "RateStep",
-            "deterministic_uniform",
-            "load_plan",
-        ),
+        "plan": ("Fault", "FaultPlan", "deterministic_uniform", "load_plan"),
     },
 )
 
@@ -64,24 +45,15 @@ __all__ = [
     "CorruptPayload",
     "CrawlError",
     "CrawlKilled",
-    "EndpointFaultSpec",
     "EndpointOutage",
     "EndpointTimeout",
-    "FAULT_KINDS",
     "Fault",
     "FaultPlan",
     "FaultyEtherscanAPI",
     "FaultyOpenSeaAPI",
     "FaultySubgraphEndpoint",
-    "OutageBurst",
-    "RateStep",
-    "RetryBudgetExhausted",
-    "RetryExhausted",
     "RetryPolicy",
     "RetryingCaller",
-    "STATE_CLOSED",
-    "STATE_HALF_OPEN",
-    "STATE_OPEN",
     "TransientInjectedError",
     "TruncatedPayload",
     "deterministic_uniform",

@@ -43,12 +43,8 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 __all__ = [
-    "FAULT_KINDS",
     "Fault",
     "FaultPlan",
-    "EndpointFaultSpec",
-    "RateStep",
-    "OutageBurst",
     "deterministic_uniform",
     "load_plan",
 ]

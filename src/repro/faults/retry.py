@@ -48,13 +48,8 @@ from ..obs.metrics import MetricsRegistry
 __all__ = [
     "CircuitBreaker",
     "CrawlError",
-    "RetryBudgetExhausted",
-    "RetryExhausted",
     "RetryPolicy",
     "RetryingCaller",
-    "STATE_CLOSED",
-    "STATE_HALF_OPEN",
-    "STATE_OPEN",
 ]
 
 STATE_CLOSED = "closed"
@@ -141,10 +136,6 @@ class RetryPolicy:
         span = self.base_backoff(attempt + 1) - base
         draw = deterministic_uniform(self.seed, "backoff", key, attempt)
         return base + self.jitter * draw * span
-
-    def backoff_sequence(self, key: str, attempts: int) -> list[float]:
-        """The first ``attempts`` jittered delays for ``key`` (for tests)."""
-        return [self.backoff(attempt, key) for attempt in range(attempts)]
 
 
 @dataclass

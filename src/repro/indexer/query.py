@@ -26,7 +26,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-__all__ = ["GraphQLError", "MAX_DEPTH", "parse_query", "execute_query"]
+__all__ = [
+    "GraphQLError",
+    "MAX_DEPTH",  # lint: ignore[flow-dead-api] a limit a GraphQL client must know
+    "parse_query",
+    "execute_query",
+]
 
 #: Deepest nesting of selection sets, objects and lists a query may use.
 #: The crawl's deepest query is three levels deep; the parser recurses once per

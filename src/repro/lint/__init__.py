@@ -29,7 +29,7 @@ checker-authoring recipe.
 from .findings import Finding, Rule, Severity
 from .registry import Checker, all_checkers, all_rules, register
 from .reporters import render_text
-from .runner import LintResult, lint_paths, lint_sources
+from .runner import LintResult, lint_paths
 from .source import SourceFile
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "all_checkers",
     "all_rules",
     "lint_paths",
-    "lint_sources",
     "register",
     "render_text",
 ]

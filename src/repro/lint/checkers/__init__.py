@@ -14,5 +14,3 @@ from . import (  # noqa: F401  (imports register the checkers)
     public_api,
     retry_discipline,
 )
-
-__all__ = ["layering"]

@@ -33,7 +33,7 @@ from ..findings import Finding, Rule
 from ..registry import Checker, register
 from ..source import SourceFile
 
-__all__ = ["LAYERS"]
+__all__ = []
 
 #: Top-level package -> layer number; imports may only point downward.
 LAYERS: dict[str, int] = {

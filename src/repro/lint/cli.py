@@ -14,8 +14,9 @@ Two modes, each defaulting to the scope CI gates:
 * **whole-program** (``--flow``, :data:`FLOW_SCOPE`) — the dead
   public API pass of :mod:`repro.lint.flow` (``flow-dead-api``) plus
   ``lint-stale-ignore`` for suppressions naming ``flow-*`` rules. The
-  scope holds every consumer of the library, so a use from a test, an
-  example or the repository benchmark keeps an export alive.
+  scope holds the program and what runs it (the tools, benchmarks,
+  examples and the repository benchmark), not the tests: a use from a
+  test does not keep an export alive.
 
 A finding is accepted only by a ``# lint: ignore[rule-id] reason``
 comment on its line.
@@ -31,13 +32,13 @@ from .registry import all_rules
 from .reporters import render_text
 from .runner import RUNNER_RULES, lint_paths
 
-__all__ = ["PER_FILE_SCOPE", "main"]
+__all__ = ["main"]
 
 #: What a per-file run lints when no path is given.
 PER_FILE_SCOPE: tuple[str, ...] = ("src", "tools", "benchmarks")
 
 #: What a ``--flow`` run analyzes when no path is given.
-FLOW_SCOPE: tuple[str, ...] = (*PER_FILE_SCOPE, "tests", "examples", "perfbench")
+FLOW_SCOPE: tuple[str, ...] = (*PER_FILE_SCOPE, "examples", "perfbench")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,12 +11,13 @@ from their defining module — or from nowhere at all.
 
 The pass judges only the trees it is given, so "used" means used by
 something in scope. ``--flow``'s default scope
-(:data:`repro.lint.cli.FLOW_SCOPE`) holds every consumer of the
-library, so a reference from a test, a benchmark or an example keeps
-an export alive, and a flagged name is one nothing outside its module
-touches: it leaves ``__all__``, or keeps an inline
-``# lint: ignore[flow-dead-api] reason`` on its export line (see
-``docs/LINTING.md``).
+(:data:`repro.lint.cli.FLOW_SCOPE`) holds the program and what runs
+it (tools, benchmarks, examples, the repository benchmark) but not the
+tests, so a reference from a test keeps nothing alive, and a flagged
+name is one the program never touches outside its module: it leaves
+``__all__`` (a test then imports it from its defining module), or
+keeps an inline ``# lint: ignore[flow-dead-api] reason`` on its export
+line (see ``docs/LINTING.md``).
 
 ``main`` and dunder names are exempt — they are entry-point contracts
 (``console_scripts``, ``python -m``), referenced from metadata the

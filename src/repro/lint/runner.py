@@ -23,7 +23,7 @@ from .findings import Finding, Rule, Severity
 from .registry import all_checkers, all_rules, resolve_rules
 from .source import ALL_RULES, SourceFile
 
-__all__ = ["LintResult", "RUNNER_RULES", "lint_paths", "lint_sources"]
+__all__ = ["LintResult", "RUNNER_RULES", "lint_paths"]
 
 #: Rules the runner itself emits (no checker owns them).
 RUNNER_RULES: tuple[Rule, ...] = (

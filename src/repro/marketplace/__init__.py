@@ -6,7 +6,7 @@ from .market import EVENT_LISTING, EVENT_SALE, MarketEvent, OpenSeaMarket
 __all__ = [
     "EVENT_LISTING",
     "EVENT_SALE",
-    "MAX_EVENTS_PER_PAGE",
+    "MAX_EVENTS_PER_PAGE",  # lint: ignore[flow-dead-api] a page cap an API client must know
     "MarketEvent",
     "OpenSeaAPI",
     "OpenSeaMarket",

@@ -16,38 +16,25 @@ the metrics can never drift apart.
   (``print()`` is banned outside ``cli.py`` and this package).
 """
 
-from .exporters import metrics_to_dict, prometheus_text, sanitize_metric_name
-from .log import configure, get_logger
-from .metrics import (
-    Histogram,
-    MetricError,
-    MetricFamily,
-    MetricsRegistry,
-    global_registry,
-)
-from .runledger import LEDGER_SCHEMA_VERSION, RunLedger, RunRecord
-from .slo import SLO, SLOResult, default_slos, evaluate_slos
+from .exporters import metrics_to_dict, prometheus_text
+from .log import get_logger
+from .metrics import Histogram, MetricsRegistry, global_registry
+from .runledger import RunLedger, RunRecord
+from .slo import default_slos, evaluate_slos
 from .tracing import Span, Tracer, span_lines
 
 __all__ = [
     "Histogram",
-    "LEDGER_SCHEMA_VERSION",
-    "MetricError",
-    "MetricFamily",
     "MetricsRegistry",
     "RunLedger",
     "RunRecord",
-    "SLO",
-    "SLOResult",
     "Span",
     "Tracer",
-    "configure",
     "default_slos",
     "evaluate_slos",
     "get_logger",
     "global_registry",
     "metrics_to_dict",
     "prometheus_text",
-    "sanitize_metric_name",
     "span_lines",
 ]

@@ -23,7 +23,6 @@ from .metrics import Histogram, MetricsRegistry
 __all__ = [
     "metrics_to_dict",
     "prometheus_text",
-    "sanitize_metric_name",
     "sanitize_non_finite",
 ]
 

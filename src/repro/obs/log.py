@@ -21,7 +21,7 @@ import logging
 import sys
 from typing import Any, TextIO
 
-__all__ = ["configure", "get_logger"]
+__all__ = ["get_logger"]
 
 _ROOT_NAME = "repro"
 _configured = False

@@ -31,8 +31,6 @@ from typing import Any, Iterator
 
 __all__ = [
     "Histogram",
-    "MetricError",
-    "MetricFamily",
     "MetricsRegistry",
     "global_registry",
 ]
@@ -130,26 +128,29 @@ class Histogram:
         return self._sum
 
     @property
-    def values(self) -> tuple[float, ...]:
-        """Every observation in arrival order."""
-        return tuple(self._values)
-
-    @property
     def mean(self) -> float:
         """Mean observation (NaN when empty)."""
         return self._sum / len(self._values) if self._values else math.nan
 
+    @property
+    def max(self) -> float:
+        """Largest observation (NaN when empty)."""
+        return max(self._values) if self._values else math.nan
+
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile of the raw observations, ``0 <= p <= 100``."""
-        if not 0 <= p <= 100:
+        return self.percentiles(p)[0]
+
+    def percentiles(self, *ps: float) -> tuple[float, ...]:
+        """:meth:`percentile` of each of ``ps``, from one sort of the
+        observations (an export reads three of them)."""
+        if not all(0 <= p <= 100 for p in ps):
             raise MetricError("percentile must be within 0..100")
         if not self._values:
-            return math.nan
+            return (math.nan,) * len(ps)
         ordered = sorted(self._values)
-        if p == 0:
-            return ordered[0]
-        rank = math.ceil(p / 100.0 * len(ordered))
-        return ordered[rank - 1]
+        size = len(ordered)
+        return tuple(ordered[max(1, math.ceil(p / 100.0 * size)) - 1] for p in ps)
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, ending with +Inf."""
@@ -352,13 +353,14 @@ class MetricsRegistry:
             samples = []
             for labels, sample in family.items():
                 if isinstance(sample, Histogram):
+                    p50, p90, p99 = sample.percentiles(50, 90, 99)
                     entry: dict[str, Any] = {
                         "labels": labels,
                         "count": sample.count,
                         "sum": sample.sum,
-                        "p50": sample.percentile(50),
-                        "p90": sample.percentile(90),
-                        "p99": sample.percentile(99),
+                        "p50": p50,
+                        "p90": p90,
+                        "p99": p99,
                     }
                 else:
                     entry = {"labels": labels, "value": sample.value}

@@ -34,11 +34,9 @@ from .tracing import Tracer
 
 __all__ = [
     "DEFAULT_LEDGER_DIR",
-    "LEDGER_SCHEMA_VERSION",
     "LedgerRecordError",
     "RunLedger",
     "RunRecord",
-    "git_sha",
     "wall_now",
 ]
 

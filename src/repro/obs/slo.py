@@ -25,8 +25,6 @@ from .metrics import Histogram, MetricsRegistry
 from .tracing import Tracer
 
 __all__ = [
-    "SLO",
-    "SLOResult",
     "default_slos",
     "evaluate_slos",
 ]
@@ -86,11 +84,6 @@ class SLOResult:
     value: float | None
     status: str
 
-    @property
-    def passed(self) -> bool:
-        """True unless the objective was measured and violated."""
-        return self.status != "fail"
-
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready encoding for the run ledger."""
         payload = self.slo.as_dict()
@@ -107,7 +100,7 @@ def _histogram_reading(sample: Histogram, objective: str) -> float | None:
     if objective == "mean":
         return sample.mean
     if objective == "max":
-        return max(sample.values)
+        return sample.max
     if objective == "count":
         return float(sample.count)
     if objective == "sum":

@@ -126,10 +126,6 @@ class EthUsdOracle:
         """USD close of the UTC day containing ``timestamp``."""
         return self.close_on_day(timestamp // SECONDS_PER_DAY)
 
-    def price_on(self, day: date) -> float:
-        """USD close for a calendar date."""
-        return self.close_on_day(timestamp_of_day(day) // SECONDS_PER_DAY)
-
     # -- conversions ---------------------------------------------------------
 
     def wei_to_usd(self, amount: Wei, timestamp: int) -> float:

@@ -72,9 +72,6 @@ from ..oracle.ethusd import EthUsdOracle
 from .query import QueryCache, canonical_query, split_target
 
 __all__ = [
-    "ERRORS_METRIC",
-    "NOT_MODIFIED_METRIC",
-    "REQUESTS_METRIC",
     "ReproApp",
     "Response",
     "error_response",
@@ -581,10 +578,3 @@ class ReproApp:
         if limit < 0:
             return None, False
         return items[:limit], len(items) > limit
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def cache_size(self) -> int:
-        """Number of live response-cache entries."""
-        return len(self._cache)

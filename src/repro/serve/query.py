@@ -26,10 +26,6 @@ from ..ens.normalize import normalize_name
 from ..obs.metrics import MetricsRegistry
 
 __all__ = [
-    "CACHE_INVALIDATIONS_METRIC",
-    "CACHE_MIGRATED_METRIC",
-    "CACHE_REQUESTS_METRIC",
-    "DOMAIN_PARAMS",
     "QueryCache",
     "canonical_query",
     "split_target",

@@ -53,9 +53,9 @@ from ..obs.log import get_logger
 from .app import ReproApp, Response, error_response
 
 __all__ = [
-    "MAX_BODY",
-    "MAX_HEADERS",
-    "MAX_LINE",
+    "MAX_BODY",  # lint: ignore[flow-dead-api] an HTTP limit a client must know
+    "MAX_HEADERS",  # lint: ignore[flow-dead-api] an HTTP limit a client must know
+    "MAX_LINE",  # lint: ignore[flow-dead-api] an HTTP limit a client must know
     "ReproServer",
 ]
 

@@ -38,7 +38,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
 from .app import ReproApp
 
-__all__ = ["DatasetWatcher", "WATCH_POLLS_METRIC"]
+__all__ = ["DatasetWatcher"]
 
 #: Watch polls by outcome (``changed`` / ``unchanged`` / ``malformed``).
 WATCH_POLLS_METRIC = "serve_watch_polls_total"

@@ -16,7 +16,7 @@ from .scenario import ScenarioWorld, run_scenario
 # benchmarks and ``repro dataset stream``, never a report
 __getattr__, __dir__ = lazy_exports(
     __name__,
-    {"calibration": ("PAPER", "ratio_close"), "stream": ("stream_scenario",)},
+    {"calibration": ("PAPER",), "stream": ("stream_scenario",)},
 )
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "ScenarioWorld",
     "SenderProfile",
     "TrueCatch",
-    "ratio_close",
     "run_scenario",
     "stream_scenario",
 ]

@@ -94,8 +94,3 @@ class GroundTruth:
     expired_labels: list[str] = field(default_factory=list)
     listed_labels: list[str] = field(default_factory=list)
     sold_labels: list[str] = field(default_factory=list)
-
-    @property
-    def caught_labels(self) -> set[str]:
-        """Labels of every domain caught in the scenario (as a set)."""
-        return {catch.label for catch in self.catches}

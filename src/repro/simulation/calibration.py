@@ -1,4 +1,4 @@
-"""Paper-target constants and scale-aware comparison helpers.
+"""Paper-target constants.
 
 Everything the paper reports as a headline number lives here, so
 benchmarks and EXPERIMENTS.md compare measured values against a single
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["PAPER", "ratio_close"]
+__all__ = ["PAPER"]
 
 
 @dataclass(frozen=True)
@@ -85,22 +85,6 @@ class PaperTargets:
         expired_total = self.reregistered_domains + self.expired_not_reregistered
         return self.reregistered_domains / expired_total
 
-    @property
-    def opensea_sold_of_listed(self) -> float:
-        """Paper target: fraction of OpenSea-listed catches that sold."""
-        return self.sold_on_opensea / self.listed_on_opensea
-
 
 PAPER = PaperTargets()
 
-
-def ratio_close(measured: float, target: float, tolerance: float) -> bool:
-    """True when ``measured`` is within ``tolerance`` (relative) of target.
-
-    Used by shape-checking tests: e.g. the income ratio between
-    re-registered and control groups should be within 50% of the
-    paper's ~3.3x even though absolute USD amounts differ.
-    """
-    if target == 0:
-        return abs(measured) <= tolerance
-    return abs(measured - target) / abs(target) <= tolerance

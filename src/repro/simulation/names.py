@@ -143,7 +143,3 @@ class NameGenerator:
         return GeneratedName(
             label=label, lexical_class=lexical_class, attractiveness=attractiveness
         )
-
-    def generate_many(self, count: int) -> list[GeneratedName]:
-        """Generate ``count`` names from the calibrated distribution."""
-        return [self.generate() for _ in range(count)]

@@ -65,11 +65,6 @@ class TestTransfers:
         r2 = chain.transfer(a, b, 1)
         assert r1.tx_hash != r2.tx_hash
 
-    def test_receipt_lookup(self, chain: Blockchain, funded) -> None:
-        a, b = funded
-        receipt = chain.transfer(a, b, 1)
-        assert chain.get_receipt(receipt.tx_hash) is receipt
-
 
 class TestClock:
     def test_advance(self, chain: Blockchain) -> None:

@@ -17,7 +17,6 @@ from repro.chain import (
     CallPayload,
     Hash32,
     ether,
-    from_wei,
 )
 from repro.chain.contract import CallContext
 from repro.chain.transaction import Transaction
@@ -88,11 +87,6 @@ class TestEther:
 
     def test_float_ether_rounds(self) -> None:
         assert ether(0.5) == WEI_PER_ETHER // 2
-
-    @given(st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip_int(self, amount: int) -> None:
-        assert from_wei(ether(amount)) == pytest.approx(amount)
 
 
 # The hot-path value types are tuples: each value below with the plain

@@ -208,12 +208,14 @@ class TestCacheMetrics:
         assert value("hit") == 1
 
     def test_cache_stats_snapshot(self) -> None:
-        dataset = _fixture_dataset()
-        context = AnalysisContext(dataset)
+        registry = MetricsRegistry()
+        context = AnalysisContext(_fixture_dataset(), registry=registry)
         context.reregistrations()
         context.reregistrations()
-        stats = context.cache_stats()
-        assert stats["events"] == {"hit": 1, "miss": 1}
+        for outcome in ("hit", "miss"):
+            assert registry.value(
+                "analysis_cache_requests_total", cache="events", outcome=outcome
+            ) == 1
 
 
 class TestGoldenEquivalence:

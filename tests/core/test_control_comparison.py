@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import compare_groups, control_candidates, sample_control_group, study_groups
+from repro.core import compare_groups, sample_control_group, study_groups
+from repro.core.control import control_candidates
 from repro.oracle import EthUsdOracle
 
 from .helpers import make_dataset, make_domain, make_registration, make_tx

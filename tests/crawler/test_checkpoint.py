@@ -14,7 +14,8 @@ from repro.crawler.checkpoint import (
     STAGES,
 )
 from repro.crawler.storage import dataset_digest
-from repro.faults import CrawlKilled, EndpointFaultSpec, FaultPlan
+from repro.faults import CrawlKilled, FaultPlan
+from repro.faults.plan import EndpointFaultSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation import ScenarioConfig, run_scenario
 

@@ -14,12 +14,12 @@ from repro.crawler import dataset_digest
 from repro.datasets import (
     ColumnarDataset,
     ColumnarFormatError,
-    ColumnarImmutableError,
     DatasetIntegrityError,
     ENSDataset,
     encode_dataset,
     write_columnar,
 )
+from repro.datasets.columnar import ColumnarImmutableError
 from repro.oracle import EthUsdOracle
 from repro.simulation import ScenarioConfig, run_scenario
 

@@ -7,13 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.errors import InvalidName
-from repro.ens import (
-    is_valid_label,
-    normalize_label,
-    normalize_name,
-    registrable_label,
-    split_name,
-)
+from repro.ens import normalize_name, registrable_label
+from repro.ens.normalize import normalize_label
 
 
 class TestNormalizeLabel:
@@ -33,10 +28,6 @@ class TestNormalizeLabel:
             normalize_label("xn--punycode")
         # hyphens elsewhere are fine
         assert normalize_label("a-b--c") == "a-b--c"
-
-    def test_is_valid_label_mirror(self) -> None:
-        assert is_valid_label("gold")
-        assert not is_valid_label("bad label")
 
 
 class TestUnicodeLabels:
@@ -86,9 +77,6 @@ class TestNormalizeName:
             normalize_name("gold..eth")
         with pytest.raises(InvalidName):
             normalize_name(".eth")
-
-    def test_split_name(self) -> None:
-        assert split_name("pay.gold.eth") == ["pay", "gold", "eth"]
 
 
 class TestRegistrableLabel:

@@ -34,9 +34,9 @@ class TestDefaultCurve:
             DEFAULT_PREMIUM.premium_usd(-1)
 
     def test_is_premium_active_window(self) -> None:
-        assert DEFAULT_PREMIUM.is_premium_active(0)
-        assert DEFAULT_PREMIUM.is_premium_active(20 * SECONDS_PER_DAY)
-        assert not DEFAULT_PREMIUM.is_premium_active(21 * SECONDS_PER_DAY)
+        assert DEFAULT_PREMIUM.premium_usd(0) > 0
+        assert DEFAULT_PREMIUM.premium_usd(20 * SECONDS_PER_DAY) > 0
+        assert DEFAULT_PREMIUM.premium_usd(21 * SECONDS_PER_DAY) == 0.0
 
 
 class TestCustomCurves:

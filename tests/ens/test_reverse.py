@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.chain import SECONDS_PER_DAY, SECONDS_PER_YEAR, Address, UnknownAccount
-from repro.ens import GRACE_PERIOD_SECONDS, namehash, reverse_node_of
+from repro.ens import GRACE_PERIOD_SECONDS, namehash
+from repro.ens.reverse import reverse_node_of
 
 YEAR = SECONDS_PER_YEAR
 DAY = SECONDS_PER_DAY

@@ -6,7 +6,6 @@ import pytest
 
 from repro.chain import Address, Blockchain, ether
 from repro.explorer import (
-    ApiError,
     CATEGORY_COINBASE,
     CATEGORY_CUSTODIAL_EXCHANGE,
     EtherscanAPI,
@@ -15,6 +14,7 @@ from repro.explorer import (
     RateLimitError,
     VirtualClock,
 )
+from repro.explorer.api import ApiError
 
 
 @pytest.fixture()
@@ -117,24 +117,6 @@ class TestRateLimit:
 
 
 class TestPointLookups:
-    def test_get_transaction(self, chain, api, busy_pair) -> None:
-        a, b = busy_pair
-        receipt = chain.transfer(a, b, ether(2))
-        row = api.get_transaction(receipt.tx_hash.hex)
-        assert row is not None
-        assert row["value"] == str(ether(2))
-        assert row["from"] == a.hex
-        assert row["isError"] == "0"
-
-    def test_point_lookup_row_is_the_txlist_row(self, chain, api, busy_pair) -> None:
-        a, _ = busy_pair
-        for row in api.txlist(a, page=1, offset=3):
-            assert api.get_transaction(row["hash"]) == row
-
-    def test_get_transaction_unknown(self, chain, api) -> None:
-        assert api.get_transaction("0x" + "ab" * 32) is None
-        assert api.get_transaction("garbage") is None
-
     def test_get_block(self, chain, api, busy_pair) -> None:
         a, b = busy_pair
         receipt = chain.transfer(a, b, 1)
@@ -148,28 +130,16 @@ class TestPointLookups:
 
 
 class TestLabels:
-    def test_tag_and_lookup(self, chain, api) -> None:
-        addr = Address.derive("exchange-hot-wallet")
-        api.labels.tag(addr, "Binance 14", CATEGORY_CUSTODIAL_EXCHANGE)
-        label = api.get_label(addr)
-        assert label == {"name": "Binance 14", "category": CATEGORY_CUSTODIAL_EXCHANGE}
-
-    def test_unknown_label_is_none(self, chain, api) -> None:
-        assert api.get_label(Address.derive("nobody")) is None
-
     def test_string_forms_find_the_same_label(self, chain, api) -> None:
         addr = Address.derive("exchange-hot-wallet")
-        api.labels.tag(addr.checksum, "Binance 14", CATEGORY_CUSTODIAL_EXCHANGE)
         assert addr.checksum != addr.hex
-        assert api.get_label(addr.checksum) == api.get_label(addr.hex)
-        assert api.get_label(addr.hex) == api.get_label(addr)
-        assert api.get_label(addr) is not None
+        for form in (addr.checksum, addr.hex, addr):
+            api.labels.tag(form, "Binance 14", CATEGORY_CUSTODIAL_EXCHANGE)
+        assert api.labels_in_category(CATEGORY_CUSTODIAL_EXCHANGE) == [addr.hex]
 
     def test_malformed_address_is_an_api_error(self, chain, api) -> None:
         with pytest.raises(ApiError, match="invalid address"):
             api.txlist("garbage")
-        with pytest.raises(ApiError, match="invalid address"):
-            api.get_label("garbage")
 
     def test_category_lists(self, chain, api) -> None:
         registry = api.labels
@@ -179,8 +149,8 @@ class TestLabels:
             registry.tag(
                 Address.derive(f"ex:{i}"), f"Exchange {i}", CATEGORY_CUSTODIAL_EXCHANGE
             )
+        coinbase = registry.addresses_in_category(CATEGORY_COINBASE)
         exchanges = registry.addresses_in_category(CATEGORY_CUSTODIAL_EXCHANGE)
-        assert len(registry.coinbase_addresses()) == 3
+        assert len(coinbase) == 3
         assert len(exchanges) == 4
-        assert all(registry.is_coinbase(a) for a in registry.coinbase_addresses())
-        assert not registry.is_coinbase(exchanges[0])
+        assert set(coinbase).isdisjoint(exchanges)

@@ -101,7 +101,7 @@ class TestExplorerView:
         assert incoming == []
 
     def test_window_cap_applies(self, chain, splitter_world) -> None:
-        from repro.explorer import ApiError
+        from repro.explorer.api import ApiError
 
         payer, _, splitter = splitter_world
         chain.call(payer, splitter.address, "split", value=ether(2))

@@ -8,17 +8,15 @@ from repro.explorer.api import RateLimitError, VirtualClock
 from repro.faults import (
     CorruptPayload,
     CrawlKilled,
-    EndpointFaultSpec,
     EndpointOutage,
     EndpointTimeout,
     FaultPlan,
     FaultyEtherscanAPI,
     FaultyOpenSeaAPI,
     FaultySubgraphEndpoint,
-    OutageBurst,
-    RateStep,
     TransientInjectedError,
 )
+from repro.faults.plan import EndpointFaultSpec, OutageBurst, RateStep
 from repro.obs.metrics import MetricsRegistry
 
 

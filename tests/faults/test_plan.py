@@ -6,16 +6,8 @@ import random
 
 import pytest
 
-from repro.faults import (
-    FAULT_KINDS,
-    EndpointFaultSpec,
-    Fault,
-    FaultPlan,
-    OutageBurst,
-    RateStep,
-    deterministic_uniform,
-    load_plan,
-)
+from repro.faults import Fault, FaultPlan, deterministic_uniform, load_plan
+from repro.faults.plan import FAULT_KINDS, EndpointFaultSpec, OutageBurst, RateStep
 
 
 class TestDeterministicUniform:

@@ -14,12 +14,10 @@ import random
 import pytest
 
 from repro.explorer.api import VirtualClock
-from repro.faults import (
-    CircuitBreaker,
+from repro.faults import CircuitBreaker, RetryPolicy, RetryingCaller
+from repro.faults.retry import (
     RetryBudgetExhausted,
     RetryExhausted,
-    RetryPolicy,
-    RetryingCaller,
     STATE_CLOSED,
     STATE_HALF_OPEN,
     STATE_OPEN,
@@ -42,13 +40,18 @@ def _random_policy(rng: random.Random, **overrides) -> RetryPolicy:
     return RetryPolicy(**params)
 
 
+def _backoffs(policy: RetryPolicy, key: str, attempts: int) -> list[float]:
+    """The first ``attempts`` jittered delays ``policy`` waits for ``key``."""
+    return [policy.backoff(attempt, key) for attempt in range(attempts)]
+
+
 class TestBackoffProperties:
     def test_monotone_nondecreasing(self) -> None:
         rng = random.Random(101)
         for case in range(300):
             policy = _random_policy(rng)
             key = f"call:{case}"
-            seq = policy.backoff_sequence(key, 12)
+            seq = _backoffs(policy, key, 12)
             assert seq == sorted(seq), (policy, key, seq)
 
     def test_bounded_by_max_backoff(self) -> None:
@@ -56,7 +59,7 @@ class TestBackoffProperties:
         for case in range(300):
             policy = _random_policy(rng)
             for attempt, delay in enumerate(
-                policy.backoff_sequence(f"k:{case}", 15)
+                _backoffs(policy, f"k:{case}", 15)
             ):
                 assert 0.0 < delay <= policy.max_backoff, (policy, attempt)
 
@@ -83,17 +86,15 @@ class TestBackoffProperties:
                 seed=policy.seed,
             )
             key = f"call:{case}"
-            assert policy.backoff_sequence(key, 10) == twin.backoff_sequence(
-                key, 10
-            )
+            assert _backoffs(policy, key, 10) == _backoffs(twin, key, 10)
 
     def test_keys_decorrelate_jitter(self) -> None:
         policy = RetryPolicy(jitter=1.0, seed=7)
-        assert policy.backoff_sequence("a", 8) != policy.backoff_sequence("b", 8)
+        assert _backoffs(policy, "a", 8) != _backoffs(policy, "b", 8)
 
     def test_zero_jitter_equals_base_schedule(self) -> None:
         policy = RetryPolicy(jitter=0.0)
-        assert policy.backoff_sequence("any", 10) == [
+        assert _backoffs(policy, "any", 10) == [
             policy.base_backoff(attempt) for attempt in range(10)
         ]
 

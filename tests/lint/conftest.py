@@ -6,9 +6,10 @@ import textwrap
 
 import pytest
 
-from repro.lint import LintResult, SourceFile, lint_sources
+from repro.lint import LintResult, SourceFile
 from repro.lint.flow import flow_sources
 from repro.lint.flow.graph import extract_facts
+from repro.lint.runner import lint_sources
 
 
 @pytest.fixture()

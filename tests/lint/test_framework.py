@@ -8,9 +8,9 @@ from repro.lint import (
     SourceFile,
     all_checkers,
     all_rules,
-    lint_sources,
     render_text,
 )
+from repro.lint.runner import lint_sources
 from repro.lint.source import parse_suppressions
 
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import SourceFile, lint_sources
+from repro.lint import SourceFile
 from repro.lint.checkers.layering import LAYERS
+from repro.lint.runner import lint_sources
 
 
 def _source(module: str, text: str) -> SourceFile:

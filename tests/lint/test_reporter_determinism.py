@@ -7,8 +7,9 @@ import textwrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint import SourceFile, lint_sources, render_text
+from repro.lint import SourceFile, render_text
 from repro.lint.flow import flow_sources
+from repro.lint.runner import lint_sources
 
 from .conftest import make_facts
 

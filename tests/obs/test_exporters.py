@@ -2,13 +2,8 @@
 
 from __future__ import annotations
 
-from repro.obs import (
-    MetricsRegistry,
-    metrics_to_dict,
-    prometheus_text,
-    sanitize_metric_name,
-)
-from repro.obs.exporters import sanitize_non_finite
+from repro.obs import MetricsRegistry, metrics_to_dict, prometheus_text
+from repro.obs.exporters import sanitize_metric_name, sanitize_non_finite
 
 # The exporter promises deterministic output: families sorted by name,
 # samples by label values, canonical float formatting. This golden text

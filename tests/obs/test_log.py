@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from repro.obs import configure, get_logger
+from repro.obs import get_logger
+from repro.obs.log import configure
 from repro.obs import log as log_module
 
 

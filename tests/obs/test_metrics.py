@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import MetricError, MetricsRegistry, global_registry
+from repro.obs import MetricsRegistry, global_registry
+from repro.obs.metrics import MetricError
 from repro.obs.metrics import Histogram
 
 
@@ -149,7 +150,6 @@ class TestHistogram:
         histogram = Histogram(buckets=(-1.0, 0.0, 0.5, 10.0))
         for value in values:
             histogram.observe(value)
-        assert histogram.values == tuple(values)
         assert histogram.count == len(values)
         total = 0.0
         for value in values:
@@ -159,8 +159,10 @@ class TestHistogram:
         if ordered:
             rank = max(1, math.ceil(p / 100.0 * len(ordered)))
             assert histogram.percentile(p) == ordered[rank - 1]
+            assert histogram.max == ordered[-1]
         else:
             assert math.isnan(histogram.percentile(p))
+            assert math.isnan(histogram.max)
         expected = [
             (upper, sum(1 for value in values if value <= upper))
             for upper in (-1.0, 0.0, 0.5, 10.0)
@@ -194,6 +196,27 @@ class TestRegistryExportShape:
         histogram = snapshot["b_seconds"]["samples"][0]
         assert histogram["count"] == 1
         assert histogram["p50"] == pytest.approx(0.2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            max_size=60,
+        )
+    )
+    def test_as_dict_percentiles_equal_percentile(self, values) -> None:
+        """The export sorts each histogram once; its p50/p90/p99 are
+        still exactly what :meth:`Histogram.percentile` reads."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h_seconds")
+        for value in values:
+            histogram.observe(value)
+        [entry] = registry.as_dict()["h_seconds"]["samples"]
+        for p in (50, 90, 99):
+            read = histogram.percentile(p)
+            assert entry[f"p{p}"] == read or (
+                math.isnan(read) and math.isnan(entry[f"p{p}"])
+            )
 
     def test_families_sorted_by_name(self, registry) -> None:
         registry.counter("zzz")

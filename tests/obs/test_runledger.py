@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.obs import MetricsRegistry, Tracer, configure
+from repro.obs import MetricsRegistry, Tracer
+from repro.obs.log import configure
 from repro.obs.runledger import (
     LEDGER_SCHEMA_VERSION,
     LedgerRecordError,

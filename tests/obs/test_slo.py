@@ -20,7 +20,6 @@ class TestEvaluate:
         result = _evaluate_one(slo, registry)
         assert result.status == "fail"
         assert result.value == 15.0
-        assert not result.passed
 
     def test_histogram_percentile_with_labels(self) -> None:
         registry = MetricsRegistry()
@@ -55,7 +54,6 @@ class TestEvaluate:
         result = _evaluate_one(slo, MetricsRegistry())
         assert result.status == "no_data"
         assert result.value is None
-        assert result.passed  # neutral, not a failure
 
     def test_registries_searched_in_order(self) -> None:
         first, second = MetricsRegistry(), MetricsRegistry()

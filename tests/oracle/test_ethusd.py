@@ -17,26 +17,30 @@ def oracle() -> EthUsdOracle:
     return EthUsdOracle()
 
 
+def _price_on(oracle: EthUsdOracle, day: date) -> float:
+    return oracle.price_at(timestamp_of_day(day))
+
+
 class TestSeriesShape:
     def test_deterministic(self, oracle: EthUsdOracle) -> None:
         day = date(2021, 6, 15)
-        assert oracle.price_on(day) == EthUsdOracle().price_on(day)
+        assert _price_on(oracle, day) == _price_on(EthUsdOracle(), day)
 
     def test_2020_start_low(self, oracle: EthUsdOracle) -> None:
-        assert 80 < oracle.price_on(date(2020, 1, 15)) < 250
+        assert 80 < _price_on(oracle, date(2020, 1, 15)) < 250
 
     def test_2021_bull_peak(self, oracle: EthUsdOracle) -> None:
-        assert oracle.price_on(date(2021, 11, 10)) > 4000
+        assert _price_on(oracle, date(2021, 11, 10)) > 4000
 
     def test_2022_crash(self, oracle: EthUsdOracle) -> None:
-        assert oracle.price_on(date(2022, 6, 18)) < 1500
+        assert _price_on(oracle, date(2022, 6, 18)) < 1500
 
     def test_2023_band(self, oracle: EthUsdOracle) -> None:
-        assert 1200 < oracle.price_on(date(2023, 8, 1)) < 2800
+        assert 1200 < _price_on(oracle, date(2023, 8, 1)) < 2800
 
     def test_clamped_before_first_anchor(self, oracle: EthUsdOracle) -> None:
-        assert oracle.price_on(date(2015, 1, 1)) == pytest.approx(
-            oracle.price_on(date(2019, 11, 30)), rel=0.2
+        assert _price_on(oracle, date(2015, 1, 1)) == pytest.approx(
+            _price_on(oracle, date(2019, 11, 30)), rel=0.2
         )
 
     def test_noise_disabled_is_smooth(self) -> None:
@@ -44,7 +48,7 @@ class TestSeriesShape:
             anchors=(("2020-01-01", 1000.0), ("2021-01-01", 1000.0)),
             noise_amplitude=0.0,
         )
-        assert flat.price_on(date(2020, 6, 1)) == pytest.approx(1000.0)
+        assert _price_on(flat, date(2020, 6, 1)) == pytest.approx(1000.0)
 
     def test_bad_anchor_order_rejected(self) -> None:
         with pytest.raises(ValueError):
@@ -64,7 +68,7 @@ class TestConversions:
     def test_one_ether_is_daily_close(self, oracle: EthUsdOracle) -> None:
         ts = timestamp_of_day(date(2022, 3, 1))
         assert oracle.wei_to_usd(WEI_PER_ETHER, ts) == pytest.approx(
-            oracle.price_on(date(2022, 3, 1))
+            _price_on(oracle, date(2022, 3, 1))
         )
 
     def test_same_day_same_price(self, oracle: EthUsdOracle) -> None:

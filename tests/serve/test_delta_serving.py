@@ -123,9 +123,9 @@ class TestCacheMigration:
         app.handle("GET", "/query/dropcatch")
         app.handle("GET", "/query/hijackable")
         app.handle("GET", "/report")
-        assert app.cache_size == 4
+        assert len(app._cache) == 4
         app.apply_deltas([_tx_only_delta(dataset, 1)])
-        assert app.cache_size == 2
+        assert len(app._cache) == 2
         assert registry.value(CACHE_MIGRATED_METRIC, outcome="kept") == 2.0
         assert registry.value(CACHE_MIGRATED_METRIC, outcome="dropped") == 2.0
 
@@ -135,7 +135,7 @@ class TestCacheMigration:
         app.handle("GET", "/query/dropcatch")
         app.handle("GET", "/report")
         app.apply_deltas([stream.deltas[3]])  # batch 4: domain upserts
-        assert app.cache_size == 0
+        assert len(app._cache) == 0
         assert registry.value(CACHE_MIGRATED_METRIC, outcome="kept") == 0.0
 
     def test_migrated_report_matches_fresh_compute(self, stream) -> None:

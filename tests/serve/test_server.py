@@ -84,7 +84,7 @@ def test_equivalent_spellings_share_one_cache_entry(harness) -> None:
     assert first.status == second.status == third.status == 200
     assert first.body == second.body == third.body
     assert harness.cache_counters() == (2.0, 1.0)
-    assert harness.app.cache_size == 1
+    assert len(harness.app._cache) == 1
 
 
 def test_domain_lookup_is_case_insensitive(harness, serve_dataset) -> None:
@@ -121,7 +121,7 @@ def test_error_statuses(harness) -> None:
     assert harness.request("POST", "/report").status == 405
     # none of those are 5xx, and none land in the cache
     assert harness.registry.value(ERRORS_METRIC) == 0.0
-    assert harness.app.cache_size == 0
+    assert len(harness.app._cache) == 0
 
 
 def test_error_responses_are_json_and_never_cached(harness) -> None:

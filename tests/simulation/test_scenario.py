@@ -95,7 +95,7 @@ class TestDetectionAgainstTruth:
         detected_labels = {
             event.name.removesuffix(".eth") for event in events if event.name
         }
-        truth_labels = world.truth.caught_labels
+        truth_labels = {catch.label for catch in world.truth.catches}
         # sold/flipped names register as additional events; every true catch
         # of a *crawled* domain must be detected
         crawled_names = {
@@ -109,7 +109,8 @@ class TestDetectionAgainstTruth:
         events = find_reregistrations(dataset)
         detected = {e.name.removesuffix(".eth") for e in events if e.name}
         pure_recoveries = (
-            set(world.truth.owner_recoveries) - world.truth.caught_labels
+            set(world.truth.owner_recoveries)
+            - {catch.label for catch in world.truth.catches}
         )
         assert detected.isdisjoint(pure_recoveries)
 

@@ -232,6 +232,28 @@ class TestUnloadableDataset:
             f"repro analyze: {directory}: {name}:2: malformed record ("
         )
 
+    @pytest.mark.parametrize(
+        "name", ["domains.jsonl", "transactions.jsonl", "market_events.jsonl"]
+    )
+    def test_missing_base_file_names_it(self, name, tmp_path, capsys) -> None:
+        # save_dataset writes all three files: one absent is damage, and
+        # reading it as an empty table would report zero losses
+        directory = tmp_path / "crawl"
+        save_dataset(
+            make_dataset(
+                [make_domain("gold", [make_registration("0xa", 10, 400)])],
+                [make_tx("0xa", "0xb", 50)],
+            ),
+            directory,
+        )
+        (directory / name).unlink()
+        assert main(["analyze", str(directory), "--no-ledger"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro analyze: {directory}: missing {name}"
+        ]
+
 
 class TestSimulate:
     def test_writes_dataset(self, saved_dataset, capsys) -> None:
