@@ -5,7 +5,8 @@ transaction, with an explicitly-controlled clock (the simulation drives
 time forward day by day). It records everything the downstream
 substrates need:
 
-* blocks + receipts (crawled by :mod:`repro.explorer`),
+* receipts in chain order, one per block (crawled by
+  :mod:`repro.explorer`); a :class:`Block` is built only when read,
 * contract event logs (indexed by :mod:`repro.indexer`),
 * balances/nonces (asserted on by tests).
 
@@ -45,12 +46,13 @@ class Blockchain:
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.state = AccountState()
-        self.blocks: list[Block] = []
+        # the receipt of block n is receipts[n - 1]; block 0 is genesis
+        self.receipts: list[Receipt] = []
         self.logs: list[Log] = []
         self.contracts: dict[Address, Contract] = {}
         # ids of blocks 0..len-1, extended on read (see block_hash)
         self._block_ids: list[Hash32] = []
-        self._timestamp = genesis_timestamp
+        self._genesis_timestamp = self._timestamp = genesis_timestamp
         self._view_ctx: CallContext | None = None
         self._executing: Receipt | None = None
         self._log_subscribers: list[Callable[[Log], None]] = []
@@ -69,7 +71,6 @@ class Blockchain:
             "chain_logs_total", "Event logs emitted (net of reverts)"
         )
         self._g_height = self.metrics.gauge("chain_height", "Latest block number")
-        self.blocks.append(Block(number=0, timestamp=genesis_timestamp))
 
     # -- clock -------------------------------------------------------------
 
@@ -97,7 +98,7 @@ class Blockchain:
     @property
     def height(self) -> int:
         """Number of the latest block."""
-        return self.blocks[-1].number
+        return len(self.receipts)
 
     # -- setup helpers ------------------------------------------------------
 
@@ -220,12 +221,12 @@ class Blockchain:
                 for internal in reversed(receipt.internal_transfers):
                     self.state.get(internal.recipient).debit(internal.value)
                     self.state.get(internal.source).credit(internal.value)
-                receipt.internal_transfers.clear()
+                receipt.internal_transfers = ()
                 self.state.get(tx.to_address).debit(tx.value)
                 sender_account.credit(tx.value)
                 for log in receipt.logs:
                     self.logs.remove(log)
-                receipt.logs.clear()
+                receipt.logs = ()
             finally:
                 self._executing = previous
 
@@ -236,9 +237,7 @@ class Blockchain:
                 for callback in self._log_subscribers:
                     callback(log)
 
-        self.blocks.append(
-            Block(number=block_number, timestamp=self._timestamp, receipts=[receipt])
-        )
+        self.receipts.append(receipt)
         self._view_ctx = None
         self._m_blocks.inc()
         (self._m_tx_ok if receipt.success else self._m_tx_reverted).inc()
@@ -264,31 +263,35 @@ class Blockchain:
             log_index=len(self.logs),
         )
         self.logs.append(log)
-        receipt.logs.append(log)
+        if receipt.logs:
+            receipt.logs.append(log)
+        else:
+            receipt.logs = [log]
 
     def transfer_internal(self, source: Address, recipient: Address, amount: Wei) -> None:
         """Contract-initiated value move (refunds, payouts).
 
         Recorded against the executing transaction as an internal
-        transfer (the explorer serves these via ``txlistinternal``), and
-        rolled back if the transaction ultimately reverts.
+        transfer, and rolled back if the transaction ultimately reverts.
         """
         if self._executing is None:
             raise ChainMisuse("transfer_internal called outside execution")
         self.state.get(source).debit(amount)
         self.state.get(recipient).credit(amount)
         receipt = self._executing
-        receipt.internal_transfers.append(
-            InternalTransfer(
-                source=source,
-                recipient=recipient,
-                value=amount,
-                tx_hash=receipt.tx_hash,
-                block_number=receipt.block_number,
-                timestamp=receipt.timestamp,
-                index=len(receipt.internal_transfers),
-            )
+        internal = InternalTransfer(
+            source=source,
+            recipient=recipient,
+            value=amount,
+            tx_hash=receipt.tx_hash,
+            block_number=receipt.block_number,
+            timestamp=receipt.timestamp,
+            index=len(receipt.internal_transfers),
         )
+        if receipt.internal_transfers:
+            receipt.internal_transfers.append(internal)
+        else:
+            receipt.internal_transfers = [internal]
 
     # -- queries -------------------------------------------------------------
 
@@ -297,10 +300,18 @@ class Blockchain:
         return self.state.balance_of(address)
 
     def get_block(self, number: int) -> Block:
-        """Block by number; raises for out-of-range numbers."""
-        if not 0 <= number < len(self.blocks):
+        """Block by number, built on each call; raises for out-of-range
+        numbers.
+
+        The chain keeps only the receipts: block 0 is the empty genesis
+        block and block n holds ``receipts[n - 1]``.
+        """
+        if not 0 <= number <= len(self.receipts):
             raise UnknownAccount(f"no block number {number}")
-        return self.blocks[number]
+        if number == 0:
+            return Block(number=0, timestamp=self._genesis_timestamp)
+        receipt = self.receipts[number - 1]
+        return Block(number=number, timestamp=receipt.timestamp, receipts=[receipt])
 
     def block_hash(self, number: int) -> Hash32:
         """Id of block ``number``; raises for out-of-range numbers.
@@ -310,12 +321,12 @@ class Blockchain:
         read computes every missing id up to ``number``, oldest first
         in a loop, and keeps them: a sealed block never changes.
         """
-        self.get_block(number)
+        if not 0 <= number <= len(self.receipts):
+            raise UnknownAccount(f"no block number {number}")
         ids = self._block_ids
-        blocks = self.blocks
         while len(ids) <= number:
             parent = ids[-1] if ids else GENESIS_PARENT
-            ids.append(blocks[len(ids)].hash(parent))
+            ids.append(self.get_block(len(ids)).hash(parent))
         return ids[number]
 
     def logs_of(self, contract: Address, event: str | None = None) -> list[Log]:

@@ -9,7 +9,7 @@ the indexer builds subgraph entities from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Any, NamedTuple
 
@@ -123,7 +123,12 @@ class Log:
 
 @dataclass(slots=True)
 class Receipt:
-    """Execution outcome of one transaction."""
+    """Execution outcome of one transaction.
+
+    ``logs`` and ``internal_transfers`` start as the shared empty tuple;
+    the chain swaps in a list on the first entry, so the many receipts
+    of plain payments allocate neither.
+    """
 
     tx_hash: Hash32
     transaction: Transaction
@@ -132,8 +137,8 @@ class Receipt:
     success: bool
     return_value: Any = None
     error: str | None = None
-    logs: list[Log] = field(default_factory=list)
-    internal_transfers: list[InternalTransfer] = field(default_factory=list)
+    logs: list[Log] | tuple[()] = ()
+    internal_transfers: list[InternalTransfer] | tuple[()] = ()
 
     @property
     def from_address(self) -> Address:

@@ -11,8 +11,7 @@ Time is a :class:`VirtualClock` so tests and benchmarks exercise the
 throttle/backoff logic deterministically without real sleeps.
 
 This module is the one place the Etherscan row format is written:
-:func:`_tx_row` formats a chain receipt for ``txlist``,
-:func:`_internal_row` an internal transfer for ``txlistinternal``.
+:func:`_tx_row` formats a chain receipt for ``txlist``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 from ..chain.block import GENESIS_PARENT
 from ..chain.errors import UnknownAccount
-from ..chain.transaction import InternalTransfer, Receipt
+from ..chain.transaction import Receipt
 from ..chain.types import Address
 from .database import ExplorerDatabase
 from .labels import LabelRegistry
@@ -58,20 +57,6 @@ def _tx_row(receipt: Receipt) -> dict[str, object]:
         "value": str(tx.value),
         "isError": "0" if receipt.success else "1",
         "functionName": tx.payload.method if tx.payload else "",
-    }
-
-
-def _internal_row(transfer: InternalTransfer) -> dict[str, object]:
-    """Etherscan-style ``txlistinternal`` row for one internal transfer."""
-    return {
-        "hash": transfer.tx_hash.hex,
-        "blockNumber": str(transfer.block_number),
-        "timeStamp": str(transfer.timestamp),
-        "from": transfer.source.hex,
-        "to": transfer.recipient.hex,
-        "value": str(transfer.value),
-        "isError": "0",
-        "type": "call",
     }
 
 
@@ -166,37 +151,6 @@ class EtherscanAPI:
         receipts.sort(key=lambda r: r.block_number, reverse=(sort == "desc"))
         window = receipts[(page - 1) * offset : page * offset]
         return [_tx_row(receipt) for receipt in window]
-
-    def txlistinternal(
-        self,
-        address: Address | str,
-        startblock: int = 0,
-        endblock: int = 2**62,
-        page: int = 1,
-        offset: int = 1000,
-    ) -> list[dict[str, object]]:
-        """Internal transactions touching ``address`` (account.txlistinternal).
-
-        Registrar refunds and payouts live here, NOT in txlist — which is
-        why income analyses over txlist data are clean of contract noise.
-        """
-        self._throttle()
-        self.database.sync()
-        if page < 1 or offset < 1:
-            raise ApiError("page and offset must be positive")
-        if page * offset > MAX_TXLIST_WINDOW:
-            raise ApiError(
-                f"result window is too large, page * offset must be"
-                f" <= {MAX_TXLIST_WINDOW}"
-            )
-        entries = [
-            internal
-            for internal in self.database.internal_transfers_of(_address(address))
-            if startblock <= internal.block_number <= endblock
-        ]
-        entries.sort(key=lambda e: (e.block_number, e.index))
-        window = entries[(page - 1) * offset : page * offset]
-        return [_internal_row(internal) for internal in window]
 
     def get_block(self, number: int) -> dict[str, object] | None:
         """Block header lookup (proxy.eth_getBlockByNumber)."""

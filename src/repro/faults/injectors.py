@@ -215,11 +215,6 @@ class FaultyEtherscanAPI:
         self._guard()
         return self.inner.txlist(**kwargs)
 
-    def txlistinternal(self, **kwargs: Any) -> list[dict[str, object]]:
-        """Fault-guarded ``account.txlistinternal``."""
-        self._guard()
-        return self.inner.txlistinternal(**kwargs)
-
     def labels_in_category(self, category: str) -> list[str]:
         """Fault-guarded label-category listing."""
         self._guard()

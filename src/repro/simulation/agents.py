@@ -35,8 +35,6 @@ class SenderProfile:
     address: Address
     kind: str                    # retail / coinbase / custodial
     uses_ens: bool               # resolves the name vs pasting the address
-    schedule_days: list[int]     # absolute day numbers of planned payments
-    amounts_usd: list[float]     # one amount per scheduled payment
 
 
 @dataclass(slots=True)

@@ -314,7 +314,12 @@ class _ScenarioEngine:
 
     def _build_sender(
         self, script_owner_day: int, duration_days: int, wealth: float
-    ) -> SenderProfile:
+    ) -> tuple[SenderProfile, list[int], list[float]]:
+        """One sender, its sorted payment days and one USD amount per day.
+
+        The plan is returned, not stored: ``_setup_domains`` schedules
+        each payment with its amount, and nothing reads the plan after.
+        """
         config, rng = self.config, self.rng
         roll = rng.random()
         if roll < config.coinbase_sender_fraction:
@@ -342,13 +347,8 @@ class _ScenarioEngine:
             wealth * rng.lognormvariate(config.income_log_mu, config.income_log_sigma)
             for _ in range(tx_count)
         ]
-        return SenderProfile(
-            address=address,
-            kind=kind,
-            uses_ens=uses_ens,
-            schedule_days=schedule,
-            amounts_usd=amounts,
-        )
+        sender = SenderProfile(address=address, kind=kind, uses_ens=uses_ens)
+        return sender, schedule, amounts
 
     def _setup_domains(self) -> None:
         config, rng = self.config, self.rng
@@ -380,15 +380,16 @@ class _ScenarioEngine:
             sender_count = max(
                 1, min(40, int(rng.expovariate(1.0 / config.mean_senders_per_domain)) + 1)
             )
-            script.senders = [
+            plans = [
                 self._build_sender(registration_day, max(duration_days, 180), wealth)
                 for _ in range(sender_count)
             ]
+            script.senders = [sender for sender, _, _ in plans]
             self.scripts.append(script)
             self.schedule(registration_day, ("register", index))
-            for sender_index, sender in enumerate(script.senders):
-                for tx_index, day in enumerate(sender.schedule_days):
-                    self.schedule(day, ("send", index, sender_index, tx_index))
+            for sender_index, (sender, days, amounts) in enumerate(plans):
+                for day, amount in zip(days, amounts):
+                    self.schedule(day, ("send", index, sender_index, amount))
                 if (
                     sender.kind == SENDER_RETAIL
                     and rng.random() < config.retail_noise_prob
@@ -695,12 +696,12 @@ class _ScenarioEngine:
         ):
             self.truth.misdirected_tx_hashes.add(receipt.tx_hash.hex)
 
-    def _handle_send(self, index: int, sender_index: int, tx_index: int) -> None:
+    def _handle_send(self, index: int, sender_index: int, amount: float) -> None:
         script = self.scripts[index]
         sender = script.senders[sender_index]
         if script.name.label not in self.current_holder:
             return  # registration failed or not yet processed
-        self._execute_payment(script, sender, sender.amounts_usd[tx_index])
+        self._execute_payment(script, sender, amount)
 
     def _handle_misdirect(self, index: int, sender_index: int, amount: float) -> None:
         script = self.scripts[index]

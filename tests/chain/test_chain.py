@@ -213,7 +213,7 @@ class TestContracts:
         chain.deploy(bomb)
         receipt = chain.call(a, bomb.address, "boom")
         assert not receipt.success
-        assert receipt.logs == []
+        assert len(receipt.logs) == 0
         assert chain.logs_of(bomb.address) == []
 
     def test_events_recorded(self, chain: Blockchain, funded, vault) -> None:

@@ -87,8 +87,6 @@ class TestTxList:
     def test_malformed_address_is_an_api_error(self, chain, api, bad) -> None:
         with pytest.raises(ApiError, match="invalid address"):
             api.txlist(bad)
-        with pytest.raises(ApiError, match="invalid address"):
-            api.txlistinternal(bad)
 
     def test_auto_syncs_new_blocks(self, chain, api, busy_pair) -> None:
         a, b = busy_pair

@@ -1,4 +1,4 @@
-"""Internal transactions: recording, rollback, explorer indexing."""
+"""Internal transactions: recording, rollback, and their absence from txlist."""
 
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ class TestRecording:
             payer, splitter.address, "split", value=ether(10), and_fail=True
         )
         assert not receipt.success
-        assert receipt.internal_transfers == []
+        assert len(receipt.internal_transfers) == 0
         assert chain.balance_of(beneficiary) == 0
         assert chain.balance_of(payer) == ether(100)
 
@@ -82,13 +82,6 @@ class TestExplorerView:
             rate_limit_per_second=10_000,
         )
 
-    def test_txlistinternal_serves_refund(self, chain, ens, alice) -> None:
-        price = ens.rent_price("refundme", SECONDS_PER_YEAR)
-        ens.register(alice, "refundme", SECONDS_PER_YEAR, value=price + ether(2))
-        api = self._api(chain)
-        rows = api.txlistinternal(alice)
-        assert any(row["value"] == str(ether(2)) for row in rows)
-
     def test_refund_absent_from_txlist(self, chain, ens, alice) -> None:
         # The crucial separation: income analyses over txlist never see
         # contract refunds.
@@ -99,19 +92,3 @@ class TestExplorerView:
             row for row in api.txlist(alice) if row["to"] == alice.hex
         ]
         assert incoming == []
-
-    def test_window_cap_applies(self, chain, splitter_world) -> None:
-        from repro.explorer.api import ApiError
-
-        payer, _, splitter = splitter_world
-        chain.call(payer, splitter.address, "split", value=ether(2))
-        api = self._api(chain)
-        with pytest.raises(ApiError, match="window"):
-            api.txlistinternal(payer, page=11, offset=1000)
-
-    def test_both_parties_indexed(self, chain, splitter_world) -> None:
-        payer, beneficiary, splitter = splitter_world
-        chain.call(payer, splitter.address, "split", value=ether(10))
-        api = self._api(chain)
-        assert len(api.txlistinternal(splitter.address)) == 1
-        assert len(api.txlistinternal(beneficiary)) == 1

@@ -138,10 +138,6 @@ class _FakeEtherscanInner:
         self.calls.append(("txlist", kwargs))
         return [{"hash": "0xt"}]
 
-    def txlistinternal(self, **kwargs):
-        self.calls.append(("txlistinternal", kwargs))
-        return []
-
     def labels_in_category(self, category):
         self.calls.append(("labels", category))
         return ["0xaddr"]
@@ -194,10 +190,9 @@ class TestFaultyEtherscanAPI:
         inner = _FakeEtherscanInner()
         wrapper = FaultyEtherscanAPI(inner, FaultPlan.uniform(0.0))
         wrapper.txlist(address="0xa", page=2)
-        wrapper.txlistinternal(address="0xa")
         wrapper.labels_in_category("exchange")
         assert [name for name, _ in inner.calls] == [
-            "txlist", "txlistinternal", "labels",
+            "txlist", "labels",
         ]
         assert inner.calls[0][1] == {"address": "0xa", "page": 2}
 

@@ -1,10 +1,13 @@
 """A built world keeps only what its readers need, with unchanged values.
 
-Block ids are computed when first read, the resolution log is built
-from payment receipts on read, and a crawl shares one string per
-address across its transaction records. The literals below were
-computed when the world still hashed every sealed block and stored
-ready-made resolution records; equal values prove the ids and the log
+The chain keeps receipts, not blocks, and builds a ``Block`` only when
+one is read; block ids are computed when first read; a receipt with no
+logs or internal transfers holds no list; a sender keeps no payment
+plan; the resolution log is built from payment receipts on read; and a
+crawl shares one string per address across its transaction records.
+The literals below were computed when the world still sealed a
+``Block`` per transaction, hashed every one and stored ready-made
+resolution records; equal values prove the blocks, the ids and the log
 did not change.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.chain.block import Block
 from repro.core.authoritative import authoritative_losses
 from repro.datasets.schema import ResolutionRecord
 from repro.simulation import ScenarioConfig, run_scenario
+from repro.simulation.agents import SenderProfile
 
 #: ``get_block`` (hash, parentHash) of a 40-domain, seed-3 world.
 BLOCK_IDS_40_3 = {
@@ -36,6 +41,12 @@ BLOCK_IDS_40_3 = {
     ),
 }
 
+#: SHA-256 of ``repr`` of every ``get_block`` (number, timestamp,
+#: receipt tx hashes) of a 40-domain, seed-3 world, blocks 0..2170.
+BLOCKS_DIGEST_40_3 = (
+    "f7593326881ce9783b46a013f1fc52a9907d3a618f29a3d2246b2ab970e762b7"
+)
+
 #: SHA-256 of the sorted-key JSON of every ``as_dict`` of a 120/5 log.
 RESOLUTION_LOG_DIGEST_120_5 = (
     "6f42f7fd33df4b4192b168d4034ac805bc2d64edbcad554d5cf3af986d0d3645"
@@ -52,9 +63,9 @@ def _sha256(text: str) -> str:
 
 @pytest.fixture(scope="module")
 def counted():
-    """A 120/5 world and its crawl, built while block ids and
+    """A 120/5 world and its crawl, built while blocks, block ids and
     resolution records are counted."""
-    counts = {"block_ids": 0, "resolution_records": 0}
+    counts = {"blocks": 0, "block_ids": 0, "resolution_records": 0}
 
     def counting(key, method):
         def wrapper(*args, **kwargs):
@@ -64,6 +75,7 @@ def counted():
         return wrapper
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Block, "__init__", counting("blocks", Block.__init__))
         patch.setattr(Block, "hash", counting("block_ids", Block.hash))
         patch.setattr(
             ResolutionRecord,
@@ -88,6 +100,49 @@ class TestBlockIds:
     def test_scenario_and_crawl_compute_no_block_id(self, counted) -> None:
         _, _, counts = counted
         assert counts["block_ids"] == 0
+
+
+class TestBlocksOnRead:
+    def test_scenario_and_crawl_build_no_block(self, counted) -> None:
+        _, _, counts = counted
+        assert counts["blocks"] == 0
+
+    def test_get_block_unchanged(self) -> None:
+        world = run_scenario(ScenarioConfig(n_domains=40, seed=3))
+        chain = world.chain
+        assert chain.height == len(chain.receipts) == 2170
+        rows = []
+        for number in range(chain.height + 1):
+            block = chain.get_block(number)
+            hashes = [receipt.tx_hash.hex for receipt in block.receipts]
+            rows.append((block.number, block.timestamp, hashes))
+        assert _sha256(repr(rows)) == BLOCKS_DIGEST_40_3
+
+
+class TestEmptyReceipts:
+    def test_no_list_without_entries(self, counted) -> None:
+        world, _, _ = counted
+        receipts = world.chain.receipts
+        empty = [r for r in receipts if not r.logs and not r.internal_transfers]
+        assert 0 < len(empty) < len(receipts)
+        assert not [
+            r
+            for r in empty
+            if isinstance(r.logs, list) or isinstance(r.internal_transfers, list)
+        ]
+
+
+class TestSenderProfiles:
+    def test_no_per_payment_list(self, counted) -> None:
+        world, _, _ = counted
+        senders = [sender for script in world.scripts for sender in script.senders]
+        assert senders
+        assert not [
+            (sender, field.name)
+            for sender in senders
+            for field in fields(SenderProfile)
+            if isinstance(getattr(sender, field.name), list)
+        ]
 
 
 class TestResolutionLog:
