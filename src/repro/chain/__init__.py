@@ -2,14 +2,13 @@
 
 Public surface:
 
-* :class:`Blockchain` — the ledger: clock, accounts, contracts, blocks.
+* :class:`Blockchain` — the ledger: clock, accounts, contracts, receipts.
 * :class:`Address`, :class:`Hash32`, ``Wei`` helpers — value types.
 * :class:`Contract`, :class:`CallContext` — contract runtime.
 * :func:`keccak_256` — Ethereum's keccak (the ENS hash function).
 """
 
 from .account import AccountState
-from .block import Block
 from .chain import Blockchain
 from .contract import CallContext, Contract
 from .crypto.keccak import keccak_256
@@ -24,7 +23,7 @@ from .errors import (
     Revert,
     UnknownAccount,
 )
-from .transaction import CallPayload, InternalTransfer, Log, Receipt, Transaction
+from .transaction import CallPayload, Log, Receipt, Transaction
 from .types import (
     SECONDS_PER_DAY,
     SECONDS_PER_YEAR,
@@ -39,14 +38,12 @@ from .types import (
 __all__ = [
     "AccountState",
     "Address",
-    "Block",
     "Blockchain",
     "CallContext",
     "CallPayload",
     "Contract",
     "Hash32",
     "InsufficientFunds",
-    "InternalTransfer",
     "InvalidName",
     "InvalidTransaction",
     "Log",

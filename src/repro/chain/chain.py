@@ -6,15 +6,15 @@ time forward day by day). It records everything the downstream
 substrates need:
 
 * receipts in chain order, one per block (crawled by
-  :mod:`repro.explorer`); a :class:`Block` is built only when read,
+  :mod:`repro.explorer`): block n is ``receipts[n - 1]``,
 * contract event logs (indexed by :mod:`repro.indexer`),
 * balances/nonces (asserted on by tests).
 
 Hashing note: ENS-protocol hashes (namehash, labelhash, token ids) use
 the bit-exact Keccak-256 from :mod:`repro.chain.crypto.keccak`.
-Transaction and block *ids*, however, only need to be deterministic and
-unique, so they come from :class:`Transaction.hash` which this module
-feeds with positional data — pure-Python keccak there would dominate
+Transaction ids, however, only need to be deterministic and unique, so
+they come from :class:`Transaction.hash` which this module feeds with
+positional data — pure-Python keccak there would dominate
 simulation runtime for no analytical benefit.
 """
 
@@ -24,11 +24,10 @@ from typing import Any, Callable
 
 from ..obs.metrics import MetricsRegistry, global_registry
 from .account import AccountState
-from .block import GENESIS_PARENT, Block
 from .contract import CallContext, Contract
 from .errors import InsufficientFunds, InvalidTransaction, Revert, UnknownAccount
-from .transaction import CallPayload, InternalTransfer, Log, Receipt, Transaction
-from .types import ZERO_ADDRESS, Address, Hash32, Wei
+from .transaction import CallPayload, Log, Receipt, Transaction
+from .types import ZERO_ADDRESS, Address, Wei
 
 __all__ = ["Blockchain"]
 
@@ -50,11 +49,12 @@ class Blockchain:
         self.receipts: list[Receipt] = []
         self.logs: list[Log] = []
         self.contracts: dict[Address, Contract] = {}
-        # ids of blocks 0..len-1, extended on read (see block_hash)
-        self._block_ids: list[Hash32] = []
-        self._genesis_timestamp = self._timestamp = genesis_timestamp
+        self._timestamp = genesis_timestamp
         self._view_ctx: CallContext | None = None
         self._executing: Receipt | None = None
+        # (source, recipient, amount) of each internal transfer of the
+        # executing transactions, unwound if one reverts
+        self._internal_moves: list[tuple[Address, Address, Wei]] = []
         self._log_subscribers: list[Callable[[Log], None]] = []
         # Hot-path instrumentation: samples are bound once here so each
         # transaction costs a handful of float additions.
@@ -205,6 +205,7 @@ class Blockchain:
             )
             previous = self._executing
             self._executing = receipt
+            mark = len(self._internal_moves)
             try:
                 receipt.return_value = contract.invoke(
                     ctx, tx.payload.method, tx.payload.kwargs()
@@ -218,10 +219,9 @@ class Blockchain:
                 # undo internal transfers first — the contract may have
                 # paid the call value onward and cannot return it until
                 # those moves are reversed
-                for internal in reversed(receipt.internal_transfers):
-                    self.state.get(internal.recipient).debit(internal.value)
-                    self.state.get(internal.source).credit(internal.value)
-                receipt.internal_transfers = ()
+                for source, recipient, amount in reversed(self._internal_moves[mark:]):
+                    self.state.get(recipient).debit(amount)
+                    self.state.get(source).credit(amount)
                 self.state.get(tx.to_address).debit(tx.value)
                 sender_account.credit(tx.value)
                 for log in receipt.logs:
@@ -229,6 +229,7 @@ class Blockchain:
                 receipt.logs = ()
             finally:
                 self._executing = previous
+                del self._internal_moves[mark:]
 
         # Stream logs to subscribers only after the transaction is final,
         # so indexers never see events from reverted calls.
@@ -271,63 +272,19 @@ class Blockchain:
     def transfer_internal(self, source: Address, recipient: Address, amount: Wei) -> None:
         """Contract-initiated value move (refunds, payouts).
 
-        Recorded against the executing transaction as an internal
-        transfer, and rolled back if the transaction ultimately reverts.
+        Rolled back if the executing transaction ultimately reverts.
         """
         if self._executing is None:
             raise ChainMisuse("transfer_internal called outside execution")
         self.state.get(source).debit(amount)
         self.state.get(recipient).credit(amount)
-        receipt = self._executing
-        internal = InternalTransfer(
-            source=source,
-            recipient=recipient,
-            value=amount,
-            tx_hash=receipt.tx_hash,
-            block_number=receipt.block_number,
-            timestamp=receipt.timestamp,
-            index=len(receipt.internal_transfers),
-        )
-        if receipt.internal_transfers:
-            receipt.internal_transfers.append(internal)
-        else:
-            receipt.internal_transfers = [internal]
+        self._internal_moves.append((source, recipient, amount))
 
     # -- queries -------------------------------------------------------------
 
     def balance_of(self, address: Address) -> Wei:
         """Current balance of ``address`` in wei."""
         return self.state.balance_of(address)
-
-    def get_block(self, number: int) -> Block:
-        """Block by number, built on each call; raises for out-of-range
-        numbers.
-
-        The chain keeps only the receipts: block 0 is the empty genesis
-        block and block n holds ``receipts[n - 1]``.
-        """
-        if not 0 <= number <= len(self.receipts):
-            raise UnknownAccount(f"no block number {number}")
-        if number == 0:
-            return Block(number=0, timestamp=self._genesis_timestamp)
-        receipt = self.receipts[number - 1]
-        return Block(number=number, timestamp=receipt.timestamp, receipts=[receipt])
-
-    def block_hash(self, number: int) -> Hash32:
-        """Id of block ``number``; raises for out-of-range numbers.
-
-        Each id chains over its parent's, and only explorer block
-        lookups read them, so sealing a block computes none. The first
-        read computes every missing id up to ``number``, oldest first
-        in a loop, and keeps them: a sealed block never changes.
-        """
-        if not 0 <= number <= len(self.receipts):
-            raise UnknownAccount(f"no block number {number}")
-        ids = self._block_ids
-        while len(ids) <= number:
-            parent = ids[-1] if ids else GENESIS_PARENT
-            ids.append(self.get_block(len(ids)).hash(parent))
-        return ids[number]
 
     def logs_of(self, contract: Address, event: str | None = None) -> list[Log]:
         """Event logs filtered by emitting contract (and optionally name)."""

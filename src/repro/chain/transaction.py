@@ -79,25 +79,6 @@ class Transaction(NamedTuple):
 
 
 @dataclass(frozen=True, slots=True)
-class InternalTransfer:
-    """A value move initiated by contract code (refunds, payouts).
-
-    Mirrors Etherscan's "internal transactions": not a transaction of
-    its own, but a side effect attributed to the enclosing one. Kept
-    separate from the top-level transfer list so analyses over ``txlist``
-    data never mistake a registrar refund for income.
-    """
-
-    source: Address
-    recipient: Address
-    value: Wei
-    tx_hash: Hash32
-    block_number: int
-    timestamp: int
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
 class Log:
     """An event emitted by a contract during transaction execution."""
 
@@ -125,9 +106,9 @@ class Log:
 class Receipt:
     """Execution outcome of one transaction.
 
-    ``logs`` and ``internal_transfers`` start as the shared empty tuple;
-    the chain swaps in a list on the first entry, so the many receipts
-    of plain payments allocate neither.
+    ``logs`` starts as the shared empty tuple; the chain swaps in a
+    list on the first log, so the many receipts of plain payments
+    allocate none.
     """
 
     tx_hash: Hash32
@@ -138,7 +119,6 @@ class Receipt:
     return_value: Any = None
     error: str | None = None
     logs: list[Log] | tuple[()] = ()
-    internal_transfers: list[InternalTransfer] | tuple[()] = ()
 
     @property
     def from_address(self) -> Address:

@@ -19,16 +19,18 @@ store="columnar")`` or :func:`pack_dataset` produce it, and
 one canonical-JSON :class:`~repro.datasets.delta.DatasetDelta` per line
 (:func:`append_delta`), and the object-store loader replays the log
 through :meth:`~repro.datasets.dataset.ENSDataset.apply_delta`, so a
-reloaded dataset's ``delta_cursor`` equals the number of complete log
-lines — the resume point for checkpointed streams. A torn trailing
-line (producer killed mid-write) is skipped on read and truncated away
-by the next append; the base JSONL files are never rewritten by the
-delta path.
+reloaded dataset's ``delta_cursor`` equals the number of non-blank
+complete log lines — the resume point for checkpointed streams.
+:class:`DeltaLog` is the one reader of that framing, for the loader and
+for ``repro serve --watch``. A torn trailing line (producer killed
+mid-write) is skipped on read and truncated away by the next append;
+the base JSONL files are never rewritten by the delta path.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
@@ -45,9 +47,9 @@ __all__ = [
     "DELTAS_FILE",
     "DatasetFormatError",
     "DatasetNotFoundError",
+    "DeltaLog",
     "append_delta",
     "load_deltas",
-    "parse_line",
     "save_dataset",
     "load_dataset",
     "dataset_digest",
@@ -80,6 +82,9 @@ _T = TypeVar("_T")
 #: ValueError, a missing field a KeyError, a JSON value of the wrong
 #: shape (``[1]``, ``{"domains": 5}``) a TypeError or AttributeError.
 _LINE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
+
+#: Any byte ``bytes.strip`` keeps: a line without one is blank.
+_NOT_BLANK = re.compile(rb"\S")
 
 
 def _serialized(
@@ -148,35 +153,88 @@ def _read_jsonl(path: Path, parse: Callable[[Any], _T]) -> list[_T]:
         ]
 
 
+class DeltaLog:
+    """A read position in one ``deltas.jsonl``: the one reader of its framing.
+
+    A delta line is newline-terminated: an unterminated tail is a torn
+    write and is not read. Blank lines are skipped, but they count in
+    the 1-based line numbers an error names. ``offset`` is the byte
+    just past the last line read and ``line_number`` the number of
+    lines before it, so a later read of the grown file parses only
+    what follows.
+    """
+
+    def __init__(self, directory: str | Path) -> None:
+        self.path = Path(directory) / DELTAS_FILE
+        self.offset = 0
+        self.line_number = 0
+
+    def _lines(self, raw: bytes) -> Iterator[tuple[int, int, int]]:
+        """(line number, start, end) of each complete non-blank line of
+        ``raw`` after the position, without copying it: a delta line can
+        hold a whole batch. The position moves past a line only when the
+        next one is asked for, so a line the consumer stops at stays
+        unread."""
+        complete = raw.rfind(b"\n") + 1
+        while self.offset < complete:
+            end = raw.index(b"\n", self.offset)
+            if _NOT_BLANK.search(raw, self.offset, end):
+                yield self.line_number + 1, self.offset, end
+            self.offset = end + 1
+            self.line_number += 1
+
+    def skip(self, raw: bytes, count: int | None = None) -> int:
+        """Move past ``count`` delta lines (all when None) unparsed;
+        return how many it moved past."""
+        skipped = 0
+        for _ in self._lines(raw):
+            if skipped == count:
+                break
+            skipped += 1
+        return skipped
+
+    def read(self, raw: bytes) -> Iterator[DatasetDelta]:
+        """Parse each delta line of ``raw`` after the position, moving past it.
+
+        A malformed line raises :class:`DatasetFormatError` naming it and
+        leaves the position at it.
+        """
+        from ..datasets.delta import DatasetDelta
+
+        for line_number, start, end in self._lines(raw):
+            yield parse_line(
+                self.path, line_number, raw[start:end], DatasetDelta.from_dict
+            )
+
+
 def append_delta(directory: str | Path, delta: DatasetDelta) -> int:
-    """Append one delta line to ``deltas.jsonl``; return its line index.
+    """Append one delta line to ``deltas.jsonl``; return the new line count.
 
     The append is torn-write safe from both sides: before writing, any
     unterminated trailing partial line (a producer killed mid-write) is
     truncated away, and the new line is flushed and fsynced so a crash
-    after return cannot lose it. Returns the 1-based index of the
-    written line — equal to the dataset's ``delta_cursor`` after the
-    line is replayed, which is what checkpointed streams persist.
+    after return cannot lose it. Returns the number of delta lines the
+    log then holds (blank lines not counted) — equal to the dataset's
+    ``delta_cursor`` after the log is replayed, which is what
+    checkpointed streams persist.
     """
     import os
 
-    directory = Path(directory)
-    path = directory / DELTAS_FILE
+    log = DeltaLog(directory)
     complete = 0
-    if path.exists():
-        raw = path.read_bytes()
-        keep = raw.rfind(b"\n") + 1
-        complete = raw.count(b"\n", 0, keep)
-        if keep != len(raw):
+    if log.path.exists():
+        raw = log.path.read_bytes()
+        complete = log.skip(raw)
+        if log.offset != len(raw):
             _log.info(
                 "delta.torn_line_truncated",
-                path=str(path),
-                dropped_bytes=len(raw) - keep,
+                path=str(log.path),
+                dropped_bytes=len(raw) - log.offset,
             )
-            with path.open("r+b") as handle:
-                handle.truncate(keep)
+            with log.path.open("r+b") as handle:
+                handle.truncate(log.offset)
     line = json.dumps(delta.as_dict(), sort_keys=True, separators=(",", ":"))
-    with path.open("a", encoding="utf-8") as handle:
+    with log.path.open("a", encoding="utf-8") as handle:
         handle.write(line + "\n")
         handle.flush()
         os.fsync(handle.fileno())
@@ -184,31 +242,24 @@ def append_delta(directory: str | Path, delta: DatasetDelta) -> int:
 
 
 def load_deltas(directory: str | Path) -> list[DatasetDelta]:
-    """Read the complete delta lines of a dataset directory, in order.
+    """Read the delta lines of a dataset directory, in order.
 
-    Only newline-terminated lines count: an unterminated tail is a torn
-    write and is skipped (the next :func:`append_delta` truncates it).
-    A malformed *terminated* line is real corruption and raises
-    :class:`DatasetFormatError`.
+    An unterminated tail is a torn write and is skipped (the next
+    :func:`append_delta` truncates it). A malformed *terminated* line
+    is real corruption and raises :class:`DatasetFormatError`.
     """
-    path = Path(directory) / DELTAS_FILE
-    if not path.exists():
+    log = DeltaLog(directory)
+    if not log.path.exists():
         return []
-    from ..datasets.delta import DatasetDelta
-
-    raw = path.read_bytes()
-    keep = raw.rfind(b"\n") + 1
-    if keep != len(raw):
+    raw = log.path.read_bytes()
+    deltas = list(log.read(raw))
+    if log.offset != len(raw):
         _log.info(
             "delta.torn_line_skipped",
-            path=str(path),
-            dropped_bytes=len(raw) - keep,
+            path=str(log.path),
+            dropped_bytes=len(raw) - log.offset,
         )
-    return [
-        parse_line(path, line_number, line, DatasetDelta.from_dict)
-        for line_number, line in enumerate(raw[:keep].split(b"\n"), start=1)
-        if line.strip()
-    ]
+    return deltas
 
 
 def save_dataset(
@@ -364,8 +415,8 @@ def load_dataset(
     dataset.add_market_events(
         _read_jsonl(directory / _MARKET_FILE, MarketEventRecord.from_dict)
     )
-    # Replay the append log so delta_cursor == the number of complete
-    # log lines — checkpointed streams resume from exactly that index.
+    # Replay the append log so delta_cursor == the number of delta
+    # lines — checkpointed streams resume from exactly that index.
     for delta in load_deltas(directory):
         dataset.apply_delta(delta)
     return dataset

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..chain.block import GENESIS_PARENT
-from ..chain.errors import UnknownAccount
 from ..chain.transaction import Receipt
 from ..chain.types import Address
 from .database import ExplorerDatabase
@@ -151,25 +149,6 @@ class EtherscanAPI:
         receipts.sort(key=lambda r: r.block_number, reverse=(sort == "desc"))
         window = receipts[(page - 1) * offset : page * offset]
         return [_tx_row(receipt) for receipt in window]
-
-    def get_block(self, number: int) -> dict[str, object] | None:
-        """Block header lookup (proxy.eth_getBlockByNumber)."""
-        self._throttle()
-        self.database.sync()
-        chain = self.database.chain
-        try:
-            block = chain.get_block(number)
-        except UnknownAccount:
-            return None
-        return {
-            "number": str(block.number),
-            "timestamp": str(block.timestamp),
-            "hash": chain.block_hash(number).hex,
-            "parentHash": (
-                chain.block_hash(number - 1) if number else GENESIS_PARENT
-            ).hex,
-            "transactionCount": str(block.transaction_count),
-        }
 
     # -- label module (scrape-equivalent) -----------------------------------------
 

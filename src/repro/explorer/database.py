@@ -47,16 +47,6 @@ class ExplorerDatabase:
 
     # -- queries -----------------------------------------------------------------
 
-    @property
-    def chain(self) -> Blockchain:
-        """The chain this database indexes (for point lookups)."""
-        return self._chain
-
-    @property
-    def total_transactions(self) -> int:
-        """Distinct transactions indexed (not per-address rows)."""
-        return self._total_entries
-
     def transactions_of(self, address: Address) -> list[Receipt]:
         """Receipts of all transactions touching ``address``, oldest first."""
         return list(self._by_address.get(address, ()))

@@ -16,22 +16,13 @@ __all__ = ["LabelRegistry", "CATEGORY_COINBASE", "CATEGORY_CUSTODIAL_EXCHANGE"]
 
 CATEGORY_COINBASE = "coinbase"
 CATEGORY_CUSTODIAL_EXCHANGE = "custodial-exchange"
-CATEGORY_CONTRACT = "contract"
-
-
-@dataclass(frozen=True, slots=True)
-class AddressLabel:
-    """A public name tag: display name plus a category."""
-
-    name: str
-    category: str
 
 
 @dataclass
 class LabelRegistry:
-    """address-hex → label map with category queries."""
+    """address-hex → label category map with category queries."""
 
-    _labels: dict[str, AddressLabel] = field(default_factory=dict)
+    _categories: dict[str, str] = field(default_factory=dict)
 
     @staticmethod
     def _key(address: Address | str) -> str:
@@ -41,17 +32,17 @@ class LabelRegistry:
             address = Address.from_hex(address)
         return address.hex
 
-    def tag(self, address: Address | str, name: str, category: str) -> None:
-        """Attach a label; re-tagging an address overwrites."""
-        self._labels[self._key(address)] = AddressLabel(name=name, category=category)
+    def tag(self, address: Address | str, category: str) -> None:
+        """Attach a category label; re-tagging an address overwrites."""
+        self._categories[self._key(address)] = category
 
     def addresses_in_category(self, category: str) -> list[str]:
         """Sorted addresses carrying ``category`` labels."""
         return sorted(
             address
-            for address, label in self._labels.items()
-            if label.category == category
+            for address, tagged in self._categories.items()
+            if tagged == category
         )
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._categories)

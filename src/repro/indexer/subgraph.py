@@ -34,15 +34,11 @@ __all__ = ["ENSSubgraph"]
 class ENSSubgraph:
     """Entity store + event handlers for one ENS deployment.
 
-    Normally constructed *before* activity so it indexes live via the
-    chain's log subscription; :meth:`backfill` builds an identical store
-    from historical logs after the fact (how a real subgraph syncs from
-    its start block).
+    Constructed *before* activity: it indexes live via the chain's log
+    subscription, so it sees only the logs emitted after it was built.
     """
 
-    def __init__(
-        self, deployment: ENSDeployment, subscribe: bool = True
-    ) -> None:
+    def __init__(self, deployment: ENSDeployment) -> None:
         self._deployment = deployment
         self.domains: dict[str, DomainEntity] = {}
         self.registrations: dict[str, RegistrationEntity] = {}
@@ -50,22 +46,7 @@ class ENSSubgraph:
         self._registration_counter: dict[str, int] = {}
         self._known_subnodes: set[str] = set()
         self._indexed_log_count = 0
-        if subscribe:
-            deployment.chain.subscribe_logs(self._on_log)
-
-    @classmethod
-    def backfill(cls, deployment: ENSDeployment) -> "ENSSubgraph":
-        """Build a subgraph by replaying every historical log.
-
-        Produces an entity store identical to one that had subscribed
-        from genesis, then keeps indexing live. Event-sourcing property:
-        state is a pure fold over the log stream.
-        """
-        subgraph = cls(deployment, subscribe=False)
-        for log in deployment.chain.logs:
-            subgraph._on_log(log)
-        deployment.chain.subscribe_logs(subgraph._on_log)
-        return subgraph
+        deployment.chain.subscribe_logs(self._on_log)
 
     # -- identity helpers ---------------------------------------------------
 

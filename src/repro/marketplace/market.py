@@ -14,7 +14,6 @@ sales, cancellations) that the OpenSea API serves to crawlers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..chain.contract import CallContext, Contract
 from ..chain.errors import Revert
@@ -175,7 +174,3 @@ class OpenSeaMarket(Contract):
         """All market events of one token, oldest first."""
         key = token_id.hex if isinstance(token_id, Hash32) else token_id
         return list(self._events_by_token.get(key, ()))
-
-    def iter_events(self) -> Iterator[MarketEvent]:
-        """Iterate every market event in recorded order."""
-        return iter(self.events)

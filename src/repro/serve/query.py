@@ -61,8 +61,9 @@ def canonical_query(path: str, query: str = "") -> str:
 
     Normalization applied:
 
-    * the path is percent-decoded, surrounding whitespace is stripped,
-      and empty segments (``//``, trailing ``/``) collapse away;
+    * the path is percent-decoded, each segment's surrounding
+      whitespace is stripped, and empty segments (``//``, trailing
+      ``/``) collapse away;
     * a ``/domain/<name>`` path normalizes ``<name>`` per ENSIP-15
       (NFC + case folding + validation), so ``/domain/GOLD.eth`` and
       ``/domain/gold.eth`` are the same query;
@@ -79,9 +80,9 @@ def canonical_query(path: str, query: str = "") -> str:
     fails ENS validation — the server maps that to a 400, never a cache
     entry.
     """
-    segments = [part for part in unquote(path).strip().split("/") if part]
+    segments = [part for part in map(str.strip, unquote(path).split("/")) if part]
     if len(segments) == 2 and segments[0] == "domain":
-        segments = ["domain", normalize_name(segments[1].strip())]
+        segments = ["domain", normalize_name(segments[1])]
     canonical_path = "/" + "/".join(quote(part, safe="") for part in segments)
     params: list[tuple[str, str]] = []
     for key, value in parse_qsl(query, keep_blank_values=False):

@@ -6,14 +6,16 @@ line through :meth:`~repro.serve.app.ReproApp.apply_deltas` — the
 O(delta) ingestion path that refreshes the report incrementally and
 migrates the response cache instead of dropping it.
 
-The watcher tracks a byte offset just past the last consumed complete
-line. Only newline-terminated lines are consumed, so a producer killed
+The watcher reads the log through a
+:class:`~repro.crawler.storage.DeltaLog`, the reader the loader uses:
+it keeps a byte offset just past the last consumed complete line.
+Only newline-terminated lines are consumed, so a producer killed
 mid-append never feeds a torn record (the producer's next
 :func:`~repro.crawler.storage.append_delta` truncates the tail; the
 byte it truncates is always beyond our offset). The initial offset is
-derived from the dataset's ``delta_cursor`` — the loader replayed
-exactly that many log lines — so lines appended between load and the
-first poll are never skipped or double-applied.
+just past the dataset's ``delta_cursor``-th delta line — the loader
+replayed exactly those, blank lines skipped — so lines appended
+between load and the first poll are never skipped or double-applied.
 
 A malformed terminated line stops the watch for good. The poll that
 meets it applies the lines before it, leaves the offset at the bad
@@ -32,7 +34,7 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
-from ..crawler.storage import DELTAS_FILE, DatasetFormatError, parse_line
+from ..crawler.storage import DELTAS_FILE, DatasetFormatError, DeltaLog
 from ..datasets.delta import DatasetDelta
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry
@@ -44,20 +46,6 @@ __all__ = ["DatasetWatcher"]
 WATCH_POLLS_METRIC = "serve_watch_polls_total"
 
 _log = get_logger("serve.watch")
-
-
-def _offset_of_line(path: Path, lines: int) -> int:
-    """Byte offset just past the ``lines``-th newline of ``path``."""
-    if lines <= 0 or not path.exists():
-        return 0
-    raw = path.read_bytes()
-    offset = 0
-    for _ in range(lines):
-        position = raw.find(b"\n", offset)
-        if position < 0:
-            return len(raw)
-        offset = position + 1
-    return offset
 
 
 class DatasetWatcher:
@@ -90,10 +78,10 @@ class DatasetWatcher:
         self._poll_unchanged = polls.labels(outcome="unchanged")
         self._poll_malformed = polls.labels(outcome="malformed")
         self._halted = False
-        self._path = self.directory / DELTAS_FILE
-        self._offset = _offset_of_line(
-            self._path, getattr(app.dataset, "delta_cursor", 0)
-        )
+        self._log = DeltaLog(self.directory)
+        if self._log.path.exists():
+            cursor = getattr(app.dataset, "delta_cursor", 0)
+            self._log.skip(self._log.path.read_bytes(), cursor)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -110,58 +98,48 @@ class DatasetWatcher:
         """
         if self._halted:
             return 0
-        if not self._path.exists():
+        if not self._log.path.exists():
             self._poll_unchanged.inc()
             return 0
-        raw = self._path.read_bytes()
-        if len(raw) < self._offset:
+        raw = self._log.path.read_bytes()
+        if len(raw) < self._log.offset:
             _log.error(
                 "watch.log_replaced",
-                path=str(self._path),
-                consumed=self._offset,
+                path=str(self._log.path),
+                consumed=self._log.offset,
                 size=len(raw),
                 hint="delta log shrank (compacted?); restart serve to"
                 " pick up the rewritten dataset",
             )
-            self._offset = len(raw)
+            self._log = DeltaLog(self.directory)
+            self._log.skip(raw)
             self._poll_unchanged.inc()
             return 0
-        keep = raw.rfind(b"\n") + 1
-        if keep <= self._offset:
-            self._poll_unchanged.inc()
-            return 0
+        start = self._log.offset
         deltas: list[DatasetDelta] = []
         malformed: DatasetFormatError | None = None
-        start = self._offset
-        line_number = raw.count(b"\n", 0, start)
-        for line in raw[start:keep].split(b"\n")[:-1]:
-            line_number += 1
-            if line.strip():
-                try:
-                    deltas.append(
-                        parse_line(
-                            self._path, line_number, line, DatasetDelta.from_dict
-                        )
-                    )
-                except DatasetFormatError as exc:
-                    malformed = exc
-                    break
-            start += len(line) + 1
+        try:
+            for delta in self._log.read(raw):
+                deltas.append(delta)
+        except DatasetFormatError as exc:
+            malformed = exc
+        if self._log.offset == start and malformed is None:
+            self._poll_unchanged.inc()
+            return 0
         if deltas:
             self.app.apply_deltas(deltas)
             _log.info(
                 "watch.applied",
                 deltas=len(deltas),
                 records=sum(delta.record_count for delta in deltas),
-                offset=start,
+                offset=self._log.offset,
             )
-        self._offset = start
         if malformed is not None:
             self._halted = True
             self._poll_malformed.inc()
             _log.error(
                 "watch.malformed",
-                line=f"{DELTAS_FILE}:{line_number}",
+                line=f"{DELTAS_FILE}:{self._log.line_number + 1}",
                 error=str(malformed),
                 hint="watching stopped; repair the line and restart serve",
             )
@@ -182,7 +160,7 @@ class DatasetWatcher:
         self._thread.start()
         _log.info(
             "watch.started",
-            path=str(self._path),
+            path=str(self._log.path),
             poll_interval=self.poll_interval,
         )
         return self
@@ -205,7 +183,7 @@ class DatasetWatcher:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        _log.info("watch.stopped", path=str(self._path))
+        _log.info("watch.stopped", path=str(self._log.path))
 
     def __enter__(self) -> "DatasetWatcher":
         """Start on entry."""

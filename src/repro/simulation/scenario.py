@@ -256,11 +256,11 @@ class _ScenarioEngine:
         config = self.config
         for i in range(config.n_custodial_exchanges):
             address = Address.derive(f"exchange:{i}")
-            self.labels.tag(address, f"Exchange {i}", CATEGORY_CUSTODIAL_EXCHANGE)
+            self.labels.tag(address, CATEGORY_CUSTODIAL_EXCHANGE)
             self.custodial_pool.append(address)
         for i in range(config.n_coinbase_addresses):
             address = Address.derive(f"coinbase:{i}")
-            self.labels.tag(address, f"Coinbase {i + 1}", CATEGORY_COINBASE)
+            self.labels.tag(address, CATEGORY_COINBASE)
             self.coinbase_pool.append(address)
 
     def _setup_dropcatchers(self) -> None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import gc
-
 import pytest
 
 from repro.chain import (
@@ -16,8 +14,6 @@ from repro.chain import (
     ZERO_ADDRESS,
     ether,
 )
-from repro.chain.block import GENESIS_PARENT
-from repro.chain.errors import UnknownAccount
 
 
 @pytest.fixture()
@@ -83,40 +79,7 @@ class TestClock:
         chain.advance_time(500)
         receipt = chain.transfer(a, b, 1)
         assert receipt.timestamp == chain.now
-        assert chain.get_block(receipt.block_number).timestamp == chain.now
-
-
-class TestBlockIds:
-    def test_ids_chain_over_parents(self, chain: Blockchain, funded) -> None:
-        a, b = funded
-        for _ in range(3):
-            chain.transfer(a, b, 1)
-        parent = GENESIS_PARENT
-        for number in range(chain.height + 1):
-            expected = chain.get_block(number).hash(parent)
-            assert chain.block_hash(number) == expected
-            parent = expected
-
-    def test_out_of_range(self, chain: Blockchain) -> None:
-        with pytest.raises(UnknownAccount):
-            chain.block_hash(chain.height + 1)
-        with pytest.raises(UnknownAccount):
-            chain.block_hash(-1)
-
-    def test_deep_chain_tip_first_then_delete(self) -> None:
-        """The first read at the tip of a long chain computes every id
-        below it without recursing, and the chain frees without
-        recursing either."""
-        chain = Blockchain()
-        a, b = Address.derive("deep:a"), Address.derive("deep:b")
-        chain.fund(a, ether(1))
-        for _ in range(20_000):
-            chain.transfer(a, b, 1)
-        assert chain.height == 20_000
-        tip = chain.block_hash(chain.height)
-        assert tip == chain.get_block(20_000).hash(chain.block_hash(19_999))
-        del chain
-        gc.collect()
+        assert chain.receipts[receipt.block_number - 1] is receipt
 
 
 class TestViewContext:

@@ -37,14 +37,3 @@ class TestChainQueries:
         assert len(registered) == 1
         assert len(renewed) == 1
         assert len(everything) >= 3  # + commitment event
-
-    def test_get_block_bounds(self, chain) -> None:
-        import pytest
-
-        from repro.chain import UnknownAccount
-
-        assert chain.get_block(0).number == 0
-        with pytest.raises(UnknownAccount):
-            chain.get_block(chain.height + 1)
-        with pytest.raises(UnknownAccount):
-            chain.get_block(-1)

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from repro.crawler import load_dataset, save_dataset
+from repro.crawler.storage import DELTAS_FILE, DeltaLog, append_delta
 from repro.datasets import MarketEventRecord
+from repro.datasets.delta import DatasetDelta
 
 from ..core.helpers import make_dataset, make_domain, make_registration, make_tx
 
@@ -79,3 +81,25 @@ class TestErrors:
         path.write_text("\n" + path.read_text() + "\n\n")
         loaded = load_dataset(tmp_path / "ds")
         assert len(loaded.market_events) == 1
+
+
+class TestDeltaLog:
+    def test_append_delta_counts_delta_lines_not_newlines(self, tmp_path) -> None:
+        save_dataset(_sample_dataset(), tmp_path / "ds")
+        (tmp_path / "ds" / DELTAS_FILE).write_text("\n \n")
+        delta = DatasetDelta(transactions=(make_tx("0xs", "0xa", 300),))
+        assert append_delta(tmp_path / "ds", delta) == 1
+        assert load_dataset(tmp_path / "ds").delta_cursor == 1
+        assert append_delta(tmp_path / "ds", delta) == 2
+
+    def test_a_read_resumes_after_its_position(self, tmp_path) -> None:
+        save_dataset(_sample_dataset(), tmp_path / "ds")
+        delta = DatasetDelta(transactions=(make_tx("0xs", "0xa", 300),))
+        append_delta(tmp_path / "ds", delta)
+        log = DeltaLog(tmp_path / "ds")
+        raw = log.path.read_bytes()
+        assert log.skip(raw) == 1
+        assert (log.offset, log.line_number) == (len(raw), 1)
+        torn = raw + b"\n" + raw + raw[:5]
+        assert list(log.read(torn)) == [delta]
+        assert (log.offset, log.line_number) == (len(torn) - 5, 3)

@@ -130,34 +130,6 @@ class TestReRegistrationHistory:
         assert len(domain.registration_ids) == 1
 
 
-class TestBackfill:
-    def test_backfill_equals_live_indexing(self, chain, ens, alice, bob) -> None:
-        # index live from the start...
-        live = ENSSubgraph(ens)
-        ens.register(alice, "vault", YEAR, set_addr_to=alice)
-        ens.renew(alice, "vault", YEAR)
-        chain.advance_time(2 * YEAR + GRACE_PERIOD_SECONDS + 22 * DAY)
-        ens.register(bob, "vault", YEAR, set_addr_to=bob)
-        ens.transfer(bob, "vault", alice)
-        # ...then replay history after the fact
-        replayed = ENSSubgraph.backfill(ens)
-        assert set(replayed.domains) == set(live.domains)
-        for domain_id, domain in live.domains.items():
-            assert replayed.domains[domain_id].as_dict() == domain.as_dict()
-        assert set(replayed.registrations) == set(live.registrations)
-        for reg_id, registration in live.registrations.items():
-            assert (
-                replayed.registrations[reg_id].as_dict() == registration.as_dict()
-            )
-
-    def test_backfilled_subgraph_keeps_indexing_live(self, chain, ens, alice) -> None:
-        ens.register(alice, "before", YEAR)
-        replayed = ENSSubgraph.backfill(ens)
-        count_before = len(replayed.domains)
-        ens.register(alice, "after", YEAR)
-        assert len(replayed.domains) == count_before + 1
-
-
 class TestEndpoint:
     def test_query_round_trip(self, chain, ens, alice, subgraph) -> None:
         ens.register(alice, "vault", YEAR)

@@ -17,7 +17,7 @@ def _source(module: str, text: str) -> SourceFile:
 class TestUpward:
     def test_chain_importing_crawler_is_flagged(self) -> None:
         result = lint_sources(
-            [_source("repro.chain.block", "from repro.crawler import pipeline\n")],
+            [_source("repro.chain.chain", "from repro.crawler import pipeline\n")],
             rules=["layering"],
         )
         assert [f.rule for f in result.findings] == ["layering-upward"]

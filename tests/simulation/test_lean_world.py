@@ -1,14 +1,12 @@
 """A built world keeps only what its readers need, with unchanged values.
 
-The chain keeps receipts, not blocks, and builds a ``Block`` only when
-one is read; block ids are computed when first read; a receipt with no
-logs or internal transfers holds no list; a sender keeps no payment
-plan; the resolution log is built from payment receipts on read; and a
-crawl shares one string per address across its transaction records.
-The literals below were computed when the world still sealed a
-``Block`` per transaction, hashed every one and stored ready-made
-resolution records; equal values prove the blocks, the ids and the log
-did not change.
+The chain keeps receipts, not blocks: block n is ``receipts[n - 1]``; a
+receipt with no logs holds no list; a sender keeps no payment plan; the
+resolution log is built from payment receipts on read; and a crawl
+shares one string per address across its transaction records. The
+literals below were computed when the world still sealed a block object
+per transaction and stored ready-made resolution records; equal values
+prove the block numbering, the timestamps and the log did not change.
 """
 
 from __future__ import annotations
@@ -19,33 +17,18 @@ from dataclasses import fields
 
 import pytest
 
-from repro.chain.block import Block
 from repro.core.authoritative import authoritative_losses
 from repro.datasets.schema import ResolutionRecord
 from repro.simulation import ScenarioConfig, run_scenario
 from repro.simulation.agents import SenderProfile
 
-#: ``get_block`` (hash, parentHash) of a 40-domain, seed-3 world.
-BLOCK_IDS_40_3 = {
-    0: (
-        "0x05f9c2836a95fbc840560ee30538494ca30a6aa14dae1df60b9f547c82009a65",
-        "0x0000000000000000000000000000000000000000000000000000000000000000",
-    ),
-    1: (
-        "0x0df202885d9854038775170d442825f1f7941b71c956526d73c95d278e49a8b3",
-        "0x05f9c2836a95fbc840560ee30538494ca30a6aa14dae1df60b9f547c82009a65",
-    ),
-    2170: (
-        "0x30d0f5df2b038ecb7eecd07833583d444995b34d20bd17404e4a86f22c9df44b",
-        "0x7f517e612c0383f81f992e5043115d3ca8d4a67b052b367e0c0f316cfd7c123f",
-    ),
-}
-
-#: SHA-256 of ``repr`` of every ``get_block`` (number, timestamp,
-#: receipt tx hashes) of a 40-domain, seed-3 world, blocks 0..2170.
+#: SHA-256 of ``repr`` of every block's (number, timestamp, receipt tx
+#: hashes) of a 40-domain, seed-3 world, blocks 0..2170.
 BLOCKS_DIGEST_40_3 = (
     "f7593326881ce9783b46a013f1fc52a9907d3a618f29a3d2246b2ab970e762b7"
 )
+#: The 40/3 scenario's genesis timestamp: block 0's, which has no receipt.
+GENESIS_TIMESTAMP_40_3 = 1_577_059_200
 
 #: SHA-256 of the sorted-key JSON of every ``as_dict`` of a 120/5 log.
 RESOLUTION_LOG_DIGEST_120_5 = (
@@ -63,9 +46,9 @@ def _sha256(text: str) -> str:
 
 @pytest.fixture(scope="module")
 def counted():
-    """A 120/5 world and its crawl, built while blocks, block ids and
-    resolution records are counted."""
-    counts = {"blocks": 0, "block_ids": 0, "resolution_records": 0}
+    """A 120/5 world and its crawl, built while resolution records are
+    counted."""
+    counts = {"resolution_records": 0}
 
     def counting(key, method):
         def wrapper(*args, **kwargs):
@@ -75,8 +58,6 @@ def counted():
         return wrapper
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Block, "__init__", counting("blocks", Block.__init__))
-        patch.setattr(Block, "hash", counting("block_ids", Block.hash))
         patch.setattr(
             ResolutionRecord,
             "__init__",
@@ -87,35 +68,15 @@ def counted():
     return world, dataset, counts
 
 
-class TestBlockIds:
-    def test_get_block_ids_unchanged(self) -> None:
-        world = run_scenario(ScenarioConfig(n_domains=40, seed=3))
-        assert world.chain.height == 2170
-        # the tip first: every id below it is computed by that one read
-        for number in (2170, 0, 1):
-            block = world.etherscan_api.get_block(number)
-            assert block is not None
-            assert (block["hash"], block["parentHash"]) == BLOCK_IDS_40_3[number]
-
-    def test_scenario_and_crawl_compute_no_block_id(self, counted) -> None:
-        _, _, counts = counted
-        assert counts["block_ids"] == 0
-
-
 class TestBlocksOnRead:
-    def test_scenario_and_crawl_build_no_block(self, counted) -> None:
-        _, _, counts = counted
-        assert counts["blocks"] == 0
-
     def test_get_block_unchanged(self) -> None:
         world = run_scenario(ScenarioConfig(n_domains=40, seed=3))
         chain = world.chain
         assert chain.height == len(chain.receipts) == 2170
-        rows = []
-        for number in range(chain.height + 1):
-            block = chain.get_block(number)
-            hashes = [receipt.tx_hash.hex for receipt in block.receipts]
-            rows.append((block.number, block.timestamp, hashes))
+        rows = [(0, GENESIS_TIMESTAMP_40_3, [])] + [
+            (receipt.block_number, receipt.timestamp, [receipt.tx_hash.hex])
+            for receipt in chain.receipts
+        ]
         assert _sha256(repr(rows)) == BLOCKS_DIGEST_40_3
 
 
@@ -123,13 +84,9 @@ class TestEmptyReceipts:
     def test_no_list_without_entries(self, counted) -> None:
         world, _, _ = counted
         receipts = world.chain.receipts
-        empty = [r for r in receipts if not r.logs and not r.internal_transfers]
+        empty = [r for r in receipts if not r.logs]
         assert 0 < len(empty) < len(receipts)
-        assert not [
-            r
-            for r in empty
-            if isinstance(r.logs, list) or isinstance(r.internal_transfers, list)
-        ]
+        assert not [r for r in empty if isinstance(r.logs, list)]
 
 
 class TestSenderProfiles:

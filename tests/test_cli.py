@@ -333,7 +333,7 @@ def test_cli_import_loads_no_numeric_stack() -> None:
 
 #: Every ``repro`` module ``import repro.cli`` loads: what a report runs.
 CLI_IMPORTS = """
-repro repro._lazy repro.chain repro.chain.account repro.chain.block
+repro repro._lazy repro.chain repro.chain.account
 repro.chain.chain repro.chain.contract repro.chain.crypto
 repro.chain.crypto.keccak repro.chain.errors repro.chain.transaction
 repro.chain.types repro.cli repro.core repro.core.actors
